@@ -640,14 +640,19 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
 /// maintained target must be byte-identical (canonical rendering,
 /// annotations included) to a full re-exchange over the mutated sources,
 /// and the synthesized report must agree with the full run on every
-/// per-mapping decision count.
+/// per-mapping decision count. The build and a final rebase run the full
+/// exchange driver, so right after each the engine's annotated XML must
+/// equal the full exchange's byte for byte. And any split of the stream is
+/// one batch: the whole stream applied as one concatenated delta to a
+/// second engine must end canonically equal, with equal decisions.
 pub fn law_incremental(
     rng: &mut TestRng,
     scen: &Scenario,
     cfg: &GenConfig,
     exchange: &dtr_mapping::exchange::ExchangeOptions,
 ) -> Result<(), String> {
-    use dtr_mapping::exchange::execute_mappings_with;
+    use dtr_mapping::delta::SourceDelta;
+    use dtr_mapping::exchange::{execute_mappings_with, ExchangeReport};
     use dtr_mapping::incremental::IncrementalExchange;
     let funcs = FunctionRegistry::with_builtins();
     let schemas: Vec<dtr_model::schema::Schema> =
@@ -657,59 +662,94 @@ pub fn law_incremental(
         inst.annotate_elements(schema)
             .map_err(|e| format!("source annotation failed: {e}"))?;
     }
-    let mut inc = IncrementalExchange::new(
-        schemas.clone(),
-        instances,
-        scen.target.clone(),
-        scen.mappings.clone(),
-        funcs.clone(),
-        exchange.clone(),
-    )
-    .map_err(|e| format!("incremental engine failed to build: {e}"))?;
-    let stream = generators::gen_update_stream(rng, scen, cfg, 4);
-    let decisions = |r: &dtr_mapping::exchange::ExchangeReport| {
-        r.per_mapping
-            .iter()
-            .map(|s| {
-                (
-                    s.mapping.clone(),
-                    s.tuples,
-                    s.bindings,
-                    s.rows_inserted,
-                    s.rows_merged,
-                )
-            })
-            .collect::<Vec<_>>()
+    let build = || {
+        IncrementalExchange::new(
+            schemas.clone(),
+            instances.clone(),
+            scen.target.clone(),
+            scen.mappings.clone(),
+            funcs.clone(),
+            exchange.clone(),
+        )
+        .map_err(|e| format!("incremental engine failed to build: {e}"))
     };
-    for (step, delta) in stream.iter().enumerate() {
-        inc.apply(delta)
-            .map_err(|e| format!("incremental apply failed at step {step} ({delta:?}): {e}"))?;
+    let full = |inc: &IncrementalExchange| {
         let views: Vec<dtr_query::eval::Source> = schemas
             .iter()
             .zip(inc.sources())
             .map(|(schema, instance)| dtr_query::eval::Source { schema, instance })
             .collect();
-        let (full, full_report) =
-            execute_mappings_with(&views, &scen.target, &scen.mappings, &funcs, exchange)
-                .map_err(|e| format!("full re-exchange failed at step {step}: {e}"))?;
-        let inc_canon = canon(inc.target());
-        let full_canon = canon(&full);
-        if inc_canon != full_canon {
-            return Err(format!(
-                "incremental target diverged from full re-exchange after step {step} \
-                 ({delta:?})\nincremental: {inc_canon}\nfull: {full_canon}"
-            ));
-        }
-        if decisions(inc.report()) != decisions(&full_report) {
-            return Err(format!(
-                "incremental report diverged from full re-exchange after step {step}\n\
-                 incremental: {:?}\nfull: {:?}",
-                decisions(inc.report()),
-                decisions(&full_report)
-            ));
-        }
+        execute_mappings_with(&views, &scen.target, &scen.mappings, &funcs, exchange)
+            .map_err(|e| format!("full re-exchange failed: {e}"))
+    };
+    let decisions = |r: &ExchangeReport| {
+        r.per_mapping
+            .iter()
+            .map(|s| {
+                let counts = (s.tuples, s.bindings, s.rows_inserted, s.rows_merged);
+                (s.mapping.clone(), counts)
+            })
+            .collect::<Vec<_>>()
+    };
+    // Two runs agree: equal renderings and equal per-mapping decisions.
+    let agree =
+        |what: &str, (a, ar): (String, &ExchangeReport), (b, br): (String, &ExchangeReport)| {
+            if a != b {
+                return Err(format!(
+                    "{what}: targets differ\nincremental: {a}\nother: {b}"
+                ));
+            }
+            if decisions(ar) != decisions(br) {
+                return Err(format!(
+                    "{what}: reports differ\nincremental: {:?}\nother: {:?}",
+                    decisions(ar),
+                    decisions(br)
+                ));
+            }
+            Ok(())
+        };
+    let xml = |inst: &Instance| instance_to_xml(inst, WriteOptions::annotated());
+    let same_bytes = |inc: &IncrementalExchange, when: &str| {
+        let (full, report) = full(inc)?;
+        let what = format!("incremental {when} vs full exchange, byte for byte");
+        agree(
+            &what,
+            (xml(inc.target()), inc.report()),
+            (xml(&full), &report),
+        )
+    };
+    let mut inc = build()?;
+    same_bytes(&inc, "build")?;
+    let stream = generators::gen_update_stream(rng, scen, cfg, 4);
+    for (step, delta) in stream.iter().enumerate() {
+        inc.apply(delta)
+            .map_err(|e| format!("incremental apply failed at step {step} ({delta:?}): {e}"))?;
+        let (full, report) = full(&inc)?;
+        let what = format!("incremental vs full re-exchange after step {step} ({delta:?})");
+        agree(
+            &what,
+            (canon(inc.target()), inc.report()),
+            (canon(&full), &report),
+        )?;
     }
-    Ok(())
+    let one_batch = SourceDelta {
+        edits: stream
+            .iter()
+            .flat_map(|d| d.edits.iter().cloned())
+            .collect(),
+    };
+    let mut batched = build()?;
+    batched
+        .apply(&one_batch)
+        .map_err(|e| format!("the stream as one batch failed to apply: {e}"))?;
+    agree(
+        "step by step vs the stream as one batch",
+        (canon(inc.target()), inc.report()),
+        (canon(batched.target()), batched.report()),
+    )?;
+    inc.rebase()
+        .map_err(|e| format!("incremental rebase failed: {e}"))?;
+    same_bytes(&inc, "rebase")
 }
 
 // ---------------------------------------------------------------------------

@@ -9,109 +9,24 @@
 //! full re-exchange over the mutated sources.
 
 use dtr_check::laws::canon;
+use dtr_core::testkit::{figure1_setting, figure1_sources};
 use dtr_mapping::delta::SourceDelta;
 use dtr_mapping::exchange::{execute_mappings_with, ExchangeOptions};
-use dtr_mapping::glav::Mapping;
 use dtr_mapping::incremental::IncrementalExchange;
-use dtr_model::instance::{Instance, Value};
-use dtr_model::schema::Schema;
-use dtr_model::types::{AtomicType, Type};
+use dtr_model::instance::Value;
 use dtr_obs::guard::Budget;
 use dtr_query::eval::Source;
 use dtr_query::functions::FunctionRegistry;
 
 // --- Figure 1 fixtures (US + EU real-estate sources into the portal) -----
 
-fn us_schema() -> Schema {
-    Schema::build(
-        "USdb",
-        vec![(
-            "US",
-            Type::record(vec![
-                (
-                    "houses",
-                    Type::relation(vec![
-                        ("hid", AtomicType::String),
-                        ("floors", AtomicType::String),
-                        ("price", AtomicType::String),
-                        ("aid", AtomicType::String),
-                    ]),
-                ),
-                (
-                    "agents",
-                    Type::set(Type::record(vec![
-                        ("aid", Type::string()),
-                        (
-                            "title",
-                            Type::choice(vec![("name", Type::string()), ("firm", Type::string())]),
-                        ),
-                        ("phone", Type::string()),
-                    ])),
-                ),
-            ]),
-        )],
-    )
-    .unwrap()
-}
-
-fn eu_schema() -> Schema {
-    Schema::build(
-        "EUdb",
-        vec![(
-            "EU",
-            Type::record(vec![(
-                "postings",
-                Type::set(Type::record(vec![
-                    ("hid", Type::string()),
-                    ("levels", Type::string()),
-                    ("totalVal", Type::string()),
-                    (
-                        "agents",
-                        Type::set(Type::record(vec![
-                            ("agentName", Type::string()),
-                            ("agentPhone", Type::string()),
-                        ])),
-                    ),
-                ])),
-            )]),
-        )],
-    )
-    .unwrap()
-}
-
-fn portal_schema() -> Schema {
-    Schema::build(
-        "Pdb",
-        vec![(
-            "Portal",
-            Type::record(vec![
-                (
-                    "estates",
-                    Type::relation(vec![
-                        ("hid", AtomicType::String),
-                        ("stories", AtomicType::String),
-                        ("value", AtomicType::String),
-                        ("contact", AtomicType::String),
-                    ]),
-                ),
-                (
-                    "contacts",
-                    Type::relation(vec![
-                        ("title", AtomicType::String),
-                        ("phone", AtomicType::String),
-                    ]),
-                ),
-            ]),
-        )],
-    )
-    .unwrap()
-}
-
+/// A USdb house with a pool, like the sample's `H7`.
 fn house(hid: &str, floors: &str, price: &str, aid: &str) -> Value {
     Value::record(vec![
         ("hid", Value::str(hid)),
         ("floors", Value::str(floors)),
         ("price", Value::str(price)),
+        ("pool", Value::str("yes")),
         ("aid", Value::str(aid)),
     ])
 }
@@ -124,105 +39,18 @@ fn agent(aid: &str, alt: &str, title: &str, phone: &str) -> Value {
     ])
 }
 
-fn us_instance() -> Instance {
-    let mut inst = Instance::new("USdb");
-    inst.install_root(
-        "US",
-        Value::record(vec![
-            (
-                "houses",
-                Value::set(vec![
-                    house("H522", "2", "500K", "a2"),
-                    house("H7", "1", "250K", "a1"),
-                ]),
-            ),
-            (
-                "agents",
-                Value::set(vec![
-                    agent("a1", "name", "Smith", "555-1111"),
-                    agent("a2", "firm", "HomeGain", "18009468501"),
-                ]),
-            ),
-        ]),
-    );
-    inst
-}
-
-fn eu_instance() -> Instance {
-    let mut inst = Instance::new("EUdb");
-    inst.install_root(
-        "EU",
-        Value::record(vec![(
-            "postings",
-            Value::set(vec![Value::record(vec![
-                ("hid", Value::str("H2525")),
-                ("levels", Value::str("1")),
-                ("totalVal", Value::str("300K")),
-                (
-                    "agents",
-                    Value::set(vec![Value::record(vec![
-                        ("agentName", Value::str("HomeGain")),
-                        ("agentPhone", Value::str("18009468501")),
-                    ])]),
-                ),
-            ])]),
-        )]),
-    );
-    inst
-}
-
-fn figure1_mappings() -> Vec<Mapping> {
-    vec![
-        Mapping::parse(
-            "m1",
-            "foreach
-               select h.hid, h.floors, h.price, n, a.phone
-               from US.houses h, US.agents a, a.title->name n
-               where h.aid = a.aid
-             exists
-               select e.hid, e.stories, e.value, c.title, c.phone
-               from Portal.estates e, Portal.contacts c
-               where e.contact = c.title",
-        )
-        .unwrap(),
-        Mapping::parse(
-            "m2",
-            "foreach
-               select h.hid, h.floors, h.price, f, a.phone
-               from US.houses h, US.agents a, a.title->firm f
-               where h.aid = a.aid
-             exists
-               select e.hid, e.stories, e.value, c.title, c.phone
-               from Portal.estates e, Portal.contacts c
-               where e.contact = c.title",
-        )
-        .unwrap(),
-        Mapping::parse(
-            "m3",
-            "foreach
-               select p.hid, p.levels, p.totalVal, a.agentName, a.agentPhone
-               from EU.postings p, p.agents a
-             exists
-               select e.hid, e.stories, e.value, c.title, c.phone
-               from Portal.estates e, Portal.contacts c
-               where e.contact = c.title",
-        )
-        .unwrap(),
-    ]
-}
-
+/// The engine over `dtr_core::testkit`'s Figure 1 setting and sources.
 fn engine_with(opts: ExchangeOptions) -> IncrementalExchange {
-    let us_s = us_schema();
-    let eu_s = eu_schema();
-    let mut us_i = us_instance();
-    let mut eu_i = eu_instance();
-    us_i.annotate_elements(&us_s).unwrap();
-    eu_i.annotate_elements(&eu_s).unwrap();
+    let setting = figure1_setting();
+    let mut sources = figure1_sources();
+    for (inst, schema) in sources.iter_mut().zip(setting.source_schemas()) {
+        inst.annotate_elements(schema).unwrap();
+    }
     IncrementalExchange::new(
-        vec![us_s, eu_s],
-        vec![us_i, eu_i],
-        portal_schema(),
-        figure1_mappings(),
+        setting.source_schemas().to_vec(),
+        sources,
+        setting.target_schema().clone(),
+        setting.mappings().to_vec(),
         FunctionRegistry::with_builtins(),
         opts,
     )

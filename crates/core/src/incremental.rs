@@ -28,7 +28,7 @@ use dtr_mapping::delta::{DeltaError, SourceDelta, TargetDelta};
 use dtr_mapping::exchange::{ExchangeOptions, ExchangeReport};
 use dtr_mapping::incremental::IncrementalExchange;
 use dtr_metastore::store::MetaStore;
-use dtr_model::instance::{Instance, Value};
+use dtr_model::instance::Instance;
 use dtr_model::schema::Schema;
 use dtr_query::functions::FunctionRegistry;
 
@@ -134,14 +134,6 @@ impl IncrementalSession {
         self.engine.rebase().map_err(MxqlError::from)
     }
 
-    /// Test hook: override the PNF bucketing fingerprint (forces collision
-    /// splits; merges stay structurally confirmed) and rebase.
-    pub fn set_member_fingerprinter(&mut self, f: fn(&Value) -> u64) -> Result<(), MxqlError> {
-        self.engine
-            .set_member_fingerprinter(f)
-            .map_err(MxqlError::from)
-    }
-
     /// The mapping setting.
     pub fn setting(&self) -> &MappingSetting {
         &self.setting
@@ -189,6 +181,7 @@ mod tests {
     use super::*;
     use crate::testkit::{figure1_setting, figure1_sources};
     use dtr_mapping::delta::SourceDelta;
+    use dtr_model::instance::Value;
 
     fn house(hid: &str) -> Value {
         Value::record(vec![

@@ -352,8 +352,13 @@ mod tests {
         assert_eq!(mids, ["m1", "m2", "m3"]);
     }
 
+    /// Serializes the tests that switch the process-global audit gate: one
+    /// test's restore must not turn auditing off under the other.
+    static AUDIT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn audit_records_exchange_query_and_translate() {
+        let _gate = AUDIT_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was_on = dtr_obs::audit::enabled();
         dtr_obs::audit::set_enabled(true);
         // figure1() performs the exchange while auditing is on, so all
@@ -397,6 +402,7 @@ mod tests {
 
     #[test]
     fn audit_records_guard_outcome() {
+        let _gate = AUDIT_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was_on = dtr_obs::audit::enabled();
         dtr_obs::audit::set_enabled(true);
         let tagged = figure1();

@@ -653,7 +653,7 @@ fn build_shape(
 /// it is kept (verbatim) behind [`ExchangeOptions::member_templates`]` =
 /// false` so dtr-check can hold the template path to it differentially and
 /// so benchmarks can measure the pre-optimization configuration.
-pub(crate) fn build_member_reference(
+fn build_member_reference(
     schema: &Schema,
     elem: ElementId,
     fields: &[(&[Step], AtomicValue)],
@@ -772,7 +772,15 @@ pub fn row_fingerprint(row: &[AtomicValue]) -> u64 {
     h.finish()
 }
 
-pub(crate) fn value_fingerprint(v: &Value, h: &mut DefaultHasher) {
+/// The default merge-index fingerprint of a member value: its structural
+/// hash.
+pub(crate) fn member_fingerprint(v: &Value) -> u64 {
+    let mut h = DefaultHasher::new();
+    value_fingerprint(v, &mut h);
+    h.finish()
+}
+
+fn value_fingerprint(v: &Value, h: &mut DefaultHasher) {
     match v {
         Value::Atomic(a) => {
             0u8.hash(h);
@@ -814,10 +822,29 @@ pub struct Exchange<'a> {
     /// Insert-stage budget enforcement: `max_rows` charges accumulate
     /// across mappings; deadline/cancellation are polled per row.
     pub(crate) meter: Meter,
-    /// Member-fingerprint override (see
-    /// [`Exchange::set_member_fingerprinter`]); `None` uses the default
-    /// structural hash.
-    pub(crate) member_fp: Option<fn(&Value) -> u64>,
+    /// Member fingerprint bucketing the merge index: the structural
+    /// [`member_fingerprint`] unless overridden (see
+    /// [`Exchange::set_member_fingerprinter`]).
+    member_fp: fn(&Value) -> u64,
+    /// Crate-private hook on the insert stage, `None` outside incremental
+    /// builds (see [`RowSink`]).
+    pub(crate) sink: Option<&'a mut RowSink<'a>>,
+}
+
+/// The insert-stage hook: called with the mapping's position in the run,
+/// each foreach row [`Exchange::run_mappings`] inserted, and the binding
+/// touches [`Exchange::insert_row`] returned for it. The incremental engine
+/// records its row bags and retraction index through it.
+pub(crate) type RowSink<'s> = dyn FnMut(usize, Vec<AtomicValue>, &[BindingTouch]) + 's;
+
+/// Where one root binding of a plan puts a foreach row (see
+/// [`Exchange::root_members`]): the binding's index, its skeleton set and
+/// the live member holding its value (`None` while absent), and the value.
+pub(crate) struct RootMember {
+    pub(crate) binding: usize,
+    pub(crate) set: Option<NodeId>,
+    pub(crate) member: Option<NodeId>,
+    pub(crate) value: Value,
 }
 
 /// The outcome of one plan binding for one inserted row: which set was
@@ -868,13 +895,14 @@ impl<'a> Exchange<'a> {
             merge_index: HashMap::new(),
             report: ExchangeReport::default(),
             meter: Budget::default().meter("exchange.insert_row"),
-            member_fp: None,
+            member_fp: member_fingerprint,
+            sink: None,
         }
     }
 
     /// Arms the insert-stage meter with a budget (captures the deadline
-    /// now). Call before running any mapping.
-    pub fn set_budget(&mut self, budget: &Budget) {
+    /// now).
+    pub(crate) fn set_budget(&mut self, budget: &Budget) {
         self.meter = budget.meter("exchange.insert_row");
     }
 
@@ -885,38 +913,7 @@ impl<'a> Exchange<'a> {
     /// the bucketing cost. Exposed for differential/conformance testing
     /// (forcing collision splits on demand).
     pub fn set_member_fingerprinter(&mut self, f: fn(&Value) -> u64) {
-        self.member_fp = Some(f);
-    }
-
-    /// Executes one mapping: evaluates its foreach query over the sources
-    /// and inserts every tuple into the target.
-    pub fn run_mapping(&mut self, m: &Mapping) -> Result<(), ExchangeError> {
-        self.run_mapping_with(m, EvalOptions::default())
-    }
-
-    /// [`Exchange::run_mapping`] with explicit evaluator options for the
-    /// foreach query.
-    pub fn run_mapping_with(
-        &mut self,
-        m: &Mapping,
-        eval: EvalOptions,
-    ) -> Result<(), ExchangeError> {
-        let opts = ExchangeOptions {
-            eval,
-            ..ExchangeOptions::default()
-        };
-        self.run_mapping_opts(m, &opts)
-    }
-
-    fn run_mapping_opts(
-        &mut self,
-        m: &Mapping,
-        opts: &ExchangeOptions,
-    ) -> Result<(), ExchangeError> {
-        let started = std::time::Instant::now();
-        let rows = eval_foreach(&self.sources, self.functions, m, effective_eval(opts));
-        let eval_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.insert_mapping_rows(m, rows.map(|r| (r, eval_ns)), opts.member_templates)
+        self.member_fp = f;
     }
 
     /// Runs every mapping under the given options: parallel foreach
@@ -939,7 +936,10 @@ impl<'a> Exchange<'a> {
             self.run_parallel(mappings, opts)
         } else {
             for m in mappings {
-                self.run_mapping_opts(m, opts)?;
+                let started = std::time::Instant::now();
+                let rows = eval_foreach(&self.sources, self.functions, m, effective_eval(opts));
+                let eval_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                self.insert_mapping_rows(m, rows.map(|r| (r, eval_ns)), opts.member_templates)?;
             }
             Ok(())
         }
@@ -959,6 +959,8 @@ impl<'a> Exchange<'a> {
     ) -> Result<(), ExchangeError> {
         let span = dtr_obs::span("exchange.run_mapping").field("mapping", &m.name);
         let started = std::time::Instant::now();
+        // This mapping's position in the run: mappings complete in order.
+        let mi = self.report.per_mapping.len();
         let mut stats = MappingStats {
             mapping: m.name.clone(),
             started_at_event: dtr_obs::journal::next_event_id(),
@@ -996,7 +998,11 @@ impl<'a> Exchange<'a> {
                 self.rollback_mapping(m, rollback_len, tuples_len);
                 return Err(self.guard_abort(m, g));
             }
-            self.insert_row(m, &plan, &row, templates, &mut shapes, &mut stats, None)?;
+            let touches =
+                self.insert_row(m, &plan, &row, templates, &mut shapes, &mut stats, None)?;
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink(mi, row, &touches);
+            }
         }
         stats.wall_ns =
             eval_ns.saturating_add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -1131,20 +1137,7 @@ impl<'a> Exchange<'a> {
         // One source-binding fingerprint per foreach tuple; only computed
         // when the journal is capturing.
         let row_fp = dtr_obs::journal::enabled().then(|| row_fingerprint(row));
-        // Assign slot-class values from the select positions.
-        let mut class_values: Vec<Option<AtomicValue>> = vec![None; plan.n_classes];
-        for (i, &c) in plan.select_classes.iter().enumerate() {
-            match &class_values[c] {
-                None => class_values[c] = Some(row[i].clone()),
-                Some(prev) if *prev == row[i] => {}
-                Some(prev) => {
-                    return Err(ExchangeError::Conflict(format!(
-                        "mapping {}: positions assign `{prev}` and `{}` to one slot",
-                        m.name, row[i]
-                    )))
-                }
-            }
-        }
+        let class_values = slot_values(m, plan, row)?;
 
         // Insert bindings in order; remember each binding's member node.
         let mut touches: Vec<BindingTouch> = Vec::with_capacity(plan.bindings.len());
@@ -1161,55 +1154,9 @@ impl<'a> Exchange<'a> {
                     self.nested_set(m, base, b.member_elem, steps, stats)?
                 }
             };
-            let value = if templates {
-                if shapes[bi].is_none() {
-                    // Which slot classes carry a value is decided by the
-                    // select positions alone, so the first row's assignment
-                    // pattern holds for every row and the template compiles
-                    // once.
-                    let live: Vec<(&[Step], usize)> = b
-                        .fields
-                        .iter()
-                        .filter(|(_, c)| class_values[*c].is_some())
-                        .map(|(steps, c)| (steps.as_slice(), *c))
-                        .collect();
-                    shapes[bi] = Some(build_shape(self.target_schema, b.member_elem, &live)?);
-                }
-                let shape = shapes[bi].as_ref().expect("template compiled above");
-                shape.fill(&class_values).ok_or_else(|| {
-                    ExchangeError::Unsupported("a target member with no assigned fields".into())
-                })?
-            } else {
-                let fields: Vec<(&[Step], AtomicValue)> = b
-                    .fields
-                    .iter()
-                    .filter_map(|(steps, c)| {
-                        class_values[*c]
-                            .as_ref()
-                            .map(|v| (steps.as_slice(), v.clone()))
-                    })
-                    .collect();
-                build_member_reference(self.target_schema, b.member_elem, &fields)?
-            };
-            let fp = match self.member_fp {
-                Some(f) => f(&value),
-                None => {
-                    let mut h = DefaultHasher::new();
-                    value_fingerprint(&value, &mut h);
-                    h.finish()
-                }
-            };
-            // A fingerprint hit only nominates candidates; the merge is
-            // confirmed by comparing the stored member values structurally.
-            let key = (set_node, fp);
-            let (existing, bucket_len) = match self.merge_index.get(&key) {
-                Some(bucket) => (
-                    bucket.iter().find(|e| e.0 == value).map(|e| e.1),
-                    bucket.len(),
-                ),
-                None => (None, 0),
-            };
-            let (member, created) = match existing {
+            let value = self.member_value(b, &class_values, templates, &mut shapes[bi])?;
+            let fp = (self.member_fp)(&value);
+            let (member, created) = match self.find_member(set_node, fp, &value) {
                 Some(existing) => {
                     stats.rows_merged += 1;
                     if let Some(binding_fp) = row_fp {
@@ -1236,7 +1183,9 @@ impl<'a> Exchange<'a> {
                     // structure drifts from the member identity that merge
                     // confirmation must compare against.
                     let node = self.target.push_set_member(set_node, value.clone());
-                    self.merge_index.entry(key).or_default().push((value, node));
+                    let bucket = self.merge_index.entry((set_node, fp)).or_default();
+                    let bucket_len = bucket.len();
+                    bucket.push((value, node));
                     if bucket_len > 0 && dtr_obs::journal::enabled() {
                         dtr_obs::journal::record(
                             dtr_obs::journal::event(
@@ -1273,6 +1222,94 @@ impl<'a> Exchange<'a> {
             });
         }
         Ok(touches)
+    }
+
+    /// Where one foreach row's `Parent::Root` bindings land, without
+    /// inserting anything. Built from the slot assignment, member
+    /// constructor, fingerprint and merge-index lookup [`Exchange::insert_row`]
+    /// uses, so the incremental engine routes rows to member classes exactly
+    /// as insertion would.
+    pub(crate) fn root_members(
+        &self,
+        m: &Mapping,
+        plan: &Plan,
+        row: &[AtomicValue],
+        templates: bool,
+        shapes: &mut [Option<MemberShape>],
+    ) -> Result<Vec<RootMember>, ExchangeError> {
+        let class_values = slot_values(m, plan, row)?;
+        let mut out = Vec::new();
+        for (bi, b) in plan.bindings.iter().enumerate() {
+            let Parent::Root(root, steps) = &b.parent else {
+                continue;
+            };
+            let value = self.member_value(b, &class_values, templates, &mut shapes[bi])?;
+            let fp = (self.member_fp)(&value);
+            let set = self.target.root(root).and_then(|r| {
+                steps
+                    .iter()
+                    .try_fold(r, |node, label| self.target.child_by_label(node, label))
+            });
+            let member = set.and_then(|s| self.find_member(s, fp, &value));
+            out.push(RootMember {
+                binding: bi,
+                set,
+                member,
+                value,
+            });
+        }
+        Ok(out)
+    }
+
+    /// The member value binding `b` builds from a row's slot values: its
+    /// compiled template (compiled into `shape` at the first row), or the
+    /// per-row reference construction when templates are off.
+    fn member_value(
+        &self,
+        b: &PlanBinding,
+        class_values: &[Option<AtomicValue>],
+        templates: bool,
+        shape: &mut Option<MemberShape>,
+    ) -> Result<Value, ExchangeError> {
+        if !templates {
+            let fields: Vec<(&[Step], AtomicValue)> = b
+                .fields
+                .iter()
+                .filter_map(|(steps, c)| {
+                    class_values[*c]
+                        .as_ref()
+                        .map(|v| (steps.as_slice(), v.clone()))
+                })
+                .collect();
+            return build_member_reference(self.target_schema, b.member_elem, &fields);
+        }
+        if shape.is_none() {
+            // Which slot classes carry a value is decided by the select
+            // positions alone, so the first row's assignment pattern holds
+            // for every row and the template compiles once.
+            let live: Vec<(&[Step], usize)> = b
+                .fields
+                .iter()
+                .filter(|(_, c)| class_values[*c].is_some())
+                .map(|(steps, c)| (steps.as_slice(), *c))
+                .collect();
+            *shape = Some(build_shape(self.target_schema, b.member_elem, &live)?);
+        }
+        let shape = shape.as_ref().expect("template compiled above");
+        shape.fill(class_values).ok_or_else(|| {
+            ExchangeError::Unsupported("a target member with no assigned fields".into())
+        })
+    }
+
+    /// The member of `set` holding `value`. A fingerprint hit only
+    /// nominates candidates; the match is confirmed by comparing the stored
+    /// member values structurally.
+    fn find_member(&self, set: NodeId, fp: u64, value: &Value) -> Option<NodeId> {
+        self.merge_index
+            .get(&(set, fp))?
+            .iter()
+            .find(|e| e.0 == *value)
+            .map(|e| e.1)
     }
 
     /// Ensures the skeleton chain `root / steps... / set` exists, adding the
@@ -1494,6 +1531,29 @@ pub(crate) fn collect_instance_stats(catalog: &mut dtr_obs::StatsCatalog, inst: 
     }
 }
 
+/// Assigns a foreach row's select positions to the plan's slot classes;
+/// two positions giving one slot different values is a conflict.
+fn slot_values(
+    m: &Mapping,
+    plan: &Plan,
+    row: &[AtomicValue],
+) -> Result<Vec<Option<AtomicValue>>, ExchangeError> {
+    let mut class_values: Vec<Option<AtomicValue>> = vec![None; plan.n_classes];
+    for (i, &c) in plan.select_classes.iter().enumerate() {
+        match &class_values[c] {
+            None => class_values[c] = Some(row[i].clone()),
+            Some(prev) if *prev == row[i] => {}
+            Some(prev) => {
+                return Err(ExchangeError::Conflict(format!(
+                    "mapping {}: positions assign `{prev}` and `{}` to one slot",
+                    m.name, row[i]
+                )))
+            }
+        }
+    }
+    Ok(class_values)
+}
+
 /// Folds one `Instance::add_mapping` outcome into the per-mapping stats and
 /// journals the annotation decision against the target node.
 fn record_annotation(newly_written: bool, node: NodeId, m: &Mapping, stats: &mut MappingStats) {
@@ -1624,207 +1684,19 @@ fn resolved_workers(opts: &ExchangeOptions, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure1::{
+        agent, eu_instance, eu_schema, figure1_mappings, house, portal_schema, us_instance,
+        us_schema,
+    };
     use dtr_model::types::{AtomicType, Type};
     use dtr_model::value::MappingName;
-
-    fn us_schema() -> Schema {
-        Schema::build(
-            "USdb",
-            vec![(
-                "US",
-                Type::record(vec![
-                    (
-                        "houses",
-                        Type::relation(vec![
-                            ("hid", AtomicType::String),
-                            ("floors", AtomicType::String),
-                            ("price", AtomicType::String),
-                            ("aid", AtomicType::String),
-                        ]),
-                    ),
-                    (
-                        "agents",
-                        Type::set(Type::record(vec![
-                            ("aid", Type::string()),
-                            (
-                                "title",
-                                Type::choice(vec![
-                                    ("name", Type::string()),
-                                    ("firm", Type::string()),
-                                ]),
-                            ),
-                            ("phone", Type::string()),
-                        ])),
-                    ),
-                ]),
-            )],
-        )
-        .unwrap()
-    }
-
-    fn eu_schema() -> Schema {
-        Schema::build(
-            "EUdb",
-            vec![(
-                "EU",
-                Type::record(vec![(
-                    "postings",
-                    Type::set(Type::record(vec![
-                        ("hid", Type::string()),
-                        ("levels", Type::string()),
-                        ("totalVal", Type::string()),
-                        (
-                            "agents",
-                            Type::set(Type::record(vec![
-                                ("agentName", Type::string()),
-                                ("agentPhone", Type::string()),
-                            ])),
-                        ),
-                    ])),
-                )]),
-            )],
-        )
-        .unwrap()
-    }
-
-    fn portal_schema() -> Schema {
-        Schema::build(
-            "Pdb",
-            vec![(
-                "Portal",
-                Type::record(vec![
-                    (
-                        "estates",
-                        Type::relation(vec![
-                            ("hid", AtomicType::String),
-                            ("stories", AtomicType::String),
-                            ("value", AtomicType::String),
-                            ("contact", AtomicType::String),
-                        ]),
-                    ),
-                    (
-                        "contacts",
-                        Type::relation(vec![
-                            ("title", AtomicType::String),
-                            ("phone", AtomicType::String),
-                        ]),
-                    ),
-                ]),
-            )],
-        )
-        .unwrap()
-    }
-
-    fn us_instance() -> Instance {
-        let mut inst = Instance::new("USdb");
-        let house = |hid: &str, floors: &str, price: &str, aid: &str| {
-            Value::record(vec![
-                ("hid", Value::str(hid)),
-                ("floors", Value::str(floors)),
-                ("price", Value::str(price)),
-                ("aid", Value::str(aid)),
-            ])
-        };
-        let agent = |aid: &str, alt: &str, title: &str, phone: &str| {
-            Value::record(vec![
-                ("aid", Value::str(aid)),
-                ("title", Value::choice(alt, Value::str(title))),
-                ("phone", Value::str(phone)),
-            ])
-        };
-        inst.install_root(
-            "US",
-            Value::record(vec![
-                (
-                    "houses",
-                    Value::set(vec![
-                        house("H522", "2", "500K", "a2"),
-                        house("H7", "1", "250K", "a1"),
-                    ]),
-                ),
-                (
-                    "agents",
-                    Value::set(vec![
-                        agent("a1", "name", "Smith", "555-1111"),
-                        agent("a2", "firm", "HomeGain", "18009468501"),
-                    ]),
-                ),
-            ]),
-        );
-        inst
-    }
-
-    fn eu_instance() -> Instance {
-        let mut inst = Instance::new("EUdb");
-        inst.install_root(
-            "EU",
-            Value::record(vec![(
-                "postings",
-                Value::set(vec![Value::record(vec![
-                    ("hid", Value::str("H2525")),
-                    ("levels", Value::str("1")),
-                    ("totalVal", Value::str("300K")),
-                    (
-                        "agents",
-                        Value::set(vec![Value::record(vec![
-                            ("agentName", Value::str("HomeGain")),
-                            ("agentPhone", Value::str("18009468501")),
-                        ])]),
-                    ),
-                ])]),
-            )]),
-        );
-        inst
-    }
-
-    fn figure1_mappings() -> Vec<Mapping> {
-        vec![
-            Mapping::parse(
-                "m1",
-                "foreach
-                   select h.hid, h.floors, h.price, n, a.phone
-                   from US.houses h, US.agents a, a.title->name n
-                   where h.aid = a.aid
-                 exists
-                   select e.hid, e.stories, e.value, c.title, c.phone
-                   from Portal.estates e, Portal.contacts c
-                   where e.contact = c.title",
-            )
-            .unwrap(),
-            Mapping::parse(
-                "m2",
-                "foreach
-                   select h.hid, h.floors, h.price, f, a.phone
-                   from US.houses h, US.agents a, a.title->firm f
-                   where h.aid = a.aid
-                 exists
-                   select e.hid, e.stories, e.value, c.title, c.phone
-                   from Portal.estates e, Portal.contacts c
-                   where e.contact = c.title",
-            )
-            .unwrap(),
-            Mapping::parse(
-                "m3",
-                "foreach
-                   select p.hid, p.levels, p.totalVal, a.agentName, a.agentPhone
-                   from EU.postings p, p.agents a
-                 exists
-                   select e.hid, e.stories, e.value, c.title, c.phone
-                   from Portal.estates e, Portal.contacts c
-                   where e.contact = c.title",
-            )
-            .unwrap(),
-        ]
-    }
 
     fn run_exchange() -> (Schema, Instance, ExchangeReport) {
         let us_s = us_schema();
         let eu_s = eu_schema();
         let p_s = portal_schema();
-        let mut us_i = us_instance();
-        let mut eu_i = eu_instance();
-        us_i.annotate_elements(&us_s).unwrap();
-        eu_i.annotate_elements(&eu_s).unwrap();
+        let us_i = us_instance();
+        let eu_i = eu_instance();
         let funcs = FunctionRegistry::with_builtins();
         let sources = [
             Source {
@@ -1917,10 +1789,8 @@ mod tests {
         let us_s = us_schema();
         let eu_s = eu_schema();
         let (p_s, inst, _) = run_exchange();
-        let mut us_i = us_instance();
-        let mut eu_i = eu_instance();
-        us_i.annotate_elements(&us_s).unwrap();
-        eu_i.annotate_elements(&eu_s).unwrap();
+        let us_i = us_instance();
+        let eu_i = eu_instance();
         let funcs = FunctionRegistry::with_builtins();
         for m in figure1_mappings() {
             let sat = crate::satisfy::is_satisfied(
@@ -1951,8 +1821,7 @@ mod tests {
         // Running the same mapping twice must not duplicate members.
         let us_s = us_schema();
         let p_s = portal_schema();
-        let mut us_i = us_instance();
-        us_i.annotate_elements(&us_s).unwrap();
+        let us_i = us_instance();
         let funcs = FunctionRegistry::with_builtins();
         let m = &figure1_mappings()[1];
         let mut engine = Exchange::new(
@@ -1963,8 +1832,9 @@ mod tests {
             &p_s,
             &funcs,
         );
-        engine.run_mapping(m).unwrap();
-        engine.run_mapping(m).unwrap();
+        engine
+            .run_mappings(&[m.clone(), m.clone()], &ExchangeOptions::default())
+            .unwrap();
         let (inst, _) = engine.finish().unwrap();
         let estates = inst.interpretation(p_s.resolve_path("/Portal/estates").unwrap())[0];
         assert_eq!(inst.set_members(estates).unwrap().len(), 1);
@@ -1991,8 +1861,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let mut eu_i = eu_instance();
-        eu_i.annotate_elements(&eu_s).unwrap();
+        let eu_i = eu_instance();
         let m = Mapping::parse(
             "mc",
             "foreach select p.hid, a.agentName from EU.postings p, p.agents a
@@ -2224,10 +2093,10 @@ mod tests {
         // into the decoy's node).
         let us_s = us_schema();
         let p_s = portal_schema();
-        let mut us_i = us_instance();
-        us_i.annotate_elements(&us_s).unwrap();
+        let us_i = us_instance();
         let funcs = FunctionRegistry::with_builtins();
         let mappings = figure1_mappings();
+        let opts = ExchangeOptions::default();
         let mut engine = Exchange::new(
             vec![Source {
                 schema: &us_s,
@@ -2236,7 +2105,7 @@ mod tests {
             &p_s,
             &funcs,
         );
-        engine.run_mapping(&mappings[0]).unwrap(); // m1: Smith house + contact
+        engine.run_mappings(&mappings[..1], &opts).unwrap(); // m1: Smith house + contact
         let portal = engine.target.root("Portal").unwrap();
         let contacts_set = engine.target.child_by_label(portal, "contacts").unwrap();
         let smith = engine.target.set_members(contacts_set).unwrap()[0];
@@ -2244,9 +2113,7 @@ mod tests {
             ("title", Value::str("HomeGain")),
             ("phone", Value::str("18009468501")),
         ]);
-        let mut h = DefaultHasher::new();
-        value_fingerprint(&homegain, &mut h);
-        let fp = h.finish();
+        let fp = member_fingerprint(&homegain);
         let decoy = Value::record(vec![
             ("title", Value::str("Decoy")),
             ("phone", Value::str("000")),
@@ -2256,12 +2123,12 @@ mod tests {
             .entry((contacts_set, fp))
             .or_default()
             .push((decoy, smith));
-        engine.run_mapping(&mappings[1]).unwrap(); // m2: HomeGain
+        engine.run_mappings(&mappings[1..2], &opts).unwrap(); // m2: HomeGain
         let bucket = &engine.merge_index[&(contacts_set, fp)];
         assert_eq!(bucket.len(), 2, "collision must split the bucket");
         // Re-running m2 must still merge: equality confirmation finds the
         // HomeGain entry even inside the collided bucket.
-        engine.run_mapping(&mappings[1]).unwrap();
+        engine.run_mappings(&mappings[1..2], &opts).unwrap();
         let rerun = engine.report.per_mapping.last().unwrap();
         assert_eq!(rerun.rows_inserted, 0);
         assert!(rerun.rows_merged > 0);
@@ -2283,10 +2150,8 @@ mod tests {
     fn full_sources() -> (Schema, Schema, Instance, Instance) {
         let us_s = us_schema();
         let eu_s = eu_schema();
-        let mut us_i = us_instance();
-        let mut eu_i = eu_instance();
-        us_i.annotate_elements(&us_s).unwrap();
-        eu_i.annotate_elements(&eu_s).unwrap();
+        let us_i = us_instance();
+        let eu_i = eu_instance();
         (us_s, eu_s, us_i, eu_i)
     }
 
@@ -2459,13 +2324,12 @@ mod tests {
             ..Budget::default()
         };
         let mut engine = Exchange::new(sources.clone(), &p_s, &funcs);
-        engine.set_budget(&budget);
-        let eval = EvalOptions {
-            budget: budget.clone(),
-            ..Default::default()
+        let opts = ExchangeOptions {
+            budget,
+            ..ExchangeOptions::default()
         };
         let err = engine
-            .run_mapping_with(&figure1_mappings()[0], eval)
+            .run_mappings(&figure1_mappings()[..1], &opts)
             .unwrap_err();
         let (g, completed) = guard_of(&err);
         assert_eq!(g.resource, Resource::Deadline);
@@ -2490,13 +2354,12 @@ mod tests {
         let budget = Budget::default();
         budget.request_cancel();
         let mut engine = Exchange::new(sources.clone(), &p_s, &funcs);
-        engine.set_budget(&budget);
-        let eval = EvalOptions {
-            budget: budget.clone(),
-            ..Default::default()
+        let opts = ExchangeOptions {
+            budget,
+            ..ExchangeOptions::default()
         };
         let err = engine
-            .run_mapping_with(&figure1_mappings()[0], eval)
+            .run_mappings(&figure1_mappings()[..1], &opts)
             .unwrap_err();
         let (g, _) = guard_of(&err);
         assert_eq!(g.resource, Resource::Cancelled);
@@ -2514,28 +2377,19 @@ mod tests {
         // insert must be rolled back — no half-written mapping survives.
         let us_s = us_schema();
         let mut us_i = Instance::new("USdb");
-        let house = |hid: &str, aid: &str| {
-            Value::record(vec![
-                ("hid", Value::str(hid)),
-                ("floors", Value::str("2")),
-                ("price", Value::str("500K")),
-                ("aid", Value::str(aid)),
-            ])
-        };
         us_i.install_root(
             "US",
             Value::record(vec![
                 (
                     "houses",
-                    Value::set(vec![house("H1", "a2"), house("H2", "a2")]),
+                    Value::set(vec![
+                        house("H1", "2", "500K", "a2"),
+                        house("H2", "2", "500K", "a2"),
+                    ]),
                 ),
                 (
                     "agents",
-                    Value::set(vec![Value::record(vec![
-                        ("aid", Value::str("a2")),
-                        ("title", Value::choice("firm", Value::str("HomeGain"))),
-                        ("phone", Value::str("18009468501")),
-                    ])]),
+                    Value::set(vec![agent("a2", "firm", "HomeGain", "18009468501")]),
                 ),
             ]),
         );
@@ -2550,10 +2404,23 @@ mod tests {
             max_rows: Some(1),
             ..Budget::default()
         };
-        let m2 = figure1_mappings()[1].clone();
+        let opts = ExchangeOptions {
+            budget,
+            // The foreach stage gets a budget of its own that never trips,
+            // so the trip happens while inserting, after the first row.
+            eval: EvalOptions {
+                budget: Budget {
+                    max_rows: Some(u64::MAX),
+                    ..Budget::default()
+                },
+                ..EvalOptions::default()
+            },
+            ..ExchangeOptions::default()
+        };
         let mut engine = Exchange::new(sources.clone(), &p_s, &funcs);
-        engine.set_budget(&budget);
-        let err = engine.run_mapping(&m2).unwrap_err();
+        let err = engine
+            .run_mappings(&figure1_mappings()[1..2], &opts)
+            .unwrap_err();
         let (g, completed) = guard_of(&err);
         assert_eq!(g.resource, Resource::Rows);
         assert_eq!(g.limit, 1);
@@ -2585,17 +2452,21 @@ mod tests {
             ..Budget::default()
         };
         let ms = figure1_mappings();
+        let opts = ExchangeOptions {
+            budget,
+            ..ExchangeOptions::default()
+        };
         let mut engine = Exchange::new(sources.clone(), &p_s, &funcs);
-        engine.set_budget(&budget);
-        engine.run_mapping(&ms[0]).unwrap();
-        let err = engine.run_mapping(&ms[1]).unwrap_err();
+        let err = engine.run_mappings(&ms[..2], &opts).unwrap_err();
         let (g, completed) = guard_of(&err);
         assert_eq!(g.resource, Resource::Rows);
         assert_eq!(completed, 1);
         let (inst, report) = engine.finish().unwrap();
         assert_eq!(report.tuples, vec![("m1".into(), 1)]);
         let mut only_m1 = Exchange::new(sources, &p_s, &funcs);
-        only_m1.run_mapping(&ms[0]).unwrap();
+        only_m1
+            .run_mappings(&ms[..1], &ExchangeOptions::default())
+            .unwrap();
         let (expected, _) = only_m1.finish().unwrap();
         assert_eq!(snapshot(&inst), snapshot(&expected));
     }

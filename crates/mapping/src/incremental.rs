@@ -21,13 +21,22 @@
 //!    journal records. A class touched by removed/added rows is detached
 //!    (annotations stripped, merge-index entries pruned) and rebuilt by
 //!    replaying only its surviving rows, in mapping order, with the insert
-//!    mask restricted to the class's binding chains. PNF re-merge and
-//!    collision splits replay naturally through the exchange merge index,
-//!    confined to the affected sets.
+//!    mask restricted to the chains of the root bindings that build the
+//!    class's member value. PNF re-merge and collision splits replay
+//!    naturally through the exchange merge index, confined to the affected
+//!    sets.
 //! 4. **Skeleton sync** — mappings whose row bag transitions to/from empty
 //!    have their `f_mp` names added/removed along the skeleton chains, and
 //!    chain nodes left with no annotations and no children are detached,
 //!    so the target matches what a from-scratch exchange would build.
+//!
+//! The engine has no build loop of its own: the initial build and every
+//! [`IncrementalExchange::rebase`] run the exchange driver
+//! ([`Exchange::run_mappings`], then [`Exchange::finish`]) and record the
+//! row bags and the retraction index from the insert stage's binding
+//! touches, so they produce the very bytes a full exchange does. Stage 3
+//! routes rows to classes with the member constructor and fingerprint
+//! insertion itself uses (`Exchange::root_members`).
 //!
 //! Correctness rests on the annotation closed form: the final `f_mp` set of
 //! any node depends only on *which* rows each mapping contributed, never on
@@ -39,9 +48,9 @@
 
 use crate::delta::{DeltaError, EditOp, SourceDelta, TargetChange, TargetDelta};
 use crate::exchange::{
-    build_member_reference, effective_eval, eval_foreach, plan_exists, value_fingerprint,
-    BindingTouch, Exchange, ExchangeError, ExchangeOptions, ExchangeReport, MappingStats,
-    MemberShape, Parent, Plan,
+    effective_eval, eval_foreach, member_fingerprint, plan_exists, BindingTouch, Exchange,
+    ExchangeError, ExchangeOptions, ExchangeReport, MappingStats, MemberShape, Parent, Plan,
+    RootMember,
 };
 use crate::glav::Mapping;
 use dtr_model::instance::{Instance, NodeId, Value};
@@ -50,15 +59,16 @@ use dtr_model::value::AtomicValue;
 use dtr_query::ast::{Expr, PathStart};
 use dtr_query::eval::Source;
 use dtr_query::functions::FunctionRegistry;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hasher;
 use std::sync::Arc;
 
 /// A foreach tuple.
 type Row = Vec<AtomicValue>;
 /// A multiset of foreach tuples.
 type Bag = HashMap<Row, usize>;
+/// A row whose member class did not exist before the batch: `(mapping,
+/// row, multiplicity, insert mask over the plan's bindings)`.
+type FreshRow = (usize, Row, usize, Vec<bool>);
 
 /// Total-order key over rows, used wherever `HashMap` iteration order
 /// would otherwise leak into the target's member order (atomic values
@@ -72,28 +82,18 @@ fn row_order_key(row: &Row) -> String {
 
 /// The retraction index entry for one top-level member class: the member's
 /// set, its fingerprint, and — per contributing mapping — the multiset of
-/// foreach rows routed into this class (with the bitmask of root bindings
-/// that routed them) plus the insert/merge event counts confined to the
-/// class's chains. Keyed by the member's current node id.
+/// foreach rows routed into this class plus the insert/merge event counts
+/// confined to the class's chains. Keyed by the member's current node id.
+/// Which root bindings route a row here is not stored; replay recomputes it
+/// from the class's member value.
 #[derive(Clone, Debug)]
 struct ClassState {
     set: NodeId,
     fp: u64,
-    /// mapping index → row → (multiplicity, root-binding bitmask).
-    rows: BTreeMap<usize, HashMap<Row, (usize, u64)>>,
+    /// mapping index → row → multiplicity.
+    rows: BTreeMap<usize, Bag>,
     /// mapping index → (member-binding insert events, merge events).
     stats: BTreeMap<usize, (usize, usize)>,
-}
-
-impl Default for ClassState {
-    fn default() -> Self {
-        ClassState {
-            set: NodeId(u32::MAX),
-            fp: 0,
-            rows: BTreeMap::new(),
-            stats: BTreeMap::new(),
-        }
-    }
 }
 
 impl ClassState {
@@ -102,10 +102,7 @@ impl ClassState {
     }
 
     fn remaining_rows(&self) -> usize {
-        self.rows
-            .values()
-            .flat_map(|per| per.values().map(|&(n, _)| n))
-            .sum()
+        self.rows.values().flat_map(HashMap::values).sum()
     }
 }
 
@@ -146,7 +143,7 @@ pub struct IncrementalExchange {
     mappings: Vec<Mapping>,
     functions: FunctionRegistry,
     opts: ExchangeOptions,
-    member_fp: Option<fn(&Value) -> u64>,
+    member_fp: fn(&Value) -> u64,
     plans: Vec<Plan>,
     root_of: Vec<Vec<usize>>,
     bags: Vec<Bag>,
@@ -176,7 +173,7 @@ impl IncrementalExchange {
             mappings,
             functions,
             opts,
-            member_fp: None,
+            member_fp: member_fingerprint,
             plans: Vec::new(),
             root_of: Vec::new(),
             bags: Vec::new(),
@@ -194,81 +191,48 @@ impl IncrementalExchange {
     /// so the whole index is built under the override. Conformance-testing
     /// hook for forcing collision splits under retraction.
     pub fn set_member_fingerprinter(&mut self, f: fn(&Value) -> u64) -> Result<(), DeltaError> {
-        self.member_fp = Some(f);
+        self.member_fp = f;
         self.rebase()
     }
 
     /// Drops every increment and rebuilds target, bags, merge index and
-    /// retraction index from the current sources with a full exchange.
+    /// retraction index from the current sources: a full exchange under the
+    /// engine's options (parallel foreach evaluation included), with the
+    /// bags and the retraction index recorded from its insert stage.
     pub fn rebase(&mut self) -> Result<(), DeltaError> {
         let span = dtr_obs::span("exchange.incremental.rebase");
-        let mut ex = Exchange::new(Vec::new(), &self.target_schema, &self.functions);
-        if let Some(f) = self.member_fp {
-            ex.set_member_fingerprinter(f);
-        }
-        ex.set_budget(&self.opts.budget);
-        let eval = effective_eval(&self.opts);
-        let views = source_views(&self.source_schemas, &self.sources);
-        let mut plans = Vec::new();
-        let mut roots = Vec::new();
-        let mut bags = Vec::new();
-        let mut classes: HashMap<NodeId, ClassState> = HashMap::new();
-        for (mi, m) in self.mappings.iter().enumerate() {
-            let plan = plan_exists(m, &self.target_schema)?;
-            if plan.bindings.len() > 64 {
-                return Err(DeltaError::Exchange(ExchangeError::Unsupported(format!(
-                    "mapping {}: more than 64 exists bindings in incremental mode",
-                    m.name
-                ))));
-            }
-            let root_of = plan.root_of();
-            let rows = eval_foreach(&views, &self.functions, m, eval.clone())?;
-            let mut stats = MappingStats::default();
-            let mut shapes: Vec<Option<MemberShape>> = Vec::new();
-            shapes.resize_with(plan.bindings.len(), || None);
-            let mut bag: Bag = HashMap::new();
-            for row in rows {
-                ex.meter.charge_rows(1).map_err(|g| ExchangeError::Guard {
-                    error: g,
-                    mappings_completed: mi,
-                })?;
-                let touches = ex.insert_row(
-                    m,
-                    &plan,
-                    &row,
-                    self.opts.member_templates,
-                    &mut shapes,
-                    &mut stats,
-                    None,
-                )?;
-                record_row(&mut classes, &root_of, &touches, mi, &row);
-                *bag.entry(row).or_insert(0) += 1;
-            }
-            plans.push(plan);
-            roots.push(root_of);
-            bags.push(bag);
-        }
-        ex.target
-            .annotate_elements(&self.target_schema)
-            .map_err(|e| ExchangeError::Conformance(e.to_string()))?;
-        self.plans = plans;
-        self.root_of = roots;
+        let plans = self
+            .mappings
+            .iter()
+            .map(|m| plan_exists(m, &self.target_schema))
+            .collect::<Result<Vec<_>, _>>()?;
+        let root_of: Vec<Vec<usize>> = plans.iter().map(Plan::root_of).collect();
+        let mut bags = vec![Bag::new(); self.mappings.len()];
+        let mut classes = HashMap::new();
+        let mut record = |mi: usize, row: Row, touches: &[BindingTouch]| {
+            record_row(&mut classes, &root_of[mi], touches, mi, &row);
+            *bags[mi].entry(row).or_insert(0) += 1;
+        };
+        let mut ex = Exchange::new(
+            source_views(&self.source_schemas, &self.sources),
+            &self.target_schema,
+            &self.functions,
+        );
+        ex.set_member_fingerprinter(self.member_fp);
+        ex.sink = Some(&mut record);
+        ex.run_mappings(&self.mappings, &self.opts)?;
+        let merge_index = std::mem::take(&mut ex.merge_index);
+        let (target, _) = ex.finish()?;
         self.bags = bags;
-        self.target = ex.target;
-        self.merge_index = ex.merge_index;
         self.classes = classes;
+        self.plans = plans;
+        self.root_of = root_of;
+        self.target = target;
+        self.merge_index = merge_index;
         self.batch = 0;
         self.synthesize_report();
-        // Rebase rebuilds every set from scratch: merge fresh path counts
-        // and invalidate plans compiled against the pre-rebase catalog.
-        if dtr_obs::stats::enabled() {
-            let mut local = dtr_obs::StatsCatalog::new();
-            for s in &self.sources {
-                crate::exchange::collect_instance_stats(&mut local, s);
-            }
-            crate::exchange::collect_instance_stats(&mut local, &self.target);
-            dtr_obs::stats::merge(&local);
-        }
+        // Every set was rebuilt (`finish` merged the fresh path counts):
+        // plans compiled against the pre-rebase catalog are stale.
         dtr_obs::stats::bump_cardinality_version();
         span.record("classes", self.classes.len());
         Ok(())
@@ -539,6 +503,41 @@ impl IncrementalExchange {
         Reeval::Full
     }
 
+    /// The rows each restricted mapping gains or loses: its foreach query
+    /// with the touching from-item limited to the members `members` picks
+    /// from that set's change (empty when there are none).
+    fn restricted_rows(
+        &self,
+        modes: &[Reeval],
+        changes: &[SetChange],
+        members: impl Fn(&SetChange) -> &[NodeId],
+    ) -> Result<Vec<Bag>, DeltaError> {
+        let views = source_views(&self.source_schemas, &self.sources);
+        let eval = effective_eval(&self.opts);
+        let mut out = vec![Bag::new(); modes.len()];
+        for (mi, mode) in modes.iter().enumerate() {
+            let Reeval::Restricted(key) = mode else {
+                continue;
+            };
+            let Some(c) = changes.iter().find(|c| c.path == *key) else {
+                continue;
+            };
+            if members(c).is_empty() {
+                continue;
+            }
+            let mut opts = eval.clone();
+            let domain = members(c).iter().copied().collect();
+            opts.domains = Some(Arc::new(HashMap::from([(key.clone(), domain)])));
+            out[mi] = bag_of(eval_foreach(
+                &views,
+                &self.functions,
+                &self.mappings[mi],
+                opts,
+            )?);
+        }
+        Ok(out)
+    }
+
     /// The post-resolution pipeline: restricted/full re-enumeration, bag
     /// diffing, dirty-class rebuild, skeleton sync, element re-annotation.
     fn apply_resolved(&mut self, changes: &mut [SetChange]) -> Result<TargetDelta, DeltaError> {
@@ -551,39 +550,11 @@ impl IncrementalExchange {
         let modes: Vec<Reeval> = (0..self.mappings.len())
             .map(|mi| self.classify(mi, &changed))
             .collect();
-        let eval = effective_eval(&self.opts);
 
         // Phase 1 (pure): removed rows of restricted mappings, evaluated
         // over the *old* sources with the touching item's domain limited to
         // the deleted members.
-        let deleted_domain: HashMap<String, HashSet<NodeId>> = changes
-            .iter()
-            .filter(|c| !c.deleted.is_empty())
-            .map(|c| (c.path.clone(), c.deleted.iter().copied().collect()))
-            .collect();
-        let mut removed: Vec<Bag> = vec![Bag::new(); self.mappings.len()];
-        let mut added: Vec<Bag> = vec![Bag::new(); self.mappings.len()];
-        {
-            let views = source_views(&self.source_schemas, &self.sources);
-            for (mi, mode) in modes.iter().enumerate() {
-                if let Reeval::Restricted(key) = mode {
-                    if deleted_domain.contains_key(key) {
-                        let mut opts = eval.clone();
-                        opts.domains = Some(Arc::new(
-                            deleted_domain
-                                .iter()
-                                .filter(|(p, _)| *p == key)
-                                .map(|(p, d)| (p.clone(), d.clone()))
-                                .collect(),
-                        ));
-                        let rows = eval_foreach(&views, &self.functions, &self.mappings[mi], opts)?;
-                        for row in rows {
-                            *removed[mi].entry(row).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let mut removed = self.restricted_rows(&modes, changes, |c| &c.deleted)?;
 
         // Phase 2: mutate the sources and refresh their element
         // annotations (inserted members arrive un-annotated).
@@ -608,34 +579,14 @@ impl IncrementalExchange {
 
         // Phase 3: added rows (restricted over the new sources) and full
         // re-evaluations, then bag updates.
-        let inserted_domain: HashMap<String, HashSet<NodeId>> = changes
-            .iter()
-            .filter(|c| !c.inserted.is_empty())
-            .map(|c| (c.path.clone(), c.inserted.iter().copied().collect()))
-            .collect();
+        let mut added = self.restricted_rows(&modes, changes, |c| &c.inserted)?;
         {
             let views = source_views(&self.source_schemas, &self.sources);
+            let eval = effective_eval(&self.opts);
             for (mi, mode) in modes.iter().enumerate() {
                 match mode {
                     Reeval::Pruned => td.mappings_pruned += 1,
-                    Reeval::Restricted(key) => {
-                        td.mappings_reevaluated += 1;
-                        if inserted_domain.contains_key(key) {
-                            let mut opts = eval.clone();
-                            opts.domains = Some(Arc::new(
-                                inserted_domain
-                                    .iter()
-                                    .filter(|(p, _)| *p == key)
-                                    .map(|(p, d)| (p.clone(), d.clone()))
-                                    .collect(),
-                            ));
-                            let rows =
-                                eval_foreach(&views, &self.functions, &self.mappings[mi], opts)?;
-                            for row in rows {
-                                *added[mi].entry(row).or_insert(0) += 1;
-                            }
-                        }
-                    }
+                    Reeval::Restricted(_) => td.mappings_reevaluated += 1,
                     Reeval::Full => {
                         td.mappings_reevaluated += 1;
                         let rows = eval_foreach(
@@ -644,13 +595,7 @@ impl IncrementalExchange {
                             &self.mappings[mi],
                             eval.clone(),
                         )?;
-                        let mut new_bag: Bag = HashMap::new();
-                        for row in rows {
-                            *new_bag.entry(row).or_insert(0) += 1;
-                        }
-                        let (rem, add) = bag_diff(&self.bags[mi], &new_bag);
-                        removed[mi] = rem;
-                        added[mi] = add;
+                        (removed[mi], added[mi]) = bag_diff(&self.bags[mi], &bag_of(rows));
                     }
                 }
             }
@@ -679,189 +624,41 @@ impl IncrementalExchange {
             }
         }
 
-        // Phase 4 (pure): route removed/added rows to their member classes.
-        let mut dirty: HashSet<NodeId> = HashSet::new();
-        let mut fresh: Vec<(usize, Row, usize, u64)> = Vec::new();
-        for mi in 0..self.mappings.len() {
-            if removed[mi].is_empty() && added[mi].is_empty() {
-                continue;
-            }
-            let plan = &self.plans[mi];
-            for (row, &k) in &removed[mi] {
-                for (bi, value) in self.root_member_values(mi, row)? {
-                    let member = self.find_member(plan, bi, &value).ok_or_else(|| {
-                        ExchangeError::Conformance(format!(
-                            "mapping {}: retracted member missing from merge index",
-                            self.mappings[mi].name
-                        ))
-                    })?;
-                    dirty.insert(member);
-                    let cls = self.classes.get_mut(&member).ok_or_else(|| {
-                        ExchangeError::Conformance(
-                            "retracted member missing from retraction index".to_string(),
-                        )
-                    })?;
-                    let per = cls.rows.entry(mi).or_default();
-                    match per.get_mut(row) {
-                        Some(e) if e.0 >= k => {
-                            e.0 -= k;
-                            if e.0 == 0 {
-                                per.remove(row);
-                            }
-                        }
-                        _ => {
-                            return Err(DeltaError::Exchange(ExchangeError::Conformance(
-                                "retraction index out of step with row bags".to_string(),
-                            )))
-                        }
-                    }
-                }
-            }
-            // HashMap order must not leak into the target: fresh members
-            // are appended in this iteration order, so replaying the same
-            // delta (crash recovery) has to walk the same sequence.
-            let mut additions: Vec<(&Row, usize)> =
-                added[mi].iter().map(|(row, &k)| (row, k)).collect();
-            additions.sort_unstable_by_key(|(row, _)| row_order_key(row));
-            for (row, k) in additions {
-                let mut fresh_mask = 0u64;
-                for (bi, value) in self.root_member_values(mi, row)? {
-                    match self.find_member(plan, bi, &value) {
-                        Some(member) => {
-                            dirty.insert(member);
-                            let cls = self.classes.entry(member).or_default();
-                            let e = cls
-                                .rows
-                                .entry(mi)
-                                .or_default()
-                                .entry(row.clone())
-                                .or_insert((0, 0));
-                            e.0 += k;
-                            e.1 |= 1 << bi;
-                        }
-                        None => fresh_mask |= 1 << bi,
-                    }
-                }
-                if fresh_mask != 0 {
-                    fresh.push((mi, row.clone(), k, fresh_mask));
-                }
-            }
-        }
-
-        // Phase 5: rebuild dirty classes and insert fresh members via a
-        // transient exchange over the live target state.
+        // Phases 4–6 run on a transient exchange over the live target
+        // state: route the removed/added rows to their member classes,
+        // rebuild the dirty classes and insert the fresh members, then sync
+        // skeletons and re-annotate elements. The target and merge index
+        // return to the engine whether or not a phase fails.
         let mut ex = Exchange::new(Vec::new(), &self.target_schema, &self.functions);
         ex.target = std::mem::replace(&mut self.target, Instance::new("swap"));
         ex.merge_index = std::mem::take(&mut self.merge_index);
+        ex.set_member_fingerprinter(self.member_fp);
         ex.set_budget(&self.opts.budget);
-        if let Some(f) = self.member_fp {
-            ex.set_member_fingerprinter(f);
-        }
-        let mut shapes: Vec<Vec<Option<MemberShape>>> = self
-            .plans
-            .iter()
-            .map(|p| {
-                let mut v: Vec<Option<MemberShape>> = Vec::new();
-                v.resize_with(p.bindings.len(), || None);
-                v
+        let mut replay = Replay {
+            mappings: &self.mappings,
+            plans: &self.plans,
+            root_of: &self.root_of,
+            templates: self.opts.member_templates,
+            shapes: self
+                .plans
+                .iter()
+                .map(|p| (0..p.bindings.len()).map(|_| None).collect())
+                .collect(),
+        };
+        let result = replay
+            .route(&ex, &mut self.classes, &removed, &added)
+            .and_then(|(dirty, fresh)| {
+                replay.rebuild(&mut ex, &dirty, fresh, &mut td, &mut self.classes)
             })
-            .collect();
-        let mut result = rebuild_classes(
-            &mut ex,
-            &mut shapes,
-            &dirty,
-            fresh,
-            &mut td,
-            &self.mappings,
-            &self.plans,
-            &self.root_of,
-            &mut self.classes,
-            self.opts.member_templates,
-        );
-        if result.is_ok() {
-            // Phase 6: skeleton annotation sync for mappings whose bag
-            // emptied, then element re-annotation of the whole target.
-            sync_skeletons(&mut ex, &self.mappings, &self.plans, &self.bags);
-            result = ex
-                .target
-                .annotate_elements(&self.target_schema)
-                .map_err(|e| DeltaError::Exchange(ExchangeError::Conformance(e.to_string())));
-        }
+            .and_then(|()| {
+                sync_skeletons(&mut ex, &self.mappings, &self.plans, &self.bags);
+                ex.target
+                    .annotate_elements(&self.target_schema)
+                    .map_err(|e| DeltaError::Exchange(ExchangeError::Conformance(e.to_string())))
+            });
         self.target = ex.target;
         self.merge_index = ex.merge_index;
         result.map(|()| td)
-    }
-
-    /// The member values each `Parent::Root` binding of `plan` produces for
-    /// one foreach row — pure (no insertion), mirroring
-    /// [`Exchange::insert_row`]'s slot-class assignment and member
-    /// construction exactly, including its conflict error.
-    fn root_member_values(
-        &self,
-        mi: usize,
-        row: &Row,
-    ) -> Result<Vec<(usize, Value)>, ExchangeError> {
-        let plan = &self.plans[mi];
-        let m = &self.mappings[mi];
-        let mut class_values: Vec<Option<AtomicValue>> = vec![None; plan.n_classes];
-        for (i, &c) in plan.select_classes.iter().enumerate() {
-            match &class_values[c] {
-                None => class_values[c] = Some(row[i].clone()),
-                Some(prev) if *prev == row[i] => {}
-                Some(prev) => {
-                    return Err(ExchangeError::Conflict(format!(
-                        "mapping {}: positions assign `{prev}` and `{}` to one slot",
-                        m.name, row[i]
-                    )))
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for (bi, b) in plan.bindings.iter().enumerate() {
-            if !matches!(b.parent, Parent::Root(..)) {
-                continue;
-            }
-            let fields: Vec<(&[dtr_query::ast::Step], AtomicValue)> = b
-                .fields
-                .iter()
-                .filter_map(|(steps, c)| {
-                    class_values[*c]
-                        .as_ref()
-                        .map(|v| (steps.as_slice(), v.clone()))
-                })
-                .collect();
-            out.push((
-                bi,
-                build_member_reference(&self.target_schema, b.member_elem, &fields)?,
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Looks a member value up in the live merge index under the skeleton
-    /// set of root binding `bi`. `None` when the set or the member does not
-    /// exist yet.
-    fn find_member(&self, plan: &Plan, bi: usize, value: &Value) -> Option<NodeId> {
-        let Parent::Root(root, steps) = &plan.bindings[bi].parent else {
-            return None;
-        };
-        let mut node = self.target.root(root.as_str())?;
-        for label in steps {
-            node = self.target.child_by_label(node, label)?;
-        }
-        let fp = match self.member_fp {
-            Some(f) => f(value),
-            None => {
-                let mut h = DefaultHasher::new();
-                value_fingerprint(value, &mut h);
-                h.finish()
-            }
-        };
-        self.merge_index
-            .get(&(node, fp))?
-            .iter()
-            .find(|(v, _)| v == value)
-            .map(|&(_, n)| n)
     }
 
     /// Regenerates the report from bags, plans and per-class statistics:
@@ -894,150 +691,255 @@ impl IncrementalExchange {
     }
 }
 
-/// Detaches and replays every dirty class, then inserts the fresh rows
-/// (members that did not exist before this batch), all in mapping order
-/// within each class.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_classes(
-    ex: &mut Exchange<'_>,
-    shapes: &mut [Vec<Option<MemberShape>>],
-    dirty: &HashSet<NodeId>,
-    fresh: Vec<(usize, Row, usize, u64)>,
-    td: &mut TargetDelta,
-    mappings: &[Mapping],
-    plans: &[Plan],
-    roots: &[Vec<usize>],
-    classes: &mut HashMap<NodeId, ClassState>,
-    member_templates: bool,
-) -> Result<(), DeltaError> {
-    let mut order: Vec<NodeId> = dirty.iter().copied().collect();
-    order.sort_unstable();
-    for member in order {
-        let cls = match classes.remove(&member) {
-            Some(c) => c,
-            None => continue,
-        };
-        let set_path = ex.target.node_path(cls.set);
-        // Detach: unlink the member, strip its annotations, and prune
-        // every merge-index entry rooted in its subtree (plus its own
-        // bucket slot) so the replay starts from a clean slate.
-        ex.target.detach_set_member(cls.set, member);
-        let subtree: HashSet<NodeId> = subtree_nodes(&ex.target, member);
-        ex.target.strip_annotations(member);
-        if let Some(bucket) = ex.merge_index.get_mut(&(cls.set, cls.fp)) {
-            bucket.retain(|&(_, n)| n != member);
-            if bucket.is_empty() {
-                ex.merge_index.remove(&(cls.set, cls.fp));
-            }
-        }
-        ex.merge_index
-            .retain(|&(set, _), _| !subtree.contains(&set));
-        td.retracted.push(TargetChange {
-            set_path: set_path.clone(),
-            member: member.0,
-        });
-        if dtr_obs::journal::enabled() {
-            dtr_obs::journal::record(
-                dtr_obs::journal::event(
-                    "exchange.retract",
-                    dtr_obs::journal::Outcome::Retracted {
-                        remaining: cls.remaining_rows() as u64,
-                    },
-                )
-                .binding(cls.fp)
-                .target(u64::from(member.0)),
-            );
-        }
-        if cls.is_drained() {
-            continue;
-        }
-        td.classes_rebuilt += 1;
-        let mut replayed: HashMap<NodeId, ClassState> = HashMap::new();
-        for (&mi, per) in &cls.rows {
-            let plan = &plans[mi];
-            let root_of = &roots[mi];
-            let mut stats = MappingStats::default();
-            // Deterministic replay order: nested sets inside the rebuilt
-            // member are populated row by row, so recovery must insert in
-            // the same sequence the live engine did.
-            let mut rows: Vec<(&Row, (usize, u64))> =
-                per.iter().map(|(row, &e)| (row, e)).collect();
-            rows.sort_unstable_by_key(|(row, _)| row_order_key(row));
-            for (row, (count, bits)) in rows {
-                let mask: Vec<bool> = root_of.iter().map(|&r| bits & (1 << r) != 0).collect();
-                for _ in 0..count {
-                    ex.meter.charge_rows(1).map_err(|g| ExchangeError::Guard {
-                        error: g,
-                        mappings_completed: 0,
-                    })?;
-                    let touches = ex.insert_row(
-                        &mappings[mi],
-                        plan,
-                        row,
-                        member_templates,
-                        &mut shapes[mi],
-                        &mut stats,
-                        Some(&mask),
-                    )?;
-                    record_row(&mut replayed, root_of, &touches, mi, row);
-                }
-            }
-        }
-        // The replay converges on exactly one new top-level member (the
-        // class identity is one member value); adopt its node id.
-        debug_assert_eq!(replayed.len(), 1, "class replay must rebuild one member");
-        for (new_member, new_cls) in replayed {
-            td.inserted.push(TargetChange {
-                set_path: set_path.clone(),
-                member: new_member.0,
-            });
-            classes.insert(new_member, new_cls);
-        }
+/// The target-side phases of one apply: the engine's mappings with their
+/// plans and root chains, the member constructor in use, and the member
+/// templates routing and insertion share.
+struct Replay<'e> {
+    mappings: &'e [Mapping],
+    plans: &'e [Plan],
+    root_of: &'e [Vec<usize>],
+    templates: bool,
+    shapes: Vec<Vec<Option<MemberShape>>>,
+}
+
+impl Replay<'_> {
+    /// Where mapping `mi`'s root bindings put `row` in the live target.
+    fn root_members(
+        &mut self,
+        ex: &Exchange<'_>,
+        mi: usize,
+        row: &Row,
+    ) -> Result<Vec<RootMember>, ExchangeError> {
+        ex.root_members(
+            &self.mappings[mi],
+            &self.plans[mi],
+            row,
+            self.templates,
+            &mut self.shapes[mi],
+        )
     }
-    // Fresh members: rows whose class did not exist before this batch.
-    let mut by_mapping: BTreeMap<usize, Vec<(Row, usize, u64)>> = BTreeMap::new();
-    for (mi, row, count, bits) in fresh {
-        by_mapping.entry(mi).or_default().push((row, count, bits));
+
+    /// The insert mask covering the chains of the root bindings `pick`
+    /// selects.
+    fn mask(
+        &self,
+        mi: usize,
+        roots: &[RootMember],
+        pick: impl Fn(&RootMember) -> bool,
+    ) -> Vec<bool> {
+        self.root_of[mi]
+            .iter()
+            .map(|&r| roots.iter().any(|m| m.binding == r && pick(m)))
+            .collect()
     }
-    let mut fresh_members: Vec<(NodeId, NodeId)> = Vec::new();
-    for (mi, rows) in by_mapping {
-        let plan = &plans[mi];
-        let root_of = &roots[mi];
-        let mut stats = MappingStats::default();
-        for (row, count, bits) in rows {
-            let mask: Vec<bool> = root_of.iter().map(|&r| bits & (1 << r) != 0).collect();
-            for _ in 0..count {
-                ex.meter.charge_rows(1).map_err(|g| ExchangeError::Guard {
-                    error: g,
-                    mappings_completed: 0,
-                })?;
-                let touches = ex.insert_row(
-                    &mappings[mi],
-                    plan,
-                    &row,
-                    member_templates,
-                    &mut shapes[mi],
-                    &mut stats,
-                    Some(&mask),
-                )?;
-                for (bi, t) in touches.iter().enumerate() {
-                    if t.member.0 != u32::MAX && root_of[bi] == bi && t.created {
-                        fresh_members.push((t.set, t.member));
+
+    /// Phase 4: routes removed and added rows to their member classes.
+    /// Removed rows leave their classes; added rows join the classes whose
+    /// members exist, and the rest become fresh rows masked to the root
+    /// bindings whose members do not. Returns the dirty classes and the
+    /// fresh rows.
+    fn route(
+        &mut self,
+        ex: &Exchange<'_>,
+        classes: &mut HashMap<NodeId, ClassState>,
+        removed: &[Bag],
+        added: &[Bag],
+    ) -> Result<(HashSet<NodeId>, Vec<FreshRow>), DeltaError> {
+        let mut dirty: HashSet<NodeId> = HashSet::new();
+        let mut fresh: Vec<FreshRow> = Vec::new();
+        let broken = |what: &str| DeltaError::Exchange(ExchangeError::Conformance(what.into()));
+        for mi in 0..self.mappings.len() {
+            // HashMap order must not leak into the target: fresh members
+            // are appended in this iteration order, so replaying the same
+            // delta (crash recovery) has to walk the same sequence.
+            let mut additions: Vec<(&Row, usize)> =
+                added[mi].iter().map(|(row, &k)| (row, k)).collect();
+            additions.sort_unstable_by_key(|(row, _)| row_order_key(row));
+            let removals = removed[mi].iter().map(|(row, &k)| (row, k, false));
+            for (row, k, adding) in removals.chain(additions.into_iter().map(|(r, k)| (r, k, true)))
+            {
+                let roots = self.root_members(ex, mi, row)?;
+                for (i, r) in roots.iter().enumerate() {
+                    // Two root bindings building one member count the row
+                    // once (see `record_row`).
+                    if roots[..i].iter().any(|p| p.member == r.member) {
+                        continue;
+                    }
+                    let member = match r.member {
+                        Some(member) => member,
+                        None if adding => continue,
+                        None => return Err(broken("retracted member missing from merge index")),
+                    };
+                    dirty.insert(member);
+                    let cls = classes
+                        .get_mut(&member)
+                        .ok_or_else(|| broken("member missing from retraction index"))?;
+                    let per = cls.rows.entry(mi).or_default();
+                    let n = per.entry(row.clone()).or_insert(0);
+                    if adding {
+                        *n += k;
+                    } else if *n >= k {
+                        *n -= k;
+                        if *n == 0 {
+                            per.remove(row);
+                        }
+                    } else {
+                        return Err(broken("retraction index out of step with row bags"));
                     }
                 }
-                record_row(classes, root_of, &touches, mi, &row);
+                if adding && roots.iter().any(|r| r.member.is_none()) {
+                    let mask = self.mask(mi, &roots, |r| r.member.is_none());
+                    fresh.push((mi, row.clone(), k, mask));
+                }
             }
         }
+        Ok((dirty, fresh))
     }
-    fresh_members.sort_unstable_by_key(|&(_, m)| m.0);
-    fresh_members.dedup();
-    for (set, member) in fresh_members {
-        td.inserted.push(TargetChange {
-            set_path: ex.target.node_path(set),
-            member: member.0,
-        });
+
+    /// Phase 5: detaches and replays every dirty class, then inserts the
+    /// fresh rows (members that did not exist before this batch), all in
+    /// mapping order within each class.
+    fn rebuild(
+        &mut self,
+        ex: &mut Exchange<'_>,
+        dirty: &HashSet<NodeId>,
+        fresh: Vec<FreshRow>,
+        td: &mut TargetDelta,
+        classes: &mut HashMap<NodeId, ClassState>,
+    ) -> Result<(), DeltaError> {
+        let mut order: Vec<NodeId> = dirty.iter().copied().collect();
+        order.sort_unstable();
+        for member in order {
+            let Some(cls) = classes.remove(&member) else {
+                continue;
+            };
+            let set_path = ex.target.node_path(cls.set);
+            // Detach: unlink the member, strip its annotations, and prune
+            // every merge-index entry rooted in its subtree plus its own
+            // bucket slot — whose value identifies the class — so the
+            // replay starts from a clean slate.
+            ex.target.detach_set_member(cls.set, member);
+            let subtree: HashSet<NodeId> = subtree_nodes(&ex.target, member);
+            ex.target.strip_annotations(member);
+            let key = (cls.set, cls.fp);
+            let unindexed =
+                || ExchangeError::Conformance("rebuilt member missing from merge index".into());
+            let bucket = ex.merge_index.get_mut(&key).ok_or_else(unindexed)?;
+            let at = bucket
+                .iter()
+                .position(|&(_, n)| n == member)
+                .ok_or_else(unindexed)?;
+            let (value, _) = bucket.remove(at);
+            if bucket.is_empty() {
+                ex.merge_index.remove(&key);
+            }
+            ex.merge_index
+                .retain(|&(set, _), _| !subtree.contains(&set));
+            td.retracted.push(TargetChange {
+                set_path: set_path.clone(),
+                member: member.0,
+            });
+            if dtr_obs::journal::enabled() {
+                dtr_obs::journal::record(
+                    dtr_obs::journal::event(
+                        "exchange.retract",
+                        dtr_obs::journal::Outcome::Retracted {
+                            remaining: cls.remaining_rows() as u64,
+                        },
+                    )
+                    .binding(cls.fp)
+                    .target(u64::from(member.0)),
+                );
+            }
+            if cls.is_drained() {
+                continue;
+            }
+            td.classes_rebuilt += 1;
+            let mut replayed: HashMap<NodeId, ClassState> = HashMap::new();
+            for (&mi, per) in &cls.rows {
+                // Deterministic replay order: nested sets inside the rebuilt
+                // member are populated row by row, so recovery must insert in
+                // the same sequence the live engine did.
+                let mut rows: Vec<(&Row, usize)> = per.iter().map(|(row, &n)| (row, n)).collect();
+                rows.sort_unstable_by_key(|(row, _)| row_order_key(row));
+                for (row, count) in rows {
+                    // Only the root bindings building this class's member
+                    // value in its set replay; the row's other classes
+                    // stay as they are.
+                    let roots = self.root_members(ex, mi, row)?;
+                    let mask =
+                        self.mask(mi, &roots, |r| r.set == Some(cls.set) && r.value == value);
+                    self.insert(ex, mi, row, count, &mask, &mut replayed)?;
+                }
+            }
+            // The replay converges on exactly one new top-level member (the
+            // class identity is one member value); adopt its node id.
+            debug_assert_eq!(replayed.len(), 1, "class replay must rebuild one member");
+            for (new_member, new_cls) in replayed {
+                td.inserted.push(TargetChange {
+                    set_path: set_path.clone(),
+                    member: new_member.0,
+                });
+                classes.insert(new_member, new_cls);
+            }
+        }
+        // Fresh members: rows whose class did not exist before this batch.
+        let mut fresh_members: Vec<(NodeId, NodeId)> = Vec::new();
+        for (mi, row, count, mask) in fresh {
+            let touches = self.insert(ex, mi, &row, count, &mask, classes)?;
+            for (bi, t) in touches.iter().enumerate() {
+                if t.created && self.root_of[mi][bi] == bi {
+                    fresh_members.push((t.set, t.member));
+                }
+            }
+        }
+        fresh_members.sort_unstable_by_key(|&(_, m)| m.0);
+        fresh_members.dedup();
+        for (set, member) in fresh_members {
+            td.inserted.push(TargetChange {
+                set_path: ex.target.node_path(set),
+                member: member.0,
+            });
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Inserts `count` copies of one row of mapping `mi` under `mask` and
+    /// folds their touches into `into` — the insert loop class replay and
+    /// fresh insertion share. Returns the first copy's touches (later
+    /// copies merge into the members it reached).
+    fn insert(
+        &mut self,
+        ex: &mut Exchange<'_>,
+        mi: usize,
+        row: &Row,
+        count: usize,
+        mask: &[bool],
+        into: &mut HashMap<NodeId, ClassState>,
+    ) -> Result<Vec<BindingTouch>, DeltaError> {
+        let mut stats = MappingStats::default();
+        let mut first = Vec::new();
+        for copy in 0..count {
+            ex.meter.charge_rows(1).map_err(|g| ExchangeError::Guard {
+                error: g,
+                mappings_completed: 0,
+            })?;
+            let touches = ex.insert_row(
+                &self.mappings[mi],
+                &self.plans[mi],
+                row,
+                self.templates,
+                &mut self.shapes[mi],
+                &mut stats,
+                Some(mask),
+            )?;
+            record_row(into, &self.root_of[mi], &touches, mi, row);
+            if copy == 0 {
+                first = touches;
+            }
+        }
+        Ok(first)
+    }
 }
 
 /// Removes the `f_mp` names of mappings whose row bag emptied from their
@@ -1115,8 +1017,8 @@ fn subtree_nodes(inst: &Instance, id: NodeId) -> HashSet<NodeId> {
     out
 }
 
-/// Folds one row's binding touches into the class index: registers the row
-/// under each touched root binding's class (bitmask-tagged) and attributes
+/// Folds one inserted row's binding touches into the class index: counts
+/// the row once under each class a root binding put it in, and attributes
 /// every member-binding insert/merge event to its root class.
 fn record_row(
     classes: &mut HashMap<NodeId, ClassState>,
@@ -1125,29 +1027,28 @@ fn record_row(
     mi: usize,
     row: &Row,
 ) {
-    let mut class_masks: Vec<(NodeId, u64)> = Vec::new();
     for (bi, t) in touches.iter().enumerate() {
         if t.member.0 == u32::MAX || root_of[bi] != bi {
             continue;
         }
-        let cls = classes.entry(t.member).or_default();
-        cls.set = t.set;
-        cls.fp = t.fp;
-        match class_masks.iter_mut().find(|(ck, _)| *ck == t.member) {
-            Some((_, m)) => *m |= 1 << bi,
-            None => class_masks.push((t.member, 1 << bi)),
+        let cls = classes.entry(t.member).or_insert_with(|| ClassState {
+            set: t.set,
+            fp: t.fp,
+            rows: BTreeMap::new(),
+            stats: BTreeMap::new(),
+        });
+        // Two root bindings building one member count the row once.
+        let counted = touches[..bi]
+            .iter()
+            .enumerate()
+            .any(|(bj, u)| root_of[bj] == bj && u.member == t.member);
+        if !counted {
+            *cls.rows
+                .entry(mi)
+                .or_default()
+                .entry(row.clone())
+                .or_insert(0) += 1;
         }
-    }
-    for &(ck, mask) in &class_masks {
-        let cls = classes.get_mut(&ck).expect("class registered above");
-        let e = cls
-            .rows
-            .entry(mi)
-            .or_default()
-            .entry(row.clone())
-            .or_insert((0, 0));
-        e.0 += 1;
-        e.1 |= mask;
     }
     for (bi, t) in touches.iter().enumerate() {
         if t.member.0 == u32::MAX {
@@ -1163,6 +1064,15 @@ fn record_row(
             }
         }
     }
+}
+
+/// Counts rows into a multiset.
+fn bag_of(rows: Vec<Row>) -> Bag {
+    let mut bag = Bag::new();
+    for row in rows {
+        *bag.entry(row).or_insert(0) += 1;
+    }
+    bag
 }
 
 /// `(old − new, new − old)` as multisets.
@@ -1188,218 +1098,11 @@ fn bag_diff(old: &Bag, new: &Bag) -> (Bag, Bag) {
 mod tests {
     use super::*;
     use crate::exchange::execute_mappings_with;
+    use crate::figure1::{
+        agent, eu_instance, eu_schema, figure1_mappings, house, portal_schema, posting,
+        us_instance, us_schema,
+    };
     use dtr_model::instance::NodeData;
-    use dtr_model::types::{AtomicType, Type};
-
-    fn us_schema() -> Schema {
-        Schema::build(
-            "USdb",
-            vec![(
-                "US",
-                Type::record(vec![
-                    (
-                        "houses",
-                        Type::relation(vec![
-                            ("hid", AtomicType::String),
-                            ("floors", AtomicType::String),
-                            ("price", AtomicType::String),
-                            ("aid", AtomicType::String),
-                        ]),
-                    ),
-                    (
-                        "agents",
-                        Type::set(Type::record(vec![
-                            ("aid", Type::string()),
-                            (
-                                "title",
-                                Type::choice(vec![
-                                    ("name", Type::string()),
-                                    ("firm", Type::string()),
-                                ]),
-                            ),
-                            ("phone", Type::string()),
-                        ])),
-                    ),
-                ]),
-            )],
-        )
-        .unwrap()
-    }
-
-    fn eu_schema() -> Schema {
-        Schema::build(
-            "EUdb",
-            vec![(
-                "EU",
-                Type::record(vec![(
-                    "postings",
-                    Type::set(Type::record(vec![
-                        ("hid", Type::string()),
-                        ("levels", Type::string()),
-                        ("totalVal", Type::string()),
-                        (
-                            "agents",
-                            Type::set(Type::record(vec![
-                                ("agentName", Type::string()),
-                                ("agentPhone", Type::string()),
-                            ])),
-                        ),
-                    ])),
-                )]),
-            )],
-        )
-        .unwrap()
-    }
-
-    fn portal_schema() -> Schema {
-        Schema::build(
-            "Pdb",
-            vec![(
-                "Portal",
-                Type::record(vec![
-                    (
-                        "estates",
-                        Type::relation(vec![
-                            ("hid", AtomicType::String),
-                            ("stories", AtomicType::String),
-                            ("value", AtomicType::String),
-                            ("contact", AtomicType::String),
-                        ]),
-                    ),
-                    (
-                        "contacts",
-                        Type::relation(vec![
-                            ("title", AtomicType::String),
-                            ("phone", AtomicType::String),
-                        ]),
-                    ),
-                ]),
-            )],
-        )
-        .unwrap()
-    }
-
-    fn house(hid: &str, floors: &str, price: &str, aid: &str) -> Value {
-        Value::record(vec![
-            ("hid", Value::str(hid)),
-            ("floors", Value::str(floors)),
-            ("price", Value::str(price)),
-            ("aid", Value::str(aid)),
-        ])
-    }
-
-    fn agent(aid: &str, alt: &str, title: &str, phone: &str) -> Value {
-        Value::record(vec![
-            ("aid", Value::str(aid)),
-            ("title", Value::choice(alt, Value::str(title))),
-            ("phone", Value::str(phone)),
-        ])
-    }
-
-    fn posting(hid: &str, levels: &str, total: &str, agents: Vec<(&str, &str)>) -> Value {
-        Value::record(vec![
-            ("hid", Value::str(hid)),
-            ("levels", Value::str(levels)),
-            ("totalVal", Value::str(total)),
-            (
-                "agents",
-                Value::set(
-                    agents
-                        .into_iter()
-                        .map(|(n, p)| {
-                            Value::record(vec![
-                                ("agentName", Value::str(n)),
-                                ("agentPhone", Value::str(p)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn us_instance() -> Instance {
-        let mut inst = Instance::new("USdb");
-        inst.install_root(
-            "US",
-            Value::record(vec![
-                (
-                    "houses",
-                    Value::set(vec![
-                        house("H522", "2", "500K", "a2"),
-                        house("H7", "1", "250K", "a1"),
-                    ]),
-                ),
-                (
-                    "agents",
-                    Value::set(vec![
-                        agent("a1", "name", "Smith", "555-1111"),
-                        agent("a2", "firm", "HomeGain", "18009468501"),
-                    ]),
-                ),
-            ]),
-        );
-        inst.annotate_elements(&us_schema()).unwrap();
-        inst
-    }
-
-    fn eu_instance() -> Instance {
-        let mut inst = Instance::new("EUdb");
-        inst.install_root(
-            "EU",
-            Value::record(vec![(
-                "postings",
-                Value::set(vec![posting(
-                    "H2525",
-                    "1",
-                    "300K",
-                    vec![("HomeGain", "18009468501")],
-                )]),
-            )]),
-        );
-        inst.annotate_elements(&eu_schema()).unwrap();
-        inst
-    }
-
-    fn figure1_mappings() -> Vec<Mapping> {
-        vec![
-            Mapping::parse(
-                "m1",
-                "foreach
-                   select h.hid, h.floors, h.price, n, a.phone
-                   from US.houses h, US.agents a, a.title->name n
-                   where h.aid = a.aid
-                 exists
-                   select e.hid, e.stories, e.value, c.title, c.phone
-                   from Portal.estates e, Portal.contacts c
-                   where e.contact = c.title",
-            )
-            .unwrap(),
-            Mapping::parse(
-                "m2",
-                "foreach
-                   select h.hid, h.floors, h.price, f, a.phone
-                   from US.houses h, US.agents a, a.title->firm f
-                   where h.aid = a.aid
-                 exists
-                   select e.hid, e.stories, e.value, c.title, c.phone
-                   from Portal.estates e, Portal.contacts c
-                   where e.contact = c.title",
-            )
-            .unwrap(),
-            Mapping::parse(
-                "m3",
-                "foreach
-                   select p.hid, p.levels, p.totalVal, a.agentName, a.agentPhone
-                   from EU.postings p, p.agents a
-                 exists
-                   select e.hid, e.stories, e.value, c.title, c.phone
-                   from Portal.estates e, Portal.contacts c
-                   where e.contact = c.title",
-            )
-            .unwrap(),
-        ]
-    }
 
     /// Order-insensitive canonical rendering of an annotated instance: set
     /// members are sorted by their rendering, annotations ride along.

@@ -21,6 +21,8 @@
 pub mod delta;
 pub mod durable;
 pub mod exchange;
+#[cfg(test)]
+mod figure1;
 pub mod glav;
 pub mod incremental;
 pub mod lint;
