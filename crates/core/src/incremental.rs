@@ -31,10 +31,12 @@ use dtr_metastore::store::MetaStore;
 use dtr_model::instance::Instance;
 use dtr_model::schema::Schema;
 use dtr_query::functions::FunctionRegistry;
+use std::sync::Arc;
 
 /// A live incremental-exchange session over a mapping setting.
 pub struct IncrementalSession {
-    setting: MappingSetting,
+    /// Validated once; shared with every snapshot the session hands out.
+    setting: Arc<MappingSetting>,
     engine: IncrementalExchange,
     store: Option<MetaStore>,
 }
@@ -75,7 +77,7 @@ impl IncrementalSession {
             opts,
         )?;
         Ok(IncrementalSession {
-            setting,
+            setting: Arc::new(setting),
             engine,
             store: None,
         })
@@ -162,14 +164,18 @@ impl IncrementalSession {
 
     /// A [`TaggedInstance`] over the current sources and target, for MXQL.
     /// Snapshots the current state — later applies do not flow into it.
+    /// It shares the session's setting and the instances' arena chunks,
+    /// so taking it costs chunk pointers, and it does not fail.
     pub fn tagged(&self) -> Result<TaggedInstance, MxqlError> {
-        let setting = MappingSetting::new(
-            self.setting.source_schemas().to_vec(),
-            self.setting.target_schema().clone(),
-            self.setting.mappings().to_vec(),
-        )?;
-        TaggedInstance::from_parts(
-            setting,
+        Ok(self.snapshot())
+    }
+
+    /// The snapshot behind [`IncrementalSession::tagged`] and the durable
+    /// session's epochs: the session's validated setting and annotated
+    /// instances, neither checked nor annotated again.
+    pub(crate) fn snapshot(&self) -> TaggedInstance {
+        TaggedInstance::snapshot(
+            self.setting.clone(),
             self.engine.sources().to_vec(),
             self.engine.target().clone(),
         )

@@ -11,6 +11,19 @@
 //! state (the torn frame is truncated). Recovery never lands anywhere
 //! else — `law_recovery` in dtr-check pins exactly this adjacency.
 //!
+//! Publishing an epoch does not copy the state. The instances' node and
+//! annotation arenas are copy-on-write chunks of 128 slots
+//! (`dtr_model::instance`): an epoch's clones of the session's instances
+//! copy one pointer per chunk and share the chunks themselves with the
+//! live state, and the next batch copies only the chunks it writes, so
+//! what a commit copies follows its delta. Annotation passes write a slot
+//! only when its value changes, so a pass over untouched nodes leaves
+//! their chunks shared. The epoch reuses the session's validated setting
+//! and annotations as they are, and renders its canonical XML only when
+//! asked. [`DurableSession::publish_nanos`] accumulates the publish time,
+//! which the repository benchmark reports per commit as the
+//! `core.store.publish` layer.
+//!
 //! Checkpoints are self-describing: schemas, mappings, annotated source
 //! and target instances, and the metastore rendering all ride in the
 //! checkpoint frame via their existing textual round-trips, so
@@ -55,7 +68,7 @@ use dtr_xml::parser::instance_from_xml;
 use dtr_xml::schema_xml::{schema_from_xml, schema_to_xml};
 use dtr_xml::writer::{instance_to_xml, WriteOptions};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Version tag of the checkpoint payload layout.
@@ -115,62 +128,37 @@ pub struct RecoveryReport {
 /// pinned an epoch keep it alive (and byte-identical) however far the
 /// writer advances.
 ///
-/// Publishing is cheap: the writer only clones the instance data (the
-/// frozen snapshot); annotation, query indexes, and the canonical XML
-/// rendering are built on a reader's first access and cached. An epoch
-/// nobody pins costs the writer a memcpy, not a render.
+/// Publishing is cheap: the epoch is the session's own setting (shared
+/// through an `Arc`) and clones of its validated, annotated instances,
+/// whose arenas are copy-on-write chunks (see `dtr_model::instance`), so a
+/// publish copies chunk pointers and later writes copy only the chunks
+/// they touch. Nothing is validated or annotated again. The canonical XML
+/// is rendered on the first [`Epoch::canonical`] call and cached; an epoch
+/// nobody renders never pays for it.
 pub struct Epoch {
     /// Monotonic publish counter, starting at 1 for the initial state.
     pub id: u64,
     /// Batches applied since the log was created (checkpoint base plus
     /// replayed plus live applies).
     pub batch: u64,
-    /// The raw snapshot, consumed by the first materialization.
-    parts: Mutex<Option<EpochParts>>,
-    /// Built once from `parts`: the queryable snapshot and the canonical
-    /// annotated-XML byte-identity witness.
-    materialized: OnceLock<(Arc<TaggedInstance>, String)>,
-}
-
-/// The cheap-to-capture snapshot an epoch is published with.
-struct EpochParts {
-    source_schemas: Vec<Schema>,
-    target_schema: Schema,
-    mappings: Vec<Mapping>,
-    sources: Vec<Instance>,
-    target: Instance,
+    /// The queryable snapshot.
+    tagged: Arc<TaggedInstance>,
+    /// The canonical annotated XML of the target, rendered on first use.
+    canonical: OnceLock<String>,
 }
 
 impl Epoch {
-    fn materialize(&self) -> &(Arc<TaggedInstance>, String) {
-        self.materialized.get_or_init(|| {
-            let p = self
-                .parts
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("epoch parts already consumed");
-            let canonical = instance_to_xml(&p.target, WriteOptions::annotated());
-            // The parts came out of a session that already validated this
-            // exact setting and annotated these exact instances; failure
-            // here is a logic bug, not a runtime condition.
-            let setting = MappingSetting::new(p.source_schemas, p.target_schema, p.mappings)
-                .expect("epoch snapshot setting rebuilds");
-            let tagged = TaggedInstance::from_parts(setting, p.sources, p.target)
-                .expect("epoch snapshot annotates");
-            (Arc::new(tagged), canonical)
-        })
-    }
-
-    /// The queryable snapshot (built and cached on first access).
+    /// The queryable snapshot.
     pub fn tagged(&self) -> Arc<TaggedInstance> {
-        self.materialize().0.clone()
+        self.tagged.clone()
     }
 
     /// Annotated XML of the target at publish time — the byte-identity
     /// witness used by recovery verification and the reader soak tests.
+    /// Rendered on the first call and cached.
     pub fn canonical(&self) -> &str {
-        &self.materialize().1
+        self.canonical
+            .get_or_init(|| instance_to_xml(self.tagged.target(), WriteOptions::annotated()))
     }
 }
 
@@ -366,8 +354,8 @@ pub struct DurableSession {
     /// serialization, framing, CRC, appends, and sync points.
     wal_commit_nanos: u64,
     /// Wall time spent capturing and publishing epoch snapshots across
-    /// every apply (the O(state) clone; annotation and rendering are
-    /// deferred to the first reader).
+    /// every apply (chunk-pointer clones; rendering is deferred to the
+    /// first reader that asks for it).
     publish_nanos: u64,
 }
 
@@ -670,27 +658,19 @@ impl DurableSession {
     }
 
     /// Cumulative wall time [`DurableSession::apply`] spent publishing
-    /// epoch snapshots (the state clone readers pin). O(state) per batch,
-    /// independent of the log.
+    /// epoch snapshots (the copy-on-write snapshot readers pin): chunk
+    /// pointers of the session's instances, independent of the log.
     pub fn publish_nanos(&self) -> u64 {
         self.publish_nanos
     }
 }
 
 fn epoch_of(session: &IncrementalSession, id: u64, batch: u64) -> Epoch {
-    let setting = session.setting();
-    let parts = EpochParts {
-        source_schemas: setting.source_schemas().to_vec(),
-        target_schema: setting.target_schema().clone(),
-        mappings: setting.mappings().to_vec(),
-        sources: session.sources().to_vec(),
-        target: session.target().clone(),
-    };
     Epoch {
         id,
         batch,
-        parts: Mutex::new(Some(parts)),
-        materialized: OnceLock::new(),
+        tagged: Arc::new(session.snapshot()),
+        canonical: OnceLock::new(),
     }
 }
 

@@ -346,7 +346,9 @@ pub(crate) fn audit_query(
 /// A tagged instance (Definition 5.2): the annotated target instance plus
 /// its mapping setting and source instances, ready for MXQL querying.
 pub struct TaggedInstance {
-    setting: MappingSetting,
+    /// Behind an `Arc` so that every snapshot of a session shares the one
+    /// setting the session validated.
+    setting: Arc<MappingSetting>,
     source_instances: Vec<Instance>,
     target: Instance,
     functions: FunctionRegistry,
@@ -437,7 +439,7 @@ impl TaggedInstance {
         )?;
         span.record("target_nodes", target.len());
         Ok(TaggedInstance {
-            setting,
+            setting: Arc::new(setting),
             source_instances,
             target,
             functions,
@@ -460,14 +462,27 @@ impl TaggedInstance {
         target
             .annotate_elements(&setting.target_schema)
             .map_err(|e| MxqlError::Other(e.to_string()))?;
-        Ok(TaggedInstance {
+        Ok(Self::snapshot(Arc::new(setting), source_instances, target))
+    }
+
+    /// Wraps a session's live state: a setting it already validated and
+    /// instances it keeps annotated, so nothing is checked or annotated
+    /// again. The instances are clones that share their arena chunks with
+    /// the session's (see `dtr_model::instance`), so the snapshot costs
+    /// chunk pointers, not a copy of the data.
+    pub(crate) fn snapshot(
+        setting: Arc<MappingSetting>,
+        source_instances: Vec<Instance>,
+        target: Instance,
+    ) -> Self {
+        TaggedInstance {
             setting,
             source_instances,
             target,
             functions: FunctionRegistry::with_builtins(),
             report: ExchangeReport::default(),
             plans: PlanCache::new(),
-        })
+        }
     }
 
     /// The mapping setting.
@@ -537,7 +552,7 @@ impl TaggedInstance {
         let q = self.setting.normalize_query(q);
         let catalog = self.catalog();
         let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
+            .with_meta(self.setting())
             .run(&q)
             .map_err(MxqlError::from);
         if let Some((request, started)) = audit {
@@ -556,7 +571,7 @@ impl TaggedInstance {
         let q = self.setting.normalize_query(q);
         let catalog = self.catalog();
         let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
+            .with_meta(self.setting())
             .run_analyzed(&q)
             .map_err(MxqlError::from);
         if let Some((request, started)) = audit {
@@ -571,7 +586,7 @@ impl TaggedInstance {
         let q = self.setting.normalize_query(q);
         let catalog = self.catalog();
         let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
+            .with_meta(self.setting())
             .with_options(opts)
             .run(&q)
             .map_err(MxqlError::from);
@@ -629,7 +644,7 @@ impl TaggedInstance {
             dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
         let catalog = self.catalog();
         let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
+            .with_meta(self.setting())
             .with_options(EvalOptions {
                 budget: budget.clone(),
                 ..plan.opts.clone()
@@ -681,7 +696,7 @@ impl TaggedInstance {
             dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
         let catalog = self.catalog();
         let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
+            .with_meta(self.setting())
             .with_options(plan.opts.clone())
             .run(&plan.query)
             .map_err(MxqlError::from);
@@ -701,7 +716,7 @@ impl TaggedInstance {
             dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
         let catalog = self.catalog();
         let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(&self.setting)
+            .with_meta(self.setting())
             .with_options(plan.opts.clone())
             .run_analyzed(&plan.query)
             .map_err(MxqlError::from);

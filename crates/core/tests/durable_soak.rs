@@ -1,14 +1,18 @@
 //! Concurrency soak for the epoch snapshot store and the WAL-then-publish
 //! commit protocol: pinned epochs must stay byte-identical while the
-//! writer advances the head, and a writer crash between the WAL commit
-//! and the epoch publish must recover to exactly one of the two adjacent
-//! epochs.
+//! writer advances the head, an epoch rendered long after it was pinned
+//! must render the state it was published with, and a writer crash
+//! between the WAL commit and the epoch publish must recover to exactly
+//! one of the two adjacent epochs.
 
 use dtr_core::store::{DurableOptions, DurableSession};
+use dtr_core::tagged::TaggedInstance;
 use dtr_core::testkit::{figure1_setting, figure1_sources};
 use dtr_mapping::delta::SourceDelta;
 use dtr_mapping::durable::{MemVfs, Vfs};
-use dtr_model::instance::Value;
+use dtr_model::instance::{Instance, Value};
+use dtr_portal::scenario::{build, ScenarioConfig};
+use dtr_xml::writer::{instance_to_xml, WriteOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -110,6 +114,121 @@ fn readers_keep_pinned_epochs_while_writer_advances() {
         .query("select x.hid from Portal.estates x")
         .unwrap();
     assert_eq!(rows.len(), 3 + BATCHES);
+}
+
+/// Queries a late reader of the portal asks: plain values, mapping
+/// annotations (`f_mp`) and element annotations (`f_el`).
+const PORTAL_QUERIES: [&str; 3] = [
+    "select h.hid, h.price from Portal.houses h",
+    "select h.hid, m from Portal.houses h, h.price@map m",
+    "select h.hid, h.price@elem from Portal.houses h",
+];
+
+/// A query's answer as sorted printed rows.
+fn answers(tagged: &TaggedInstance, query: &str) -> Vec<String> {
+    let mut rows: Vec<String> = tagged
+        .query(query)
+        .unwrap()
+        .tuples()
+        .iter()
+        .map(|t| format!("{t:?}"))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The member of source set `root.set` at `idx`, repriced.
+fn repriced(source: &Instance, root: &str, set: &str, idx: usize, price: i64) -> Value {
+    let set = source
+        .root(root)
+        .and_then(|r| source.child_by_label(r, set))
+        .unwrap();
+    let mut v = source.to_value(source.set_members(set).unwrap()[idx]);
+    if let Value::Record(fields) = &mut v {
+        for (label, field) in fields.iter_mut() {
+            if label.as_str() == "price" {
+                *field = Value::int(price);
+            }
+        }
+    }
+    v
+}
+
+/// A batch repricing two Yahoo listings and dropping a Homeseekers house,
+/// at positions spread over both sets (sources 0 and 4 in setting order).
+fn churn(s: &DurableSession, round: usize) -> SourceDelta {
+    let sources = s.session().sources();
+    let price = 200_000 + 10_000 * round as i64;
+    SourceDelta::new()
+        .modify(
+            "Yahoo.listings",
+            round * 3 + 1,
+            repriced(&sources[0], "Yahoo", "listings", round * 3 + 1, price),
+        )
+        .modify(
+            "Yahoo.listings",
+            0,
+            repriced(&sources[0], "Yahoo", "listings", 0, price + 1),
+        )
+        .delete("HS.houses", round * 2)
+}
+
+/// Epoch k is pinned and nothing of it is rendered or queried. Later
+/// batches modify and delete members it holds, so the writer rewrites
+/// chunks the epoch shares. The epoch's first render, made only then,
+/// must be the annotated target as it stood right after batch k, and its
+/// queries must answer from that state.
+#[test]
+fn late_render_of_a_pinned_epoch_is_its_batch_state() {
+    let scenario = build(ScenarioConfig {
+        listings_per_source: 25,
+        seed: 7,
+        ..ScenarioConfig::default()
+    });
+    let mut s = DurableSession::create(
+        scenario.setting,
+        scenario.sources,
+        None,
+        Arc::new(MemVfs::new()),
+        "wal",
+        DurableOptions {
+            checkpoint_every: 0,
+            backoff_ms: 0,
+            ..DurableOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(
+        s.session().target().len() > 8 * 128,
+        "the target spans only {} nodes",
+        s.session().target().len()
+    );
+    for round in 0..2 {
+        s.apply(&churn(&s, round)).unwrap();
+    }
+    let epoch_k = s.pin();
+    let want_xml = instance_to_xml(s.session().target(), WriteOptions::annotated());
+    let live = s.session().tagged().unwrap();
+    let want: Vec<Vec<String>> = PORTAL_QUERIES.iter().map(|q| answers(&live, q)).collect();
+    drop(live);
+
+    for round in 2..8 {
+        s.apply(&churn(&s, round)).unwrap();
+    }
+    assert_eq!(s.pin().batch, epoch_k.batch + 6);
+    assert_ne!(
+        instance_to_xml(s.session().target(), WriteOptions::annotated()),
+        want_xml,
+        "the later batches changed nothing"
+    );
+    assert!(
+        epoch_k.canonical() == want_xml,
+        "epoch k rendered another state"
+    );
+    let tagged = epoch_k.tagged();
+    for (q, want) in PORTAL_QUERIES.iter().zip(&want) {
+        assert_eq!(&answers(&tagged, q), want, "{q}");
+    }
 }
 
 /// Simulates the writer dying between the WAL fsync (commit point) and

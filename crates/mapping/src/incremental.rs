@@ -539,7 +539,8 @@ impl IncrementalExchange {
     }
 
     /// The post-resolution pipeline: restricted/full re-enumeration, bag
-    /// diffing, dirty-class rebuild, skeleton sync, element re-annotation.
+    /// diffing, dirty-class rebuild, skeleton sync, element annotation of
+    /// the nodes the batch created.
     fn apply_resolved(&mut self, changes: &mut [SetChange]) -> Result<TargetDelta, DeltaError> {
         let mut td = TargetDelta::default();
         if changes.is_empty() {
@@ -556,19 +557,20 @@ impl IncrementalExchange {
         // the deleted members.
         let mut removed = self.restricted_rows(&modes, changes, |c| &c.deleted)?;
 
-        // Phase 2: mutate the sources and refresh their element
-        // annotations (inserted members arrive un-annotated).
+        // Phase 2: mutate the sources and annotate the members the batch
+        // appended — the arena suffix; nothing older changes element.
         for c in changes.iter_mut() {
+            let source = &mut self.sources[c.source];
             for &d in &c.deleted {
-                self.sources[c.source].detach_set_member(c.set, d);
-                self.sources[c.source].strip_annotations(d);
+                source.detach_set_member(c.set, d);
+                source.strip_annotations(d);
             }
+            let appended_from = source.len();
             for v in &c.inserted_values {
-                let n = self.sources[c.source].push_set_member(c.set, v.clone());
-                c.inserted.push(n);
+                c.inserted.push(source.push_set_member(c.set, v.clone()));
             }
-            self.sources[c.source]
-                .annotate_elements(&self.source_schemas[c.source])
+            source
+                .annotate_elements_from(&self.source_schemas[c.source], appended_from)
                 .map_err(|e| {
                     ExchangeError::Conformance(format!(
                         "inserted member does not conform at `{}`: {e}",
@@ -627,8 +629,10 @@ impl IncrementalExchange {
         // Phases 4–6 run on a transient exchange over the live target
         // state: route the removed/added rows to their member classes,
         // rebuild the dirty classes and insert the fresh members, then sync
-        // skeletons and re-annotate elements. The target and merge index
-        // return to the engine whether or not a phase fails.
+        // skeletons and annotate the elements of the nodes this batch
+        // created. The target and merge index return to the engine whether
+        // or not a phase fails.
+        let created_from = self.target.len();
         let mut ex = Exchange::new(Vec::new(), &self.target_schema, &self.functions);
         ex.target = std::mem::replace(&mut self.target, Instance::new("swap"));
         ex.merge_index = std::mem::take(&mut self.merge_index);
@@ -653,7 +657,7 @@ impl IncrementalExchange {
             .and_then(|()| {
                 sync_skeletons(&mut ex, &self.mappings, &self.plans, &self.bags);
                 ex.target
-                    .annotate_elements(&self.target_schema)
+                    .annotate_elements_from(&self.target_schema, created_from)
                     .map_err(|e| DeltaError::Exchange(ExchangeError::Conformance(e.to_string())))
             });
         self.target = ex.target;
@@ -1292,6 +1296,36 @@ mod tests {
         assert!(matches!(err, DeltaError::Index(_)));
         assert_eq!(canon(inc.target()), before);
         assert_eq!(canon(&inc.sources()[0]), before_src);
+        assert_matches_full(&inc);
+    }
+
+    #[test]
+    fn nonconforming_insert_is_rejected_and_rolled_back() {
+        let mut inc = build();
+        let before = canon(inc.target());
+        let before_src = canon(&inc.sources()[0]);
+        for bad in [
+            Value::record(vec![("bogus", Value::str("x"))]),
+            Value::str("not a house"),
+        ] {
+            // The delete runs first, so the rollback must also restore
+            // (and re-annotate) the member it detached.
+            let err = inc
+                .apply(
+                    &SourceDelta::new()
+                        .delete("US.houses", 1)
+                        .insert("US.houses", bad),
+                )
+                .unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("inserted member does not conform at `US.houses`"),
+                "{err}"
+            );
+            assert_eq!(canon(inc.target()), before);
+            assert_eq!(canon(&inc.sources()[0]), before_src);
+        }
+        assert_eq!(inc.batch(), 0);
         assert_matches_full(&inc);
     }
 

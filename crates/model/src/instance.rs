@@ -11,7 +11,20 @@
 //! by a mapping simply have an empty mapping set, and element annotations
 //! can be recomputed from a schema at any time with
 //! [`Instance::annotate_elements`].
+//!
+//! # Storage
+//!
+//! The node and annotation arenas are kept in fixed chunks of 128 slots,
+//! each behind an `Arc` and copied on write. Cloning an instance copies
+//! chunk pointers only, so a clone is cheap however large the instance;
+//! the first write to a chunk the clone still shares copies that one
+//! chunk. Every `&mut` method writes only the slots whose contents change
+//! — adding a mapping name already present, re-annotating an element
+//! already recorded or re-parenting a node under its own parent write
+//! nothing — so a pass over an unchanged instance leaves all its chunks
+//! shared. A node's id is its arena position; ids are stable.
 
+use crate::arena::Arena;
 use crate::label::Label;
 use crate::schema::{ElementId, ElementKind, Schema};
 use crate::value::{AtomicValue, MappingName};
@@ -149,11 +162,12 @@ impl From<AtomicValue> for Value {
 }
 
 /// An instance: a named arena of value nodes plus per-node annotations.
+/// Cloning shares the arenas chunk by chunk (see the module docs).
 #[derive(Clone, Debug)]
 pub struct Instance {
     db: String,
-    nodes: Vec<Node>,
-    annots: Vec<Annotation>,
+    nodes: Arena<Node>,
+    annots: Arena<Annotation>,
     roots: Vec<NodeId>,
 }
 
@@ -162,8 +176,8 @@ impl Instance {
     pub fn new(db: impl Into<String>) -> Instance {
         Instance {
             db: db.into(),
-            nodes: Vec::new(),
-            annots: Vec::new(),
+            nodes: Arena::new(),
+            annots: Arena::new(),
             roots: Vec::new(),
         }
     }
@@ -180,7 +194,7 @@ impl Instance {
 
     /// True if the instance holds no values.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.nodes.len() == 0
     }
 
     /// Root node ids.
@@ -232,9 +246,11 @@ impl Instance {
     /// child.
     pub fn replace_children(&mut self, id: NodeId, kids: Vec<NodeId>) {
         for &k in &kids {
-            self.nodes[k.index()].parent = Some(id);
+            if self.nodes.get(k.index()).parent != Some(id) {
+                self.nodes.get_mut(k.index()).parent = Some(id);
+            }
         }
-        match &mut self.nodes[id.index()].data {
+        match &mut self.nodes.get_mut(id.index()).data {
             NodeData::Record(c) | NodeData::Set(c) => *c = kids,
             NodeData::Choice(c) => {
                 assert!(kids.len() <= 1, "choice node takes at most one child");
@@ -245,45 +261,53 @@ impl Instance {
     }
 
     /// Access a node. Panics on an out-of-range id.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+        self.nodes.get(id.index())
     }
 
     /// The label of a node.
+    #[inline]
     pub fn label(&self, id: NodeId) -> &Label {
-        &self.nodes[id.index()].label
+        &self.node(id).label
     }
 
     /// The parent of a node.
+    #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        self.node(id).parent
     }
 
     /// The annotation of a node.
+    #[inline]
     pub fn annotation(&self, id: NodeId) -> &Annotation {
-        &self.annots[id.index()]
+        self.annots.get(id.index())
     }
 
-    /// Mutable annotation access.
+    /// Mutable annotation access. Copies the annotation's chunk if a clone
+    /// shares it, whether or not the caller then writes; prefer the
+    /// specific setters below, which write only on change.
     pub fn annotation_mut(&mut self, id: NodeId) -> &mut Annotation {
-        &mut self.annots[id.index()]
+        self.annots.get_mut(id.index())
     }
 
     /// Sets the element annotation (`f_el`).
     pub fn set_element(&mut self, id: NodeId, e: ElementId) {
-        self.annots[id.index()].element = Some(e);
+        if self.annotation(id).element != Some(e) {
+            self.annots.get_mut(id.index()).element = Some(e);
+        }
     }
 
     /// Adds `m` to the mapping annotation (`f_mp`). Returns `true` if the
     /// name was newly written, `false` if already present.
     pub fn add_mapping(&mut self, id: NodeId, m: MappingName) -> bool {
-        self.annots[id.index()].add_mapping(m)
+        !self.annotation(id).has_mapping(&m) && self.annots.get_mut(id.index()).add_mapping(m)
     }
 
     /// Removes `m` from the mapping annotation (`f_mp`). Returns `true` if
     /// the name was present. Used when rolling back an aborted mapping.
     pub fn remove_mapping(&mut self, id: NodeId, m: &MappingName) -> bool {
-        self.annots[id.index()].remove_mapping(m)
+        self.annotation(id).has_mapping(m) && self.annots.get_mut(id.index()).remove_mapping(m)
     }
 
     /// Rolls the arena back to its first `len` nodes, discarding every node
@@ -302,27 +326,22 @@ impl Instance {
         self.nodes.truncate(len);
         self.annots.truncate(len);
         self.roots.retain(|r| r.index() < len);
-        for node in &mut self.nodes {
-            match &mut node.data {
-                NodeData::Record(kids) | NodeData::Set(kids) => kids.retain(|k| k.index() < len),
-                NodeData::Choice(kid) => {
-                    if matches!(kid, Some(k) if k.index() >= len) {
-                        *kid = None;
-                    }
-                }
+        let kept = |k: &NodeId| k.index() < len;
+        self.nodes.update_where(
+            |node| !node_children(&node.data).iter().all(kept),
+            |node| match &mut node.data {
+                NodeData::Record(kids) | NodeData::Set(kids) => kids.retain(kept),
+                NodeData::Choice(kid) => *kid = None,
                 NodeData::Atomic(_) => {}
-            }
-        }
+            },
+        );
     }
 
     /// Children of a node: record fields, set members, or the selected
     /// choice alternative. Atomic nodes have no children.
+    #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        match &self.nodes[id.index()].data {
-            NodeData::Atomic(_) => &[],
-            NodeData::Record(c) | NodeData::Set(c) => c,
-            NodeData::Choice(c) => c.as_slice(),
-        }
+        node_children(&self.node(id).data)
     }
 
     /// The field of a record (or the alternative of a choice) with the given
@@ -335,16 +354,18 @@ impl Instance {
     }
 
     /// The members of a set node; `None` if the node is not a set.
+    #[inline]
     pub fn set_members(&self, id: NodeId) -> Option<&[NodeId]> {
-        match &self.nodes[id.index()].data {
+        match &self.node(id).data {
             NodeData::Set(c) => Some(c),
             _ => None,
         }
     }
 
     /// The atomic value of a leaf node; `None` for complex nodes.
+    #[inline]
     pub fn atomic(&self, id: NodeId) -> Option<&AtomicValue> {
-        match &self.nodes[id.index()].data {
+        match &self.node(id).data {
             NodeData::Atomic(v) => Some(v),
             _ => None,
         }
@@ -352,7 +373,7 @@ impl Instance {
 
     /// The selected alternative of a choice node, with its label.
     pub fn choice_selection(&self, id: NodeId) -> Option<(Label, NodeId)> {
-        match &self.nodes[id.index()].data {
+        match &self.node(id).data {
             NodeData::Choice(Some(c)) => Some((self.node(*c).label.clone(), *c)),
             _ => None,
         }
@@ -374,7 +395,7 @@ impl Instance {
                     .into_iter()
                     .map(|(l, v)| self.install(l, v, Some(id)))
                     .collect();
-                if let NodeData::Record(c) = &mut self.nodes[id.index()].data {
+                if let NodeData::Record(c) = &mut self.nodes.get_mut(id.index()).data {
                     *c = kids;
                 }
                 id
@@ -382,7 +403,7 @@ impl Instance {
             Value::Choice(alt, inner) => {
                 let id = self.push_node(label, parent, NodeData::Choice(None));
                 let kid = self.install(alt, *inner, Some(id));
-                if let NodeData::Choice(c) = &mut self.nodes[id.index()].data {
+                if let NodeData::Choice(c) = &mut self.nodes.get_mut(id.index()).data {
                     *c = Some(kid);
                 }
                 id
@@ -393,7 +414,7 @@ impl Instance {
                     .into_iter()
                     .map(|v| self.install(Label::star(), v, Some(id)))
                     .collect();
-                if let NodeData::Set(c) = &mut self.nodes[id.index()].data {
+                if let NodeData::Set(c) = &mut self.nodes.get_mut(id.index()).data {
                     *c = kids;
                 }
                 id
@@ -407,11 +428,11 @@ impl Instance {
     /// Panics if `set` is not a set node.
     pub fn push_set_member(&mut self, set: NodeId, v: Value) -> NodeId {
         assert!(
-            matches!(self.nodes[set.index()].data, NodeData::Set(_)),
+            matches!(self.node(set).data, NodeData::Set(_)),
             "push_set_member target must be a set node"
         );
         let kid = self.install(Label::star(), v, Some(set));
-        if let NodeData::Set(c) = &mut self.nodes[set.index()].data {
+        if let NodeData::Set(c) = &mut self.nodes.get_mut(set.index()).data {
             c.push(kid);
         }
         kid
@@ -429,14 +450,15 @@ impl Instance {
     /// # Panics
     /// Panics if `set` is not a set node.
     pub fn detach_set_member(&mut self, set: NodeId, member: NodeId) -> bool {
-        match &mut self.nodes[set.index()].data {
-            NodeData::Set(c) => {
-                let before = c.len();
-                c.retain(|&k| k != member);
-                before != c.len()
-            }
+        match &self.node(set).data {
+            NodeData::Set(c) if !c.contains(&member) => return false,
+            NodeData::Set(_) => {}
             _ => panic!("detach_set_member target must be a set node"),
         }
+        if let NodeData::Set(c) = &mut self.nodes.get_mut(set.index()).data {
+            c.retain(|&k| k != member);
+        }
+        true
     }
 
     /// Clears every annotation (`f_el` and `f_mp`) in the subtree rooted at
@@ -445,14 +467,17 @@ impl Instance {
     pub fn strip_annotations(&mut self, id: NodeId) {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
-            self.annots[n.index()] = Annotation::default();
+            let a = self.annotation(n);
+            if a.element.is_some() || !a.mappings.is_empty() {
+                *self.annots.get_mut(n.index()) = Annotation::default();
+            }
             stack.extend_from_slice(self.children(n));
         }
     }
 
     /// Extracts the owned [`Value`] tree rooted at `id`.
     pub fn to_value(&self, id: NodeId) -> Value {
-        match &self.nodes[id.index()].data {
+        match &self.node(id).data {
             NodeData::Atomic(a) => Value::Atomic(a.clone()),
             NodeData::Record(kids) => Value::Record(
                 kids.iter()
@@ -490,7 +515,7 @@ impl Instance {
     }
 
     fn hash_into(&self, id: NodeId, h: &mut DefaultHasher) {
-        let node = &self.nodes[id.index()];
+        let node = self.node(id);
         node.label.hash(h);
         match &node.data {
             NodeData::Atomic(a) => {
@@ -521,7 +546,7 @@ impl Instance {
     /// Structural equality of the values rooted at `a` and `b`, with sets
     /// compared as multisets (order-insensitive).
     pub fn deep_eq(&self, a: NodeId, b: NodeId) -> bool {
-        let (na, nb) = (&self.nodes[a.index()], &self.nodes[b.index()]);
+        let (na, nb) = (self.node(a), self.node(b));
         if na.label != nb.label {
             return false;
         }
@@ -557,16 +582,45 @@ impl Instance {
 
     /// Checks conformance against `schema` (Definition 4.2) and fills in the
     /// element annotation (`f_el`) of every node: the total injective
-    /// `elementOf` function exists exactly when this returns `Ok`.
+    /// `elementOf` function exists exactly when this returns `Ok`. Only
+    /// annotations that differ are written.
     pub fn annotate_elements(&mut self, schema: &Schema) -> Result<(), ConformanceError> {
-        let roots = self.roots.clone();
-        for root in roots {
-            let label = self.node(root).label.clone();
-            let se = schema.root(&label).ok_or_else(|| ConformanceError {
-                node: root,
-                reason: format!("no schema root named `{label}` in `{}`", schema.name()),
-            })?;
+        for i in 0..self.roots.len() {
+            let root = self.roots[i];
+            let se = self.root_element(root, schema)?;
             self.annotate_rec(root, se, schema)?;
+        }
+        Ok(())
+    }
+
+    /// [`Instance::annotate_elements`] for the nodes created at arena
+    /// position `start` or later, for an instance whose earlier nodes are
+    /// already annotated: it writes the annotations the whole-instance
+    /// pass would write there, and checks the same conformance, without
+    /// walking the rest. It relies on every node's parent preceding it in
+    /// the arena, as [`Instance::install_root`],
+    /// [`Instance::push_set_member`] and top-down [`Instance::push_raw`]
+    /// builders guarantee. A node is annotated only while reachable: a root,
+    /// or listed by an annotated parent, so a node detached before the call
+    /// stays bare.
+    pub fn annotate_elements_from(
+        &mut self,
+        schema: &Schema,
+        start: usize,
+    ) -> Result<(), ConformanceError> {
+        for id in (start..self.nodes.len()).map(|i| NodeId(i as u32)) {
+            let se = match self.parent(id) {
+                None if self.roots.contains(&id) => self.root_element(id, schema)?,
+                None => continue,
+                Some(p) => match self.annotation(p).element {
+                    Some(pe) if self.children(p).iter().rev().any(|&k| k == id) => {
+                        self.child_element(pe, id, schema)?
+                    }
+                    _ => continue,
+                },
+            };
+            self.check_conforms(id, se, schema)?;
+            self.set_element(id, se);
         }
         Ok(())
     }
@@ -577,72 +631,96 @@ impl Instance {
         se: ElementId,
         schema: &Schema,
     ) -> Result<(), ConformanceError> {
+        self.check_conforms(id, se, schema)?;
+        self.set_element(id, se);
+        for i in 0..self.children(id).len() {
+            let k = self.children(id)[i];
+            let ke = self.child_element(se, k, schema)?;
+            self.annotate_rec(k, ke, schema)?;
+        }
+        Ok(())
+    }
+
+    /// The schema root a root node conforms to, by label.
+    fn root_element(&self, root: NodeId, schema: &Schema) -> Result<ElementId, ConformanceError> {
+        let label = self.label(root);
+        schema.root(label).ok_or_else(|| ConformanceError {
+            node: root,
+            reason: format!("no schema root named `{label}` in `{}`", schema.name()),
+        })
+    }
+
+    /// The schema element of child `kid` of a node annotated `parent`: the
+    /// member element of a set, the labelled child of a record or choice.
+    fn child_element(
+        &self,
+        parent: ElementId,
+        kid: NodeId,
+        schema: &Schema,
+    ) -> Result<ElementId, ConformanceError> {
+        if let ElementKind::Set = schema.element(parent).kind {
+            return Ok(schema.set_member(parent).expect("set element has a member"));
+        }
+        let kl = self.label(kid);
+        schema.child(parent, kl).ok_or_else(|| ConformanceError {
+            node: kid,
+            reason: format!(
+                "schema element {parent} ({}) has no child labelled `{kl}`",
+                schema.element(parent).label
+            ),
+        })
+    }
+
+    /// Checks that node `id`'s own value has the kind (and atomic type) of
+    /// schema element `se`.
+    fn check_conforms(
+        &self,
+        id: NodeId,
+        se: ElementId,
+        schema: &Schema,
+    ) -> Result<(), ConformanceError> {
         let kind = schema.element(se).kind;
-        let ok = match (&self.nodes[id.index()].data, kind) {
+        let ok = match (&self.node(id).data, kind) {
             (NodeData::Atomic(v), ElementKind::Atomic(t)) => v.conforms_to(t),
             (NodeData::Record(_), ElementKind::Record) => true,
             (NodeData::Choice(_), ElementKind::Choice) => true,
             (NodeData::Set(_), ElementKind::Set) => true,
             _ => false,
         };
-        if !ok {
-            return Err(ConformanceError {
-                node: id,
-                reason: format!(
-                    "value labelled `{}` does not conform to schema element {} ({}:{})",
-                    self.nodes[id.index()].label,
-                    se,
-                    schema.element(se).label,
-                    kind
-                ),
-            });
+        if ok {
+            return Ok(());
         }
-        self.annots[id.index()].element = Some(se);
-        let kids: Vec<NodeId> = self.children(id).to_vec();
-        match kind {
-            ElementKind::Atomic(_) => {}
-            ElementKind::Set => {
-                let member = schema.set_member(se).expect("set element has a member");
-                for k in kids {
-                    self.annotate_rec(k, member, schema)?;
-                }
-            }
-            ElementKind::Record | ElementKind::Choice => {
-                for k in kids {
-                    let kl = self.node(k).label.clone();
-                    let ke = schema.child(se, &kl).ok_or_else(|| ConformanceError {
-                        node: k,
-                        reason: format!(
-                            "schema element {se} ({}) has no child labelled `{kl}`",
-                            schema.element(se).label
-                        ),
-                    })?;
-                    self.annotate_rec(k, ke, schema)?;
-                }
-            }
-        }
-        Ok(())
+        Err(ConformanceError {
+            node: id,
+            reason: format!(
+                "value labelled `{}` does not conform to schema element {} ({}:{})",
+                self.label(id),
+                se,
+                schema.element(se).label,
+                kind
+            ),
+        })
     }
 
     /// The interpretation `I[e]` of a schema element (Definition 4.2): all
     /// nodes annotated with element `e`. Requires element annotations (see
     /// [`Instance::annotate_elements`]).
     pub fn interpretation(&self, e: ElementId) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|id| self.annots[id.index()].element == Some(e))
-            .collect()
+        self.nodes_where(|a| a.element == Some(e))
     }
 
     /// The subset `I[e]_m` of the interpretation generated by mapping `m`
     /// (Section 5).
     pub fn interpretation_by(&self, e: ElementId, m: &MappingName) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|id| {
-                let a = &self.annots[id.index()];
-                a.element == Some(e) && a.has_mapping(m)
-            })
+        self.nodes_where(|a| a.element == Some(e) && a.has_mapping(m))
+    }
+
+    /// Every arena slot whose annotation `keep` selects, in id order.
+    fn nodes_where(&self, keep: impl Fn(&Annotation) -> bool) -> Vec<NodeId> {
+        (0u32..)
+            .zip(self.annots.iter())
+            .filter(|(_, a)| keep(a))
+            .map(|(i, _)| NodeId(i))
             .collect()
     }
 
@@ -651,7 +729,7 @@ impl Instance {
         let mut parts: Vec<String> = Vec::new();
         let mut cur = id;
         loop {
-            let node = &self.nodes[cur.index()];
+            let node = self.node(cur);
             if node.label.is_star() {
                 // Position of this member within the parent set.
                 let parent = node.parent.expect("set member has a parent");
@@ -683,6 +761,16 @@ impl Instance {
     }
 }
 
+/// The child ids a node's payload holds (see [`Instance::children`]).
+#[inline]
+fn node_children(data: &NodeData) -> &[NodeId] {
+    match data {
+        NodeData::Atomic(_) => &[],
+        NodeData::Record(c) | NodeData::Set(c) => c,
+        NodeData::Choice(c) => c.as_slice(),
+    }
+}
+
 /// A conformance failure (Definition 4.2): the instance does not conform to
 /// the schema.
 #[derive(Clone, Debug)]
@@ -707,31 +795,28 @@ mod tests {
     use crate::types::{AtomicType, Type};
 
     fn portal_schema() -> Schema {
-        Schema::build(
-            "Pdb",
-            vec![(
-                "Portal",
-                Type::record(vec![
-                    (
-                        "estates",
-                        Type::relation(vec![
-                            ("hid", AtomicType::String),
-                            ("stories", AtomicType::String),
-                            ("value", AtomicType::String),
-                            ("contact", AtomicType::String),
-                        ]),
-                    ),
-                    (
-                        "contacts",
-                        Type::relation(vec![
-                            ("title", AtomicType::String),
-                            ("phone", AtomicType::String),
-                        ]),
-                    ),
+        Schema::build("Pdb", vec![("Portal", portal_type())]).unwrap()
+    }
+
+    fn portal_type() -> Type {
+        Type::record(vec![
+            (
+                "estates",
+                Type::relation(vec![
+                    ("hid", AtomicType::String),
+                    ("stories", AtomicType::String),
+                    ("value", AtomicType::String),
+                    ("contact", AtomicType::String),
                 ]),
-            )],
-        )
-        .unwrap()
+            ),
+            (
+                "contacts",
+                Type::relation(vec![
+                    ("title", AtomicType::String),
+                    ("phone", AtomicType::String),
+                ]),
+            ),
+        ])
     }
 
     fn estate(hid: &str, stories: &str, value: &str, contact: &str) -> Value {
@@ -965,5 +1050,388 @@ mod tests {
         assert_eq!(label, "firm");
         assert_eq!(inst.atomic(kid).unwrap().as_str(), Some("HomeGain"));
         assert_eq!(inst.children(root), &[kid]);
+    }
+
+    // -- Copy-on-write isolation ------------------------------------------
+
+    use crate::arena::CHUNK;
+    use proptest::prelude::*;
+
+    /// Everything a clone must keep: its length, the value of every root
+    /// and the annotation of every arena slot.
+    type Observed = (usize, Vec<Value>, Vec<Annotation>);
+
+    fn observed(inst: &Instance) -> Observed {
+        (
+            inst.len(),
+            inst.roots().iter().map(|&r| inst.to_value(r)).collect(),
+            (0..inst.len() as u32)
+                .map(|i| inst.annotation(NodeId(i)).clone())
+                .collect(),
+        )
+    }
+
+    /// The Figure 3 schema plus an atomic `Note` root.
+    fn cow_schema() -> Schema {
+        Schema::build(
+            "Pdb",
+            vec![
+                ("Portal", portal_type()),
+                ("Note", Type::Atomic(AtomicType::String)),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// A Figure 3 instance grown to `estates` estates (five nodes each),
+    /// annotated, with mapping `m1` on every estate and `m2` on the odd
+    /// ones, plus two trailing estates appended after annotation so the
+    /// annotation passes have work to do.
+    fn multi_chunk(estates: usize) -> Instance {
+        let mut inst = figure3_instance();
+        let set = estates_set(&inst);
+        for i in 2..estates {
+            inst.push_set_member(set, estate(&format!("H{i}"), "2", &format!("{i}K"), "Acme"));
+        }
+        inst.annotate_elements(&cow_schema()).unwrap();
+        for (i, &m) in inst.set_members(set).unwrap().to_vec().iter().enumerate() {
+            inst.add_mapping(m, MappingName::new("m1"));
+            if i % 2 == 1 {
+                inst.add_mapping(m, MappingName::new("m2"));
+            }
+        }
+        inst.push_set_member(set, estate("T1", "1", "1K", "Tail"));
+        inst.push_set_member(set, estate("T2", "1", "2K", "Tail"));
+        inst
+    }
+
+    fn estates_set(inst: &Instance) -> NodeId {
+        let portal = inst.root("Portal").unwrap();
+        inst.child_by_label(portal, "estates").unwrap()
+    }
+
+    /// The id of the `i`th estate member.
+    fn estate_at(inst: &Instance, i: usize) -> NodeId {
+        inst.set_members(estates_set(inst)).unwrap()[i]
+    }
+
+    #[test]
+    fn the_fixture_spans_several_chunks() {
+        let inst = multi_chunk(120);
+        assert!(inst.len() > 4 * CHUNK, "only {} nodes", inst.len());
+        assert!(inst.nodes.chunk_count() >= 5);
+    }
+
+    /// Every `&mut` method, applied to one side of a clone, leaves the
+    /// other side's length, values and annotations as they were — and
+    /// does change the side it was applied to.
+    #[test]
+    fn every_mutator_leaves_a_prior_clone_untouched() {
+        let m1 = MappingName::new("m1");
+        type Op = Box<dyn Fn(&mut Instance)>;
+        let ops: Vec<(&str, Op)> = vec![
+            (
+                "push_raw",
+                Box::new(|i: &mut Instance| {
+                    i.push_raw("Note".into(), None, NodeData::Atomic("x".into()), true);
+                }),
+            ),
+            (
+                "replace_children",
+                Box::new(|i: &mut Instance| {
+                    let set = estates_set(i);
+                    let mut kids = i.children(set).to_vec();
+                    kids.reverse();
+                    i.replace_children(set, kids);
+                }),
+            ),
+            (
+                "annotation_mut",
+                Box::new(|i: &mut Instance| {
+                    let n = estate_at(i, 40);
+                    i.annotation_mut(n).mappings.clear();
+                }),
+            ),
+            (
+                "set_element",
+                Box::new(|i: &mut Instance| {
+                    let n = estate_at(i, 70);
+                    i.set_element(n, ElementId(0));
+                }),
+            ),
+            (
+                "add_mapping",
+                Box::new(|i: &mut Instance| {
+                    let n = estate_at(i, 90);
+                    i.add_mapping(n, MappingName::new("m9"));
+                }),
+            ),
+            (
+                "remove_mapping",
+                Box::new(move |i: &mut Instance| {
+                    let n = estate_at(i, 100);
+                    assert!(i.remove_mapping(n, &m1));
+                }),
+            ),
+            (
+                "truncate at a chunk boundary",
+                Box::new(|i: &mut Instance| i.truncate(3 * CHUNK)),
+            ),
+            (
+                "truncate inside a chunk",
+                Box::new(|i: &mut Instance| i.truncate(2 * CHUNK + 37)),
+            ),
+            (
+                "install_root",
+                Box::new(|i: &mut Instance| {
+                    i.install_root("Note", Value::str("n"));
+                }),
+            ),
+            (
+                "push_set_member",
+                Box::new(|i: &mut Instance| {
+                    let set = estates_set(i);
+                    i.push_set_member(set, estate("H9", "3", "9K", "Acme"));
+                }),
+            ),
+            (
+                "detach_set_member",
+                Box::new(|i: &mut Instance| {
+                    let (set, n) = (estates_set(i), estate_at(i, 10));
+                    assert!(i.detach_set_member(set, n));
+                }),
+            ),
+            (
+                "strip_annotations",
+                Box::new(|i: &mut Instance| {
+                    let n = estate_at(i, 60);
+                    i.strip_annotations(n);
+                }),
+            ),
+            (
+                "annotate_elements",
+                Box::new(|i: &mut Instance| i.annotate_elements(&cow_schema()).unwrap()),
+            ),
+            (
+                "annotate_elements_from",
+                Box::new(|i: &mut Instance| {
+                    let tail = i.len() - 10;
+                    i.annotate_elements_from(&cow_schema(), tail).unwrap();
+                }),
+            ),
+        ];
+        for (name, op) in ops {
+            let mut inst = multi_chunk(120);
+            let copy = inst.clone();
+            let before = observed(&copy);
+            op(&mut inst);
+            assert_eq!(observed(&copy), before, "{name} reached the clone");
+            assert_ne!(observed(&inst), before, "{name} changed nothing");
+        }
+    }
+
+    #[test]
+    fn unchanged_writes_copy_no_chunk() {
+        let schema = cow_schema();
+        let mut inst = multi_chunk(120);
+        inst.annotate_elements(&schema).unwrap();
+        let copy = inst.clone();
+        let chunks = copy.nodes.chunk_count();
+        let n = estate_at(&inst, 3);
+        inst.annotate_elements(&schema).unwrap();
+        inst.annotate_elements_from(&schema, 0).unwrap();
+        let element = inst.annotation(n).element.unwrap();
+        inst.set_element(n, element);
+        assert!(!inst.add_mapping(n, MappingName::new("m2")));
+        assert!(!inst.remove_mapping(n, &MappingName::new("m7")));
+        assert!(!inst.detach_set_member(estates_set(&inst), NodeId(0)));
+        inst.truncate(inst.len());
+        assert_eq!(inst.nodes.shared_chunks(&copy.nodes), chunks);
+        assert_eq!(inst.annots.shared_chunks(&copy.annots), chunks);
+        // Stripping a bare node writes nothing; re-parenting members under
+        // their own set writes only the set's member list.
+        let bare = inst.push_raw("Note".into(), None, NodeData::Atomic("x".into()), false);
+        let copy = inst.clone();
+        let chunks = copy.nodes.chunk_count();
+        inst.strip_annotations(bare);
+        let set = estates_set(&inst);
+        let kids = inst.children(set).to_vec();
+        inst.replace_children(set, kids);
+        assert_eq!(inst.annots.shared_chunks(&copy.annots), chunks);
+        assert_eq!(inst.nodes.shared_chunks(&copy.nodes), chunks - 1);
+    }
+
+    #[test]
+    fn a_write_copies_only_the_chunk_it_lands_in() {
+        let mut inst = multi_chunk(120);
+        let copy = inst.clone();
+        let chunks = copy.annots.chunk_count();
+        let n = estate_at(&inst, 50);
+        inst.add_mapping(n, MappingName::new("m9"));
+        assert_eq!(inst.annots.shared_chunks(&copy.annots), chunks - 1);
+        assert_eq!(inst.nodes.shared_chunks(&copy.nodes), chunks);
+        // Truncating inside chunk 2 drops the later chunks and rewrites
+        // only the chunks holding a parent of a pruned node: the cut chunk
+        // and the one holding the estates set.
+        let mut cut = copy.clone();
+        cut.truncate(2 * CHUNK + 37);
+        assert_eq!(cut.nodes.chunk_count(), 3);
+        assert_eq!(cut.nodes.shared_chunks(&copy.nodes), 1);
+        assert_eq!(cut.annots.shared_chunks(&copy.annots), 2);
+    }
+
+    #[test]
+    fn annotate_elements_from_matches_the_whole_pass() {
+        let schema = cow_schema();
+        let mut whole = multi_chunk(120);
+        let mut suffix = whole.clone();
+        // The fixture's last two estates (ten nodes) are not annotated yet.
+        let tail = whole.len() - 10;
+        for inst in [&mut whole, &mut suffix] {
+            let set = estates_set(inst);
+            let gone = estate_at(inst, 5);
+            inst.detach_set_member(set, gone);
+            inst.strip_annotations(gone);
+            inst.push_set_member(set, estate("N1", "4", "4K", "New"));
+            let orphan = inst.push_set_member(set, estate("N2", "4", "5K", "New"));
+            inst.detach_set_member(set, orphan);
+            inst.install_root("Note", Value::str("hello"));
+        }
+        suffix.annotate_elements_from(&schema, tail).unwrap();
+        whole.annotate_elements(&schema).unwrap();
+        assert_eq!(observed(&suffix), observed(&whole));
+    }
+
+    #[test]
+    fn annotate_elements_from_reports_nonconforming_nodes() {
+        let schema = cow_schema();
+        let mut inst = multi_chunk(10);
+        inst.annotate_elements(&schema).unwrap();
+        let start = inst.len();
+        let set = estates_set(&inst);
+        inst.push_set_member(set, Value::record(vec![("bogus", Value::str("x"))]));
+        let err = inst.annotate_elements_from(&schema, start).unwrap_err();
+        assert!(err.reason.contains("no child labelled `bogus`"), "{err}");
+        let start = inst.len();
+        inst.install_root("Elsewhere", Value::str("x"));
+        let err = inst.annotate_elements_from(&schema, start).unwrap_err();
+        assert!(err.reason.contains("no schema root"), "{err}");
+    }
+
+    /// Applies op `kind` (one per `&mut` method) with target choices drawn
+    /// from `seed`, the same way on any instance of the same shape.
+    fn apply_op(inst: &mut Instance, kind: u8, seed: u64) {
+        let schema = cow_schema();
+        let pick = |inst: &Instance| NodeId((seed % inst.len() as u64) as u32);
+        let name = MappingName::new(format!("m{}", seed % 3));
+        let set = estates_set(inst);
+        match kind {
+            0 => {
+                let rec = inst.push_raw(
+                    Label::star(),
+                    Some(set),
+                    NodeData::Record(Vec::new()),
+                    false,
+                );
+                let leaf = inst.push_raw(
+                    "hid".into(),
+                    Some(rec),
+                    NodeData::Atomic(format!("R{seed}").into()),
+                    false,
+                );
+                inst.replace_children(rec, vec![leaf]);
+                let mut kids = inst.children(set).to_vec();
+                kids.push(rec);
+                inst.replace_children(set, kids);
+            }
+            1 => {
+                let mut kids = inst.children(set).to_vec();
+                let k = kids.len();
+                if k > 0 {
+                    kids.rotate_left((seed % k as u64) as usize);
+                }
+                inst.replace_children(set, kids);
+            }
+            2 => {
+                let n = pick(inst);
+                inst.annotation_mut(n).mappings.retain(|m| *m != name);
+            }
+            3 => {
+                let n = pick(inst);
+                inst.set_element(n, ElementId((seed % 7) as u32));
+            }
+            4 => {
+                let n = pick(inst);
+                inst.add_mapping(n, name);
+            }
+            5 => {
+                let n = pick(inst);
+                inst.remove_mapping(n, &name);
+            }
+            6 => {
+                let floor = set.index() + 1;
+                let len = inst.len();
+                if len > floor {
+                    inst.truncate(floor + (seed % (len - floor) as u64) as usize);
+                }
+            }
+            7 => {
+                inst.install_root("Note", Value::str(format!("n{seed}")));
+            }
+            8 => {
+                inst.push_set_member(set, estate(&format!("P{seed}"), "1", "1K", "Acme"));
+            }
+            9 => {
+                let kids = inst.children(set).to_vec();
+                if !kids.is_empty() {
+                    let m = kids[(seed % kids.len() as u64) as usize];
+                    inst.detach_set_member(set, m);
+                }
+            }
+            10 => {
+                let n = pick(inst);
+                inst.strip_annotations(n);
+            }
+            11 => {
+                let _ = inst.annotate_elements(&schema);
+            }
+            _ => {
+                let from = (seed % inst.len() as u64) as usize;
+                let _ = inst.annotate_elements_from(&schema, from);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random op sequences on one side of a clone never reach the
+        /// other side, and land exactly as they do on an instance that
+        /// shares no chunk with anything.
+        #[test]
+        fn random_ops_on_one_side_of_a_clone(
+            estates in 20usize..140,
+            ops in prop::collection::vec((0u8..13, any::<u64>()), 1..24),
+        ) {
+            let original = multi_chunk(estates);
+            let mut edited = original.clone();
+            let mut alone = multi_chunk(estates);
+            let before = observed(&original);
+            for &(kind, seed) in &ops {
+                apply_op(&mut edited, kind, seed);
+                apply_op(&mut alone, kind, seed);
+                prop_assert_eq!(observed(&original), before.clone());
+            }
+            prop_assert_eq!(edited.len(), alone.len());
+            prop_assert_eq!(edited.roots(), alone.roots());
+            for i in 0..edited.len() as u32 {
+                let n = NodeId(i);
+                prop_assert_eq!(edited.annotation(n), alone.annotation(n));
+                prop_assert_eq!(edited.parent(n), alone.parent(n));
+                prop_assert_eq!(edited.children(n), alone.children(n));
+                prop_assert_eq!(edited.label(n), alone.label(n));
+                prop_assert_eq!(edited.atomic(n), alone.atomic(n));
+            }
+        }
     }
 }

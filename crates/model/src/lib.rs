@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 pub mod display;
 pub mod instance;
 pub mod label;

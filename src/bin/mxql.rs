@@ -17,10 +17,10 @@
 //!   touching the materialized instance);
 //! * `.lint` — run the mapping diagnostics;
 //! * `.whatif <db|mapping,...>` — impact analysis;
-//! * `.save <file>` — write the annotated instance as XML; `.save wal
-//!   <dir>` instead starts a *durable* session: every later `.delta`
-//!   batch is committed to a write-ahead log in `<dir>` before it is
-//!   applied;
+//! * `.save <file>` — write the annotated instance as XML;
+//!   `.save wal <dir>` instead starts a *durable* session: every later
+//!   `.delta` batch is committed to a write-ahead log in `<dir>` before it
+//!   is applied;
 //! * `.open <dir>` — recover a durable session from its write-ahead log
 //!   (after a crash or a clean exit): loads the latest intact checkpoint,
 //!   replays the committed delta suffix, reports torn tails as warnings;
