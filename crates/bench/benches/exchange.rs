@@ -1,8 +1,8 @@
 //! Exchange-engine benchmarks: materializing the annotated portal from the
 //! five sources (the generation step of every Section 8 experiment), plus
-//! the evaluator ablations DESIGN.md calls out — incremental predicate
-//! pushdown vs naive evaluate-at-the-end, hash-join vs nested-loop binding
-//! enumeration, and serial vs parallel mapping evaluation.
+//! the evaluator ablations DESIGN.md calls out — hash-join vs nested-loop
+//! binding enumeration (both with incremental predicate pushdown), and
+//! serial vs parallel mapping evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtr_mapping::exchange::ExchangeOptions;
@@ -42,7 +42,6 @@ fn parallel_exchange(c: &mut Criterion) {
             // configuration this PR replaced as the default.
             ExchangeOptions {
                 eval: EvalOptions {
-                    pushdown: true,
                     hash_join: false,
                     ..Default::default()
                 },
@@ -54,7 +53,6 @@ fn parallel_exchange(c: &mut Criterion) {
             "serial_nested_loop",
             ExchangeOptions {
                 eval: EvalOptions {
-                    pushdown: true,
                     hash_join: false,
                     ..Default::default()
                 },
@@ -111,26 +109,10 @@ fn pushdown_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("pushdown_ablation");
     g.sample_size(10);
     let modes = [
-        (
-            "hash_join",
-            EvalOptions {
-                pushdown: true,
-                hash_join: true,
-                ..Default::default()
-            },
-        ),
+        ("hash_join", EvalOptions::default()),
         (
             "incremental_pushdown",
             EvalOptions {
-                pushdown: true,
-                hash_join: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "naive_cross_product",
-            EvalOptions {
-                pushdown: false,
                 hash_join: false,
                 ..Default::default()
             },

@@ -46,10 +46,10 @@ fn mxql_vs_plain(c: &mut Criterion) {
         b.iter(|| black_box(tagged.run(&meta_only).unwrap().len()))
     });
     g.bench_function("translated_at_map", |b| {
-        b.iter(|| black_box(runner.run(&tagged, &with_map).unwrap().len()))
+        b.iter(|| black_box(runner.run(&tagged, &with_map, None).unwrap().len()))
     });
     g.bench_function("translated_mapping_predicate", |b| {
-        b.iter(|| black_box(runner.run(&tagged, &with_pred).unwrap().len()))
+        b.iter(|| black_box(runner.run(&tagged, &with_pred, None).unwrap().len()))
     });
     g.finish();
 }

@@ -24,8 +24,8 @@
 //! 1 % churn is `delta_speedup`. A seventh `planned` configuration prices
 //! the cost-based planner: the same query workload run from raw text
 //! through `run_planned` with a cold plan cache (cleared before every
-//! pass), a warm cache, and the legacy pre-parsed `run_with_options`
-//! path; the cold/warm ratio is `plan_cache_hit_speedup`. An eighth
+//! pass), a warm cache, and the legacy pre-parsed written-order path;
+//! the cold/warm ratio is `plan_cache_hit_speedup`. An eighth
 //! `durable` configuration prices the write-ahead log: the same churn
 //! batches committed through a WAL-backed `DurableSession` (delta frame +
 //! CRC + sync point + epoch publish) versus plain in-memory applies —
@@ -35,6 +35,7 @@
 
 use dtr_core::incremental::IncrementalSession;
 use dtr_core::store::{DurableOptions, DurableSession};
+use dtr_core::tagged::{Request, TaggedInstance};
 use dtr_mapping::delta::SourceDelta;
 use dtr_mapping::durable::MemVfs;
 use dtr_mapping::exchange::{execute_mappings_with, ExchangeOptions};
@@ -42,7 +43,7 @@ use dtr_model::instance::Value;
 use dtr_obs::guard::Budget;
 use dtr_portal::scenario::{build, ScenarioConfig};
 use dtr_query::ast::Query;
-use dtr_query::eval::{EvalOptions, Source};
+use dtr_query::eval::{EvalOptions, Evaluator, Source};
 use dtr_query::functions::FunctionRegistry;
 use dtr_query::parser::parse_query;
 use std::sync::Arc;
@@ -122,14 +123,7 @@ fn run_path(n: usize, opts: &ExchangeOptions, queries: &[Query], mode: Mode) -> 
             // The flight path runs the same plain query loop (the recorder
             // and audit log capture it from the inside), so its gap to
             // `optimized` isolates the time-domain tiers.
-            rows += if mode == Mode::Instrumented {
-                tagged.run_analyzed(q).expect("query succeeds").0.len()
-            } else {
-                tagged
-                    .run_with_options(q, opts.eval.clone())
-                    .expect("query succeeds")
-                    .len()
-            };
+            rows += run_query(&tagged, q, &opts.eval, mode == Mode::Instrumented);
         }
     }
     let query_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -148,6 +142,28 @@ fn run_path(n: usize, opts: &ExchangeOptions, queries: &[Query], mode: Mode) -> 
         rows,
         latency_ns: tagged.report().latency_percentiles(),
     }
+}
+
+/// Runs one workload query in its written order under `eval`'s budget,
+/// EXPLAIN ANALYZE instrumented when `analyze` is set, and returns its row
+/// count. `TaggedInstance::execute` always permits hash joins, so the
+/// nested-loop baseline evaluates the normalized query directly with the
+/// config's options.
+fn run_query(tagged: &TaggedInstance, q: &Query, eval: &EvalOptions, analyze: bool) -> usize {
+    if !eval.hash_join {
+        let catalog = tagged.catalog();
+        return Evaluator::new(&catalog, tagged.functions())
+            .with_meta(tagged.setting())
+            .with_options(eval.clone())
+            .run(&tagged.setting().normalize_query(q))
+            .expect("query succeeds")
+            .len();
+    }
+    tagged
+        .execute(Request::Parsed(q), Some(&eval.budget), analyze)
+        .expect("query succeeds")
+        .0
+        .len()
 }
 
 /// Runs every config once per rep, interleaved, keeping each config's best
@@ -203,10 +219,7 @@ fn run_planned(n: usize, opts: &ExchangeOptions, queries: &[Query]) -> PlannedTi
     for _ in 0..QUERY_REPS {
         legacy_rows = 0;
         for q in queries {
-            legacy_rows += tagged
-                .run_with_options(q, opts.eval.clone())
-                .expect("query succeeds")
-                .len();
+            legacy_rows += run_query(&tagged, q, &opts.eval, false);
         }
     }
     let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -548,7 +561,6 @@ fn main() {
         parallel: false,
         workers: 0,
         eval: EvalOptions {
-            pushdown: true,
             hash_join: false,
             ..Default::default()
         },

@@ -420,7 +420,7 @@ fn check_translate_site(scen: &Scenario, mix: u64) -> Result<bool, String> {
     let cfg = GenConfig::default();
     let q = generators::gen_mxql_query(&mut rng, scen, &cfg);
     let reference = runner
-        .run(&tagged, &q)
+        .run(&tagged, &q, None)
         .map_err(|e| format!("unbudgeted translated run failed on `{q}`: {e}"))?;
     let mut ref_rows: Vec<String> = reference
         .tuples()
@@ -462,7 +462,7 @@ fn check_translate_site(scen: &Scenario, mix: u64) -> Result<bool, String> {
         max_rows: Some(mix % (ref_rows.len() as u64 + 2)),
         ..Budget::default()
     };
-    match runner.run_budgeted(&tagged, &q, &run_budget) {
+    match runner.run(&tagged, &q, Some(&run_budget)) {
         Ok(r) => {
             let mut rows: Vec<String> = r
                 .tuples()
@@ -494,7 +494,7 @@ fn check_translate_site(scen: &Scenario, mix: u64) -> Result<bool, String> {
     // Lifted + generous budgets reproduce the reference rows exactly.
     for budget in [Budget::unlimited(), generous_budget()] {
         let r = runner
-            .run_budgeted(&tagged, &q, &budget)
+            .run(&tagged, &q, Some(&budget))
             .map_err(|e| format!("lifted/generous translated rerun failed on `{q}`: {e}"))?;
         let mut rows: Vec<String> = r
             .tuples()

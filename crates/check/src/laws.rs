@@ -180,10 +180,9 @@ pub fn law_pnf(rng: &mut TestRng, cfg: &GenConfig) -> Result<(), String> {
 // Differential: oracle vs engine
 // ---------------------------------------------------------------------------
 
-/// One query, four evaluators: the naive oracle and the engine in each of
-/// its configurations — hash-join (the default), nested-loop with pushdown,
-/// and the full naive ablation. All four must produce the same bag of rows
-/// (`hash_join ≡ nested_loop ≡ oracle`).
+/// One query, three evaluators: the naive oracle and the engine in each of
+/// its configurations — hash-join (the default) and nested-loop. All three
+/// must produce the same bag of rows (`hash_join ≡ nested_loop ≡ oracle`).
 fn differential(
     catalog: &Catalog,
     functions: &FunctionRegistry,
@@ -193,26 +192,10 @@ fn differential(
 ) -> Result<(), String> {
     let expected = oracle::canonical_multiset(&oracle::eval(catalog, q, meta)?);
     let modes = [
+        ("hash", EvalOptions::default()),
         (
-            "pushdown+hash",
+            "nested",
             EvalOptions {
-                pushdown: true,
-                hash_join: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "pushdown+nested",
-            EvalOptions {
-                pushdown: true,
-                hash_join: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "naive",
-            EvalOptions {
-                pushdown: false,
                 hash_join: false,
                 ..Default::default()
             },
@@ -259,8 +242,8 @@ pub fn law_source_queries(
 }
 
 /// Differential + translation-equivalence testing of MXQL over the
-/// exchanged target: the oracle, the direct engine (both pushdown modes)
-/// and the Section 7.3 translation must all agree.
+/// exchanged target: the oracle, the direct engine (both join modes) and
+/// the Section 7.3 translation must all agree.
 pub fn law_mxql_queries(
     rng: &mut TestRng,
     scen: &Scenario,
@@ -288,7 +271,7 @@ pub fn law_mxql_queries(
             .run(&q)
             .map_err(|e| format!("direct MXQL run failed on `{q}`: {e}"))?;
         let translated = runner
-            .run(tagged, &q)
+            .run(tagged, &q, None)
             .map_err(|e| format!("translated MXQL run failed on `{q}`: {e}"))?;
         if canonical_rows(&direct) != canonical_rows(&translated) {
             return Err(format!(
@@ -302,11 +285,12 @@ pub fn law_mxql_queries(
 }
 
 /// EXPLAIN ANALYZE consistency: running a generated MXQL query in analyzed
-/// mode must (a) produce a result byte-identical to the plain run (same
-/// columns, same rows, same order, annotations included), (b) report a root
-/// operator whose `rows_out` equals the result's row count, and (c) agree
-/// with the reference oracle on that cardinality. Interior operators are
-/// sanity-checked: every node's `rows_out` must be consistent with its
+/// mode — in its written order and as its cached plan — must (a) produce a
+/// result byte-identical to the plain run of the same request (same
+/// columns, same rows, same order, annotations included), (b) report a
+/// root operator whose `rows_out` equals the result's row count, and (c)
+/// agree with the reference oracle on that cardinality. Interior operators
+/// are sanity-checked: every node's `rows_out` must be consistent with its
 /// recorded input (an operator cannot emit rows it never saw, except the
 /// binding fan-out stages whose job is to multiply rows).
 pub fn law_analyze(
@@ -318,57 +302,68 @@ pub fn law_analyze(
     let catalog = tagged.catalog();
     for _ in 0..cfg.queries_per_case {
         let q = generators::gen_mxql_query(rng, scen, cfg);
-        let plain = tagged
-            .run(&q)
-            .map_err(|e| format!("plain run failed on `{q}`: {e}"))?;
-        let (analyzed, plan) = tagged
-            .run_analyzed(&q)
-            .map_err(|e| format!("analyzed run failed on `{q}`: {e}"))?;
-        // (a) Byte-identical result: instrumentation must be observation
-        // only. Debug rendering covers columns, row order, atomic values
-        // and the annotation payloads of every output value.
-        let plain_render = format!("{:?}|{:?}", plain.columns, plain.rows);
-        let analyzed_render = format!("{:?}|{:?}", analyzed.columns, analyzed.rows);
-        if plain_render != analyzed_render {
-            return Err(format!(
-                "EXPLAIN ANALYZE changed the result of `{q}`\nplain: {plain_render}\nanalyzed: {analyzed_render}"
-            ));
-        }
-        // (b) The root operator's actual row count is the result size.
-        if plan.rows_out != analyzed.len() as u64 {
-            return Err(format!(
-                "EXPLAIN ANALYZE root operator reports {} rows but the result has {} on `{q}`\n{}",
-                plan.rows_out,
-                analyzed.len(),
-                plan.render()
-            ));
-        }
-        // (c) Oracle cardinality: the reference evaluator's bag size.
         let oracle_rows = oracle::eval(&catalog, &q, Some(tagged.setting()))
             .map_err(|e| format!("oracle failed on `{q}`: {e}"))?;
-        if oracle_rows.len() as u64 != plan.rows_out {
-            return Err(format!(
-                "EXPLAIN ANALYZE root operator reports {} rows but the oracle produced {} on `{q}`",
-                plan.rows_out,
-                oracle_rows.len()
-            ));
-        }
-        // Interior sanity: row-reducing operators cannot emit more rows
-        // than they received. Fan-out stages (scan/bind/hash-probe) grow
-        // the row set by construction and are exempt.
-        let mut stack = vec![&plan];
-        while let Some(node) = stack.pop() {
-            let reducing = matches!(node.op.as_str(), "filter" | "project" | "sort" | "limit");
-            if reducing && node.rows_out > node.rows_in {
+        let compiled = tagged
+            .plan_for(&q.to_string())
+            .map_err(|e| format!("planning failed on `{q}`: {e}"))?;
+        for (path, req) in [
+            ("written-order", Request::Parsed(&q)),
+            ("planned", Request::Plan(&compiled)),
+        ] {
+            let run = |analyze| {
+                tagged
+                    .execute(req, None, analyze)
+                    .map_err(|e| format!("{path} run (analyze: {analyze}) failed on `{q}`: {e}"))
+            };
+            let (plain, _) = run(false)?;
+            let (analyzed, tree) = run(true)?;
+            let plan = tree.ok_or_else(|| format!("{path} analyzed run of `{q}` has no tree"))?;
+            // (a) Byte-identical result: instrumentation must be
+            // observation only. Debug rendering covers columns, row order,
+            // atomic values and the annotation payloads of every output
+            // value.
+            let plain_render = format!("{:?}|{:?}", plain.columns, plain.rows);
+            let analyzed_render = format!("{:?}|{:?}", analyzed.columns, analyzed.rows);
+            if plain_render != analyzed_render {
                 return Err(format!(
-                    "operator `{}` emitted {} rows from {} inputs on `{q}`\n{}",
-                    node.op,
-                    node.rows_out,
-                    node.rows_in,
+                    "EXPLAIN ANALYZE changed the {path} result of `{q}`\nplain: {plain_render}\nanalyzed: {analyzed_render}"
+                ));
+            }
+            // (b) The root operator's actual row count is the result size.
+            if plan.rows_out != analyzed.len() as u64 {
+                return Err(format!(
+                    "EXPLAIN ANALYZE root operator reports {} rows but the {path} result has {} on `{q}`\n{}",
+                    plan.rows_out,
+                    analyzed.len(),
                     plan.render()
                 ));
             }
-            stack.extend(node.children.iter());
+            // (c) Oracle cardinality: the reference evaluator's bag size.
+            if oracle_rows.len() as u64 != plan.rows_out {
+                return Err(format!(
+                    "EXPLAIN ANALYZE root operator reports {} {path} rows but the oracle produced {} on `{q}`",
+                    plan.rows_out,
+                    oracle_rows.len()
+                ));
+            }
+            // Interior sanity: row-reducing operators cannot emit more rows
+            // than they received. Fan-out stages (scan/bind/hash-probe) grow
+            // the row set by construction and are exempt.
+            let mut stack = vec![&plan];
+            while let Some(node) = stack.pop() {
+                let reducing = matches!(node.op.as_str(), "filter" | "project" | "sort" | "limit");
+                if reducing && node.rows_out > node.rows_in {
+                    return Err(format!(
+                        "operator `{}` emitted {} rows from {} inputs on {path} `{q}`\n{}",
+                        node.op,
+                        node.rows_out,
+                        node.rows_in,
+                        plan.render()
+                    ));
+                }
+                stack.extend(node.children.iter());
+            }
         }
     }
     Ok(())

@@ -6,7 +6,8 @@
 //! through every subsystem and checked against
 //!
 //! * a [naive reference oracle](oracle) for query evaluation (differential
-//!   testing, including the pushdown ablation and the §7.3 translation);
+//!   testing of the hash-join and nested-loop engines and of the §7.3
+//!   translation);
 //! * [metamorphic laws](laws) lifted from the paper's theorems: PNF
 //!   idempotence/commutativity/absorption, mapping satisfaction of the
 //!   exchange output, the `q_where ⊑ q_what ⊑ q_why` provenance chain and

@@ -56,7 +56,7 @@ pub mod prelude {
         ProvenanceKind,
     };
     pub use crate::runner::{canonical_rows, MetaRunner};
-    pub use crate::tagged::{MappingSetting, MxqlError, TaggedInstance};
+    pub use crate::tagged::{MappingSetting, MxqlError, Request, TaggedInstance};
     pub use crate::translate::{translate, translate_explained, TranslateError};
     pub use crate::virtualize::{answer_virtually, virtualize};
     pub use crate::whatif::{impact_of_mappings, impact_of_source, Impact};

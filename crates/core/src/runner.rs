@@ -14,10 +14,11 @@ use dtr_metastore::store::{MetaStore, StoreError};
 use dtr_metastore::view::{meta_instance, meta_schema};
 use dtr_model::instance::Instance;
 use dtr_model::schema::Schema;
-use dtr_obs::guard::Budget;
+use dtr_obs::guard::{Budget, GuardError, Meter};
 use dtr_query::ast::Query;
 use dtr_query::eval::{EvalOptions, Evaluator, QueryResult, Source};
 use dtr_query::parser::parse_query;
+use std::collections::HashSet;
 
 impl From<TranslateError> for MxqlError {
     fn from(e: TranslateError) -> Self {
@@ -97,28 +98,23 @@ impl MetaRunner {
 
     /// Translates an MXQL query (Section 7.3) and runs every branch of the
     /// resulting union over the tagged instance plus the metastore,
-    /// concatenating and de-duplicating rows.
-    pub fn run(&self, tagged: &TaggedInstance, q: &Query) -> Result<QueryResult, MxqlError> {
-        self.run_budgeted(tagged, q, &Budget::unlimited())
-    }
-
-    /// [`MetaRunner::run`] under a resource budget: translation, every
-    /// branch evaluation, and the union/de-duplication loop all observe the
-    /// same budget, so `max_rows`, a deadline, or cancellation aborts the
-    /// translated pipeline with a structured guard error.
-    pub fn run_budgeted(
+    /// concatenating and de-duplicating rows, and records one `translate`
+    /// audit entry. Under a `budget`, translation, every branch
+    /// evaluation and the union loop all observe it, so `max_rows`, a
+    /// deadline or cancellation aborts the translated pipeline with a
+    /// structured guard error.
+    pub fn run(
         &self,
         tagged: &TaggedInstance,
         q: &Query,
-        budget: &Budget,
+        budget: Option<&Budget>,
     ) -> Result<QueryResult, MxqlError> {
-        if !dtr_obs::audit::enabled() {
-            return self.run_translated(tagged, q, budget);
+        let started = dtr_obs::audit::enabled().then(std::time::Instant::now);
+        let unlimited = Budget::unlimited();
+        let result = self.run_translated(tagged, q, budget.unwrap_or(&unlimited));
+        if let Some(started) = started {
+            crate::tagged::audit_query("translate", q.to_string(), started, result.as_ref());
         }
-        let request = q.to_string();
-        let started = std::time::Instant::now();
-        let result = self.run_translated(tagged, q, budget);
-        crate::tagged::audit_query("translate", request, started, result.as_ref());
         result
     }
 
@@ -136,7 +132,8 @@ impl MetaRunner {
         for k in &q.order_by {
             let Some(col) = q.select.iter().position(|e| *e == k.expr) else {
                 return Err(MxqlError::Other(format!(
-                    "translated execution requires order-by keys to appear in the                      select clause; `{}` does not",
+                    "translated execution requires order-by keys to appear in the \
+                     select clause; `{}` does not",
                     k.expr
                 )));
             };
@@ -147,9 +144,8 @@ impl MetaRunner {
         let mut meter = budget.meter("mxql.run_translated");
         let mut catalog = tagged.catalog();
         catalog.push(self.meta_source());
-        let mut out = QueryResult::default();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for (i, branch) in branches.iter().enumerate() {
+        let mut union = DistinctUnion::default();
+        for branch in &branches {
             meter.poll()?;
             let r = Evaluator::new(&catalog, tagged.functions())
                 .with_options(EvalOptions {
@@ -157,27 +153,11 @@ impl MetaRunner {
                     ..Default::default()
                 })
                 .run(branch)?;
-            if i == 0 {
-                out.columns = r.columns.clone();
-            }
-            out.stats.tuples_scanned += r.stats.tuples_scanned;
-            out.stats.bindings_enumerated += r.stats.bindings_enumerated;
-            out.stats.predicate_triples_tested += r.stats.predicate_triples_tested;
-            out.stats.eval_ns += r.stats.eval_ns;
-            for row in r.rows {
-                let key = row
-                    .iter()
-                    .map(|v| v.value.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}");
-                if seen.insert(key) {
-                    // Charge only rows surviving de-duplication: the union
-                    // result is what `max_rows` bounds on this path.
-                    meter.charge_rows(1)?;
-                    out.rows.push(row);
-                }
-            }
+            // Charge only rows surviving de-duplication: the union result
+            // is what `max_rows` bounds on this path.
+            union.add(r, Some(&mut meter))?;
         }
+        let mut out = union.out;
         if !key_columns.is_empty() {
             out.rows.sort_by(|a, b| {
                 for &(col, desc) in &key_columns {
@@ -200,19 +180,46 @@ impl MetaRunner {
 
     /// Parses and runs MXQL text through the translation pipeline.
     pub fn query(&self, tagged: &TaggedInstance, text: &str) -> Result<QueryResult, MxqlError> {
-        let q = parse_query(text)?;
-        self.run(tagged, &q)
+        self.run(tagged, &parse_query(text)?, None)
     }
+}
 
-    /// [`MetaRunner::query`] under a resource budget.
-    pub fn query_budgeted(
-        &self,
-        tagged: &TaggedInstance,
-        text: &str,
-        budget: &Budget,
-    ) -> Result<QueryResult, MxqlError> {
-        let q = parse_query(text)?;
-        self.run_budgeted(tagged, &q, budget)
+/// The de-duplicated union of query branches (translated MXQL branches,
+/// virtual rewritings): rows keep branch order and the first occurrence
+/// of each rendered value tuple wins; every branch's work counters add up.
+#[derive(Default)]
+pub(crate) struct DistinctUnion {
+    /// The union so far. Its columns are the first branch's unless set
+    /// beforehand.
+    pub(crate) out: QueryResult,
+    seen: HashSet<String>,
+}
+
+impl DistinctUnion {
+    /// Folds one branch in. A `meter` is charged one row per new row.
+    pub(crate) fn add(
+        &mut self,
+        branch: QueryResult,
+        mut meter: Option<&mut Meter>,
+    ) -> Result<(), GuardError> {
+        if self.out.columns.is_empty() {
+            self.out.columns = branch.columns;
+        }
+        self.out.stats += branch.stats;
+        for row in branch.rows {
+            let key = row
+                .iter()
+                .map(|v| v.value.to_string())
+                .collect::<Vec<_>>()
+                .join("\u{1}");
+            if self.seen.insert(key) {
+                if let Some(meter) = meter.as_deref_mut() {
+                    meter.charge_rows(1)?;
+                }
+                self.out.rows.push(row);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -239,7 +246,9 @@ pub fn canonical_rows(r: &QueryResult) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tagged::Request;
     use crate::testkit::{figure1, figure1_setting};
+    use dtr_query::eval::EvalStats;
 
     fn agree(text: &str) {
         let tagged = figure1();
@@ -253,14 +262,39 @@ mod tests {
         );
     }
 
+    /// `stats` without its wall-time field, which differs run to run.
+    fn work(stats: EvalStats) -> EvalStats {
+        EvalStats {
+            eval_ns: 0,
+            ..stats
+        }
+    }
+
     #[test]
     fn example_5_5_agrees() {
-        agree(
-            "select s.hid, m
+        let text = "select s.hid, m
              from Portal.estates s, Portal.contacts c, c.title@map m
              where s.contact = c.title and e = c.title@elem
-               and <'USdb':'US/agents/title/firm' -> m -> 'Pdb':e>",
-        );
+               and <'USdb':'US/agents/title/firm' -> m -> 'Pdb':e>";
+        agree(text);
+        // The union reports the sum of its branches' work, hash probes
+        // included.
+        let tagged = figure1();
+        let runner = MetaRunner::new(tagged.setting()).unwrap();
+        let q = tagged
+            .setting()
+            .normalize_query(&parse_query(text).unwrap());
+        let mut catalog = tagged.catalog();
+        catalog.push(runner.meta_source());
+        let mut sum = EvalStats::default();
+        for branch in crate::translate::translate(&q, tagged.target().db()).unwrap() {
+            sum += Evaluator::new(&catalog, tagged.functions())
+                .run(&branch)
+                .unwrap()
+                .stats;
+        }
+        assert!(sum.hash_probes > 0);
+        assert_eq!(work(runner.query(&tagged, text).unwrap().stats), work(sum));
     }
 
     #[test]
@@ -296,7 +330,7 @@ mod tests {
                     order by x.hid desc limit 2";
         let q = dtr_query::parser::parse_query(text).unwrap();
         let direct = tagged.run(&q).unwrap();
-        let translated = runner.run(&tagged, &q).unwrap();
+        let translated = runner.run(&tagged, &q, None).unwrap();
         // Ordered results compare positionally, not as sorted sets.
         let rows = |r: &dtr_query::eval::QueryResult| {
             r.tuples()
@@ -317,7 +351,12 @@ mod tests {
         let q2 =
             dtr_query::parser::parse_query("select x.hid from Portal.estates x order by x.value")
                 .unwrap();
-        assert!(runner.run(&tagged, &q2).is_err());
+        let err = runner.run(&tagged, &q2, None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "translated execution requires order-by keys to appear in the select \
+             clause; `x.value` does not"
+        );
         assert!(tagged.run(&q2).is_ok());
     }
 
@@ -412,7 +451,9 @@ mod tests {
             max_rows: Some(1),
             ..Budget::default()
         };
-        let err = tagged.run_budgeted(&q, &budget).unwrap_err();
+        let err = tagged
+            .execute(Request::Parsed(&q), Some(&budget), false)
+            .unwrap_err();
         assert!(err.guard().is_some());
         let records = dtr_obs::audit::records();
         dtr_obs::audit::set_enabled(was_on);
@@ -426,6 +467,111 @@ mod tests {
             "expected guard outcome, got {:?}",
             mine.last().unwrap().outcome
         );
+    }
+
+    /// The audit records whose request holds the string constant `marker`.
+    fn audited(marker: &str) -> Vec<dtr_obs::AuditRecord> {
+        let quoted = format!("'{marker}'");
+        dtr_obs::audit::records()
+            .into_iter()
+            .filter(|r| r.request.contains(&quoted))
+            .collect()
+    }
+
+    #[test]
+    fn every_request_audits_exactly_once() {
+        let _gate = AUDIT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let was_on = dtr_obs::audit::enabled();
+        dtr_obs::audit::set_enabled(true);
+        let tagged = figure1();
+        let runner = MetaRunner::new(tagged.setting()).unwrap();
+        // One distinct marker per entry point, so records other tests
+        // append concurrently never count.
+        let text = |marker: &str| {
+            format!("select e.hid from Portal.estates e where e.contact != '{marker}'")
+        };
+        let parsed = |marker: &str| parse_query(&text(marker)).unwrap();
+        let budget = Budget {
+            max_rows: Some(1_000),
+            ..Budget::default()
+        };
+        tagged.run(&parsed("once-run")).unwrap();
+        tagged.query(&text("once-query")).unwrap();
+        tagged.run_planned(&text("once-planned")).unwrap();
+        let plan = tagged.plan_for(&text("once-plan")).unwrap();
+        tagged.run_plan(&plan).unwrap();
+        let q = parsed("once-budgeted");
+        tagged
+            .execute(Request::Parsed(&q), Some(&budget), false)
+            .unwrap();
+        let (r, tree) = tagged
+            .execute(Request::Text(&text("once-analyzed")), None, true)
+            .unwrap();
+        assert_eq!(tree.unwrap().rows_out, r.len() as u64);
+        runner.query(&tagged, &text("once-translated")).unwrap();
+        let expected = [
+            ("once-run", "query"),
+            ("once-query", "query"),
+            ("once-planned", "query.planned"),
+            ("once-plan", "query.planned"),
+            ("once-budgeted", "query"),
+            ("once-analyzed", "query.planned"),
+            ("once-translated", "translate"),
+        ];
+        let got: Vec<Vec<String>> = expected
+            .iter()
+            .map(|(marker, _)| audited(marker).into_iter().map(|r| r.kind).collect())
+            .collect();
+        dtr_obs::audit::set_enabled(was_on);
+        for ((marker, kind), kinds) in expected.iter().zip(&got) {
+            assert_eq!(kinds, &[kind.to_string()], "{marker}");
+        }
+    }
+
+    #[test]
+    fn budgeted_cached_plan_trips_and_leaves_the_cache_intact() {
+        let _gate = AUDIT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let was_on = dtr_obs::audit::enabled();
+        dtr_obs::audit::set_enabled(true);
+        let tagged = figure1();
+        let text = "select a.hid, b.hid from Portal.estates a, Portal.estates b \
+                    where a.hid != 'cached-budget'";
+        let budget = Budget {
+            max_rows: Some(1),
+            ..Budget::default()
+        };
+        let render = |r: &QueryResult| format!("{:?}|{:?}", r.columns, r.rows);
+        // A concurrent delta apply in another test can move the global
+        // cardinality version and evict the plan; retry until one round
+        // runs on a stable version.
+        let mut stable = false;
+        for _ in 0..10 {
+            let version = dtr_obs::stats::cardinality_version();
+            tagged.clear_plan_cache();
+            let cold = tagged.run_planned(text).unwrap();
+            let err = tagged
+                .execute(Request::Text(text), Some(&budget), false)
+                .unwrap_err();
+            assert_eq!(err.guard().unwrap().resource.name(), "rows");
+            let hits = tagged.plan_cache_stats().hits;
+            let warm = tagged.run_planned(text).unwrap();
+            if dtr_obs::stats::cardinality_version() != version {
+                continue;
+            }
+            // The budget was applied to that execution only: the next
+            // unbudgeted run hits the same cached plan, with the same bytes.
+            assert_eq!(tagged.plan_cache_stats().hits, hits + 1);
+            assert_eq!(render(&warm), render(&cold));
+            stable = true;
+            break;
+        }
+        let outcomes: Vec<String> = audited("cached-budget")
+            .into_iter()
+            .map(|r| r.outcome)
+            .collect();
+        dtr_obs::audit::set_enabled(was_on);
+        assert!(stable, "the cardinality version never held still");
+        assert!(outcomes.contains(&"guard:rows".to_string()), "{outcomes:?}");
     }
 
     #[test]

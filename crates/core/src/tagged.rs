@@ -16,6 +16,7 @@ use dtr_model::instance::{Instance, NodeId};
 use dtr_model::schema::Schema;
 use dtr_model::value::{AtomicValue, ElementRef, MappingName};
 use dtr_obs::guard::{Budget, GuardError};
+use dtr_obs::OpNode;
 use dtr_query::ast::Query;
 use dtr_query::check::CheckError;
 use dtr_query::eval::{
@@ -343,6 +344,17 @@ pub(crate) fn audit_query(
     dtr_obs::audit::record(rec);
 }
 
+/// What a request to [`TaggedInstance::execute`] evaluates.
+#[derive(Clone, Copy, Debug)]
+pub enum Request<'a> {
+    /// MXQL text, planned through the plan cache.
+    Text(&'a str),
+    /// A parsed query, run in its written binding order.
+    Parsed(&'a Query),
+    /// A compiled plan (see [`TaggedInstance::plan_for`]).
+    Plan(&'a CompiledPlan),
+}
+
 /// A tagged instance (Definition 5.2): the annotated target instance plus
 /// its mapping setting and source instances, ready for MXQL querying.
 pub struct TaggedInstance {
@@ -545,75 +557,75 @@ impl TaggedInstance {
         )
     }
 
-    /// Evaluates a parsed (MXQL or plain) query directly — the native
-    /// implementation of the Section 5 semantics.
-    pub fn run(&self, q: &Query) -> Result<QueryResult, MxqlError> {
-        let audit = dtr_obs::audit::enabled().then(|| (q.to_string(), std::time::Instant::now()));
-        let q = self.setting.normalize_query(q);
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(self.setting())
-            .run(&q)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query", request, started, result.as_ref());
-        }
-        result
-    }
-
-    /// [`TaggedInstance::run`] in EXPLAIN ANALYZE mode: evaluates the query
-    /// with per-operator instrumentation and returns the result alongside
-    /// the operator tree. The result is byte-identical to [`TaggedInstance::run`];
-    /// the tree carries actual rows in/out, wall time, and guard charges per
-    /// operator (see `dtr_obs::analyze`).
-    pub fn run_analyzed(&self, q: &Query) -> Result<(QueryResult, dtr_obs::OpNode), MxqlError> {
-        let audit = dtr_obs::audit::enabled().then(|| (q.to_string(), std::time::Instant::now()));
-        let q = self.setting.normalize_query(q);
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(self.setting())
-            .run_analyzed(&q)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query", request, started, result.as_ref().map(|(r, _)| r));
-        }
-        result
-    }
-
-    /// Evaluates with explicit options (for the ablation benchmarks).
-    pub fn run_with_options(&self, q: &Query, opts: EvalOptions) -> Result<QueryResult, MxqlError> {
-        let audit = dtr_obs::audit::enabled().then(|| (q.to_string(), std::time::Instant::now()));
-        let q = self.setting.normalize_query(q);
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(self.setting())
-            .with_options(opts)
-            .run(&q)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query", request, started, result.as_ref());
-        }
-        result
-    }
-
-    /// Evaluates under a resource [`Budget`] (deadline, cancellation, row
-    /// and byte caps) with otherwise-default options. A tripped budget
-    /// returns a structured guard error, reachable via
-    /// [`MxqlError::guard`].
-    pub fn run_budgeted(&self, q: &Query, budget: &Budget) -> Result<QueryResult, MxqlError> {
-        self.run_with_options(
-            q,
-            EvalOptions {
-                budget: budget.clone(),
-                ..Default::default()
+    /// The one query funnel: every query-shaped request on this tagged
+    /// instance runs here. It resolves `req` to the query to evaluate
+    /// (normalizing a parsed query, or taking a cached or compiled plan),
+    /// applies `budget` to this execution only (a cached plan never
+    /// stores one), evaluates with the Section 5 semantics, and records
+    /// one audit entry: kind `query` for a parsed request, `query.planned`
+    /// for text or a plan. With `analyze` the result comes back with its
+    /// EXPLAIN ANALYZE operator tree (see `dtr_obs::analyze`); the rows
+    /// are byte-identical either way. A tripped budget returns a
+    /// structured guard error, reachable via [`MxqlError::guard`].
+    pub fn execute(
+        &self,
+        req: Request<'_>,
+        budget: Option<&Budget>,
+        analyze: bool,
+    ) -> Result<(QueryResult, Option<OpNode>), MxqlError> {
+        let started = dtr_obs::audit::enabled().then(std::time::Instant::now);
+        let (plan, normalized);
+        let resolved = match req {
+            Request::Text(text) => match self.plan_for(text) {
+                Ok(p) => {
+                    plan = p;
+                    Ok((&plan.query, plan.opts.clone()))
+                }
+                Err(e) => Err(e),
             },
-        )
+            Request::Parsed(q) => {
+                normalized = self.setting.normalize_query(q);
+                Ok((&normalized, EvalOptions::default()))
+            }
+            Request::Plan(p) => Ok((&p.query, p.opts.clone())),
+        };
+        let result = resolved.and_then(|(query, mut opts)| {
+            if let Some(budget) = budget {
+                opts.budget = budget.clone();
+            }
+            let catalog = self.catalog();
+            let eval = Evaluator::new(&catalog, &self.functions)
+                .with_meta(self.setting())
+                .with_options(opts);
+            Ok(if analyze {
+                let (result, tree) = eval.run_analyzed(query)?;
+                (result, Some(tree))
+            } else {
+                (eval.run(query)?, None)
+            })
+        });
+        if let Some(started) = started {
+            let (kind, request) = match req {
+                Request::Text(text) => ("query.planned", text.to_string()),
+                Request::Parsed(q) => ("query", q.to_string()),
+                Request::Plan(p) => ("query.planned", p.text.clone()),
+            };
+            audit_query(kind, request, started, result.as_ref().map(|(r, _)| r));
+        }
+        result
     }
 
-    /// Parses and evaluates MXQL text.
+    /// Evaluates a parsed (MXQL or plain) query directly, in its written
+    /// binding order — the native implementation of the Section 5
+    /// semantics, and the reference the planner is checked against.
+    pub fn run(&self, q: &Query) -> Result<QueryResult, MxqlError> {
+        self.execute(Request::Parsed(q), None, false)
+            .map(|(r, _)| r)
+    }
+
+    /// Parses and evaluates MXQL text in its written order.
     pub fn query(&self, text: &str) -> Result<QueryResult, MxqlError> {
-        let q = parse_query(text)?;
-        self.run(&q)
+        self.run(&parse_query(text)?)
     }
 
     /// Evaluates MXQL text through the planner pipeline: a plan-cache hit
@@ -627,34 +639,8 @@ impl TaggedInstance {
     /// the result *multiset* matches `run` while row order may differ
     /// (never under `limit`, which pins the original order).
     pub fn run_planned(&self, text: &str) -> Result<QueryResult, MxqlError> {
-        let plan = self.plan_for(text)?;
-        self.run_plan(&plan)
-    }
-
-    /// [`TaggedInstance::run_planned`] under a resource [`Budget`]. The
-    /// budget applies to this execution only — it is never baked into the
-    /// cached plan.
-    pub fn run_planned_budgeted(
-        &self,
-        text: &str,
-        budget: &Budget,
-    ) -> Result<QueryResult, MxqlError> {
-        let plan = self.plan_for(text)?;
-        let audit =
-            dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(self.setting())
-            .with_options(EvalOptions {
-                budget: budget.clone(),
-                ..plan.opts.clone()
-            })
-            .run(&plan.query)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query.planned", request, started, result.as_ref());
-        }
-        result
+        self.execute(Request::Text(text), None, false)
+            .map(|(r, _)| r)
     }
 
     /// The cached (or freshly compiled and cached) plan for `text`.
@@ -686,49 +672,13 @@ impl TaggedInstance {
         let q = self.setting.normalize_query(&q);
         let mut schemas: Vec<&Schema> = vec![&self.setting.target_schema];
         schemas.extend(self.setting.source_schemas.iter());
-        dtr_query::plan::compile(&q, schemas, stats, text, EvalOptions::default())
-            .map_err(MxqlError::Check)
+        dtr_query::plan::compile(&q, schemas, stats, text).map_err(MxqlError::Check)
     }
 
     /// Executes a compiled plan (no parsing, checking or planning).
     pub fn run_plan(&self, plan: &CompiledPlan) -> Result<QueryResult, MxqlError> {
-        let audit =
-            dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(self.setting())
-            .with_options(plan.opts.clone())
-            .run(&plan.query)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query("query.planned", request, started, result.as_ref());
-        }
-        result
-    }
-
-    /// Executes a compiled plan with per-operator instrumentation, for
-    /// estimated-vs-actual `.explain` display.
-    pub fn run_plan_analyzed(
-        &self,
-        plan: &CompiledPlan,
-    ) -> Result<(QueryResult, dtr_obs::OpNode), MxqlError> {
-        let audit =
-            dtr_obs::audit::enabled().then(|| (plan.text.clone(), std::time::Instant::now()));
-        let catalog = self.catalog();
-        let result = Evaluator::new(&catalog, &self.functions)
-            .with_meta(self.setting())
-            .with_options(plan.opts.clone())
-            .run_analyzed(&plan.query)
-            .map_err(MxqlError::from);
-        if let Some((request, started)) = audit {
-            audit_query(
-                "query.planned",
-                request,
-                started,
-                result.as_ref().map(|(r, _)| r),
-            );
-        }
-        result
+        self.execute(Request::Plan(plan), None, false)
+            .map(|(r, _)| r)
     }
 
     /// Plan-cache counters (hits, misses, structural-confirmation
@@ -932,40 +882,6 @@ mod tests {
             t.query(q).unwrap().distinct_tuples(),
             t2.query(q).unwrap().distinct_tuples()
         );
-    }
-
-    #[test]
-    fn naive_and_pushdown_evaluation_agree_on_mxql() {
-        use dtr_query::eval::EvalOptions;
-        use dtr_query::parser::parse_query;
-        let t = figure1();
-        for text in [
-            "select x.hid, x.value, m from Portal.estates x, x.value@map m",
-            "select e from where <db:e -> m -> 'Pdb':'/Portal/estates/stories'>",
-            "select c.title, es
-             from Portal.estates s, Portal.contacts c, c.title@map m
-             where s.contact = c.title and e = c.title@elem
-               and <'USdb':es => m => 'Pdb':e>",
-        ] {
-            let q = parse_query(text).unwrap();
-            let fast = t.run(&q).unwrap();
-            let naive = t
-                .run_with_options(
-                    &q,
-                    EvalOptions {
-                        pushdown: false,
-                        hash_join: false,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            let s = |r: &dtr_query::eval::QueryResult| {
-                let mut v: Vec<String> = r.tuples().iter().map(|row| format!("{row:?}")).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(s(&fast), s(&naive), "disagreement on {text}");
-        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! is exactly the open question the paper defers, and it is documented
 //! rather than hidden.
 
+use crate::runner::DistinctUnion;
 use crate::tagged::{MappingSetting, MxqlError};
 use dtr_mapping::glav::Mapping;
 use dtr_model::instance::Instance;
@@ -353,29 +354,12 @@ pub fn answer_virtually(
             .map(|(schema, instance)| Source { schema, instance })
             .collect(),
     );
-    let mut out = QueryResult {
-        columns: q.select.iter().map(|e| e.to_string()).collect(),
-        ..QueryResult::default()
-    };
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut union = DistinctUnion::default();
+    union.out.columns = q.select.iter().map(|e| e.to_string()).collect();
     for r in &rewritings {
-        let res = Evaluator::new(&catalog, functions).run(r)?;
-        out.stats.tuples_scanned += res.stats.tuples_scanned;
-        out.stats.bindings_enumerated += res.stats.bindings_enumerated;
-        out.stats.predicate_triples_tested += res.stats.predicate_triples_tested;
-        out.stats.eval_ns += res.stats.eval_ns;
-        for row in res.rows {
-            let key = row
-                .iter()
-                .map(|v| v.value.to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            if seen.insert(key) {
-                out.rows.push(row);
-            }
-        }
+        union.add(Evaluator::new(&catalog, functions).run(r)?, None)?;
     }
-    Ok(out)
+    Ok(union.out)
 }
 
 #[cfg(test)]
@@ -383,14 +367,21 @@ mod tests {
     use super::*;
     use crate::runner::canonical_rows;
     use crate::testkit;
+    use dtr_query::eval::EvalStats;
     use dtr_query::parser::parse_query;
 
-    fn virtual_rows(text: &str) -> Vec<String> {
+    /// The Figure 1 setting and its element-annotated sources.
+    fn figure1_annotated() -> (MappingSetting, Vec<Instance>) {
         let setting = testkit::figure1_setting();
         let mut sources = testkit::figure1_sources();
         for (inst, schema) in sources.iter_mut().zip(setting.source_schemas()) {
             inst.annotate_elements(schema).unwrap();
         }
+        (setting, sources)
+    }
+
+    fn virtual_rows(text: &str) -> Vec<String> {
+        let (setting, sources) = figure1_annotated();
         let q = parse_query(text).unwrap();
         let funcs = FunctionRegistry::with_builtins();
         let r = answer_virtually(&setting, &sources, &q, &funcs).unwrap();
@@ -437,6 +428,32 @@ mod tests {
         assert!(v.contains(&"H522 | 18009468501".to_string()));
         assert!(v.contains(&"H2525 | 18009468501".to_string()));
         assert!(v.contains(&"H7 | 555-1111".to_string()));
+        // The union reports the sum of its rewritings' work, hash probes
+        // included.
+        let (setting, sources) = figure1_annotated();
+        let q = parse_query(q).unwrap();
+        let funcs = FunctionRegistry::with_builtins();
+        let catalog = Catalog::new(
+            setting
+                .source_schemas()
+                .iter()
+                .zip(&sources)
+                .map(|(schema, instance)| Source { schema, instance })
+                .collect(),
+        );
+        let mut sum = EvalStats::default();
+        for r in virtualize(&q, &setting).unwrap() {
+            sum += Evaluator::new(&catalog, &funcs).run(&r).unwrap().stats;
+        }
+        let got = answer_virtually(&setting, &sources, &q, &funcs).unwrap();
+        assert!(sum.hash_probes > 0);
+        assert_eq!(
+            EvalStats {
+                eval_ns: 0,
+                ..got.stats
+            },
+            EvalStats { eval_ns: 0, ..sum }
+        );
     }
 
     #[test]

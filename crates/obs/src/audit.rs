@@ -17,7 +17,6 @@
 //! overrides).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use serde_json::{Map, Value};
@@ -226,41 +225,21 @@ impl AuditSink for VecSink {
     }
 }
 
-// ---- The gate (mirrors the journal gate). ----
+// ---- The gate. ----
 
-const STATE_UNKNOWN: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
+static GATE: crate::Gate = crate::Gate::new("DTR_AUDIT");
 
 /// Is audit logging enabled? First call consults `DTR_AUDIT` (values `1`,
 /// `true`, `on`, case-insensitive); afterwards a single relaxed atomic
 /// load. Call sites must gate record construction on this.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("DTR_AUDIT")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false);
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    GATE.enabled()
 }
 
 /// Force audit logging on or off, overriding `DTR_AUDIT`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    GATE.set(on)
 }
 
 // ---- The ring buffer + sink. ----
@@ -274,9 +253,10 @@ struct Log {
 }
 
 impl Log {
-    fn new(cap: usize) -> Self {
+    /// An empty log holding `DTR_AUDIT_CAP` records.
+    fn from_env() -> Self {
         Log {
-            cap: cap.max(1),
+            cap: crate::env_number("DTR_AUDIT_CAP", DEFAULT_CAP).max(1),
             buf: VecDeque::new(),
             next_seq: 0,
             dropped: 0,
@@ -303,17 +283,10 @@ impl Log {
     }
 }
 
-fn cap_from_env() -> usize {
-    std::env::var("DTR_AUDIT_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_CAP)
-}
-
 fn with_log<R>(f: impl FnOnce(&mut Log) -> R) -> R {
     static LOG: Mutex<Option<Log>> = Mutex::new(None);
     let mut guard = LOG.lock().unwrap_or_else(|p| p.into_inner());
-    let log = guard.get_or_insert_with(|| Log::new(cap_from_env()));
+    let log = guard.get_or_insert_with(Log::from_env);
     f(log)
 }
 
@@ -334,7 +307,7 @@ pub fn record(record: AuditRecord) -> u64 {
 pub fn reset() {
     with_log(|l| {
         let sink = l.sink.take();
-        *l = Log::new(cap_from_env());
+        *l = Log::from_env();
         l.sink = sink;
     });
 }

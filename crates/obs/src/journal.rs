@@ -25,7 +25,7 @@
 
 use serde_json::{Map, Value};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Global event sequence number (monotonic since the last [`reset`]).
@@ -347,13 +347,9 @@ impl Summary {
     }
 }
 
-// ---- The gate (mirrors the profile gate in crate::enabled). ----
+// ---- The gate. ----
 
-const STATE_UNKNOWN: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
+static GATE: crate::Gate = crate::Gate::new("DTR_JOURNAL");
 
 /// Is journal capture enabled? First call consults `DTR_JOURNAL` (values
 /// `1`, `true`, `on`, case-insensitive); afterwards this is a single
@@ -361,28 +357,12 @@ static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
 /// site, provided callers gate payload construction on it.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("DTR_JOURNAL")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false);
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    GATE.enabled()
 }
 
 /// Force journal capture on or off, overriding `DTR_JOURNAL`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    GATE.set(on)
 }
 
 // ---- The ring buffer. ----
@@ -404,9 +384,10 @@ struct Journal {
 }
 
 impl Journal {
-    fn new(cap: usize) -> Self {
+    /// An empty journal holding `DTR_JOURNAL_CAP` events.
+    fn from_env() -> Self {
         Journal {
-            cap: cap.max(1),
+            cap: crate::env_number("DTR_JOURNAL_CAP", DEFAULT_CAP).max(1),
             buf: VecDeque::new(),
             next_id: 0,
             dropped: 0,
@@ -472,17 +453,10 @@ impl Journal {
     }
 }
 
-fn cap_from_env() -> usize {
-    std::env::var("DTR_JOURNAL_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_CAP)
-}
-
 fn with_journal<R>(f: impl FnOnce(&mut Journal) -> R) -> R {
     static JOURNAL: Mutex<Option<Journal>> = Mutex::new(None);
     let mut guard = JOURNAL.lock().unwrap_or_else(|p| p.into_inner());
-    let journal = guard.get_or_insert_with(|| Journal::new(cap_from_env()));
+    let journal = guard.get_or_insert_with(Journal::from_env);
     f(journal)
 }
 
@@ -512,7 +486,7 @@ pub fn next_event_id() -> EventId {
 /// Clear all events and restart the sequence; the capacity is re-read from
 /// `DTR_JOURNAL_CAP`. Any armed fault-injection trip is disarmed.
 pub fn reset() {
-    with_journal(|j| *j = Journal::new(cap_from_env()));
+    with_journal(|j| *j = Journal::from_env());
 }
 
 /// Fault injection: arm a one-shot trip that sets `flag` (typically a

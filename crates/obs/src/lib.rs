@@ -70,39 +70,75 @@ pub use trace::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-const STATE_UNKNOWN: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
+/// The on/off switch of one telemetry tier. The tier's environment
+/// variable is read on the first check (`1`, `true` or `on`,
+/// case-insensitive, mean on; anything else, or unset, means off); after
+/// that a check is a single relaxed atomic load, cheap enough for per-row
+/// hot paths, and [`Gate::set`] overrides the variable.
+pub(crate) struct Gate {
+    var: &'static str,
+    state: AtomicU8,
+}
 
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
+const GATE_UNKNOWN: u8 = 0;
+const GATE_OFF: u8 = 1;
+const GATE_ON: u8 = 2;
+
+impl Gate {
+    pub(crate) const fn new(var: &'static str) -> Self {
+        Gate {
+            var,
+            state: AtomicU8::new(GATE_UNKNOWN),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        match self.state.load(Ordering::Relaxed) {
+            GATE_ON => true,
+            GATE_OFF => false,
+            _ => self.init_from_env(),
+        }
+    }
+
+    #[cold]
+    fn init_from_env(&self) -> bool {
+        let on = std::env::var(self.var).is_ok_and(|v| {
+            let v = v.trim();
+            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
+        });
+        self.set(on);
+        on
+    }
+
+    pub(crate) fn set(&self, on: bool) {
+        let state = if on { GATE_ON } else { GATE_OFF };
+        self.state.store(state, Ordering::Relaxed);
+    }
+}
+
+/// The number in environment variable `var`, or `default` when it is
+/// unset or does not parse.
+pub(crate) fn env_number<T: std::str::FromStr>(var: &str, default: T) -> T {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(default)
+}
+
+static PROFILE: Gate = Gate::new("DTR_PROFILE");
 
 /// Is profiling collection enabled? First call consults `DTR_PROFILE`
 /// (values `1`, `true`, `on`, case-insensitive); afterwards this is a single
 /// relaxed atomic load, cheap enough for per-row hot paths.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("DTR_PROFILE")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false);
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    PROFILE.enabled()
 }
 
 /// Force profiling on or off, overriding `DTR_PROFILE`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    PROFILE.set(on)
 }
 
 /// Is any counter-consuming tier live? The registry also ticks while the

@@ -28,7 +28,7 @@
 //!   (counter) events want.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -216,13 +216,9 @@ impl Summary {
     }
 }
 
-// ---- The gate (mirrors the journal gate). ----
+// ---- The gate. ----
 
-const STATE_UNKNOWN: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
+static GATE: crate::Gate = crate::Gate::new("DTR_FLIGHT");
 
 /// Is flight recording enabled? First call consults `DTR_FLIGHT` (values
 /// `1`, `true`, `on`, case-insensitive); afterwards this is a single
@@ -230,28 +226,12 @@ static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
 /// site, provided callers gate payload construction on it.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("DTR_FLIGHT")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false);
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    GATE.enabled()
 }
 
 /// Force flight recording on or off, overriding `DTR_FLIGHT`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    GATE.set(on)
 }
 
 // ---- The ring buffer. ----
@@ -268,13 +248,15 @@ struct Flight {
 }
 
 impl Flight {
-    fn new(cap: usize, sample_stride: u64) -> Self {
+    /// An empty recorder holding `DTR_FLIGHT_CAP` events and sampling
+    /// counters every `DTR_FLIGHT_SAMPLE` events.
+    fn from_env() -> Self {
         Flight {
-            cap: cap.max(1),
+            cap: crate::env_number("DTR_FLIGHT_CAP", DEFAULT_CAP).max(1),
             buf: VecDeque::new(),
             next_seq: 0,
             dropped: 0,
-            sample_stride: sample_stride.max(1),
+            sample_stride: crate::env_number("DTR_FLIGHT_SAMPLE", SAMPLE_STRIDE).max(1),
             last_sample: BTreeMap::new(),
         }
     }
@@ -341,24 +323,10 @@ impl Flight {
     }
 }
 
-fn cap_from_env() -> usize {
-    std::env::var("DTR_FLIGHT_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_CAP)
-}
-
-fn stride_from_env() -> u64 {
-    std::env::var("DTR_FLIGHT_SAMPLE")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(SAMPLE_STRIDE)
-}
-
 fn with_flight<R>(f: impl FnOnce(&mut Flight) -> R) -> R {
     static FLIGHT: Mutex<Option<Flight>> = Mutex::new(None);
     let mut guard = FLIGHT.lock().unwrap_or_else(|p| p.into_inner());
-    let flight = guard.get_or_insert_with(|| Flight::new(cap_from_env(), stride_from_env()));
+    let flight = guard.get_or_insert_with(Flight::from_env);
     f(flight)
 }
 
@@ -453,7 +421,7 @@ pub fn sample_counters() -> bool {
 /// Clear all events and restart the sequence; capacity and sample stride
 /// are re-read from `DTR_FLIGHT_CAP` / `DTR_FLIGHT_SAMPLE`.
 pub fn reset() {
-    with_flight(|fl| *fl = Flight::new(cap_from_env(), stride_from_env()));
+    with_flight(|fl| *fl = Flight::from_env());
 }
 
 /// Override the ring-buffer capacity (truncating oldest events if needed).

@@ -15,46 +15,26 @@
 //! values costs O(registers), not O(values), in memory.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde_json::{json, Map, Value};
 
 use crate::metrics::{bucket_for, bucket_lower, HISTOGRAM_BUCKETS};
 
-const STATE_UNKNOWN: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNKNOWN);
+static GATE: crate::Gate = crate::Gate::new("DTR_STATS");
 
 /// Is statistics collection enabled? First call consults `DTR_STATS`
 /// (values `1`, `true`, `on`, case-insensitive); afterwards a single
 /// relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("DTR_STATS")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false);
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    GATE.enabled()
 }
 
 /// Force statistics collection on or off, overriding `DTR_STATS`.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    GATE.set(on)
 }
 
 /// Exact distinct counting below this many values; HLL sketch above.

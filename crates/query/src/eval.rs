@@ -108,27 +108,18 @@ pub trait MetaEnv {
 /// Evaluation options.
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
-    /// Apply each comparison as soon as all of its variables are bound
-    /// (predicate pushdown). Disabling this evaluates all conditions only
-    /// after the full cross product — the naive semantics — and exists for
-    /// the ablation benchmarks.
-    pub pushdown: bool,
     /// Evaluate equi-joins by building a hash table over the candidate
     /// items (and metastore triples) and probing it per row, instead of
     /// the nested-loop scan. Disabling this keeps the nested-loop path so
-    /// dtr-check can assert both engines agree. Meaningless without
-    /// `pushdown` (the naive mode has no ready comparisons to join on):
-    /// [`EvalOptions::canonical`] — applied by
-    /// [`Evaluator::with_options`] — clears it in that case, so no
-    /// hash-keyed structure is ever built in naive mode.
+    /// dtr-check can assert both engines agree.
     pub hash_join: bool,
     /// Per-`from`-binding hash-join permission, indexed by binding
     /// position: `Some(allow)` lets the planner force nested-loop
     /// (`allow[bi] == false`) on joins whose estimated build side is too
     /// small to amortize a hash table, while leaving the evaluator's own
     /// join detection in charge everywhere `allow[bi]` is `true`. Ignored
-    /// (and cleared by [`EvalOptions::canonical`]) when `hash_join` is
-    /// off. `None` (the default) permits hash joins on every binding.
+    /// when `hash_join` is off. `None` (the default) permits hash joins on
+    /// every binding.
     pub hash_join_per_binding: Option<std::sync::Arc<Vec<bool>>>,
     /// Resource budget for one evaluation: binding/row/byte caps, a
     /// wall-clock deadline and a cooperative cancel flag. Exceeding it
@@ -148,7 +139,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            pushdown: true,
             hash_join: true,
             hash_join_per_binding: None,
             budget: Budget::default(),
@@ -158,23 +148,6 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// Canonicalizes flag interactions in one place: `hash_join` (and the
-    /// per-binding overrides) are meaningless without `pushdown` — the
-    /// naive mode has no ready comparisons to join on — so they are
-    /// cleared rather than left to individual gate sites to remember.
-    /// Every options funnel ([`Evaluator::with_options`]) applies this,
-    /// so `{pushdown: false, hash_join: true}` and
-    /// `{pushdown: false, hash_join: false}` are the same engine mode.
-    pub fn canonical(mut self) -> Self {
-        if !self.pushdown {
-            self.hash_join = false;
-        }
-        if !self.hash_join {
-            self.hash_join_per_binding = None;
-        }
-        self
-    }
-
     /// Is a hash join permitted on `from`-binding `bi`? True only when
     /// `hash_join` is on and the planner's per-binding override (if any)
     /// has not forced nested-loop there.
@@ -200,6 +173,8 @@ pub struct OutValue {
 /// Work counters collected by a single [`Evaluator::run`] call. Always
 /// filled (the increments are plain integer adds on the evaluator's own
 /// loop variables), independent of the global `dtr-obs` profiling gate.
+/// `+=` adds every field, so a union of branch results reports the sum of
+/// its branches' work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Candidate items visited while enumerating `from`-clause bindings.
@@ -216,6 +191,16 @@ pub struct EvalStats {
     /// results are aggregated (translated MXQL branches, virtual unions),
     /// so latency percentiles can be extracted across repetitions.
     pub eval_ns: u64,
+}
+
+impl std::ops::AddAssign for EvalStats {
+    fn add_assign(&mut self, other: EvalStats) {
+        self.tuples_scanned += other.tuples_scanned;
+        self.bindings_enumerated += other.bindings_enumerated;
+        self.predicate_triples_tested += other.predicate_triples_tested;
+        self.hash_probes += other.hash_probes;
+        self.eval_ns += other.eval_ns;
+    }
 }
 
 /// The result of evaluating a query.
@@ -433,12 +418,9 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Overrides evaluation options. The options are
-    /// [canonicalized](EvalOptions::canonical) on the way in, so invalid
-    /// flag combinations (`hash_join` without `pushdown`) never reach the
-    /// evaluation loops.
+    /// Overrides evaluation options.
     pub fn with_options(mut self, opts: EvalOptions) -> Self {
-        self.opts = opts.canonical();
+        self.opts = opts;
         self
     }
 
@@ -550,11 +532,7 @@ impl<'a> Evaluator<'a> {
             let stage_rows_in = rows.len() as u64;
             let probes_before = stats.hash_probes;
             let stage_t = stage_begin(analyze, &meter);
-            let ready = if self.opts.pushdown {
-                ready_at[bi].as_slice()
-            } else {
-                &[]
-            };
+            let ready = ready_at[bi].as_slice();
             for &ci in ready {
                 cmp_done[ci] = true;
             }
@@ -873,9 +851,7 @@ impl<'a> Evaluator<'a> {
             rows = next_rows;
             stats.bindings_enumerated += rows.len() as u64;
             meter.check_bindings(stats.bindings_enumerated)?;
-            if self.opts.pushdown {
-                self.apply_ready_comparisons(&comparisons, &mut cmp_done, &var_index, &mut rows)?;
-            }
+            self.apply_ready_comparisons(&comparisons, &mut cmp_done, &var_index, &mut rows)?;
             push_stage(
                 &mut plan,
                 finish_node(
@@ -1878,30 +1854,21 @@ mod tests {
         assert_eq!(r.len(), 6);
     }
 
+    /// Two-column string rows, as the evaluator's tuples.
+    fn pairs(rows: &[(&str, &str)]) -> Vec<Vec<AtomicValue>> {
+        rows.iter()
+            .map(|(a, b)| vec![AtomicValue::str(*a), AtomicValue::str(*b)])
+            .collect()
+    }
+
     #[test]
     fn pushdown_and_naive_agree() {
-        let schema = us_schema();
-        let mut inst = us_instance();
-        inst.annotate_elements(&schema).unwrap();
-        let catalog = Catalog::new(vec![Source {
-            schema: &schema,
-            instance: &inst,
-        }]);
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(
+        // The rows (in order) that evaluating every condition after the
+        // full cross product returned for this query.
+        let r = run(
             "select h.hid, a.phone from US.houses h, US.agents a where h.aid = a.aid and h.price > 500000",
-        )
-        .unwrap();
-        let fast = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
-        let naive = Evaluator::new(&catalog, &funcs)
-            .with_options(EvalOptions {
-                pushdown: false,
-                hash_join: false,
-                ..Default::default()
-            })
-            .run(&q)
-            .unwrap();
-        assert_eq!(fast.tuples(), naive.tuples());
+        );
+        assert_eq!(r.tuples(), pairs(&[("H2", "555-2222"), ("H3", "555-1111")]));
     }
 
     #[test]
@@ -1923,7 +1890,6 @@ mod tests {
             let hashed = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
             let nested = Evaluator::new(&catalog, &funcs)
                 .with_options(EvalOptions {
-                    pushdown: true,
                     hash_join: false,
                     ..Default::default()
                 })
@@ -1990,7 +1956,6 @@ mod tests {
         let nested = Evaluator::new(&catalog, &funcs)
             .with_meta(&Stub)
             .with_options(EvalOptions {
-                pushdown: true,
                 hash_join: false,
                 ..Default::default()
             })
@@ -2069,69 +2034,27 @@ mod tests {
     #[test]
     fn static_item_prefilter_matches_naive() {
         // Regression for the constant-side static-item prefilter: a root
-        // binding filtered by a constant condition must agree with the
-        // naive evaluation, including when combined with row-dependent
-        // conditions.
-        let schema = us_schema();
-        let mut inst = us_instance();
-        inst.annotate_elements(&schema).unwrap();
-        let catalog = Catalog::new(vec![Source {
-            schema: &schema,
-            instance: &inst,
-        }]);
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(
-            "select h.hid, a.aid
+        // binding filtered by a constant condition must return the rows
+        // (in order) of the naive evaluate-at-the-end semantics, including
+        // when combined with row-dependent conditions.
+        let r = run("select h.hid, a.aid
              from US.houses h, US.agents a
-             where a.aid = 'a1' and h.aid = a.aid",
-        )
-        .unwrap();
-        let fast = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
-        let naive = Evaluator::new(&catalog, &funcs)
-            .with_options(EvalOptions {
-                pushdown: false,
-                hash_join: false,
-                ..Default::default()
-            })
-            .run(&q)
-            .unwrap();
-        assert_eq!(fast.tuples(), naive.tuples());
-        assert_eq!(fast.len(), 2); // H1 and H3 belong to a1
+             where a.aid = 'a1' and h.aid = a.aid");
+        // H1 and H3 belong to a1.
+        assert_eq!(r.tuples(), pairs(&[("H1", "a1"), ("H3", "a1")]));
     }
 
     #[test]
     fn hoisted_invariant_side_matches_naive() {
         // The invariant-side hoisting: `h.hid = a.aid`-style conditions
-        // where one side does not mention the new binding variable.
-        let schema = us_schema();
-        let mut inst = us_instance();
-        inst.annotate_elements(&schema).unwrap();
-        let catalog = Catalog::new(vec![Source {
-            schema: &schema,
-            instance: &inst,
-        }]);
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(
-            "select h.hid, a.phone
+        // where one side does not mention the new binding variable. The
+        // expected rows are the naive evaluate-at-the-end answer.
+        let r = run("select h.hid, a.phone
              from US.houses h, US.agents a
-             where h.aid = a.aid and h.price > 500000",
-        )
-        .unwrap();
-        let fast = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
-        let naive = Evaluator::new(&catalog, &funcs)
-            .with_options(EvalOptions {
-                pushdown: false,
-                hash_join: false,
-                ..Default::default()
-            })
-            .run(&q)
-            .unwrap();
-        let sorted = |r: &QueryResult| {
-            let mut t: Vec<String> = r.tuples().iter().map(|row| format!("{row:?}")).collect();
-            t.sort();
-            t
-        };
-        assert_eq!(sorted(&fast), sorted(&naive));
+             where h.aid = a.aid and h.price > 500000");
+        let mut rows = r.tuples();
+        rows.sort_by_key(|row| format!("{row:?}"));
+        assert_eq!(rows, pairs(&[("H2", "555-2222"), ("H3", "555-1111")]));
     }
 
     #[test]
@@ -2352,52 +2275,6 @@ mod tests {
                 h.join().unwrap();
             }
         });
-    }
-
-    #[test]
-    fn all_four_flag_pairs_agree_with_the_naive_oracle() {
-        // Regression for the `pushdown: false, hash_join: true`
-        // interaction: hash_join without pushdown is contradictory (no
-        // ready comparisons to join on) and is canonicalized away, so all
-        // four combinations are valid engine modes with one result.
-        let schema = us_schema();
-        let mut inst = us_instance();
-        inst.annotate_elements(&schema).unwrap();
-        let catalog = Catalog::new(vec![Source {
-            schema: &schema,
-            instance: &inst,
-        }]);
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query(
-            "select h.hid, a.phone from US.houses h, US.agents a \
-             where h.aid = a.aid and h.price > 500000",
-        )
-        .unwrap();
-        let baseline = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
-        assert_eq!(baseline.rows.len(), 2);
-        let canonical = |r: &QueryResult| {
-            let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-            rows.sort();
-            rows
-        };
-        for (pushdown, hash_join) in [(false, false), (false, true), (true, false), (true, true)] {
-            let opts = EvalOptions {
-                pushdown,
-                hash_join,
-                ..Default::default()
-            };
-            // The canonical form never keeps hash_join without pushdown.
-            assert_eq!(opts.clone().canonical().hash_join, pushdown && hash_join);
-            let r = Evaluator::new(&catalog, &funcs)
-                .with_options(opts)
-                .run(&q)
-                .unwrap();
-            assert_eq!(
-                canonical(&r),
-                canonical(&baseline),
-                "mode pushdown={pushdown} hash_join={hash_join} disagrees"
-            );
-        }
     }
 
     #[test]

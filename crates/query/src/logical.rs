@@ -10,8 +10,8 @@
 //!
 //! * [`LogicalPlan::push_down_filters`] — predicate pushdown as a plan
 //!   rewrite: every comparison is attached to the earliest binding stage
-//!   at which all of its variables are bound (what `EvalOptions::pushdown`
-//!   used to decide at runtime);
+//!   at which all of its variables are bound (what the evaluator applies
+//!   at runtime);
 //! * [`LogicalPlan::extract_joins`] — equality-predicate extraction:
 //!   a pushed-down equi-comparison linking a row-independent binding to
 //!   earlier bindings is promoted to the stage's *join key*, making the
@@ -94,7 +94,7 @@ pub struct LogicalPlan {
 
 impl LogicalPlan {
     /// Builds the unrewritten logical plan of a query: every comparison
-    /// residual, no join keys — the shape naive evaluation executes.
+    /// residual, no join keys — the input of the rewrite passes.
     pub fn from_query(q: &Query) -> Self {
         let mut stages = Vec::new();
         let comparisons: Vec<String> = q

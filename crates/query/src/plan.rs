@@ -46,8 +46,9 @@ pub struct CompiledPlan {
     pub logical: LogicalPlan,
     /// The cost-annotated physical plan (for display and options).
     pub physical: PhysicalPlan,
-    /// Evaluator options derived from the physical plan (canonicalized
-    /// flags plus per-binding join-algorithm overrides).
+    /// Evaluator options derived from the physical plan: the per-binding
+    /// join-algorithm overrides. Never carries a budget; one is applied
+    /// per execution.
     pub opts: EvalOptions,
     /// The [`dtr_obs::stats::cardinality_version`] this plan was costed
     /// against. A cached plan whose version is stale (a delta/rebase moved
@@ -91,34 +92,22 @@ impl CompiledPlan {
 
 /// Compiles `q` (already normalized by the caller) against `schemas` and
 /// a statistics snapshot. `text` is the raw query text the fingerprint
-/// and cache confirmation use; `opts` seeds the derived evaluator options
-/// (flags are canonicalized, and when pushdown is off the rewrite passes
-/// are skipped so the plan mirrors naive evaluation).
+/// and cache confirmation use.
 pub fn compile(
     q: &Query,
     schemas: Vec<&Schema>,
     stats: &StatsCatalog,
     text: &str,
-    opts: EvalOptions,
 ) -> Result<CompiledPlan, CheckError> {
     check_query(q, SchemaCatalog::new(schemas))?;
-    let opts = opts.canonical();
-    let order = if opts.pushdown {
-        choose_order(q, stats)
-    } else {
-        (0..q.from.len()).collect()
-    };
+    let order = choose_order(q, stats);
     let query = apply_order(q, &order);
-    let logical = if opts.pushdown {
-        LogicalPlan::optimized(&query)
-    } else {
-        LogicalPlan::from_query(&query)
-    };
+    let logical = LogicalPlan::optimized(&query);
     let physical = PhysicalPlan::from_logical(&query, &logical, stats, order);
-    let mut opts = opts;
-    if opts.hash_join {
-        opts.hash_join_per_binding = Some(Arc::new(physical.hash_join_overrides(query.from.len())));
-    }
+    let opts = EvalOptions {
+        hash_join_per_binding: Some(Arc::new(physical.hash_join_overrides(query.from.len()))),
+        ..EvalOptions::default()
+    };
     Ok(CompiledPlan {
         fingerprint: fnv1a(text.as_bytes()),
         text: text.to_string(),

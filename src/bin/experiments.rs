@@ -30,7 +30,7 @@
 
 use dtr_core::runner::MetaRunner;
 use dtr_core::store::{DurableOptions, DurableSession};
-use dtr_core::tagged::{MxqlError, TaggedInstance};
+use dtr_core::tagged::{MxqlError, Request, TaggedInstance};
 use dtr_mapping::delta::SourceDelta;
 use dtr_mapping::durable::MemVfs;
 use dtr_mapping::exchange::ExchangeOptions;
@@ -402,7 +402,8 @@ fn time_query(tagged: &TaggedInstance, text: &str, reps: usize, budget: &Budget)
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            let r = guard_exit(tagged.run_budgeted(&q, budget), "a timed query");
+            let req = Request::Parsed(&q);
+            let (r, _) = guard_exit(tagged.execute(req, Some(budget), false), "a timed query");
             std::hint::black_box(r.len());
             t0.elapsed().as_secs_f64() * 1000.0
         })
@@ -423,7 +424,7 @@ fn time_translated(
         .map(|_| {
             let t0 = Instant::now();
             let r = guard_exit(
-                runner.run_budgeted(tagged, &q, budget),
+                runner.run(tagged, &q, Some(budget)),
                 "a timed translated query",
             );
             std::hint::black_box(r.len());
@@ -931,7 +932,7 @@ fn health_mode(argv: Vec<String>) -> ! {
     let q = parse_query(HEALTH_QUERIES[1]).expect("health query parses");
     std::hint::black_box(
         runner
-            .run(&tagged, &q)
+            .run(&tagged, &q, None)
             .expect("translated health query")
             .len(),
     );

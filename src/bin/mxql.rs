@@ -69,7 +69,7 @@
 
 use dtr::core::provenance::{provenance_of, ProvenanceKind};
 use dtr::core::runner::MetaRunner;
-use dtr::core::tagged::TaggedInstance;
+use dtr::core::tagged::{MxqlError, Request, TaggedInstance};
 use dtr::core::testkit;
 use dtr::core::translate::{translate, translate_explained};
 use dtr::core::virtualize::answer_virtually;
@@ -450,7 +450,7 @@ fn start_durable(
     tagged: &TaggedInstance,
     session: Option<&dtr::core::incremental::IncrementalSession>,
     dir: &str,
-) -> Result<dtr::core::store::DurableSession, dtr::core::tagged::MxqlError> {
+) -> Result<dtr::core::store::DurableSession, MxqlError> {
     let setting = dtr::core::tagged::MappingSetting::new(
         tagged.setting().source_schemas().to_vec(),
         tagged.setting().target_schema().clone(),
@@ -751,10 +751,14 @@ fn main() {
                             // physical operators with estimated rows, and
                             // actual rows from one instrumented execution.
                             match tagged.plan_for(text) {
-                                Ok(plan) => match tagged.run_plan_analyzed(&plan) {
-                                    Ok((_, node)) => print!("{}", plan.render_with_actual(&node)),
-                                    Err(_) => print!("{}", plan.render()),
-                                },
+                                Ok(plan) => {
+                                    match tagged.execute(Request::Plan(&plan), None, true) {
+                                        Ok((_, Some(node))) => {
+                                            print!("{}", plan.render_with_actual(&node))
+                                        }
+                                        _ => print!("{}", plan.render()),
+                                    }
+                                }
                                 Err(e) => println!("planning error: {e}"),
                             }
                         }
@@ -769,7 +773,7 @@ fn main() {
                         match parse_query(text) {
                             Ok(q) => {
                                 let t0 = std::time::Instant::now();
-                                match tagged.run_analyzed(&q) {
+                                match tagged.execute(Request::Parsed(&q), None, true) {
                                     Ok((r, plan)) => {
                                         print!("{}", r.to_table());
                                         println!(
@@ -777,11 +781,13 @@ fn main() {
                                             r.len(),
                                             t0.elapsed().as_secs_f64() * 1e3
                                         );
-                                        print!("{}", plan.render());
                                         // Analyzed runs return their tree;
                                         // the REPL is the one front-end that
                                         // publishes it for `.profile json`.
-                                        dtr_obs::analyze::set_last(plan);
+                                        if let Some(plan) = plan {
+                                            print!("{}", plan.render());
+                                            dtr_obs::analyze::set_last(plan);
+                                        }
                                     }
                                     Err(e) => println!("error: {e}"),
                                 }
@@ -1039,22 +1045,20 @@ fn main() {
             dtr_obs::profile_reset();
         }
         let t0 = std::time::Instant::now();
-        let result = match mode {
-            Mode::Direct => parse_query(&text)
-                .map_err(dtr::core::tagged::MxqlError::from)
-                .and_then(|q| tagged.run_budgeted(&q, &limits)),
-            Mode::Translated => runner.query_budgeted(&tagged, &text, &limits),
-            Mode::Virtual => parse_query(&text)
-                .map_err(dtr::core::tagged::MxqlError::from)
-                .and_then(|q| {
-                    answer_virtually(
-                        tagged.setting(),
-                        tagged.source_instances(),
-                        &q,
-                        tagged.functions(),
-                    )
-                }),
-        };
+        let result = parse_query(&text)
+            .map_err(MxqlError::from)
+            .and_then(|q| match mode {
+                Mode::Direct => tagged
+                    .execute(Request::Parsed(&q), Some(&limits), false)
+                    .map(|(r, _)| r),
+                Mode::Translated => runner.run(&tagged, &q, Some(&limits)),
+                Mode::Virtual => answer_virtually(
+                    tagged.setting(),
+                    tagged.source_instances(),
+                    &q,
+                    tagged.functions(),
+                ),
+            });
         match result {
             Ok(r) => {
                 print!("{}", r.to_table());
