@@ -147,14 +147,37 @@ fn saturating_u64(n: usize) -> u64 {
 /// A schema whose single root is a record of 1..=`max_relations` relations
 /// (sets of nested member records), per the paper's running examples.
 pub fn gen_schema(rng: &mut TestRng, db: &str, root: &str, cfg: &GenConfig) -> Schema {
+    build_schema(rng, db, root, cfg, false)
+}
+
+/// A source schema: like [`gen_schema`], but about one relation in four
+/// sits below the root, in a record of its own or in one alternative of a
+/// choice, so queries bind it through a record step or a choice selection
+/// (`S.c->a.rel`) and update streams edit it there.
+pub fn gen_source_schema(rng: &mut TestRng, db: &str, root: &str, cfg: &GenConfig) -> Schema {
+    build_schema(rng, db, root, cfg, true)
+}
+
+fn build_schema(rng: &mut TestRng, db: &str, root: &str, cfg: &GenConfig, nest: bool) -> Schema {
     let mut lg = Labels { next: 0 };
     let n = 1 + rng.below(cfg.max_relations as u64) as usize;
     let fields: Vec<(String, Type)> = (0..n)
         .map(|_| {
-            (
+            let rel = (
                 lg.fresh("rel"),
                 Type::set(gen_member_record(rng, &mut lg, cfg.depth)),
-            )
+            );
+            if !nest || !chance(rng, 1, 4) {
+                rel
+            } else if chance(rng, 1, 2) {
+                (lg.fresh("grp"), Type::record(vec![rel]))
+            } else {
+                let alts = vec![
+                    (lg.fresh("alt"), Type::record(vec![rel])),
+                    (lg.fresh("alt"), Type::Atomic(gen_atomic(rng))),
+                ];
+                (lg.fresh("sel"), Type::choice(alts))
+            }
         })
         .collect();
     Schema::build(db, vec![(root.to_string(), Type::record(fields))])
@@ -325,37 +348,69 @@ struct QVar {
     elem: ElementId,
 }
 
-/// A well-formed conjunctive query over `schema`: a root-set binding,
-/// optional correlated nested-set and choice-selection bindings, type-safe
-/// comparisons and atomic select items. No order-by/limit, so results are
-/// comparable as multisets against the reference oracle.
+/// A well-formed conjunctive query over `schema`: a root-set binding, about
+/// one time in three a second root-set binding (half of those over the
+/// first one's set: a self-join) joined to the first by an equality on a
+/// same-typed atomic when one exists, optional correlated nested-set and
+/// choice-selection bindings, type-safe comparisons and atomic select
+/// items. No order-by/limit, so results are comparable as multisets
+/// against the reference oracle.
 pub fn gen_query(rng: &mut TestRng, schema: &Schema, cfg: &GenConfig) -> Query {
     let mut vars: Vec<QVar> = Vec::new();
     let mut from: Vec<Binding> = Vec::new();
+    let mut conditions = Vec::new();
 
-    // Root binding.
-    let root = *pick(rng, schema.roots());
-    let root_label = schema.element(root).label.clone();
-    let r = reach(schema, root, false, None);
-    let (steps, set_elem) = pick(rng, &r.sets).clone();
-    let member = schema.set_member(set_elem).expect("set has a member");
-    from.push(Binding {
-        var: "x0".into(),
-        source: Expr::Path(path_expr(PathStart::Root(root_label), steps)),
-    });
-    vars.push(QVar {
-        name: "x0".into(),
-        elem: member,
-    });
+    // Root bindings.
+    let root_set = |rng: &mut TestRng| {
+        let root = *pick(rng, schema.roots());
+        let r = reach(schema, root, false, None);
+        let (steps, set_elem) = pick(rng, &r.sets).clone();
+        (schema.element(root).label.clone(), steps, set_elem)
+    };
+    let first = root_set(rng);
+    let mut roots = vec![first.clone()];
+    if chance(rng, 1, 3) {
+        roots.push(if chance(rng, 1, 2) {
+            first
+        } else {
+            root_set(rng)
+        });
+    }
+    for (root_label, steps, set_elem) in roots {
+        let name = format!("x{}", vars.len());
+        let member = schema.set_member(set_elem).expect("set has a member");
+        from.push(Binding {
+            var: name.clone(),
+            source: Expr::Path(path_expr(PathStart::Root(root_label), steps)),
+        });
+        vars.push(QVar { name, elem: member });
+    }
+    if let [x0, x1] = vars.as_slice() {
+        let atomics = |elem| reach(schema, elem, false, None).atomics;
+        let (steps1, _, t) = pick(rng, &atomics(x1.elem)).clone();
+        let same_typed: Vec<Vec<Step>> = atomics(x0.elem)
+            .into_iter()
+            .filter(|(_, _, t0)| *t0 == t)
+            .map(|(s, _, _)| s)
+            .collect();
+        if !same_typed.is_empty() {
+            let steps0 = pick(rng, &same_typed).clone();
+            conditions.push(Condition::Cmp(Comparison {
+                left: Expr::Path(path_expr(PathStart::Var(x0.name.clone()), steps0)),
+                op: CmpOp::Eq,
+                right: Expr::Path(path_expr(PathStart::Var(x1.name.clone()), steps1)),
+            }));
+        }
+    }
 
     // Correlated bindings: nested sets and choice selections.
     let extra = rng.below(3) as usize;
-    for i in 1..=extra {
+    for _ in 0..extra {
         let base = rng.below(vars.len() as u64) as usize;
         let base_name = vars[base].name.clone();
         let base_elem = vars[base].elem;
         let r = reach(schema, base_elem, false, None);
-        let name = format!("x{i}");
+        let name = format!("x{}", vars.len());
         // Prefer nested sets; fall back to choice selection; else skip.
         if !r.sets.is_empty() && (r.alts.is_empty() || chance(rng, 2, 3)) {
             let (steps, set_elem) = pick(rng, &r.sets).clone();
@@ -394,7 +449,6 @@ pub fn gen_query(rng: &mut TestRng, schema: &Schema, cfg: &GenConfig) -> Query {
         .collect();
 
     // Conditions: type-safe comparisons (mostly equalities).
-    let mut conditions = Vec::new();
     for _ in 0..rng.below(3) {
         let vi = rng.below(vars.len() as u64) as usize;
         if atomics_of[vi].is_empty() {
@@ -806,7 +860,7 @@ pub fn gen_scenario(rng: &mut TestRng, cfg: &GenConfig) -> Scenario {
     let nsrc = 1 + rng.below(cfg.max_sources as u64) as usize;
     let sources: Vec<(Schema, Instance)> = (0..nsrc)
         .map(|i| {
-            let schema = gen_schema(rng, &format!("S{i}"), &format!("S{i}"), cfg);
+            let schema = gen_source_schema(rng, &format!("S{i}"), &format!("S{i}"), cfg);
             let inst = gen_instance(rng, &schema, cfg);
             (schema, inst)
         })
@@ -828,13 +882,14 @@ pub fn gen_scenario(rng: &mut TestRng, cfg: &GenConfig) -> Scenario {
 // Update streams (incremental exchange)
 // ---------------------------------------------------------------------------
 
-/// A seeded stream of edit batches over the scenario's top-level relation
-/// sets — the granularity the incremental exchange engine edits at. Each
-/// step is one [`dtr_mapping::delta::SourceDelta`] of 1..=3 insert/delete/
-/// modify edits; member
-/// values come from the same constructive generator as the instances, so
-/// every edit conforms by construction, and deletes/modifies track live
-/// cardinalities so indices are always in range.
+/// A seeded stream of edit batches over every source set reachable from a
+/// root through records and selected choice alternatives — the sets the
+/// incremental exchange engine edits, addressed by dot paths (`S.c.a.rel`
+/// crosses choice `c` into its selected alternative `a`). Each step is one
+/// [`dtr_mapping::delta::SourceDelta`] of 1..=3 insert/delete/modify
+/// edits; member values come from the same constructive generator as the
+/// instances, so every edit conforms by construction, and deletes/modifies
+/// track live cardinalities so indices are always in range.
 pub fn gen_update_stream(
     rng: &mut TestRng,
     scen: &Scenario,
@@ -842,25 +897,30 @@ pub fn gen_update_stream(
     steps: usize,
 ) -> Vec<dtr_mapping::delta::SourceDelta> {
     use dtr_mapping::delta::SourceDelta;
-    // (dot path, member type, live cardinality) per editable relation set.
+    // (dot path, member type, live cardinality) per editable set.
     let mut rels: Vec<(String, Type, usize)> = Vec::new();
     for (schema, inst) in &scen.sources {
         for &root in schema.roots() {
             let rl = schema.element(root).label.clone();
-            for &c in &schema.element(root).children {
-                if schema.element(c).kind != ElementKind::Set {
-                    continue;
-                }
-                let Type::Set(member) = schema.type_of(c) else {
+            for (steps, set_elem) in reach(schema, root, false, None).sets {
+                let Type::Set(member) = schema.type_of(set_elem) else {
                     continue;
                 };
-                let label = schema.element(c).label.clone();
-                let card = inst
+                // A set below an unselected alternative is not there.
+                let labels: Vec<&str> = steps
+                    .iter()
+                    .map(|s| match s {
+                        Step::Project(l) | Step::Choice(l) => l.as_str(),
+                    })
+                    .collect();
+                let set = inst
                     .root(rl.as_str())
-                    .and_then(|r| inst.child_by_label(r, label.as_str()))
-                    .and_then(|s| inst.set_members(s))
-                    .map_or(0, <[_]>::len);
-                rels.push((format!("{rl}.{label}"), *member, card));
+                    .and_then(|r| labels.iter().try_fold(r, |n, l| inst.child_by_label(n, l)));
+                let Some(set) = set else {
+                    continue;
+                };
+                let card = inst.set_members(set).map_or(0, <[_]>::len);
+                rels.push((format!("{rl}.{}", labels.join(".")), *member, card));
             }
         }
     }

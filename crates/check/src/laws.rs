@@ -632,10 +632,14 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
 // ---------------------------------------------------------------------------
 
 /// After every prefix of a seeded update stream, the incrementally
-/// maintained target must be byte-identical (canonical rendering,
-/// annotations included) to a full re-exchange over the mutated sources,
-/// and the synthesized report must agree with the full run on every
-/// per-mapping decision count. The build and a final rebase run the full
+/// maintained target must equal a full re-exchange over the mutated
+/// sources canonically (annotations included, set-member order
+/// normalized: an apply may append members in another order), and the
+/// synthesized report must agree with the full run on every per-mapping
+/// decision count. Generated foreach queries include self-joins and
+/// joins of two root sets, and streams edit sets below records and
+/// choice alternatives, so the delta rule's multi-item terms and the
+/// choice-path keys are exercised. The build and a final rebase run the full
 /// exchange driver, so right after each the engine's annotated XML must
 /// equal the full exchange's byte for byte. And any split of the stream is
 /// one batch: the whole stream applied as one concatenated delta to a

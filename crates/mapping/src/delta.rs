@@ -5,14 +5,15 @@
 //! which members were inserted or retracted, how many member classes were
 //! rebuilt, and how the mapping set was pruned.
 //!
-//! Addressing convention: an edit path is a dot path of record projections
-//! from a source root to a *top-level* set (`Yahoo.listings`,
-//! `Portal.estates`). Members are addressed positionally by their current
-//! index in that set. Changes inside a member — including its nested sets —
-//! are expressed as a [`EditOp::Modify`] replacing the whole member, which
-//! matches the granularity of the paper's foreach tuples: a source tuple
-//! is a top-level set member, and `f_mp` retraction happens at tuple
-//! granularity.
+//! Addressing convention: an edit path is a dot path from a source root to
+//! a set reachable through records and selected choice alternatives
+//! (`Yahoo.listings`, `Portal.estates`; `C.k.a.s` crosses choice `k` into
+//! its selected alternative `a`). Members are addressed positionally by
+//! their current index in that set. Changes inside a member — including
+//! its nested sets — are expressed as a [`EditOp::Modify`] replacing the
+//! whole member, which matches the granularity of the paper's foreach
+//! tuples: a source tuple is a set member, and `f_mp` retraction happens
+//! at tuple granularity.
 
 use dtr_model::instance::Value;
 use dtr_model::value::{AtomicValue, ElementRef, MappingName};
@@ -121,9 +122,9 @@ pub enum EditOp {
 /// One addressed edit: a root-rooted set path plus the operation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Edit {
-    /// Dot path from a source root to a top-level set, e.g.
-    /// `"Yahoo.listings"`. Record projections only (no choice steps, no
-    /// indices) — the path names the set, the op names the member.
+    /// Dot path from a source root to a set, e.g. `"Yahoo.listings"`:
+    /// record fields and selected choice alternatives, each after a `.`,
+    /// and no indices — the path names the set, the op names the member.
     pub path: String,
     /// The operation to apply.
     pub op: EditOp,
@@ -265,8 +266,12 @@ pub struct TargetDelta {
     /// Mappings skipped entirely because no foreach binding could touch a
     /// changed path.
     pub mappings_pruned: usize,
-    /// Mappings whose foreach was re-enumerated (restricted or full).
+    /// Mappings whose foreach was re-enumerated (delta rule or full).
     pub mappings_reevaluated: usize,
+    /// Of the re-evaluated mappings, those whose foreach ran in full and
+    /// whose row bag was diffed: only mappings with a function- or
+    /// annotation-sourced from-item take that path.
+    pub mappings_full: usize,
     /// Foreach rows added across all re-evaluated mappings (multiplicity
     /// counted).
     pub rows_added: usize,
@@ -291,6 +296,7 @@ impl TargetDelta {
             "classes_rebuilt": self.classes_rebuilt,
             "mappings_pruned": self.mappings_pruned,
             "mappings_reevaluated": self.mappings_reevaluated,
+            "mappings_full": self.mappings_full,
             "rows_added": self.rows_added,
             "rows_removed": self.rows_removed,
         })
@@ -320,6 +326,7 @@ impl TargetDelta {
             classes_rebuilt: usize_of("classes_rebuilt")?,
             mappings_pruned: usize_of("mappings_pruned")?,
             mappings_reevaluated: usize_of("mappings_reevaluated")?,
+            mappings_full: usize_of("mappings_full")?,
             rows_added: usize_of("rows_added")?,
             rows_removed: usize_of("rows_removed")?,
         })
@@ -329,7 +336,7 @@ impl TargetDelta {
 /// Errors raised while applying a [`SourceDelta`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum DeltaError {
-    /// An edit path did not resolve to a top-level set of any source.
+    /// An edit path did not resolve to a set of any source.
     Path(String),
     /// A delete/modify index was out of range for its set.
     Index(String),
@@ -382,6 +389,7 @@ mod tests {
             classes_rebuilt: 2,
             mappings_pruned: 3,
             mappings_reevaluated: 1,
+            mappings_full: 1,
             rows_added: 5,
             rows_removed: 4,
         };

@@ -5,15 +5,24 @@
 //!
 //! 1. **Mapping pruning** — a mapping is *affected* only when one of its
 //!    foreach from-items is a root-rooted path equal to a changed set path
-//!    (the same root-rooted path keys the PR 6 statistics catalog uses).
+//!    (the same root-rooted path keys the statistics catalog uses; a set
+//!    reached through a choice alternative is keyed `C.k->a.s`, the way a
+//!    binding over it renders, whichever spelling the edit used).
 //!    Unaffected mappings are skipped entirely.
-//! 2. **Semi-naive re-enumeration** — when exactly one from-item of an
-//!    affected mapping touches the changed set, the foreach query is run
-//!    twice with that item's member domain restricted (deleted members over
-//!    the old sources, inserted members over the new), layered on the PR 4
-//!    hash-join via [`dtr_query::eval::EvalOptions::domains`]. Self-joins
-//!    and exotic from sources conservatively fall back to a full foreach
-//!    re-evaluation plus a multiset diff of the row bags.
+//! 2. **Delta rule** — let the from-items touching changed sets be
+//!    t₁ < … < t_k, with deleted members Dᵢ and inserted members Iᵢ. The
+//!    removed rows are Σⱼ Q\[tᵢ over its set minus Dᵢ for i < j, tⱼ over
+//!    Dⱼ only, every other item unrestricted\], evaluated over the old
+//!    sources before they mutate; the added rows are the same sum with the
+//!    Iᵢ, evaluated over the new sources. A binding tuple holding a deleted
+//!    (inserted) member is counted exactly once, at its first such item,
+//!    so the removed rows are exactly rows of the old bag, and the
+//!    survivors — tuples over surviving members only — need no work at
+//!    all. Each term is one foreach evaluation with per-binding member
+//!    domains ([`dtr_query::eval::EvalOptions::domains`]) over the hash
+//!    join. Only mappings with function- or annotation-sourced from-items,
+//!    which can depend on any source state, re-evaluate in full and diff
+//!    the row bags.
 //! 3. **Retraction by journal replay** — target rows are organized into
 //!    *member classes* (one top-level PNF member plus its subtree). The
 //!    engine keeps, per class, the multiset of foreach rows each mapping
@@ -53,11 +62,11 @@ use crate::exchange::{
     RootMember,
 };
 use crate::glav::Mapping;
-use dtr_model::instance::{Instance, NodeId, Value};
+use dtr_model::instance::{Instance, NodeData, NodeId, Value};
 use dtr_model::schema::Schema;
 use dtr_model::value::AtomicValue;
 use dtr_query::ast::{Expr, PathStart};
-use dtr_query::eval::Source;
+use dtr_query::eval::{Domain, Source};
 use dtr_query::functions::FunctionRegistry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -110,11 +119,13 @@ impl ClassState {
 enum Reeval {
     /// No from-item can touch a changed path: skip.
     Pruned,
-    /// Exactly one from-item (at this index, with this path key) touches:
-    /// two restricted evaluations (deleted domain over old sources,
-    /// inserted domain over new).
-    Restricted(String),
-    /// Conservative full re-evaluation plus multiset bag diff.
+    /// The delta rule over the touching root from-items, in binding order:
+    /// `(from-binding index, index of its set's change)`. Removed rows sum
+    /// one term per item with deleted members, over the old sources; added
+    /// rows one per item with inserted members, over the new.
+    Delta(Vec<(usize, usize)>),
+    /// A function- or annotation-sourced from-item can depend on any
+    /// source state: full re-evaluation plus multiset bag diff.
     Full,
 }
 
@@ -122,6 +133,8 @@ enum Reeval {
 struct SetChange {
     source: usize,
     set: NodeId,
+    /// The set's path as a binding over it renders (`C.k->a.s` through a
+    /// choice alternative): the pruning and statistics key.
     path: String,
     /// Member list before the batch (for rollback).
     original: Vec<NodeId>,
@@ -293,6 +306,7 @@ impl IncrementalExchange {
                 counters
                     .delta_mappings_reevaluated
                     .add(td.mappings_reevaluated as u64);
+                counters.delta_mappings_full.add(td.mappings_full as u64);
                 let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 if dtr_obs::journal::enabled() {
                     dtr_obs::journal::record(dtr_obs::journal::event(
@@ -388,10 +402,13 @@ impl IncrementalExchange {
         let mut slots: Vec<Vec<Slot>> = Vec::new();
         let mut pending: Vec<Vec<Option<Value>>> = Vec::new();
         for edit in &delta.edits {
-            let ci = match changes.iter().position(|c| c.path == edit.path) {
+            let (source, set, path) = self.resolve_set_path(&edit.path)?;
+            let ci = match changes
+                .iter()
+                .position(|c| c.source == source && c.set == set)
+            {
                 Some(i) => i,
                 None => {
-                    let (source, set) = self.resolve_set_path(&edit.path)?;
                     let original = self.sources[source]
                         .set_members(set)
                         .expect("resolved to a set")
@@ -401,7 +418,7 @@ impl IncrementalExchange {
                     changes.push(SetChange {
                         source,
                         set,
-                        path: edit.path.clone(),
+                        path,
                         original,
                         deleted: Vec::new(),
                         inserted_values: Vec::new(),
@@ -452,8 +469,11 @@ impl IncrementalExchange {
         Ok(changes)
     }
 
-    /// Resolves a root-rooted dot path to `(source index, set node)`.
-    fn resolve_set_path(&self, path: &str) -> Result<(usize, NodeId), DeltaError> {
+    /// Resolves a root-rooted dot path to `(source index, set node, key)`,
+    /// where the key is the path a binding over the set renders: `->`
+    /// before a choice alternative (`C.k.a.s` resolves through choice `k`'s
+    /// selected alternative `a` and keys as `C.k->a.s`), `.` elsewhere.
+    fn resolve_set_path(&self, path: &str) -> Result<(usize, NodeId, String), DeltaError> {
         let mut parts = path.split('.');
         let root = parts.next().unwrap_or_default();
         let (si, mut node) = self
@@ -462,51 +482,56 @@ impl IncrementalExchange {
             .enumerate()
             .find_map(|(i, s)| s.root(root).map(|n| (i, n)))
             .ok_or_else(|| DeltaError::Path(format!("no source has a root `{root}`")))?;
+        let source = &self.sources[si];
+        let mut key = root.to_string();
         for label in parts {
-            node = self.sources[si]
+            key.push_str(match source.node(node).data {
+                NodeData::Choice(_) => "->",
+                _ => ".",
+            });
+            key.push_str(label);
+            node = source
                 .child_by_label(node, label)
                 .ok_or_else(|| DeltaError::Path(format!("`{path}`: no field `{label}`")))?;
         }
-        if self.sources[si].set_members(node).is_none() {
+        if source.set_members(node).is_none() {
             return Err(DeltaError::Path(format!("`{path}` is not a set")));
         }
-        Ok((si, node))
+        Ok((si, node, key))
     }
 
-    /// Classifies how a mapping must be re-enumerated for the changed set
-    /// paths.
-    fn classify(&self, mi: usize, changed: &HashSet<String>) -> Reeval {
-        let m = &self.mappings[mi];
-        let mut touching: Vec<String> = Vec::new();
-        let mut wildcard = false;
-        for b in &m.foreach.from {
+    /// Classifies how a mapping must be re-enumerated for the batch's
+    /// changes.
+    fn classify(&self, mi: usize, changes: &[SetChange]) -> Reeval {
+        let mut touching: Vec<(usize, usize)> = Vec::new();
+        for (bi, b) in self.mappings[mi].foreach.from.iter().enumerate() {
             match &b.source {
                 Expr::Path(p) => {
                     if matches!(p.start, PathStart::Root(_)) {
                         let key = p.to_string();
-                        if changed.contains(&key) {
-                            touching.push(key);
+                        if let Some(ci) = changes.iter().position(|c| c.path == key) {
+                            touching.push((bi, ci));
                         }
                     }
                 }
                 // Function- or annotation-sourced bindings can depend on
                 // arbitrary source state; re-evaluate in full.
-                _ => wildcard = true,
+                _ => return Reeval::Full,
             }
         }
-        if touching.is_empty() && !wildcard {
-            return Reeval::Pruned;
+        if touching.is_empty() {
+            Reeval::Pruned
+        } else {
+            Reeval::Delta(touching)
         }
-        if touching.len() == 1 && !wildcard {
-            return Reeval::Restricted(touching.pop().expect("one touching item"));
-        }
-        Reeval::Full
     }
 
-    /// The rows each restricted mapping gains or loses: its foreach query
-    /// with the touching from-item limited to the members `members` picks
-    /// from that set's change (empty when there are none).
-    fn restricted_rows(
+    /// The rows each delta-ruled mapping gains or loses, over the sources
+    /// as they stand: one foreach evaluation per touching item j whose
+    /// change has `members` (deleted or inserted), with item j limited to
+    /// those members and every earlier touching item to its set minus its
+    /// own change's `members`.
+    fn delta_rows(
         &self,
         modes: &[Reeval],
         changes: &[SetChange],
@@ -516,30 +541,31 @@ impl IncrementalExchange {
         let eval = effective_eval(&self.opts);
         let mut out = vec![Bag::new(); modes.len()];
         for (mi, mode) in modes.iter().enumerate() {
-            let Reeval::Restricted(key) = mode else {
+            let Reeval::Delta(touching) = mode else {
                 continue;
             };
-            let Some(c) = changes.iter().find(|c| c.path == *key) else {
-                continue;
-            };
-            if members(c).is_empty() {
-                continue;
+            let mut domains: HashMap<usize, Domain> = HashMap::new();
+            for &(bi, ci) in touching {
+                let ids: HashSet<NodeId> = members(&changes[ci]).iter().copied().collect();
+                if ids.is_empty() {
+                    continue;
+                }
+                domains.insert(bi, Domain::Only(ids.clone()));
+                let mut opts = eval.clone();
+                opts.domains = Some(Arc::new(domains.clone()));
+                for row in eval_foreach(&views, &self.functions, &self.mappings[mi], opts)? {
+                    *out[mi].entry(row).or_insert(0) += 1;
+                }
+                // Later terms count only the tuples whose first changed
+                // member sits at a later item.
+                domains.insert(bi, Domain::Except(ids));
             }
-            let mut opts = eval.clone();
-            let domain = members(c).iter().copied().collect();
-            opts.domains = Some(Arc::new(HashMap::from([(key.clone(), domain)])));
-            out[mi] = bag_of(eval_foreach(
-                &views,
-                &self.functions,
-                &self.mappings[mi],
-                opts,
-            )?);
         }
         Ok(out)
     }
 
-    /// The post-resolution pipeline: restricted/full re-enumeration, bag
-    /// diffing, dirty-class rebuild, skeleton sync, element annotation of
+    /// The post-resolution pipeline: delta-rule/full re-enumeration, bag
+    /// updates, dirty-class rebuild, skeleton sync, element annotation of
     /// the nodes the batch created.
     fn apply_resolved(&mut self, changes: &mut [SetChange]) -> Result<TargetDelta, DeltaError> {
         let mut td = TargetDelta::default();
@@ -547,15 +573,13 @@ impl IncrementalExchange {
             td.mappings_pruned = self.mappings.len();
             return Ok(td);
         }
-        let changed: HashSet<String> = changes.iter().map(|c| c.path.clone()).collect();
         let modes: Vec<Reeval> = (0..self.mappings.len())
-            .map(|mi| self.classify(mi, &changed))
+            .map(|mi| self.classify(mi, changes))
             .collect();
 
-        // Phase 1 (pure): removed rows of restricted mappings, evaluated
-        // over the *old* sources with the touching item's domain limited to
-        // the deleted members.
-        let mut removed = self.restricted_rows(&modes, changes, |c| &c.deleted)?;
+        // Phase 1 (pure): removed rows of delta-ruled mappings, evaluated
+        // over the *old* sources, where the deleted members still sit.
+        let mut removed = self.delta_rows(&modes, changes, |c| &c.deleted)?;
 
         // Phase 2: mutate the sources and annotate the members the batch
         // appended — the arena suffix; nothing older changes element.
@@ -579,18 +603,19 @@ impl IncrementalExchange {
                 })?;
         }
 
-        // Phase 3: added rows (restricted over the new sources) and full
+        // Phase 3: added rows (delta rule over the new sources) and full
         // re-evaluations, then bag updates.
-        let mut added = self.restricted_rows(&modes, changes, |c| &c.inserted)?;
+        let mut added = self.delta_rows(&modes, changes, |c| &c.inserted)?;
         {
             let views = source_views(&self.source_schemas, &self.sources);
             let eval = effective_eval(&self.opts);
             for (mi, mode) in modes.iter().enumerate() {
                 match mode {
                     Reeval::Pruned => td.mappings_pruned += 1,
-                    Reeval::Restricted(_) => td.mappings_reevaluated += 1,
+                    Reeval::Delta(_) => td.mappings_reevaluated += 1,
                     Reeval::Full => {
                         td.mappings_reevaluated += 1;
+                        td.mappings_full += 1;
                         let rows = eval_foreach(
                             &views,
                             &self.functions,
@@ -1106,7 +1131,8 @@ mod tests {
         agent, eu_instance, eu_schema, figure1_mappings, house, portal_schema, posting,
         us_instance, us_schema,
     };
-    use dtr_model::instance::NodeData;
+    use dtr_model::types::{AtomicType, Type};
+    use dtr_query::functions::FunctionValue;
 
     /// Order-insensitive canonical rendering of an annotated instance: set
     /// members are sorted by their rendering, annotations ride along.
@@ -1155,15 +1181,16 @@ mod tests {
     /// rows_inserted, rows_merged).
     type DecisionRow = (String, usize, usize, usize, usize);
 
-    /// Full re-exchange over the engine's current sources; returns the
-    /// canonical target plus the comparable report rows.
+    /// Full re-exchange over the engine's current sources, with the
+    /// engine's functions; returns the canonical target plus the
+    /// comparable report rows.
     fn full_reference(inc: &IncrementalExchange) -> (String, Vec<DecisionRow>) {
         let views = source_views(inc.source_schemas(), inc.sources());
         let (inst, report) = execute_mappings_with(
             &views,
             inc.target_schema(),
             inc.mappings(),
-            &FunctionRegistry::with_builtins(),
+            &inc.functions,
             &ExchangeOptions::default(),
         )
         .unwrap();
@@ -1338,6 +1365,178 @@ mod tests {
         inc.rebase().unwrap();
         assert_eq!(inc.batch(), 0);
         assert_matches_full(&inc);
+    }
+
+    /// The Figure 1 sources with one extra mapping, `pairs`, whose foreach
+    /// joins `US.houses` with itself on the agent.
+    fn build_self_join() -> IncrementalExchange {
+        let mut mappings = figure1_mappings();
+        mappings.push(
+            Mapping::parse(
+                "pairs",
+                "foreach
+                   select h.hid, g.hid
+                   from US.houses h, US.houses g
+                   where h.aid = g.aid
+                 exists
+                   select c.title, c.phone
+                   from Portal.contacts c",
+            )
+            .unwrap(),
+        );
+        IncrementalExchange::new(
+            vec![us_schema(), eu_schema()],
+            vec![us_instance(), eu_instance()],
+            portal_schema(),
+            mappings,
+            FunctionRegistry::with_builtins(),
+            ExchangeOptions::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn self_join_takes_the_delta_rule() {
+        let mut inc = build_self_join();
+        // Houses H522 (a2) and H7 (a1): `pairs` holds (H522, H522) and
+        // (H7, H7). Deleting H522 and inserting H9 (a1) in one batch
+        // removes one pair and adds (H7, H9), (H9, H7) and (H9, H9). Both
+        // items of (H9, H9) hold the new member; it counts once, at the
+        // first.
+        let td = inc
+            .apply(
+                &SourceDelta::new()
+                    .insert("US.houses", house("H9", "3", "900K", "a1"))
+                    .delete("US.houses", 0),
+            )
+            .unwrap();
+        assert_eq!(td.mappings_full, 0);
+        let pairs = inc.mappings().len() - 1;
+        assert_eq!(inc.bags[pairs].values().sum::<usize>(), 4);
+        assert_matches_full(&inc);
+        // Modifies on both sides of the join, and a drain.
+        for delta in [
+            SourceDelta::new()
+                .modify("US.houses", 0, house("H7", "1", "250K", "a2"))
+                .insert("US.houses", house("H10", "2", "1M", "a2")),
+            SourceDelta::new()
+                .delete("US.houses", 0)
+                .delete("US.houses", 0)
+                .delete("US.houses", 0),
+        ] {
+            let td = inc.apply(&delta).unwrap();
+            assert_eq!(td.mappings_full, 0);
+            assert_matches_full(&inc);
+        }
+    }
+
+    #[test]
+    fn edits_through_a_choice_reach_the_binding_over_the_set() {
+        let source = Schema::build(
+            "Cdb",
+            vec![(
+                "C",
+                Type::record(vec![(
+                    "k",
+                    Type::choice(vec![
+                        (
+                            "a",
+                            Type::record(vec![(
+                                "s",
+                                Type::relation(vec![("v", AtomicType::String)]),
+                            )]),
+                        ),
+                        ("b", Type::string()),
+                    ]),
+                )]),
+            )],
+        )
+        .unwrap();
+        let target = Schema::build(
+            "Tdb",
+            vec![(
+                "T",
+                Type::record(vec![(
+                    "out",
+                    Type::relation(vec![("v", AtomicType::String)]),
+                )]),
+            )],
+        )
+        .unwrap();
+        let member = |v: &str| Value::record(vec![("v", Value::str(v))]);
+        let mut inst = Instance::new("Cdb");
+        inst.install_root(
+            "C",
+            Value::record(vec![(
+                "k",
+                Value::choice(
+                    "a",
+                    Value::record(vec![("s", Value::set(vec![member("one")]))]),
+                ),
+            )]),
+        );
+        inst.annotate_elements(&source).unwrap();
+        let mapping = Mapping::parse(
+            "m",
+            "foreach select x.v from C.k->a.s x exists select o.v from T.out o",
+        )
+        .unwrap();
+        let mut inc = IncrementalExchange::new(
+            vec![source],
+            vec![inst],
+            target,
+            vec![mapping],
+            FunctionRegistry::with_builtins(),
+            ExchangeOptions::default(),
+        )
+        .unwrap();
+        let td = inc
+            .apply(&SourceDelta::new().insert("C.k.a.s", member("two")))
+            .unwrap();
+        assert_eq!((td.mappings_pruned, td.rows_added), (0, 1));
+        assert_matches_full(&inc);
+    }
+
+    #[test]
+    fn function_sourced_binding_reevaluates_in_full() {
+        let mut functions = FunctionRegistry::with_builtins();
+        // A set-valued function: both spellings of a house's floor count.
+        functions.register("floorsOf", |args, _| {
+            let floors = args[0].value.clone().unwrap_or(AtomicValue::str(""));
+            Ok(FunctionValue::Many(vec![
+                AtomicValue::str(format!("{floors}F")),
+                AtomicValue::str(format!("{floors}f")),
+            ]))
+        });
+        let mapping = Mapping::parse(
+            "floors",
+            "foreach
+               select f, h.hid
+               from US.houses h, floorsOf(h.floors) f
+             exists
+               select c.title, c.phone
+               from Portal.contacts c",
+        )
+        .unwrap();
+        let mut inc = IncrementalExchange::new(
+            vec![us_schema(), eu_schema()],
+            vec![us_instance(), eu_instance()],
+            portal_schema(),
+            vec![mapping],
+            functions,
+            ExchangeOptions::default(),
+        )
+        .unwrap();
+        for delta in [
+            SourceDelta::new().insert("US.houses", house("H9", "3", "900K", "a1")),
+            SourceDelta::new().modify("US.houses", 0, house("H522", "4", "500K", "a2")),
+            // A batch on a set the mapping never reads still re-runs it.
+            SourceDelta::new().delete("US.agents", 0),
+        ] {
+            let td = inc.apply(&delta).unwrap();
+            assert_eq!((td.mappings_reevaluated, td.mappings_full), (1, 1));
+            assert_matches_full(&inc);
+        }
     }
 
     #[test]

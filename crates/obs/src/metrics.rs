@@ -222,8 +222,11 @@ pub struct Counters {
     pub delta_classes_rebuilt: Counter,
     /// Incremental exchange: mappings skipped by path-affectedness pruning.
     pub delta_mappings_pruned: Counter,
-    /// Incremental exchange: mappings re-enumerated (semi-naive or full).
+    /// Incremental exchange: mappings re-enumerated (delta rule or full).
     pub delta_mappings_reevaluated: Counter,
+    /// Incremental exchange: re-enumerated mappings whose foreach ran in
+    /// full (function- or annotation-sourced from-items).
+    pub delta_mappings_full: Counter,
     /// Durable store: delta frames committed to the write-ahead log.
     pub durable_wal_appends: Counter,
     /// Durable store: WAL bytes durably written (frames + checkpoints).
@@ -266,6 +269,7 @@ static COUNTERS: Counters = Counters {
     delta_classes_rebuilt: Counter::new("exchange.delta_classes_rebuilt"),
     delta_mappings_pruned: Counter::new("exchange.delta_mappings_pruned"),
     delta_mappings_reevaluated: Counter::new("exchange.delta_mappings_reevaluated"),
+    delta_mappings_full: Counter::new("exchange.delta_mappings_full"),
     durable_wal_appends: Counter::new("durable.wal_appends"),
     durable_wal_bytes: Counter::new("durable.wal_bytes"),
     durable_checkpoints: Counter::new("durable.checkpoints"),
@@ -282,7 +286,7 @@ pub fn counters() -> &'static Counters {
 }
 
 impl Counters {
-    fn all(&self) -> [&Counter; 30] {
+    fn all(&self) -> [&Counter; 31] {
         [
             &self.tuples_scanned,
             &self.bindings_enumerated,
@@ -307,6 +311,7 @@ impl Counters {
             &self.delta_classes_rebuilt,
             &self.delta_mappings_pruned,
             &self.delta_mappings_reevaluated,
+            &self.delta_mappings_full,
             &self.durable_wal_appends,
             &self.durable_wal_bytes,
             &self.durable_checkpoints,

@@ -125,15 +125,36 @@ pub struct EvalOptions {
     /// wall-clock deadline and a cooperative cancel flag. Exceeding it
     /// aborts the run with [`EvalError::Guard`]. Unlimited by default.
     pub budget: Budget,
-    /// Per-path member-domain restriction for semi-naive delta joins: a
-    /// root-rooted `from`-item path (rendered, e.g. `"Yahoo.listings"`)
-    /// maps to the set-member nodes its binding may enumerate. Bindings
-    /// whose path is absent stay unrestricted; var-relative paths never
-    /// match (their keys start with a variable, not a root). The
-    /// incremental exchange uses this to re-enumerate only the bindings
-    /// that involve changed tuples. `None` (the default) disables the
-    /// filter entirely.
-    pub domains: Option<std::sync::Arc<HashMap<String, HashSet<NodeId>>>>,
+    /// Per-binding member domains for semi-naive delta evaluation: a
+    /// `from`-binding index (its position in the executed query) maps to
+    /// the [`Domain`] of set members that binding may enumerate. A domain
+    /// applies only to a binding whose source has no variables (a root
+    /// path), once, when its row-independent items are computed; it is
+    /// never consulted per row. Two bindings over one set may carry
+    /// different domains. The incremental exchange uses this to evaluate
+    /// the terms of the delta rule. `None` (the default) leaves every
+    /// binding unrestricted.
+    pub domains: Option<std::sync::Arc<HashMap<usize, Domain>>>,
+}
+
+/// The set members one `from`-binding may enumerate (see
+/// [`EvalOptions::domains`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Domain {
+    /// Only these members.
+    Only(HashSet<NodeId>),
+    /// Every member except these.
+    Except(HashSet<NodeId>),
+}
+
+impl Domain {
+    /// Does the domain admit member `id`?
+    pub fn admits(&self, id: NodeId) -> bool {
+        match self {
+            Domain::Only(ids) => ids.contains(&id),
+            Domain::Except(ids) => !ids.contains(&id),
+        }
+    }
 }
 
 impl Default for EvalOptions {
@@ -537,14 +558,21 @@ impl<'a> Evaluator<'a> {
                 cmp_done[ci] = true;
             }
             // A binding source without variables (a schema root) produces
-            // the same items for every row: compute them once, and
-            // pre-filter them by the ready conditions whose other operand
-            // is row-independent (constants and root paths) — e.g. the
+            // the same items for every row: compute them once, restrict
+            // them to the binding's member domain (if any), and pre-filter
+            // them by the ready conditions whose other operand is
+            // row-independent (constants and root paths) — e.g. the
             // `e.db = 'Portal'` filters of translated MXQL queries.
             let static_items: Option<Vec<Val>> = if b.source.variables().is_empty() {
                 match rows.first() {
                     Some(env) => {
                         let mut items = self.binding_items(&b.source, env, &var_index)?;
+                        if let Some(domain) = self.opts.domains.as_ref().and_then(|d| d.get(&bi)) {
+                            items.retain(|item| match item {
+                                Val::Node(_, n) => domain.admits(*n),
+                                Val::Atom(_) => false,
+                            });
+                        }
                         for &ci in ready {
                             let cmp = comparisons[ci];
                             let l_vars = cmp.left.variables();
@@ -1169,19 +1197,7 @@ impl<'a> Evaluator<'a> {
                     Val::Node(s, n) => {
                         let inst = self.catalog.source(*s).instance;
                         if let Some(members) = inst.set_members(*n) {
-                            // Semi-naive domain restriction: when the caller
-                            // supplied a member domain for this root path,
-                            // enumerate only those members (in set order).
-                            let domain = self
-                                .opts
-                                .domains
-                                .as_ref()
-                                .and_then(|d| d.get(&p.to_string()));
-                            Ok(members
-                                .iter()
-                                .filter(|m| domain.is_none_or(|d| d.contains(m)))
-                                .map(|&m| Val::Node(*s, m))
-                                .collect())
+                            Ok(members.iter().map(|&m| Val::Node(*s, m)).collect())
                         } else if matches!(p.steps.last(), Some(Step::Choice(_))) {
                             // A union-choice binding yields the single
                             // selected value (Section 4.2).
@@ -2312,6 +2328,56 @@ mod tests {
             .run(&q)
             .unwrap();
         assert_eq!(forced.rows, hashed.rows);
+    }
+
+    #[test]
+    fn per_binding_domains_restrict_two_items_over_one_set() {
+        let schema = us_schema();
+        let mut inst = us_instance();
+        inst.annotate_elements(&schema).unwrap();
+        let catalog = Catalog::new(vec![Source {
+            schema: &schema,
+            instance: &inst,
+        }]);
+        let funcs = FunctionRegistry::with_builtins();
+        let q =
+            parse_query("select h.hid, g.hid from US.houses h, US.houses g where h.aid = g.aid")
+                .unwrap();
+        let set = inst
+            .child_by_label(inst.root("US").unwrap(), "houses")
+            .unwrap();
+        let h3 = inst.set_members(set).unwrap()[2];
+        let pairs = |domains: Vec<(usize, Domain)>, hash_join: bool| {
+            let mut rows: Vec<String> = Evaluator::new(&catalog, &funcs)
+                .with_options(EvalOptions {
+                    hash_join,
+                    domains: Some(std::sync::Arc::new(domains.into_iter().collect())),
+                    ..Default::default()
+                })
+                .run(&q)
+                .unwrap()
+                .tuples()
+                .iter()
+                .map(|t| format!("{}-{}", t[0], t[1]))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let only = || Domain::Only(HashSet::from([h3]));
+        let except = || Domain::Except(HashSet::from([h3]));
+        for hash_join in [true, false] {
+            // H1 and H3 share agent a1: the pairs holding H3, split by the
+            // first item that holds it, partition the full result's H3 pairs.
+            assert_eq!(pairs(vec![(0, only())], hash_join), ["H3-H1", "H3-H3"]);
+            assert_eq!(
+                pairs(vec![(0, except()), (1, only())], hash_join),
+                ["H1-H3"]
+            );
+            assert_eq!(
+                pairs(vec![(0, except()), (1, except())], hash_join),
+                ["H1-H1", "H2-H2"]
+            );
+        }
     }
 
     #[test]

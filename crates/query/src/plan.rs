@@ -6,8 +6,10 @@
 //! join ordering and algorithm choice from a [`StatsCatalog`] snapshot) —
 //! producing a [`CompiledPlan`] that executes through the existing
 //! evaluator kernels via its derived [`EvalOptions`], so guards, stats,
-//! the journal, `.analyze` and incremental `domains` pinning all keep
-//! working unchanged.
+//! the journal and `.analyze` all keep working unchanged. Member
+//! [`EvalOptions::domains`] are keyed by binding position in the executed
+//! query, which a plan may reorder; the incremental exchange sets them on
+//! foreach queries it runs in their written order, never through a plan.
 //!
 //! [`PlanCache`] stores compiled plans keyed by the FNV-1a fingerprint of
 //! the *raw query text* (computed before parsing, so a cache hit skips

@@ -35,15 +35,18 @@ fn engine_for(scen: &Scenario) -> IncrementalExchange {
     .unwrap()
 }
 
-/// The live cardinality of a `Root.rel` set path in the engine's sources.
+/// The live cardinality of a dot set path (`Root.rel`, or deeper through
+/// records and selected choice alternatives) in the engine's sources.
 fn cardinality(engine: &IncrementalExchange, path: &str) -> usize {
-    let (root, rel) = path.split_once('.').unwrap();
+    let mut labels = path.split('.');
+    let root = labels.next().unwrap();
     engine
         .sources()
         .iter()
         .find_map(|inst| {
-            let r = inst.root(root)?;
-            let s = inst.child_by_label(r, rel)?;
+            let s = labels
+                .clone()
+                .try_fold(inst.root(root)?, |n, l| inst.child_by_label(n, l))?;
             inst.set_members(s).map(<[_]>::len)
         })
         .unwrap_or(0)
