@@ -22,7 +22,7 @@
 //! churn on `Yahoo.listings` applied through an `IncrementalSession`
 //! versus a full re-exchange over the same mutated sources; the ratio at
 //! 1 % churn is `delta_speedup`. A seventh `planned` configuration prices
-//! the cost-based planner: the same query workload run from raw text
+//! the plan cache: the same query workload run from raw text
 //! through `run_planned` with a cold plan cache (cleared before every
 //! pass), a warm cache, and the legacy pre-parsed written-order path;
 //! the cold/warm ratio is `plan_cache_hit_speedup`. An eighth
@@ -195,7 +195,7 @@ fn best_of_each(
 }
 
 /// Timings for the `planned` configuration: the query workload run from
-/// raw text through the cost-based planner with a cold cache (plan
+/// raw text through the plan cache with a cold cache (plan
 /// compiled every pass), a warm cache (compiled once, structurally
 /// confirmed on every hit), and the legacy pre-parsed evaluation path.
 struct PlannedTiming {
@@ -723,7 +723,7 @@ fn main() {
              \"incremental\": {{ \"config\": \"delta-driven maintenance (IncrementalSession) vs full re-exchange, modify churn on Yahoo.listings\", \
              \"build_ms\": {nb:.3}, \"delta_1pct_ms\": {n1:.3}, \"delta_10pct_ms\": {n10:.3}, \
              \"full_reexchange_ms\": {nf:.3}, \"edits_1pct\": {k1}, \"edits_10pct\": {k10}, \"total_ms\": {nt:.3} }},\n      \
-             \"planned\": {{ \"config\": \"cost-based planner: run_planned from raw text, cold cache vs warm cache vs legacy pre-parsed eval\", \
+             \"planned\": {{ \"config\": \"plan cache: run_planned from raw text, cold cache vs warm cache vs legacy pre-parsed eval\", \
              \"legacy_query_ms\": {pl:.3}, \"cold_plan_query_ms\": {pc:.3}, \"cached_plan_query_ms\": {pw:.3}, \"total_ms\": {pt:.3} }},\n      \
              \"durable\": {{ \"config\": \"WAL-backed DurableSession (MemVfs) vs in-memory applies, {db} x 10% churn batches; wal_overhead_pct prices the log-commit path, publish_ms the epoch-snapshot clone; recovery at full-suffix and post-checkpoint log lengths\", \
              \"inmem_build_ms\": {dib:.3}, \"create_ms\": {dcr:.3}, \"inmem_apply_ms\": {dia:.3}, \"wal_apply_ms\": {dwa:.3}, \

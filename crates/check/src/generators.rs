@@ -529,23 +529,33 @@ fn non_empty_pick(
 
 /// An MXQL query over a scenario's target: data paths mixed with `@map`
 /// bindings, `@elem` conditions and single/double-arrow mapping predicates,
-/// in the shapes of the paper's Examples 5.4–5.7.
+/// in the shapes of the paper's Examples 5.4–5.7. About one time in three
+/// a second root-set binding (half of those over the first one's set)
+/// joins the first by an equality on a same-typed atomic when one exists,
+/// as Example 5.5 joins estates to contacts.
 pub fn gen_mxql_query(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Query {
     let target = &scen.target;
-    let root = *pick(rng, target.roots());
-    let root_label = target.element(root).label.clone();
-    let r = reach(target, root, false, None);
-    let (steps, set_elem) = pick(rng, &r.sets).clone();
-    let member = target.set_member(set_elem).expect("set has a member");
+    let root_set = |rng: &mut TestRng| {
+        let root = *pick(rng, target.roots());
+        let r = reach(target, root, false, None);
+        let (steps, set_elem) = pick(rng, &r.sets).clone();
+        let member = target.set_member(set_elem).expect("set has a member");
+        let source = Expr::Path(path_expr(
+            PathStart::Root(target.element(root).label.clone()),
+            steps,
+        ));
+        let atomics: Vec<(Vec<Step>, AtomicType)> = reach(target, member, false, None)
+            .atomics
+            .into_iter()
+            .map(|(s, _, t)| (s, t))
+            .collect();
+        (source, atomics)
+    };
+    let (source, atomics) = root_set(rng);
     let mut from = vec![Binding {
         var: "x0".into(),
-        source: Expr::Path(path_expr(PathStart::Root(root_label), steps)),
+        source: source.clone(),
     }];
-    let atomics: Vec<(Vec<Step>, AtomicType)> = reach(target, member, false, None)
-        .atomics
-        .into_iter()
-        .map(|(s, _, t)| (s, t))
-        .collect();
     let apath = |rng: &mut TestRng, atomics: &[(Vec<Step>, AtomicType)]| -> PathExpr {
         let (s, _) = pick(rng, atomics).clone();
         path_expr(PathStart::Var("x0".into()), s)
@@ -553,6 +563,31 @@ pub fn gen_mxql_query(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Qu
 
     let mut select = vec![Expr::Path(apath(rng, &atomics))];
     let mut conditions = Vec::new();
+
+    // A second root binding: a data join over the annotated target.
+    if chance(rng, 1, 3) {
+        let (source1, atomics1) = if chance(rng, 1, 2) {
+            (source, atomics.clone())
+        } else {
+            root_set(rng)
+        };
+        from.push(Binding {
+            var: "x1".into(),
+            source: source1,
+        });
+        let x1_path = |s: Vec<Step>| Expr::Path(path_expr(PathStart::Var("x1".into()), s));
+        let (steps1, t) = pick(rng, &atomics1).clone();
+        let same_typed: Vec<(Vec<Step>, AtomicType)> =
+            atomics.iter().filter(|(_, t0)| *t0 == t).cloned().collect();
+        if !same_typed.is_empty() {
+            conditions.push(Condition::Cmp(Comparison {
+                left: Expr::Path(apath(rng, &same_typed)),
+                op: CmpOp::Eq,
+                right: x1_path(steps1),
+            }));
+        }
+        select.push(x1_path(pick(rng, &atomics1).0.clone()));
+    }
 
     // `@map` binding (Example 5.4).
     let with_map = chance(rng, 3, 5);

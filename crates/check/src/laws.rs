@@ -369,19 +369,15 @@ pub fn law_analyze(
     Ok(())
 }
 
-/// Planner conformance: for every generated MXQL query,
+/// Plan conformance: for every generated MXQL query,
 ///
-/// * the planned execution (cost-based join order, per-join algorithm
-///   choice, plan caching) produces the same row **multiset** as the
-///   legacy evaluator and the reference oracle — bindings are a filtered
-///   cross product, so the planner may permute enumeration order but
-///   never membership or multiplicity;
-/// * a plan-cache **hit is byte-identical to the cold plan** (same plan
-///   object ⇒ same row order), and the hit is structurally confirmed
-///   (the counter must move);
-/// * a plan compiled against a *synthetic* statistics catalog with
-///   random per-binding cardinalities — which drives arbitrary join
-///   reorderings deterministically — still matches the oracle multiset.
+/// * the planned execution (parse, check and cache, then the query in its
+///   written order) produces the same row multiset as the reference
+///   oracle;
+/// * it is **byte-identical to the legacy evaluator's run** of the parsed
+///   query — columns, row order and annotation payloads;
+/// * a plan-cache **hit is byte-identical to the cold plan**, and the hit
+///   is structurally confirmed (the counter must move).
 pub fn law_plan(
     rng: &mut TestRng,
     scen: &Scenario,
@@ -389,13 +385,6 @@ pub fn law_plan(
     cfg: &GenConfig,
 ) -> Result<(), String> {
     let catalog = tagged.catalog();
-    // Full-row canonicalization (values AND annotation payloads),
-    // order-insensitive.
-    let canon_full = |r: &dtr_query::eval::QueryResult| {
-        let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-        rows.sort();
-        rows
-    };
     let render = |r: &dtr_query::eval::QueryResult| format!("{:?}|{:?}", r.columns, r.rows);
     for _ in 0..cfg.queries_per_case {
         let q = generators::gen_mxql_query(rng, scen, cfg);
@@ -409,7 +398,6 @@ pub fn law_plan(
             .map_err(|e| format!("legacy run failed on `{q}`: {e}"))?;
         tagged.clear_plan_cache();
         let hits_before = tagged.plan_cache_stats().hits;
-        let version_before = dtr_obs::stats::cardinality_version();
         let cold = tagged
             .run_planned(&text)
             .map_err(|e| format!("planned (cold) run failed on `{q}`: {e}"))?;
@@ -417,11 +405,7 @@ pub fn law_plan(
             .run_planned(&text)
             .map_err(|e| format!("planned (cached) run failed on `{q}`: {e}"))?;
         let stats = tagged.plan_cache_stats();
-        // A concurrent delta apply (another test thread) can legitimately
-        // move the cardinality version between the cold and warm runs,
-        // evicting the plan; only a missed hit with a *stable* version is
-        // a cache bug.
-        if stats.hits <= hits_before && dtr_obs::stats::cardinality_version() == version_before {
+        if stats.hits <= hits_before {
             return Err(format!(
                 "plan cache did not hit on repeated `{q}` ({stats:?})"
             ));
@@ -439,31 +423,11 @@ pub fn law_plan(
                 "planned run disagrees with oracle on `{q}`\noracle: {expected:?}\nplanned: {got:?}"
             ));
         }
-        if canon_full(&cold) != canon_full(&legacy) {
+        if render(&cold) != render(&legacy) {
             return Err(format!(
-                "planned run disagrees with legacy run (annotations included) on `{q}`\nlegacy: {:?}\nplanned: {:?}",
-                canon_full(&legacy),
-                canon_full(&cold)
-            ));
-        }
-        // Synthetic statistics force arbitrary (but deterministic) join
-        // reorderings; the multiset must survive any of them.
-        let mut synth = dtr_obs::stats::StatsCatalog::new();
-        for b in &q.from {
-            let path = dtr_query::eval::canonical_expr(&b.source, &q);
-            synth.record_set(&path, 1 + rng.below(1024));
-        }
-        let plan = tagged
-            .plan_with_stats(&text, &synth)
-            .map_err(|e| format!("planning with synthetic stats failed on `{q}`: {e}"))?;
-        let reordered = tagged
-            .run_plan(&plan)
-            .map_err(|e| format!("reordered plan failed on `{q}`: {e}"))?;
-        let got = oracle::canonical_multiset(&reordered.tuples());
-        if got != expected {
-            return Err(format!(
-                "reordered plan (order {:?}) disagrees with oracle on `{q}`\noracle: {expected:?}\nplanned: {got:?}",
-                plan.physical.order
+                "planned run differs from legacy run (annotations included) on `{q}`\nlegacy: {}\nplanned: {}",
+                render(&legacy),
+                render(&cold)
             ));
         }
     }

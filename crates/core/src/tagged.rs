@@ -560,10 +560,10 @@ impl TaggedInstance {
     /// The one query funnel: every query-shaped request on this tagged
     /// instance runs here. It resolves `req` to the query to evaluate
     /// (normalizing a parsed query, or taking a cached or compiled plan),
-    /// applies `budget` to this execution only (a cached plan never
-    /// stores one), evaluates with the Section 5 semantics, and records
-    /// one audit entry: kind `query` for a parsed request, `query.planned`
-    /// for text or a plan. With `analyze` the result comes back with its
+    /// evaluates it with the Section 5 semantics under the default
+    /// [`EvalOptions`] and `budget`, and records one audit entry: kind
+    /// `query` for a parsed request, `query.planned` for text or a
+    /// plan. With `analyze` the result comes back with its
     /// EXPLAIN ANALYZE operator tree (see `dtr_obs::analyze`); the rows
     /// are byte-identical either way. A tripped budget returns a
     /// structured guard error, reachable via [`MxqlError::guard`].
@@ -579,20 +579,21 @@ impl TaggedInstance {
             Request::Text(text) => match self.plan_for(text) {
                 Ok(p) => {
                     plan = p;
-                    Ok((&plan.query, plan.opts.clone()))
+                    Ok(&plan.query)
                 }
                 Err(e) => Err(e),
             },
             Request::Parsed(q) => {
                 normalized = self.setting.normalize_query(q);
-                Ok((&normalized, EvalOptions::default()))
+                Ok(&normalized)
             }
-            Request::Plan(p) => Ok((&p.query, p.opts.clone())),
+            Request::Plan(p) => Ok(&p.query),
         };
-        let result = resolved.and_then(|(query, mut opts)| {
-            if let Some(budget) = budget {
-                opts.budget = budget.clone();
-            }
+        let result = resolved.and_then(|query| {
+            let opts = EvalOptions {
+                budget: budget.cloned().unwrap_or_default(),
+                ..EvalOptions::default()
+            };
             let catalog = self.catalog();
             let eval = Evaluator::new(&catalog, &self.functions)
                 .with_meta(self.setting())
@@ -628,16 +629,13 @@ impl TaggedInstance {
         self.run(&parse_query(text)?)
     }
 
-    /// Evaluates MXQL text through the planner pipeline: a plan-cache hit
-    /// (fingerprint keyed, structurally confirmed against the stored
-    /// text) skips parse + check + plan entirely; a miss compiles the
-    /// query — resolve, logical rewrites, cost-based physical planning
-    /// from the current statistics snapshot — caches the plan, and
-    /// executes it. Execution runs through the same evaluator kernels as
-    /// [`TaggedInstance::run`], so guards, journal, stats and analyze all
-    /// behave identically; bindings may execute in a planned order, so
-    /// the result *multiset* matches `run` while row order may differ
-    /// (never under `limit`, which pins the original order).
+    /// Evaluates MXQL text through the plan cache: a hit (fingerprint
+    /// keyed, structurally confirmed against the stored text) skips
+    /// parse + check entirely; a miss parses, normalizes and checks the
+    /// query, caches the plan, and executes it. A plan is the query in its
+    /// written order, run by the same evaluator as
+    /// [`TaggedInstance::run`], so the result is byte-identical to `run`'s,
+    /// row order and annotations included.
     pub fn run_planned(&self, text: &str) -> Result<QueryResult, MxqlError> {
         self.execute(Request::Text(text), None, false)
             .map(|(r, _)| r)
@@ -648,31 +646,12 @@ impl TaggedInstance {
         if let Some(plan) = self.plans.lookup(text) {
             return Ok(plan);
         }
-        let plan = Arc::new(self.compile_plan(text, &dtr_obs::stats::snapshot())?);
-        self.plans.insert(Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// Compiles `text` against an explicit statistics catalog, bypassing
-    /// the cache — deterministic planning for tests and `.explain`.
-    pub fn plan_with_stats(
-        &self,
-        text: &str,
-        stats: &dtr_obs::stats::StatsCatalog,
-    ) -> Result<CompiledPlan, MxqlError> {
-        self.compile_plan(text, stats)
-    }
-
-    fn compile_plan(
-        &self,
-        text: &str,
-        stats: &dtr_obs::stats::StatsCatalog,
-    ) -> Result<CompiledPlan, MxqlError> {
-        let q = parse_query(text)?;
-        let q = self.setting.normalize_query(&q);
+        let q = self.setting.normalize_query(&parse_query(text)?);
         let mut schemas: Vec<&Schema> = vec![&self.setting.target_schema];
         schemas.extend(self.setting.source_schemas.iter());
-        dtr_query::plan::compile(&q, schemas, stats, text).map_err(MxqlError::Check)
+        let plan = Arc::new(dtr_query::plan::compile(&q, schemas, text).map_err(MxqlError::Check)?);
+        self.plans.insert(Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Executes a compiled plan (no parsing, checking or planning).

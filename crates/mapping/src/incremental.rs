@@ -244,9 +244,6 @@ impl IncrementalExchange {
         self.merge_index = merge_index;
         self.batch = 0;
         self.synthesize_report();
-        // Every set was rebuilt (`finish` merged the fresh path counts):
-        // plans compiled against the pre-rebase catalog are stale.
-        dtr_obs::stats::bump_cardinality_version();
         span.record("classes", self.classes.len());
         Ok(())
     }
@@ -289,9 +286,6 @@ impl IncrementalExchange {
                         dtr_obs::stats::record_set(&c.path, n as u64);
                     }
                 }
-                // Cardinalities moved: cached plans compiled against the
-                // pre-delta catalog must not be reused as-is.
-                dtr_obs::stats::bump_cardinality_version();
                 let counters = dtr_obs::counters();
                 counters.delta_batches.incr();
                 counters.delta_edits.add(delta.edits.len() as u64);

@@ -15,12 +15,11 @@
 //! values costs O(registers), not O(values), in memory.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde_json::{json, Map, Value};
 
-use crate::metrics::{bucket_for, bucket_lower, HISTOGRAM_BUCKETS};
+use crate::metrics::{bucket_for, HISTOGRAM_BUCKETS};
 
 static GATE: crate::Gate = crate::Gate::new("DTR_STATS");
 
@@ -232,32 +231,6 @@ impl PathStats {
     /// Estimated number of distinct values at this path.
     pub fn distinct_estimate(&self) -> u64 {
         self.distinct.estimate()
-    }
-
-    /// Approximate mean observed set cardinality, reconstructed from the
-    /// log₂ histogram via geometric bucket midpoints (`2^i·√2`; bucket 0
-    /// counts as 1). `None` until a set has been recorded. This is the
-    /// cost-model read path of the query planner's cardinality estimates.
-    pub fn mean_set_cardinality(&self) -> Option<f64> {
-        let total: u64 = self.set_card.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let weighted: f64 = self
-            .set_card
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                let mid = if i == 0 {
-                    1.0
-                } else {
-                    bucket_lower(i) as f64 * std::f64::consts::SQRT_2
-                };
-                mid * n as f64
-            })
-            .sum();
-        Some(weighted / total as f64)
     }
 }
 
@@ -510,26 +483,6 @@ fn global() -> std::sync::MutexGuard<'static, StatsCatalog> {
     CATALOG.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Monotonic version of the relation cardinalities the planner costs
-/// against. Ordinary stat collection (join/value observations during
-/// evaluation) does NOT move it — only events that change what is
-/// populated: a delta apply, a rebase, or a [`reset`]. Compiled plans
-/// stamp the version they were built at and are recompiled on mismatch,
-/// so a post-delta planned query never reuses a pre-delta join order.
-static CARDINALITY_VERSION: AtomicU64 = AtomicU64::new(0);
-
-/// The current cardinality version (see [`bump_cardinality_version`]).
-pub fn cardinality_version() -> u64 {
-    CARDINALITY_VERSION.load(Ordering::Acquire)
-}
-
-/// Advances the cardinality version, invalidating every cached plan that
-/// was compiled against the previous catalog. Called by delta apply and
-/// rebase paths after they merge fresh path counts.
-pub fn bump_cardinality_version() {
-    CARDINALITY_VERSION.fetch_add(1, Ordering::AcqRel);
-}
-
 /// Fold a locally collected catalog into the global one. Collection sites
 /// batch into a local [`StatsCatalog`] and merge once, so the global lock
 /// is taken O(runs), not O(rows).
@@ -557,7 +510,6 @@ pub fn snapshot() -> StatsCatalog {
 /// Clear the global catalog.
 pub fn reset() {
     *global() = StatsCatalog::new();
-    bump_cardinality_version();
 }
 
 #[cfg(test)]
@@ -612,18 +564,6 @@ mod tests {
         assert!(matches!(spilled, DistinctEstimator::Sketch(_)));
         let est = spilled.estimate() as f64;
         assert!((est - 5_000.0).abs() / 5_000.0 < 0.15, "estimate {est}");
-    }
-
-    #[test]
-    fn mean_set_cardinality_tracks_histogram() {
-        let mut s = PathStats::default();
-        assert_eq!(s.mean_set_cardinality(), None);
-        s.set_card[bucket_for(1)] += 2; // two singleton sets -> mean 1
-        let m = s.mean_set_cardinality().unwrap();
-        assert!((m - 1.0).abs() < 1e-9, "mean {m}");
-        s.set_card[bucket_for(64)] += 2; // bucket midpoint 64·√2 ≈ 90.5
-        let m = s.mean_set_cardinality().unwrap();
-        assert!(m > 40.0 && m < 50.0, "mean {m}");
     }
 
     #[test]

@@ -113,14 +113,6 @@ pub struct EvalOptions {
     /// the nested-loop scan. Disabling this keeps the nested-loop path so
     /// dtr-check can assert both engines agree.
     pub hash_join: bool,
-    /// Per-`from`-binding hash-join permission, indexed by binding
-    /// position: `Some(allow)` lets the planner force nested-loop
-    /// (`allow[bi] == false`) on joins whose estimated build side is too
-    /// small to amortize a hash table, while leaving the evaluator's own
-    /// join detection in charge everywhere `allow[bi]` is `true`. Ignored
-    /// when `hash_join` is off. `None` (the default) permits hash joins on
-    /// every binding.
-    pub hash_join_per_binding: Option<std::sync::Arc<Vec<bool>>>,
     /// Resource budget for one evaluation: binding/row/byte caps, a
     /// wall-clock deadline and a cooperative cancel flag. Exceeding it
     /// aborts the run with [`EvalError::Guard`]. Unlimited by default.
@@ -161,23 +153,9 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             hash_join: true,
-            hash_join_per_binding: None,
             budget: Budget::default(),
             domains: None,
         }
-    }
-}
-
-impl EvalOptions {
-    /// Is a hash join permitted on `from`-binding `bi`? True only when
-    /// `hash_join` is on and the planner's per-binding override (if any)
-    /// has not forced nested-loop there.
-    pub fn hash_join_for(&self, bi: usize) -> bool {
-        self.hash_join
-            && self
-                .hash_join_per_binding
-                .as_ref()
-                .is_none_or(|allow| allow.get(bi).copied().unwrap_or(true))
     }
 }
 
@@ -623,7 +601,7 @@ impl<'a> Evaluator<'a> {
             // comparison, so conservative key sharing is harmless.
             let build_t = stage_begin(analyze, &meter);
             let join_table: Option<(usize, bool, HashMap<JoinKey, Vec<usize>>)> =
-                match (self.opts.hash_join_for(bi), &static_items, rows.first()) {
+                match (self.opts.hash_join, &static_items, rows.first()) {
                     (true, Some(items), Some(env0)) => {
                         let mut found = None;
                         for (k, &ci) in ready.iter().enumerate() {
@@ -2291,43 +2269,6 @@ mod tests {
                 h.join().unwrap();
             }
         });
-    }
-
-    #[test]
-    fn per_binding_override_forces_nested_loop_with_identical_rows() {
-        let schema = us_schema();
-        let mut inst = us_instance();
-        inst.annotate_elements(&schema).unwrap();
-        let catalog = Catalog::new(vec![Source {
-            schema: &schema,
-            instance: &inst,
-        }]);
-        let funcs = FunctionRegistry::with_builtins();
-        let q =
-            parse_query("select h.hid, a.phone from US.houses h, US.agents a where h.aid = a.aid")
-                .unwrap();
-        let hashed = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
-        let (_, forced_plan) = Evaluator::new(&catalog, &funcs)
-            .with_options(EvalOptions {
-                hash_join_per_binding: Some(std::sync::Arc::new(vec![true, false])),
-                ..Default::default()
-            })
-            .run_analyzed(&q)
-            .unwrap();
-        // The override suppressed the hash table on binding 1 (the only
-        // join candidate), so no probe/build operator exists...
-        assert!(forced_plan.find("hash-probe").is_none());
-        assert!(forced_plan.find("hash-build").is_none());
-        // ...and the rows (probed in candidate order by construction)
-        // still match the hash-join rows exactly.
-        let forced = Evaluator::new(&catalog, &funcs)
-            .with_options(EvalOptions {
-                hash_join_per_binding: Some(std::sync::Arc::new(vec![true, false])),
-                ..Default::default()
-            })
-            .run(&q)
-            .unwrap();
-        assert_eq!(forced.rows, hashed.rows);
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! * [`eval`] — the evaluator over (annotated) instances.
 //! * [`functions`] — the function-call mechanism, with `concat`,
 //!   `getElAnnot` and `getMapAnnot` built in.
-//! * [`logical`] / [`physical`] / [`plan`] — the planner pipeline:
-//!   logical stage chains with pushdown/join-extraction rewrites,
-//!   cost-based physical planning from the statistics catalog, and
-//!   fingerprint-keyed compiled-plan caching with structural
-//!   confirmation.
+//! * [`plan`] — checked queries in their written order, cached by
+//!   query-text fingerprint with structural confirmation.
+//! * [`logical`] — the `.explain` view of a plan: stage chains with the
+//!   pushdown and join-extraction rewrites.
 //!
 //! ```
 //! use dtr_model::prelude::*;
@@ -58,7 +57,6 @@ pub mod eval;
 pub mod functions;
 pub mod logical;
 pub mod parser;
-pub mod physical;
 pub mod plan;
 
 /// Convenient glob-import of the most used names.
@@ -75,7 +73,6 @@ pub mod prelude {
     pub use crate::functions::{ArgValue, FunctionRegistry, FunctionValue};
     pub use crate::logical::{LogicalPlan, LogicalStage};
     pub use crate::parser::{parse_mapping_parts, parse_query, ParseError};
-    pub use crate::physical::{JoinAlgo, PhysicalPlan};
     pub use crate::plan::{compile, CompiledPlan, PlanCache, PlanCacheStats};
 }
 

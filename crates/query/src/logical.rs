@@ -1,12 +1,11 @@
-//! Logical query plans: the planner's intermediate representation.
+//! Logical query plans: the `.explain` view of a compiled plan.
 //!
-//! The planner pipeline is `parse → resolve → logical plan → rewrites →
-//! physical plan` (see [`crate::plan`] for the driver and the plan cache).
-//! A [`LogicalPlan`] describes *what* the query computes as a chain of
-//! relational stages — scan/bind, filter, join, mapping-predicate,
-//! project, sort, limit — independent of join algorithms or binding
-//! order. Two rewrite passes replace what used to be ad-hoc evaluator
-//! flags:
+//! A compiled plan (see [`crate::plan`]) is the checked query in its
+//! written order. A [`LogicalPlan`] describes *what* that query computes
+//! as a chain of relational stages — scan/bind, filter, join,
+//! mapping-predicate, project, sort, limit — independent of join
+//! algorithms. Two rewrite passes show what the evaluator does at run
+//! time:
 //!
 //! * [`LogicalPlan::push_down_filters`] — predicate pushdown as a plan
 //!   rewrite: every comparison is attached to the earliest binding stage
@@ -14,8 +13,8 @@
 //!   at runtime);
 //! * [`LogicalPlan::extract_joins`] — equality-predicate extraction:
 //!   a pushed-down equi-comparison linking a row-independent binding to
-//!   earlier bindings is promoted to the stage's *join key*, making the
-//!   join explicit so the physical planner can choose an algorithm for it.
+//!   earlier bindings is promoted to the stage's *join key*: the join the
+//!   evaluator serves with a hash table.
 
 use crate::ast::{CmpOp, Condition, Query};
 
@@ -195,8 +194,7 @@ impl LogicalPlan {
     /// Equality-predicate extraction: promotes, on each row-independent
     /// (scan) stage, the first pushed equality comparison linking the
     /// stage's variable to earlier bindings into an explicit join key —
-    /// exactly the pattern the evaluator's hash-join path can serve. The
-    /// physical planner then chooses hash vs nested-loop per join.
+    /// exactly the pattern the evaluator's hash-join path can serve.
     pub fn extract_joins(&mut self, q: &Query) {
         let cmps: Vec<&crate::ast::Comparison> = q
             .conditions

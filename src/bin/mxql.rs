@@ -29,8 +29,8 @@
 //! * `.profile [on|off|json]` — toggle or dump the `dtr-obs` profile
 //!   (also enabled by `--profile` or `DTR_PROFILE=1`);
 //! * `.explain <query>;` — translation EXPLAIN: every Section 7.3 rewrite
-//!   step plus the final plain quer(ies), followed by the cost-based
-//!   planner's logical/physical plan with estimated vs actual rows;
+//!   step plus the final plain quer(ies), followed by the logical plan
+//!   and the EXPLAIN ANALYZE operator tree of one run of the plan;
 //! * `.analyze <query>;` — EXPLAIN ANALYZE: run the query with
 //!   per-operator instrumentation and print the operator tree (actual rows
 //!   in/out, wall time, guard charges per scan/bind/filter/hash-join
@@ -140,7 +140,7 @@ const COMMANDS: &[(&str, &str)] = &[
     (".translate", "<query>; — show the Section 7.3 translation"),
     (
         ".explain",
-        "<query>; — translation rewrite steps, then the logical/physical plan with estimated vs actual rows",
+        "<query>; — translation rewrite steps, then the logical plan and one analyzed run",
     ),
     (
         ".analyze",
@@ -747,16 +747,15 @@ fn main() {
                                 }
                                 Err(e) => println!("translation error: {e}"),
                             }
-                            // Cost-based planner view: logical rewrites,
-                            // physical operators with estimated rows, and
-                            // actual rows from one instrumented execution.
+                            // Plan view: the logical rewrites, then the
+                            // operators one instrumented run really ran.
                             match tagged.plan_for(text) {
                                 Ok(plan) => {
+                                    print!("{}", plan.render());
                                     match tagged.execute(Request::Plan(&plan), None, true) {
-                                        Ok((_, Some(node))) => {
-                                            print!("{}", plan.render_with_actual(&node))
-                                        }
-                                        _ => print!("{}", plan.render()),
+                                        Ok((_, Some(node))) => print!("{}", node.render()),
+                                        Ok((_, None)) => {}
+                                        Err(e) => println!("execution error: {e}"),
                                     }
                                 }
                                 Err(e) => println!("planning error: {e}"),
