@@ -230,24 +230,6 @@ impl ExchangeReport {
         Some((start, end))
     }
 
-    /// `(p50, p90, p99)` of per-mapping wall time in nanoseconds, or `None`
-    /// when no mapping ran. Exact nearest-rank percentiles over the sorted
-    /// `wall_ns` values — the mapping count is small, so no histogram
-    /// approximation is needed here (queries use the log₂ histograms in
-    /// `dtr_obs::metrics` instead).
-    pub fn latency_percentiles(&self) -> Option<(u64, u64, u64)> {
-        let mut walls: Vec<u64> = self.per_mapping.iter().map(|s| s.wall_ns).collect();
-        if walls.is_empty() {
-            return None;
-        }
-        walls.sort_unstable();
-        let pick = |q: f64| {
-            let rank = ((q * walls.len() as f64).ceil() as usize).clamp(1, walls.len());
-            walls[rank - 1]
-        };
-        Some((pick(0.50), pick(0.90), pick(0.99)))
-    }
-
     /// Synthesizes an EXPLAIN ANALYZE operator tree for the exchange from
     /// the per-mapping statistics: each mapping contributes a
     /// `foreach → nest → pnf-merge` chain (upstream operator as the first
@@ -2522,10 +2504,8 @@ mod tests {
     }
 
     #[test]
-    fn report_latency_percentiles_and_analyze_plan() {
+    fn report_analyze_plan_follows_per_mapping_stats() {
         let (_, _, report) = run_exchange();
-        let (p50, p90, p99) = report.latency_percentiles().unwrap();
-        assert!(p50 <= p90 && p90 <= p99);
         let plan = report.analyze_plan();
         assert_eq!(plan.op, "exchange");
         assert_eq!(plan.children.len(), 3);
@@ -2541,16 +2521,14 @@ mod tests {
             assert_eq!(foreach.op, "foreach");
             assert_eq!(foreach.rows_out, stats.tuples as u64);
         }
-        assert_eq!(ExchangeReport::default().latency_percentiles(), None);
     }
 
     #[test]
-    fn empty_report_percentiles_return_none_not_panic() {
+    fn empty_report_window_and_totals_do_not_panic() {
         // Regression: a zero-mapping report (nothing ran, or an exchange
-        // aborted before its first mapping) must yield `None`, never index
-        // into an empty wall-time vector.
+        // aborted before its first mapping) must yield `None` and zero
+        // totals, never index into an empty per-mapping vector.
         let report = ExchangeReport::default();
-        assert_eq!(report.latency_percentiles(), None);
         assert_eq!(report.event_window(), None);
         let totals = report.totals();
         assert_eq!((totals.tuples, totals.bindings, totals.wall_ns), (0, 0, 0));

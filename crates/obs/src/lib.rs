@@ -44,7 +44,6 @@ pub mod audit;
 pub mod chrome_trace;
 mod explain;
 pub mod guard;
-pub mod health;
 pub mod journal;
 mod metrics;
 mod profile;

@@ -699,11 +699,6 @@ fn e10(n: usize, budget: &Budget) -> Json {
 }
 
 fn main() {
-    // `experiments health ...` is a separate mode: a fixed workload whose
-    // observable shape is compared against a committed baseline.
-    if std::env::args().nth(1).as_deref() == Some("health") {
-        health_mode(std::env::args().skip(2).collect());
-    }
     let args = parse_args();
     if args.profile {
         dtr_obs::set_enabled(true);
@@ -843,152 +838,4 @@ fn main() {
         .unwrap_or_else(|e| io_exit("write JSON results", &path, e));
         println!("\nresults written to {path}");
     }
-}
-
-/// The fixed query mix of the health workload (a subset of E7 plus a
-/// metadata lookup), chosen so exchange, direct evaluation, and the
-/// translated pipeline all contribute counters.
-const HEALTH_QUERIES: &[&str] = &[
-    "select h.hid, h.price from Portal.houses h where h.price > 800000",
-    "select h.hid, h.price, m from Portal.houses h, h.price@map m where h.price > 800000",
-    "select h.hid, m from Portal.houses h, h.price@map m \
-     where h.price > 800000 and e = h.price@elem \
-       and <'Yahoo':'/Yahoo/listings/price' -> m -> 'Portal':e>",
-];
-
-/// `experiments health`: run a deterministic sequential workload, capture
-/// its observable shape (counters, statistics catalog, span latency), and
-/// compare it against a committed baseline with `dtr_obs::health`.
-///
-/// ```text
-/// experiments health --update                    # (re)write the baseline
-/// experiments health                             # compare, exit 2 on fail
-/// experiments health --report-only               # compare, always exit 0
-/// experiments health --inject-drift              # synthetic drift (self-test)
-/// ```
-///
-/// Exit status: 0 on `ok`/`warn` (latency checks are machine-dependent and
-/// warn-only), 2 on `fail` — unless `--report-only`.
-fn health_mode(argv: Vec<String>) -> ! {
-    let mut baseline_path = "HEALTH_BASELINE.json".to_string();
-    let mut out_path: Option<String> = None;
-    let mut thresholds = dtr_obs::health::Thresholds::default();
-    let mut update = false;
-    let mut inject_drift = false;
-    let mut report_only = false;
-    let mut scale = 200usize;
-    let mut it = argv.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline_path = it.next().expect("--baseline takes a path"),
-            "--out" => out_path = it.next(),
-            "--warn-pct" => {
-                thresholds.warn_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--warn-pct takes a number");
-            }
-            "--fail-pct" => {
-                thresholds.fail_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--fail-pct takes a number");
-            }
-            "--update" => update = true,
-            "--inject-drift" => inject_drift = true,
-            "--report-only" => report_only = true,
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale takes a number");
-            }
-            other => {
-                eprintln!("unknown health flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // The workload must produce the same counters on every machine: spans
-    // and stats on, sequential exchange, fixed scale and query mix.
-    dtr_obs::set_enabled(true);
-    dtr_obs::stats::set_enabled(true);
-    dtr_obs::profile_reset();
-    dtr_obs::stats::reset();
-    let scenario = build(ScenarioConfig {
-        listings_per_source: scale,
-        ..Default::default()
-    });
-    let tagged = scenario
-        .exchange_with(&ExchangeOptions::default())
-        .expect("health exchange");
-    let runner = MetaRunner::new(tagged.setting()).expect("metastore builds");
-    for text in HEALTH_QUERIES {
-        let q = parse_query(text).expect("health query parses");
-        std::hint::black_box(tagged.run(&q).expect("health query runs").len());
-    }
-    // The translated pipeline exercises the metastore path too.
-    let q = parse_query(HEALTH_QUERIES[1]).expect("health query parses");
-    std::hint::black_box(
-        runner
-            .run(&tagged, &q, None)
-            .expect("translated health query")
-            .len(),
-    );
-
-    let catalog = dtr_obs::stats::snapshot();
-    let mut live = dtr_obs::health::HealthSnapshot::capture(&catalog);
-    if inject_drift {
-        // Synthetic anomaly: the engine "did three times the work".
-        for (_, v) in live.counters.iter_mut() {
-            *v = *v * 3 + 1000;
-        }
-        live.stats_tuples = live.stats_tuples * 3 + 1000;
-    }
-
-    if update {
-        std::fs::write(
-            &baseline_path,
-            serde_json::to_string_pretty(&live.to_json()).expect("serializable"),
-        )
-        .unwrap_or_else(|e| io_exit("write baseline", &baseline_path, e));
-        println!(
-            "health baseline written to {baseline_path}: {} counter(s), {} stats path(s)",
-            live.counters.len(),
-            live.stats_paths
-        );
-        std::process::exit(0);
-    }
-
-    let text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        eprintln!("health: cannot read baseline {baseline_path}: {e}");
-        eprintln!("run `experiments health --update` to create it");
-        std::process::exit(2);
-    });
-    let doc: Json = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("health: baseline {baseline_path} is not JSON: {e}");
-        eprintln!("run `experiments health --update` to regenerate it");
-        std::process::exit(2);
-    });
-    let baseline = dtr_obs::health::HealthSnapshot::from_json(&doc).unwrap_or_else(|e| {
-        eprintln!("health: baseline {baseline_path} has an unexpected shape: {e}");
-        eprintln!("run `experiments health --update` to regenerate it");
-        std::process::exit(2);
-    });
-    let report = dtr_obs::health::compare(&baseline, &live, &thresholds);
-    println!("{}", report.render());
-    if let Some(path) = out_path {
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&report.to_json()).expect("serializable"),
-        )
-        .unwrap_or_else(|e| io_exit("write health report", &path, e));
-        println!("health report written to {path}");
-    }
-    let code = match report.status {
-        dtr_obs::health::Status::Fail if !report_only => 2,
-        _ => 0,
-    };
-    std::process::exit(code);
 }

@@ -1,15 +1,22 @@
 //! End-to-end tests of the Section 8 portal scenario: exchange, XML
-//! round-trips of the tagged instance, mapping satisfaction, and the size
-//! relations the experiments report.
+//! round-trips of the tagged instance, mapping satisfaction, the size
+//! relations the experiments report, and agreement between the reference
+//! engine paths and the default ones.
 
-use dtr::core::tagged::TaggedInstance;
+use dtr::core::runner::canonical_rows;
+use dtr::core::tagged::{Request, TaggedInstance};
+use dtr::mapping::exchange::ExchangeOptions;
 use dtr::mapping::satisfy::is_satisfied;
 use dtr::model::pnf::is_pnf;
 use dtr::portal::scenario::{build, tagged, ScenarioConfig};
-use dtr::query::eval::Source;
+use dtr::query::eval::{EvalOptions, Evaluator, Source};
 use dtr::query::functions::FunctionRegistry;
+use dtr::query::parser::parse_query;
 use dtr::xml::parser::instance_from_xml;
 use dtr::xml::writer::{instance_to_xml, SizeReport, WriteOptions};
+use dtr_check::laws::canon;
+use dtr_obs::guard::Budget;
+use std::time::Duration;
 
 fn small() -> ScenarioConfig {
     ScenarioConfig {
@@ -192,4 +199,130 @@ fn deterministic_scenarios() {
     assert_eq!(a.target().len(), b.target().len());
     let q = "select h.hid, h.price from Portal.houses h";
     assert_eq!(a.query(q).unwrap().tuples(), b.query(q).unwrap().tuples());
+}
+
+/// A query workload over the portal: a plain selection, a target-side
+/// join, a nested-set join (each house's `housesInNeighborhood` stubs,
+/// the Section 8 debugging case, resolved back to full listings), an `@map`
+/// extension, and an MXQL mapping predicate (the triple index).
+const WORKLOAD: &[&str] = &[
+    "select h.hid, h.price from Portal.houses h where h.price > 800000",
+    "select h.hid, a.phone from Portal.houses h, Portal.agents a where h.contact.name = a.name",
+    "select h.hid, n.hid, h2.price \
+     from Portal.houses h, h.housesInNeighborhood n, Portal.houses h2 \
+     where n.hid = h2.hid",
+    "select h.hid, h.price, m from Portal.houses h, h.price@map m where h.price > 800000",
+    "select h.hid, m from Portal.houses h, h.price@map m \
+     where h.price > 800000 and e = h.price@elem \
+       and <'Yahoo':'/Yahoo/listings/price' -> m -> 'Portal':e>",
+];
+
+/// Each mapping's merge decisions, in run order.
+fn decisions(t: &TaggedInstance) -> Vec<(String, usize, usize, usize, usize, usize, usize)> {
+    t.report()
+        .per_mapping
+        .iter()
+        .map(|s| {
+            (
+                s.mapping.as_str().to_string(),
+                s.tuples,
+                s.bindings,
+                s.rows_inserted,
+                s.rows_merged,
+                s.annotations_written,
+                s.annotations_suppressed,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn reference_engine_agrees_with_default_engines() {
+    // The reference engine: serial exchange, nested-loop evaluation and
+    // per-row member construction.
+    let reference = ExchangeOptions {
+        eval: EvalOptions {
+            hash_join: false,
+            ..Default::default()
+        },
+        member_templates: false,
+        ..Default::default()
+    };
+    // Two workers, so the threaded path runs even on one core.
+    let parallel = ExchangeOptions {
+        parallel: true,
+        workers: 2,
+        ..Default::default()
+    };
+    // A budget far above the workload: every meter is armed, none trips.
+    let generous = Budget {
+        max_bindings: Some(1_000_000_000),
+        max_rows: Some(1_000_000_000),
+        max_result_bytes: Some(1 << 40),
+        deadline: Some(Duration::from_secs(3600)),
+        ..Budget::default()
+    };
+    let budgeted = ExchangeOptions {
+        budget: generous.clone(),
+        eval: EvalOptions {
+            budget: generous.clone(),
+            ..Default::default()
+        },
+        ..parallel.clone()
+    };
+    let exchange = |opts: &ExchangeOptions| build(small()).exchange_with(opts).unwrap();
+    let (ref_t, par_t, bud_t) = (
+        exchange(&reference),
+        exchange(&parallel),
+        exchange(&budgeted),
+    );
+    for (name, t) in [("parallel", &par_t), ("budgeted", &bud_t)] {
+        assert!(
+            canon(t.target()) == canon(ref_t.target()),
+            "{name} exchange changed the target instance"
+        );
+        assert_eq!(
+            decisions(t),
+            decisions(&ref_t),
+            "{name} exchange changed per-mapping decisions"
+        );
+    }
+
+    let catalog = ref_t.catalog();
+    let nested_loop = Evaluator::new(&catalog, ref_t.functions())
+        .with_meta(ref_t.setting())
+        .with_options(reference.eval.clone());
+    for text in WORKLOAD {
+        let q = parse_query(text).unwrap();
+        let normalized = ref_t.setting().normalize_query(&q);
+        let expected = canonical_rows(&nested_loop.run(&normalized).unwrap());
+        assert!(!expected.is_empty(), "no rows for {text}");
+        let execute = |t: &TaggedInstance, budget| {
+            canonical_rows(&t.execute(Request::Parsed(&q), budget, false).unwrap().0)
+        };
+        assert_eq!(execute(&par_t, None), expected, "hash join: {text}");
+        assert_eq!(
+            execute(&bud_t, Some(&generous)),
+            expected,
+            "generous budget: {text}"
+        );
+        let cold = par_t.plan_cache_stats();
+        assert_eq!(
+            canonical_rows(&par_t.run_planned(text).unwrap()),
+            expected,
+            "cold plan cache: {text}"
+        );
+        assert_eq!(
+            canonical_rows(&par_t.run_planned(text).unwrap()),
+            expected,
+            "warm plan cache: {text}"
+        );
+        let warm = par_t.plan_cache_stats();
+        assert_eq!(
+            (warm.misses - cold.misses, warm.hits - cold.hits),
+            (1, 1),
+            "one miss then one hit: {text}"
+        );
+    }
+    assert_eq!(par_t.plan_cache_stats().collisions, 0);
 }
