@@ -926,6 +926,30 @@ mod tests {
     }
 
     #[test]
+    fn map_pred_stage_names_the_comparisons_it_applies() {
+        // `e` is bound only by the mapping predicate, so the comparison on
+        // it runs inside the map-pred stage, right after unification: the
+        // analyzed tree names it there and has no separate filter stage.
+        let t = figure1();
+        let plan = t
+            .plan_for(
+                "select s.hid, m from Portal.estates s, s.value@map m where e = s.value@elem \
+                 and <'USdb':'US/houses/price' -> m -> 'Pdb':e>",
+            )
+            .unwrap();
+        let (result, tree) = t.execute(Request::Plan(&plan), None, true).unwrap();
+        let tree = tree.unwrap();
+        let text = tree.render();
+        assert_eq!(result.len(), 2);
+        let map_pred = tree.find("map-pred").unwrap();
+        assert!(
+            map_pred.label.ends_with("; filter [e = s.value@elem]"),
+            "{text}"
+        );
+        assert!(tree.find("filter").is_none(), "{text}");
+    }
+
+    #[test]
     fn unknown_mapping_lookup() {
         let t = figure1();
         assert!(t.setting().mapping(&MappingName::new("m9")).is_none());

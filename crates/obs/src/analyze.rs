@@ -1,10 +1,9 @@
 //! EXPLAIN ANALYZE plan data: a per-operator tree recording what each
-//! logical operator (scan, bind, filter, hash-join build/probe, nest,
-//! PNF-merge, project, sort, limit) actually did — rows in/out, elapsed
-//! wall time, and guard charges — produced by `dtr_query`'s
-//! `eval_analyzed` mode and embedded into [`crate::PipelineProfile`].
-
-use std::sync::Mutex;
+//! operator (scan, bind, filter, hash-join build/probe, map-pred,
+//! project, sort, limit) actually did — rows in/out, elapsed wall time,
+//! and guard charges — produced by `dtr_query`'s `run_analyzed` and
+//! returned to its caller, which may embed it in a
+//! [`crate::PipelineProfile`].
 
 use serde_json::{Map, Value};
 
@@ -144,30 +143,6 @@ impl OpNode {
     }
 }
 
-static LAST: Mutex<Option<OpNode>> = Mutex::new(None);
-
-/// Publish an analyzed plan as the most recent one so
-/// [`crate::profile_snapshot`] can embed the tree. This slot is a
-/// process-global *display convenience* for the REPL and profile
-/// snapshots only: analyzed evaluation returns its plan to the caller
-/// and does **not** publish here, so concurrent evaluators never clobber
-/// each other — a front-end that wants the tree in the profile snapshot
-/// publishes the plan it received explicitly.
-pub fn set_last(plan: OpNode) {
-    *LAST.lock().unwrap_or_else(|p| p.into_inner()) = Some(plan);
-}
-
-/// The most recent analyzed plan, if an `eval_analyzed` run completed
-/// since the last [`reset_last`].
-pub fn last() -> Option<OpNode> {
-    LAST.lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
-
-/// Clear the most-recent-plan slot (done by [`crate::profile_reset`]).
-pub fn reset_last() {
-    *LAST.lock().unwrap_or_else(|p| p.into_inner()) = None;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,16 +204,5 @@ mod tests {
         assert_eq!(plan.ops(), 4);
         assert_eq!(plan.find("hash-build").unwrap().rows_out, 12);
         assert!(plan.find("nest").is_none());
-    }
-
-    #[test]
-    fn last_plan_slot_round_trips() {
-        let _guard = crate::test_guard();
-        reset_last();
-        assert!(last().is_none());
-        set_last(sample());
-        assert_eq!(last().unwrap().ops(), 4);
-        reset_last();
-        assert!(last().is_none());
     }
 }

@@ -158,7 +158,8 @@ impl AuditRecord {
         Ok(out)
     }
 
-    /// One-line human rendering (used by `.audit`).
+    /// One-line human rendering (used by `.audit`). A request longer
+    /// than 48 bytes is cut at the last char boundary at or before byte 48.
     pub fn render(&self) -> String {
         format!(
             "#{:<5} {:<9} fp {} rows {:<6} {:>9} ns  {}  {}",
@@ -169,7 +170,11 @@ impl AuditRecord {
             self.wall_ns,
             self.outcome,
             if self.request.len() > 48 {
-                format!("{}…", &self.request[..48])
+                let cut = (0..=48)
+                    .rev()
+                    .find(|&i| self.request.is_char_boundary(i))
+                    .unwrap_or(0);
+                format!("{}…", &self.request[..cut])
             } else {
                 self.request.clone()
             }
@@ -356,6 +361,15 @@ mod tests {
         let (recorded, retained, dropped, _cap) = counts();
         assert_eq!((recorded, retained, dropped), (0, 0, 0));
         assert!(to_jsonl().is_empty());
+    }
+
+    #[test]
+    fn render_cuts_long_requests_at_a_char_boundary() {
+        // Byte 48 falls inside the two-byte `é` at bytes 47..49.
+        let request = format!("{}é and more", "a".repeat(47));
+        assert!(!request.is_char_boundary(48));
+        let line = AuditRecord::new("query", request).render();
+        assert!(line.ends_with(&format!("  {}…", "a".repeat(47))), "{line}");
     }
 
     #[test]

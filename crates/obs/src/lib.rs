@@ -148,28 +148,29 @@ pub(crate) fn counters_live() -> bool {
     enabled() || recorder::enabled()
 }
 
-/// Clear all collected state (global counters, this thread's span tree,
-/// the last guard trip and the last analyzed plan). Call at the start of a
-/// region you want to profile in isolation. The statistics catalog is NOT
-/// cleared — it accumulates across runs by design; use [`stats::reset`].
+/// Clear all collected state (global counters, this thread's span tree
+/// and the last guard trip). Call at the start of a region you want to
+/// profile in isolation. The statistics catalog is NOT cleared — it
+/// accumulates across runs by design; use [`stats::reset`].
 pub fn profile_reset() {
     counters().reset();
     trace::reset_current_thread();
     guard::reset_report();
-    analyze::reset_last();
 }
 
 /// Snapshot the profile collected since the last [`profile_reset`]: the
 /// span tree of the *current* thread plus the global counter registry. If
 /// the event journal is enabled, its [`JournalSummary`] is embedded too,
 /// and if a budget tripped since the last reset, its [`GuardReport`].
+/// No EXPLAIN ANALYZE tree is embedded: an analyzed run returns its tree
+/// to its caller, which may set [`PipelineProfile::analyze`] itself.
 pub fn profile_snapshot() -> PipelineProfile {
     PipelineProfile {
         stages: trace::snapshot_current_thread(),
         counters: counters().snapshot(),
         journal: journal::enabled().then(journal::summary),
         guard: guard::last_report(),
-        analyze: analyze::last(),
+        analyze: None,
     }
 }
 

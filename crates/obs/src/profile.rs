@@ -40,8 +40,9 @@ pub struct PipelineProfile {
     pub counters: Vec<CounterValue>,
     pub journal: Option<JournalSummary>,
     pub guard: Option<GuardReport>,
-    /// The most recent EXPLAIN ANALYZE operator tree, when an
-    /// `eval_analyzed` run completed since the last reset.
+    /// An EXPLAIN ANALYZE operator tree the caller attached (the REPL
+    /// attaches its last `.analyze` tree); [`crate::profile_snapshot`]
+    /// leaves it empty.
     pub analyze: Option<OpNode>,
 }
 

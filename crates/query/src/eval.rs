@@ -433,12 +433,14 @@ impl<'a> Evaluator<'a> {
     /// operator (scan, bind, hash-join build/probe, map-pred, filter,
     /// project, sort, limit) in an [`OpNode`] recording actual rows
     /// in/out, elapsed wall time and guard charges. Instrumentation is
-    /// read-only, so the result is byte-identical to a plain `run`. Every
-    /// operator's elapsed time is folded into the shared log₂
-    /// span-duration histogram. The tree is *returned*, not published:
-    /// concurrent analyzed runs each own their plan, and a session that
-    /// wants `profile_snapshot` to embed one (the REPL's `.analyze`)
-    /// passes its own tree to `dtr_obs::analyze::set_last` explicitly.
+    /// read-only, so the result is byte-identical to a plain `run`. Each
+    /// stage's label names the comparisons it applies: a binding's hash
+    /// join (`on`) and filters, those a mapping predicate's stage ran
+    /// after unification, and the residual filter's. Labels are formatted
+    /// only here, never on a plain run. Every operator's elapsed time is
+    /// folded into the shared log₂ span-duration histogram. The tree is
+    /// returned to the caller, so concurrent analyzed runs each own
+    /// theirs.
     pub fn run_analyzed(&self, q: &Query) -> Result<(QueryResult, OpNode), EvalError> {
         let (result, plan) = self.run_impl(q, true)?;
         let plan = plan.expect("analyze mode always builds a plan");
@@ -490,6 +492,11 @@ impl<'a> Evaluator<'a> {
                 _ => None,
             })
             .collect();
+        // Each comparison's variables, per side.
+        let cmp_vars: Vec<[Vec<&str>; 2]> = comparisons
+            .iter()
+            .map(|cmp| [cmp.left.variables(), cmp.right.variables()])
+            .collect();
         let mut cmp_done = vec![false; comparisons.len()];
 
         let mut rows: Vec<Env> = vec![vec![None; nvars]];
@@ -498,25 +505,14 @@ impl<'a> Evaluator<'a> {
         // as each binding completes, so candidates can be tested in place
         // before any row is materialized.
         let mut bound: Vec<&str> = Vec::new();
-        let cmp_vars: Vec<Vec<&str>> = comparisons
-            .iter()
-            .map(|cmp| {
-                cmp.left
-                    .variables()
-                    .into_iter()
-                    .chain(cmp.right.variables())
-                    .collect()
-            })
-            .collect();
+        let mut assigned = vec![false; comparisons.len()];
         let mut ready_at: Vec<Vec<usize>> = Vec::with_capacity(q.from.len());
         for b in &q.from {
             bound.push(b.var.as_str());
             let mut ready = Vec::new();
             for (ci, vars) in cmp_vars.iter().enumerate() {
-                if cmp_done[ci] || !vars.iter().all(|v| bound.contains(v)) {
-                    continue;
-                }
-                if !ready_at.iter().any(|r: &Vec<usize>| r.contains(&ci)) {
+                if !assigned[ci] && vars.iter().flatten().all(|v| bound.contains(v)) {
+                    assigned[ci] = true;
                     ready.push(ci);
                 }
             }
@@ -527,7 +523,8 @@ impl<'a> Evaluator<'a> {
         // into the (mutable) current row and tested against the newly ready
         // comparisons; only survivors are cloned into the next generation.
         for (bi, b) in q.from.iter().enumerate() {
-            let slot = var_index[b.var.as_str()];
+            let var = b.var.as_str();
+            let slot = var_index[var];
             let stage_rows_in = rows.len() as u64;
             let probes_before = stats.hash_probes;
             let stage_t = stage_begin(analyze, &meter);
@@ -535,118 +532,90 @@ impl<'a> Evaluator<'a> {
             for &ci in ready {
                 cmp_done[ci] = true;
             }
+            // How each side of each ready comparison depends on this
+            // binding. This one classification decides the item
+            // pre-filter, the per-row hoisting and the hash-join key below.
+            let sides: Vec<[Side; 2]> = ready
+                .iter()
+                .map(|&ci| {
+                    [
+                        Side::of(&cmp_vars[ci][0], var),
+                        Side::of(&cmp_vars[ci][1], var),
+                    ]
+                })
+                .collect();
             // A binding source without variables (a schema root) produces
             // the same items for every row: compute them once, restrict
             // them to the binding's member domain (if any), and pre-filter
             // them by the ready conditions whose other operand is
             // row-independent (constants and root paths) — e.g. the
             // `e.db = 'Portal'` filters of translated MXQL queries.
-            let static_items: Option<Vec<Val>> = if b.source.variables().is_empty() {
-                match rows.first() {
-                    Some(env) => {
-                        let mut items = self.binding_items(&b.source, env, &var_index)?;
-                        if let Some(domain) = self.opts.domains.as_ref().and_then(|d| d.get(&bi)) {
-                            items.retain(|item| match item {
-                                Val::Node(_, n) => domain.admits(*n),
-                                Val::Atom(_) => false,
-                            });
-                        }
-                        for &ci in ready {
-                            let cmp = comparisons[ci];
-                            let l_vars = cmp.left.variables();
-                            let r_vars = cmp.right.variables();
-                            let candidate_only =
-                                |vars: &Vec<&str>| vars.iter().all(|v| *v == b.var.as_str());
-                            if !(candidate_only(&l_vars) && r_vars.is_empty()
-                                || candidate_only(&r_vars) && l_vars.is_empty())
-                            {
-                                continue;
-                            }
-                            let slot_ci = var_index[b.var.as_str()];
-                            let mut probe = env.clone();
-                            let mut kept = Vec::with_capacity(items.len());
-                            for item in items {
-                                probe[slot_ci] = Some(item.clone());
-                                if self.comparison_holds(cmp, &probe, &var_index)? {
-                                    kept.push(item);
-                                }
-                            }
-                            items = kept;
-                        }
-                        Some(items)
+            let root = b.source.variables().is_empty();
+            let static_items: Option<Vec<Val>> = match rows.first() {
+                Some(env) if root => {
+                    let mut items = self.binding_items(&b.source, env, &var_index)?;
+                    if let Some(domain) = self.opts.domains.as_ref().and_then(|d| d.get(&bi)) {
+                        items.retain(|item| match item {
+                            Val::Node(_, n) => domain.admits(*n),
+                            Val::Atom(_) => false,
+                        });
                     }
-                    None => None,
+                    for (&ci, s) in ready.iter().zip(&sides) {
+                        if !matches!(
+                            s,
+                            [Side::Const, Side::Const | Side::Candidate]
+                                | [Side::Candidate, Side::Const]
+                        ) {
+                            continue;
+                        }
+                        let mut probe = env.clone();
+                        let mut kept = Vec::with_capacity(items.len());
+                        for item in items {
+                            probe[slot] = Some(item.clone());
+                            if self.comparison_holds(comparisons[ci], &probe, &var_index)? {
+                                kept.push(item);
+                            }
+                        }
+                        items = kept;
+                    }
+                    Some(items)
                 }
-            } else {
-                None
+                _ => None,
             };
-            // Which comparison sides depend on this binding's variable?
-            // The others are loop-invariant over the candidates and are
-            // computed once per row.
-            let side_invariant: Vec<(bool, bool)> = ready
-                .iter()
-                .map(|&ci| {
-                    let cmp = comparisons[ci];
-                    (
-                        !cmp.left.variables().contains(&b.var.as_str()),
-                        !cmp.right.variables().contains(&b.var.as_str()),
-                    )
-                })
-                .collect();
             // Hash-join: when the candidate items are row-independent and
             // a ready equi-join comparison links the new variable to
             // earlier bindings, build one hash table over the items and
             // probe it per row instead of scanning every item per row.
             // Bucket mates are still confirmed with the real (coercing)
             // comparison, so conservative key sharing is harmless.
+            let join_key = sides.iter().enumerate().find_map(|(k, s)| {
+                match (self.opts.hash_join, comparisons[ready[k]].op, s) {
+                    (true, CmpOp::Eq, [Side::Candidate, Side::Row]) => Some((k, true)),
+                    (true, CmpOp::Eq, [Side::Row, Side::Candidate]) => Some((k, false)),
+                    _ => None,
+                }
+            });
             let build_t = stage_begin(analyze, &meter);
             let join_table: Option<(usize, bool, HashMap<JoinKey, Vec<usize>>)> =
-                match (self.opts.hash_join, &static_items, rows.first()) {
-                    (true, Some(items), Some(env0)) => {
-                        let mut found = None;
-                        for (k, &ci) in ready.iter().enumerate() {
-                            let cmp = comparisons[ci];
-                            if cmp.op != CmpOp::Eq {
-                                continue;
-                            }
-                            let l_vars = cmp.left.variables();
-                            let r_vars = cmp.right.variables();
-                            let only_candidate = |vars: &[&str]| {
-                                !vars.is_empty() && vars.iter().all(|v| *v == b.var.as_str())
-                            };
-                            let row_side =
-                                |vars: &[&str]| !vars.is_empty() && !vars.contains(&b.var.as_str());
-                            if only_candidate(&l_vars) && row_side(&r_vars) {
-                                found = Some((k, true));
-                                break;
-                            }
-                            if only_candidate(&r_vars) && row_side(&l_vars) {
-                                found = Some((k, false));
-                                break;
-                            }
-                        }
-                        match found {
-                            Some((k, cand_left)) => {
-                                let cmp = comparisons[ready[k]];
-                                let cand_expr = if cand_left { &cmp.left } else { &cmp.right };
-                                let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
-                                let mut probe = env0.clone();
-                                for (idx, item) in items.iter().enumerate() {
-                                    probe[slot] = Some(item.clone());
-                                    if let Some(v) =
-                                        self.out_value_opt(cand_expr, &probe, &var_index)?.value
-                                    {
-                                        for key in join_keys(&v) {
-                                            table.entry(key).or_default().push(idx);
-                                        }
-                                    }
+                match (join_key, &static_items, rows.first()) {
+                    (Some((k, cand_left)), Some(items), Some(env0)) => {
+                        let cmp = comparisons[ready[k]];
+                        let cand_expr = if cand_left { &cmp.left } else { &cmp.right };
+                        let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
+                        let mut probe = env0.clone();
+                        for (idx, item) in items.iter().enumerate() {
+                            probe[slot] = Some(item.clone());
+                            if let Some(v) =
+                                self.out_value_opt(cand_expr, &probe, &var_index)?.value
+                            {
+                                for key in join_keys(&v) {
+                                    table.entry(key).or_default().push(idx);
                                 }
-                                // The one-time build scan.
-                                stats.tuples_scanned += items.len() as u64;
-                                Some((k, cand_left, table))
                             }
-                            None => None,
                         }
+                        // The one-time build scan.
+                        stats.tuples_scanned += items.len() as u64;
+                        Some((k, cand_left, table))
                     }
                     _ => None,
                 };
@@ -655,7 +624,7 @@ impl<'a> Evaluator<'a> {
                     build_t,
                     &meter,
                     "hash-build",
-                    format!("{} {}", b.source, b.var),
+                    || format!("{} {}", b.source, b.var),
                     items.len() as u64,
                     items.len() as u64,
                 ),
@@ -664,20 +633,20 @@ impl<'a> Evaluator<'a> {
             let mut next_rows = Vec::new();
             for mut env in rows {
                 meter.poll()?;
+                // Sides that do not mention the candidate are loop-invariant
+                // over the candidates: computed once per row.
                 let mut pre: Vec<(PreSide, PreSide)> = Vec::with_capacity(ready.len());
-                for (k, &ci) in ready.iter().enumerate() {
+                for (&ci, s) in ready.iter().zip(&sides) {
                     let cmp = comparisons[ci];
-                    let l = if side_invariant[k].0 {
-                        Some(self.out_value_opt(&cmp.left, &env, &var_index)?.value)
-                    } else {
-                        None
+                    let hoist = |side: Side, e: &Expr| -> Result<PreSide, EvalError> {
+                        Ok(match side {
+                            Side::Const | Side::Row => {
+                                Some(self.out_value_opt(e, &env, &var_index)?.value)
+                            }
+                            Side::Candidate | Side::Mixed => None,
+                        })
                     };
-                    let r = if side_invariant[k].1 {
-                        Some(self.out_value_opt(&cmp.right, &env, &var_index)?.value)
-                    } else {
-                        None
-                    };
-                    pre.push((l, r));
+                    pre.push((hoist(s[0], &cmp.left)?, hoist(s[1], &cmp.right)?));
                 }
                 if let Some((jk, cand_left, table)) = &join_table {
                     let items = static_items.as_deref().unwrap_or(&[]);
@@ -744,24 +713,29 @@ impl<'a> Evaluator<'a> {
             rows = next_rows;
             stats.bindings_enumerated += rows.len() as u64;
             meter.check_bindings(stats.bindings_enumerated)?;
-            if analyze {
-                let op = if join_table.is_some() {
-                    "hash-probe"
-                } else if b.source.variables().is_empty() {
-                    "scan"
-                } else {
-                    "bind"
-                };
+            let op = match (&join_table, root) {
+                (Some(_), _) => "hash-probe",
+                (None, true) => "scan",
+                (None, false) => "bind",
+            };
+            let join_ci = join_table.as_ref().map(|(k, _, _)| ready[*k]);
+            let label = || {
                 let mut label = format!("{} {}", b.source, b.var);
-                if !ready.is_empty() {
-                    label.push_str(&format!("; {} cond(s)", ready.len()));
+                if let Some(ci) = join_ci {
+                    label.push_str(&format!("; on {}", comparisons[ci]));
                 }
-                push_stage(
-                    &mut plan,
-                    finish_node(stage_t, &meter, op, label, stage_rows_in, rows.len() as u64),
-                    build_node,
-                );
-            }
+                let filters: Vec<usize> = ready
+                    .iter()
+                    .copied()
+                    .filter(|&ci| Some(ci) != join_ci)
+                    .collect();
+                with_filters(label, &comparisons, &filters)
+            };
+            push_stage(
+                &mut plan,
+                finish_node(stage_t, &meter, op, label, stage_rows_in, rows.len() as u64),
+                build_node,
+            );
             if collect_stats {
                 if let Some(items) = &static_items {
                     local_stats.record_set(&canonical_expr(&b.source, q), items.len() as u64);
@@ -857,14 +831,20 @@ impl<'a> Evaluator<'a> {
             rows = next_rows;
             stats.bindings_enumerated += rows.len() as u64;
             meter.check_bindings(stats.bindings_enumerated)?;
-            self.apply_ready_comparisons(&comparisons, &mut cmp_done, &var_index, &mut rows)?;
+            let applied = self.apply_ready_comparisons(
+                &comparisons,
+                &cmp_vars,
+                &mut cmp_done,
+                &var_index,
+                &mut rows,
+            )?;
             push_stage(
                 &mut plan,
                 finish_node(
                     stage_t,
                     &meter,
                     "map-pred",
-                    p.to_string(),
+                    || with_filters(p.to_string(), &comparisons, &applied),
                     stage_rows_in,
                     rows.len() as u64,
                 ),
@@ -873,39 +853,34 @@ impl<'a> Evaluator<'a> {
         }
 
         // Remaining comparisons.
-        let residual = cmp_done.iter().filter(|done| !**done).count();
+        let residual: Vec<usize> = (0..comparisons.len()).filter(|&i| !cmp_done[i]).collect();
         let filter_rows_in = rows.len() as u64;
-        let filter_t = if residual > 0 {
-            stage_begin(analyze, &meter)
-        } else {
+        let filter_t = if residual.is_empty() {
             None
+        } else {
+            stage_begin(analyze, &meter)
         };
-        for (i, cmp) in comparisons.iter().enumerate() {
-            if cmp_done[i] {
-                continue;
-            }
+        for &i in &residual {
             let mut kept = Vec::with_capacity(rows.len());
             for env in rows {
-                if self.comparison_holds(cmp, &env, &var_index)? {
+                if self.comparison_holds(comparisons[i], &env, &var_index)? {
                     kept.push(env);
                 }
             }
             rows = kept;
         }
-        if residual > 0 {
-            push_stage(
-                &mut plan,
-                finish_node(
-                    filter_t,
-                    &meter,
-                    "filter",
-                    format!("{residual} residual cond(s)"),
-                    filter_rows_in,
-                    rows.len() as u64,
-                ),
-                None,
-            );
-        }
+        push_stage(
+            &mut plan,
+            finish_node(
+                filter_t,
+                &meter,
+                "filter",
+                || and_joined(&comparisons, &residual),
+                filter_rows_in,
+                rows.len() as u64,
+            ),
+            None,
+        );
 
         // Project the select clause.
         let proj_rows_in = rows.len() as u64;
@@ -949,7 +924,7 @@ impl<'a> Evaluator<'a> {
                 proj_t,
                 &meter,
                 "project",
-                format!("{} col(s)", q.select.len()),
+                || format!("{} col(s)", q.select.len()),
                 proj_rows_in,
                 out.rows.len() as u64,
             ),
@@ -989,7 +964,7 @@ impl<'a> Evaluator<'a> {
                     sort_t,
                     &meter,
                     "sort",
-                    format!("{} key(s)", q.order_by.len()),
+                    || format!("{} key(s)", q.order_by.len()),
                     n,
                     n,
                 ),
@@ -1006,7 +981,7 @@ impl<'a> Evaluator<'a> {
                     limit_t,
                     &meter,
                     "limit",
-                    format!("limit {n}"),
+                    || format!("limit {n}"),
                     limit_rows_in,
                     out.rows.len() as u64,
                 ),
@@ -1028,36 +1003,33 @@ impl<'a> Evaluator<'a> {
         Ok((out, plan))
     }
 
+    /// Applies every pending comparison whose variables the rows now
+    /// bind (after a mapping predicate bound its own); returns the indices
+    /// it applied.
     fn apply_ready_comparisons(
         &self,
         comparisons: &[&Comparison],
+        cmp_vars: &[[Vec<&str>; 2]],
         cmp_done: &mut [bool],
         var_index: &HashMap<&str, usize>,
         rows: &mut Vec<Env>,
-    ) -> Result<(), EvalError> {
+    ) -> Result<Vec<usize>, EvalError> {
+        let mut applied = Vec::new();
         for (i, cmp) in comparisons.iter().enumerate() {
-            if cmp_done[i] {
-                continue;
-            }
-            let vars: Vec<&str> = cmp
-                .left
-                .variables()
-                .into_iter()
-                .chain(cmp.right.variables())
-                .collect();
             // Ready if every referenced variable is bound in every row.
             // All rows share the same binding pattern at this point, so
             // checking the first row suffices.
-            let ready = match rows.first() {
-                Some(env) => vars
+            let bound = |env: &Env| {
+                cmp_vars[i]
                     .iter()
-                    .all(|v| var_index.get(v).is_some_and(|&s| env[s].is_some())),
-                None => false,
+                    .flatten()
+                    .all(|v| var_index.get(v).is_some_and(|&s| env[s].is_some()))
             };
-            if !ready {
+            if cmp_done[i] || !rows.first().is_some_and(bound) {
                 continue;
             }
             cmp_done[i] = true;
+            applied.push(i);
             let mut kept = Vec::with_capacity(rows.len());
             for env in rows.drain(..) {
                 if self.comparison_holds(cmp, &env, var_index)? {
@@ -1066,7 +1038,7 @@ impl<'a> Evaluator<'a> {
             }
             *rows = kept;
         }
-        Ok(())
+        Ok(applied)
     }
 
     /// Evaluates a path expression to a value, or `None` when a choice step
@@ -1437,9 +1409,54 @@ enum JoinKey {
     Text(String),
 }
 
-/// The keys a value is findable under. A plain string yields up to two:
-/// its text (matching Str/Db/Map) and its canonical element path
-/// (matching Elem) — mirroring the two branches of `meta_str_compare`.
+/// How one operand of a comparison depends on the binding being
+/// enumerated.
+#[derive(Clone, Copy)]
+enum Side {
+    /// No variables: a constant or a root path.
+    Const,
+    /// Only the binding's own variable.
+    Candidate,
+    /// Only variables of earlier bindings.
+    Row,
+    /// The binding's own variable and earlier ones.
+    Mixed,
+}
+
+impl Side {
+    /// Classifies an operand by its variables against the binding's `var`.
+    fn of(vars: &[&str], var: &str) -> Side {
+        let own = vars.iter().filter(|v| **v == var).count();
+        if vars.is_empty() {
+            Side::Const
+        } else if own == vars.len() {
+            Side::Candidate
+        } else if own == 0 {
+            Side::Row
+        } else {
+            Side::Mixed
+        }
+    }
+}
+
+/// The comparisons at `indices`, joined by `and`.
+fn and_joined(comparisons: &[&Comparison], indices: &[usize]) -> String {
+    let texts: Vec<String> = indices
+        .iter()
+        .map(|&ci| comparisons[ci].to_string())
+        .collect();
+    texts.join(" and ")
+}
+
+/// An operator label followed by the comparisons the stage applies.
+fn with_filters(label: String, comparisons: &[&Comparison], indices: &[usize]) -> String {
+    if indices.is_empty() {
+        label
+    } else {
+        format!("{label}; filter [{}]", and_joined(comparisons, indices))
+    }
+}
+
 /// Starts an EXPLAIN ANALYZE stage timer: wall clock plus the guard
 /// meter's tick count, so the finished node can report both elapsed time
 /// and guard charges. `None` (zero cost) outside analyze mode.
@@ -1447,17 +1464,18 @@ fn stage_begin(analyze: bool, meter: &Meter) -> Option<(Instant, u64)> {
     analyze.then(|| (Instant::now(), meter.ticks()))
 }
 
-/// Closes a stage timer into an [`OpNode`]; `None` in, `None` out.
+/// Closes a stage timer into an [`OpNode`]; `None` in, `None` out. The
+/// label is formatted only for a node that is built.
 fn finish_node(
     t: Option<(Instant, u64)>,
     meter: &Meter,
     op: &str,
-    label: String,
+    label: impl FnOnce() -> String,
     rows_in: u64,
     rows_out: u64,
 ) -> Option<OpNode> {
     let (start, ticks0) = t?;
-    let mut node = OpNode::new(op, label);
+    let mut node = OpNode::new(op, label());
     node.rows_in = rows_in;
     node.rows_out = rows_out;
     node.elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1548,6 +1566,9 @@ pub fn canonical_join_key(cmp: &Comparison, q: &Query) -> String {
     format!("{} = {}", sides[0], sides[1])
 }
 
+/// The keys a value is findable under. A plain string yields up to two:
+/// its text (matching Str/Db/Map) and its canonical element path
+/// (matching Elem) — mirroring the two branches of `meta_str_compare`.
 fn join_keys(v: &AtomicValue) -> Vec<JoinKey> {
     match v {
         AtomicValue::Str(s) => {
@@ -2052,6 +2073,15 @@ mod tests {
     }
 
     #[test]
+    fn mixed_side_is_evaluated_per_candidate() {
+        // `concat(h.aid, g.aid)` mentions both the candidate `g` and the
+        // row's `h`, so it cannot be hoisted out of the candidate loop.
+        let r = run("select h.hid, g.hid from US.houses h, US.houses g \
+             where concat(h.aid, g.aid) = 'a2a2'");
+        assert_eq!(r.tuples(), pairs(&[("H2", "H2")]));
+    }
+
+    #[test]
     fn ne_on_incomparable_types_is_true() {
         let r = run("select h.hid from US.houses h where h.price != 'text'");
         // Int vs Str: incomparable, so != holds for every house.
@@ -2214,31 +2244,10 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_run_does_not_clobber_the_process_global() {
-        // `run_analyzed` returns the plan; it must NOT publish to the
-        // `dtr_obs::analyze` process-global (two concurrent sessions would
-        // overwrite each other's tree). Publishing is the REPL's explicit
-        // choice. No other test in this binary publishes.
-        dtr_obs::analyze::reset_last();
-        let schema = us_schema();
-        let mut inst = us_instance();
-        inst.annotate_elements(&schema).unwrap();
-        let catalog = Catalog::new(vec![Source {
-            schema: &schema,
-            instance: &inst,
-        }]);
-        let funcs = FunctionRegistry::with_builtins();
-        let q = parse_query("select h.hid from US.houses h").unwrap();
-        let (_, plan) = Evaluator::new(&catalog, &funcs).run_analyzed(&q).unwrap();
-        assert_eq!(plan.rows_out, 3);
-        assert!(dtr_obs::analyze::last().is_none());
-    }
-
-    #[test]
     fn concurrent_analyzed_runs_each_get_their_own_plan() {
-        // Regression for the set_last clobbering bug: two threads running
-        // analyzed queries concurrently must each observe a plan that
-        // matches *their* query, not the other session's.
+        // Two threads running analyzed queries concurrently must each
+        // observe a plan that matches *their* query, not the other
+        // session's.
         let schema = us_schema();
         let mut inst = us_instance();
         inst.annotate_elements(&schema).unwrap();
@@ -2319,6 +2328,45 @@ mod tests {
                 ["H1-H1", "H2-H2"]
             );
         }
+    }
+
+    #[test]
+    fn analyzed_stages_name_the_conditions_they_apply() {
+        let schema = us_schema();
+        let mut inst = us_instance();
+        inst.annotate_elements(&schema).unwrap();
+        let catalog = Catalog::new(vec![Source {
+            schema: &schema,
+            instance: &inst,
+        }]);
+        let funcs = FunctionRegistry::with_builtins();
+        let q = parse_query(
+            "select h.hid from US.houses h, US.agents a \
+             where h.aid = a.aid and h.price > 500000",
+        )
+        .unwrap();
+        let (_, plan) = Evaluator::new(&catalog, &funcs).run_analyzed(&q).unwrap();
+        let text = plan.render();
+        // The price filter runs where `h` is bound, the equi-join where
+        // `a` is; nothing is left for a residual filter.
+        let scan = plan.find("scan").unwrap();
+        assert_eq!(
+            scan.label, "US.houses h; filter [h.price > 500000]",
+            "{text}"
+        );
+        let probe = plan.find("hash-probe").unwrap();
+        assert_eq!(probe.label, "US.agents a; on h.aid = a.aid", "{text}");
+        assert!(plan.find("filter").is_none(), "{text}");
+    }
+
+    #[test]
+    fn a_plain_run_formats_no_label() {
+        // Outside analyze mode every stage timer is `None`, and a stage
+        // closed from `None` never calls its label closure.
+        let meter = Budget::default().meter("query.eval");
+        assert!(stage_begin(false, &meter).is_none());
+        let node = finish_node(None, &meter, "scan", || unreachable!("label built"), 0, 0);
+        assert!(node.is_none());
     }
 
     #[test]

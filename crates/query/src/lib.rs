@@ -13,9 +13,10 @@
 //! * [`functions`] — the function-call mechanism, with `concat`,
 //!   `getElAnnot` and `getMapAnnot` built in.
 //! * [`plan`] — checked queries in their written order, cached by
-//!   query-text fingerprint with structural confirmation.
-//! * [`logical`] — the `.explain` view of a plan: stage chains with the
-//!   pushdown and join-extraction rewrites.
+//!   query-text fingerprint with structural confirmation. A plan's view
+//!   is the operator tree of one analyzed run
+//!   ([`eval::Evaluator::run_analyzed`]), each stage labelled with the
+//!   conditions it applies.
 //!
 //! ```
 //! use dtr_model::prelude::*;
@@ -55,7 +56,6 @@ pub mod ast;
 pub mod check;
 pub mod eval;
 pub mod functions;
-pub mod logical;
 pub mod parser;
 pub mod plan;
 
@@ -71,7 +71,6 @@ pub mod prelude {
         Source, Val,
     };
     pub use crate::functions::{ArgValue, FunctionRegistry, FunctionValue};
-    pub use crate::logical::{LogicalPlan, LogicalStage};
     pub use crate::parser::{parse_mapping_parts, parse_query, ParseError};
     pub use crate::plan::{compile, CompiledPlan, PlanCache, PlanCacheStats};
 }

@@ -6,9 +6,9 @@
 //! schemas, never on statistics or on the instance it runs over, so one
 //! cached plan stays valid across deltas and sessions. It executes
 //! through the ordinary evaluator, so guards, stats, the journal and
-//! `.analyze` behave exactly as for an unplanned run. The logical
-//! rewrites (predicate pushdown, equality-join extraction) are rebuilt
-//! only when `.explain` renders a plan.
+//! `.analyze` behave exactly as for an unplanned run. `.explain` shows a
+//! plan as the evaluator's own operator tree of one analyzed run, with
+//! the comparisons each stage applies.
 //!
 //! [`PlanCache`] stores compiled plans keyed by the FNV-1a fingerprint of
 //! the *raw query text* (computed before parsing, so a cache hit skips
@@ -27,7 +27,6 @@ use dtr_obs::stats::fnv1a;
 
 use crate::ast::Query;
 use crate::check::{check_query, CheckError, SchemaCatalog};
-use crate::logical::LogicalPlan;
 
 /// A checked query, ready to execute (and re-execute) without re-parsing
 /// or re-checking.
@@ -41,13 +40,6 @@ pub struct CompiledPlan {
     pub text: String,
     /// The executed query: normalized, bindings in their written order.
     pub query: Query,
-}
-
-impl CompiledPlan {
-    /// The rewritten logical plan, rendered for `.explain`.
-    pub fn render(&self) -> String {
-        LogicalPlan::optimized(&self.query).render()
-    }
 }
 
 /// Checks `q` (already normalized by the caller) against `schemas`.

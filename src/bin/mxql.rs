@@ -29,8 +29,9 @@
 //! * `.profile [on|off|json]` — toggle or dump the `dtr-obs` profile
 //!   (also enabled by `--profile` or `DTR_PROFILE=1`);
 //! * `.explain <query>;` — translation EXPLAIN: every Section 7.3 rewrite
-//!   step plus the final plain quer(ies), followed by the logical plan
-//!   and the EXPLAIN ANALYZE operator tree of one run of the plan;
+//!   step plus the final plain quer(ies), followed by the EXPLAIN ANALYZE
+//!   operator tree of one run of the cached plan, each stage labelled
+//!   with the comparisons it applies;
 //! * `.analyze <query>;` — EXPLAIN ANALYZE: run the query with
 //!   per-operator instrumentation and print the operator tree (actual rows
 //!   in/out, wall time, guard charges per scan/bind/filter/hash-join
@@ -140,7 +141,7 @@ const COMMANDS: &[(&str, &str)] = &[
     (".translate", "<query>; — show the Section 7.3 translation"),
     (
         ".explain",
-        "<query>; — translation rewrite steps, then the logical plan and one analyzed run",
+        "<query>; — translation rewrite steps, then the operator tree of one analyzed run",
     ),
     (
         ".analyze",
@@ -500,6 +501,13 @@ fn main() {
     // The WAL-backed durable session behind `.save wal`/`.open`; when
     // active, `.delta` commits through it (WAL-then-publish) instead.
     let mut durable: Option<dtr::core::store::DurableSession> = None;
+    // The last `.analyze` tree, embedded in the profile this shell prints.
+    let mut last_analyze: Option<dtr_obs::OpNode> = None;
+    let profile = |last_analyze: &Option<dtr_obs::OpNode>| {
+        let mut p = dtr_obs::profile_snapshot();
+        p.analyze = last_analyze.clone();
+        p
+    };
     eprintln!(
         "tagged instance ready: {} target values, {} mappings. Type .help for help.",
         tagged.target().len(),
@@ -529,14 +537,15 @@ fn main() {
                     "on" => {
                         dtr_obs::set_enabled(true);
                         dtr_obs::profile_reset();
+                        last_analyze = None;
                         println!("profiling on");
                     }
                     "off" => {
                         dtr_obs::set_enabled(false);
                         println!("profiling off");
                     }
-                    "json" => println!("{}", dtr_obs::profile_snapshot().to_json_string()),
-                    _ => println!("{}", dtr_obs::profile_snapshot().render()),
+                    "json" => println!("{}", profile(&last_analyze).to_json_string()),
+                    _ => println!("{}", profile(&last_analyze).render()),
                 },
                 ".mode" => {
                     mode = match rest.trim() {
@@ -747,11 +756,10 @@ fn main() {
                                 }
                                 Err(e) => println!("translation error: {e}"),
                             }
-                            // Plan view: the logical rewrites, then the
-                            // operators one instrumented run really ran.
+                            // Plan view: the operators one instrumented
+                            // run of the cached plan really ran.
                             match tagged.plan_for(text) {
                                 Ok(plan) => {
-                                    print!("{}", plan.render());
                                     match tagged.execute(Request::Plan(&plan), None, true) {
                                         Ok((_, Some(node))) => print!("{}", node.render()),
                                         Ok((_, None)) => {}
@@ -780,12 +788,11 @@ fn main() {
                                             r.len(),
                                             t0.elapsed().as_secs_f64() * 1e3
                                         );
-                                        // Analyzed runs return their tree;
-                                        // the REPL is the one front-end that
-                                        // publishes it for `.profile json`.
+                                        // Kept so `.profile` and
+                                        // `.profile json` embed it.
                                         if let Some(plan) = plan {
                                             print!("{}", plan.render());
-                                            dtr_obs::analyze::set_last(plan);
+                                            last_analyze = Some(plan);
                                         }
                                     }
                                     Err(e) => println!("error: {e}"),
@@ -1067,7 +1074,7 @@ fn main() {
                     t0.elapsed().as_secs_f64() * 1e3
                 );
                 if dtr_obs::enabled() {
-                    println!("{}", dtr_obs::profile_snapshot().render());
+                    println!("{}", profile(&last_analyze).render());
                 }
             }
             Err(e) => println!("error: {e}"),
