@@ -1,7 +1,7 @@
 //! Measures the cost of the flight recorder: the same exchange + query
 //! workload with the recorder disabled (the default — every event site
 //! reduces to one relaxed atomic load and a branch) and with it capturing
-//! (span begin/end events, periodic counter samples, and per-mapping
+//! (one event per closed span, periodic counter samples, and per-mapping
 //! exchange windows pushed into the ring buffer under its mutex).
 //!
 //! The acceptance bar is that the disabled path stays within noise of the

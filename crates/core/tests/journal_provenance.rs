@@ -272,6 +272,6 @@ fn disabled_journal_records_nothing_during_exchange() {
     let tagged = two_mapping_tagged();
     assert!(tagged.report().totals().bindings > 0);
     assert!(journal::events().is_empty());
-    assert_eq!(journal::summary().recorded, 0);
+    assert_eq!(journal::summary().counts.recorded, 0);
     assert_eq!(tagged.report().event_window(), None);
 }

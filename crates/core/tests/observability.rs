@@ -1,13 +1,13 @@
 //! End-to-end checks of the `dtr-obs` instrumentation: per-mapping exchange
 //! statistics, the global counter registry, the aggregated span tree, and
-//! the profile's JSON round trip.
+//! the profile's JSON form.
 //!
 //! The span collector is thread-local but the enable gate and the counter
 //! registry are global, so every test here takes `GUARD` to serialize.
 
 use dtr_core::tagged::{MappingSetting, TaggedInstance};
 use dtr_core::testkit;
-use dtr_obs::PipelineProfile;
+use serde_json::Value;
 use std::sync::Mutex;
 
 static GUARD: Mutex<()> = Mutex::new(());
@@ -108,7 +108,7 @@ fn two_mapping_exchange_stats_spans_and_counters() {
 }
 
 #[test]
-fn exchange_profile_round_trips_through_serde_json() {
+fn exchange_profile_json_carries_every_counter_and_stage() {
     let _guard = GUARD.lock().unwrap();
     dtr_obs::set_enabled(true);
     dtr_obs::profile_reset();
@@ -123,15 +123,34 @@ fn exchange_profile_round_trips_through_serde_json() {
     assert!(profile.counter("eval.tuples_scanned").unwrap_or(0) > 0);
     assert!(profile.counter("eval.bindings_enumerated").unwrap_or(0) > 0);
 
-    let text = serde_json::to_string_pretty(&profile.to_json()).expect("serializes");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("parses back");
-    let round = PipelineProfile::from_json(&parsed).expect("valid profile JSON");
-    assert_eq!(round, profile);
-
-    // The compact form round-trips too.
-    let compact: serde_json::Value =
-        serde_json::from_str(&profile.to_json_string()).expect("compact parses");
-    assert_eq!(PipelineProfile::from_json(&compact).unwrap(), profile);
+    let json: Value = serde_json::from_str(&profile.to_json_string()).expect("compact parses");
+    // Every registry counter, under its name, with its value.
+    let counters = json.get("counters").and_then(Value::as_object).unwrap();
+    assert_eq!(counters.len(), profile.counters.len());
+    for (name, value) in &profile.counters {
+        assert_eq!(counters.get(name).and_then(Value::as_u64), Some(*value));
+    }
+    // Every root stage, in order, with its call count and times.
+    let stages = json.get("stages").and_then(Value::as_array).unwrap();
+    assert_eq!(stages.len(), profile.stages.len());
+    for (written, stage) in stages.iter().zip(&profile.stages) {
+        assert_eq!(
+            written.get("name").and_then(Value::as_str),
+            Some(stage.name.as_str())
+        );
+        assert_eq!(
+            written.get("count").and_then(Value::as_u64),
+            Some(stage.count)
+        );
+        assert_eq!(
+            written.get("total_ns").and_then(Value::as_u64),
+            Some(stage.total_ns)
+        );
+    }
+    // The pretty form holds the same document.
+    let pretty: Value =
+        serde_json::from_str(&serde_json::to_string_pretty(&profile.to_json()).unwrap()).unwrap();
+    assert_eq!(pretty, json);
 }
 
 #[test]

@@ -161,20 +161,4 @@ mod tests {
         let r = Evaluator::new(&catalog, &funcs).run(&q).unwrap();
         assert_eq!(r.tuples()[0][0], AtomicValue::Int(42));
     }
-
-    #[test]
-    fn jsonl_round_trips_into_instance() {
-        let records = sample_records();
-        let jsonl: String = records
-            .iter()
-            .map(|r| r.to_json().to_string() + "\n")
-            .collect();
-        let parsed = AuditRecord::from_jsonl(&jsonl).unwrap();
-        assert_eq!(parsed, records);
-        let schema = audit_schema();
-        assert_eq!(
-            audit_instance(&parsed, &schema).len(),
-            audit_instance(&records, &schema).len()
-        );
-    }
 }

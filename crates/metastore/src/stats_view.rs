@@ -239,15 +239,4 @@ mod tests {
         assert_eq!(r.tuples()[0][0], AtomicValue::Int(1));
         assert_eq!(r.tuples()[0][1], AtomicValue::Int(2));
     }
-
-    #[test]
-    fn round_trips_through_catalog_json() {
-        let c = sample_catalog();
-        let parsed = StatsCatalog::from_json_str(&c.to_json_string()).unwrap();
-        let schema = stats_schema();
-        assert_eq!(
-            stats_instance(&c, &schema).len(),
-            stats_instance(&parsed, &schema).len()
-        );
-    }
 }

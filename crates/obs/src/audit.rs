@@ -13,18 +13,18 @@
 //!
 //! Gated on `DTR_AUDIT=1` (or [`set_enabled`]) with the same
 //! one-relaxed-load discipline as the journal and the flight recorder;
-//! bounded by a ring of [`DEFAULT_CAP`] records (`DTR_AUDIT_CAP`
-//! overrides).
+//! bounded by a [`CAP`]-record ring of the type the journal and the
+//! flight recorder use too.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use serde_json::{Map, Value};
 
-/// Default ring-buffer capacity (records retained) when `DTR_AUDIT_CAP`
-/// is unset. Requests are coarser than events, so the default is smaller
-/// than the journal's.
-pub const DEFAULT_CAP: usize = 4_096;
+use crate::ring::{Counts, Ring};
+
+/// Records the log retains. Requests are coarser than events, so the
+/// bound is smaller than the journal's.
+pub const CAP: usize = 4_096;
 
 /// FNV-1a fingerprint of a request's defining text (the normalized query
 /// string, or the sorted mapping-name list of an exchange). Stable across
@@ -93,7 +93,7 @@ impl AuditRecord {
     }
 
     /// The record as a JSON object (one JSONL line when printed
-    /// compactly); inverse of [`AuditRecord::from_json`].
+    /// compactly).
     pub fn to_json(&self) -> Value {
         let mut obj = Map::new();
         obj.insert("seq", Value::from(self.seq));
@@ -113,54 +113,15 @@ impl AuditRecord {
         Value::Object(obj)
     }
 
-    /// Parse the structure produced by [`AuditRecord::to_json`].
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let get = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("audit record: missing integer field '{key}'"))
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("audit record: missing string field '{key}'"))
-        };
-        Ok(AuditRecord {
-            seq: get("seq")?,
-            kind: get_str("kind")?,
-            fingerprint: get_str("fingerprint")?,
-            request: get_str("request")?,
-            rows: get("rows")?,
-            wall_ns: get("wall_ns")?,
-            outcome: get_str("outcome")?,
-            tuples_scanned: get("tuples_scanned")?,
-            bindings_enumerated: get("bindings_enumerated")?,
-            predicate_triples_tested: get("predicate_triples_tested")?,
-            hash_probes: get("hash_probes")?,
-        })
-    }
-
-    /// Parse a JSONL document (one record per line, blank lines skipped).
-    pub fn from_jsonl(text: &str) -> Result<Vec<Self>, String> {
-        let mut out = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let value: Value = serde_json::from_str(line)
-                .map_err(|e| format!("audit jsonl line {}: {e}", i + 1))?;
-            out.push(Self::from_json(&value)?);
-        }
-        Ok(out)
-    }
-
-    /// One-line human rendering (used by `.audit`). A request longer
+    /// One-line human rendering (used by `.audit`). The request's
+    /// whitespace runs collapse to one space, and a request still longer
     /// than 48 bytes is cut at the last char boundary at or before byte 48.
     pub fn render(&self) -> String {
+        let request = self
+            .request
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
         format!(
             "#{:<5} {:<9} fp {} rows {:<6} {:>9} ns  {}  {}",
             self.seq,
@@ -169,14 +130,14 @@ impl AuditRecord {
             self.rows,
             self.wall_ns,
             self.outcome,
-            if self.request.len() > 48 {
+            if request.len() > 48 {
                 let cut = (0..=48)
                     .rev()
-                    .find(|&i| self.request.is_char_boundary(i))
+                    .find(|&i| request.is_char_boundary(i))
                     .unwrap_or(0);
-                format!("{}…", &self.request[..cut])
+                format!("{}…", &request[..cut])
             } else {
-                self.request.clone()
+                request
             }
         )
     }
@@ -247,35 +208,16 @@ pub fn set_enabled(on: bool) {
     GATE.set(on)
 }
 
-// ---- The ring buffer + sink. ----
+// ---- The log: a ring plus an optional sink. ----
 
 struct Log {
-    cap: usize,
-    buf: VecDeque<AuditRecord>,
-    next_seq: u64,
-    dropped: u64,
+    ring: Ring<AuditRecord>,
     sink: Option<Box<dyn AuditSink>>,
 }
 
 impl Log {
-    /// An empty log holding `DTR_AUDIT_CAP` records.
-    fn from_env() -> Self {
-        Log {
-            cap: crate::env_number("DTR_AUDIT_CAP", DEFAULT_CAP).max(1),
-            buf: VecDeque::new(),
-            next_seq: 0,
-            dropped: 0,
-            sink: None,
-        }
-    }
-
     fn record(&mut self, mut record: AuditRecord) -> u64 {
-        if self.buf.len() >= self.cap && self.buf.pop_front().is_some() {
-            self.dropped += 1;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        record.seq = seq;
+        record.seq = self.ring.next_seq();
         if let Some(sink) = &mut self.sink {
             // A failing sink must not fail the request it audits; the
             // error is reported once by dropping the sink.
@@ -283,16 +225,16 @@ impl Log {
                 self.sink = None;
             }
         }
-        self.buf.push_back(record);
-        seq
+        self.ring.push(|_| record).0
     }
 }
 
 fn with_log<R>(f: impl FnOnce(&mut Log) -> R) -> R {
-    static LOG: Mutex<Option<Log>> = Mutex::new(None);
-    let mut guard = LOG.lock().unwrap_or_else(|p| p.into_inner());
-    let log = guard.get_or_insert_with(Log::from_env);
-    f(log)
+    static LOG: Mutex<Log> = Mutex::new(Log {
+        ring: Ring::new(CAP),
+        sink: None,
+    });
+    f(&mut LOG.lock().unwrap_or_else(|p| p.into_inner()))
 }
 
 // ---- Public recording / query API. ----
@@ -307,14 +249,9 @@ pub fn record(record: AuditRecord) -> u64 {
     with_log(|l| l.record(record))
 }
 
-/// Clear all records and restart the sequence (capacity re-read from
-/// `DTR_AUDIT_CAP`); any attached sink is kept.
+/// Clear all records and restart the sequence; any attached sink is kept.
 pub fn reset() {
-    with_log(|l| {
-        let sink = l.sink.take();
-        *l = Log::from_env();
-        l.sink = sink;
-    });
+    with_log(|l| l.ring = Ring::new(CAP));
 }
 
 /// Attach (or with `None` detach) the streaming sink.
@@ -324,23 +261,17 @@ pub fn set_sink(sink: Option<Box<dyn AuditSink>>) {
 
 /// All retained records, oldest first.
 pub fn records() -> Vec<AuditRecord> {
-    with_log(|l| l.buf.iter().cloned().collect())
+    with_log(|l| l.ring.iter().cloned().collect())
 }
 
-/// `(recorded, retained, dropped, cap)` counts for status displays.
-pub fn counts() -> (u64, u64, u64, u64) {
-    with_log(|l| (l.next_seq, l.buf.len() as u64, l.dropped, l.cap as u64))
+/// Recorded, retained and dropped records, and the ring's bound.
+pub fn counts() -> Counts {
+    with_log(|l| l.ring.counts())
 }
 
-/// Every retained record as one compact JSON line (the exportable form;
-/// inverse of [`AuditRecord::from_jsonl`]).
+/// Every retained record as one compact JSON line (the exportable form).
 pub fn to_jsonl() -> String {
-    let mut out = String::new();
-    for r in records() {
-        out.push_str(&r.to_json().to_string());
-        out.push('\n');
-    }
-    out
+    with_log(|l| l.ring.to_jsonl(AuditRecord::to_json))
 }
 
 #[cfg(test)]
@@ -358,8 +289,8 @@ mod tests {
         reset();
         record(AuditRecord::new("query", "select x from S x"));
         assert!(records().is_empty());
-        let (recorded, retained, dropped, _cap) = counts();
-        assert_eq!((recorded, retained, dropped), (0, 0, 0));
+        let c = counts();
+        assert_eq!((c.recorded, c.retained, c.dropped), (0, 0, 0));
         assert!(to_jsonl().is_empty());
     }
 
@@ -373,11 +304,26 @@ mod tests {
     }
 
     #[test]
-    fn ring_bound_and_jsonl_round_trip() {
+    fn render_keeps_a_multi_line_request_on_one_line() {
+        let request = "select e.hid\nfrom Portal.estates e\nwhere e.contact = 'HomeGain'";
+        let record = AuditRecord::new("query", request);
+        let line = record.render();
+        assert!(!line.contains('\n'), "{line}");
+        assert!(
+            line.ends_with("  select e.hid from Portal.estates e where e.conta…"),
+            "{line}"
+        );
+        // The stored request, and so the fingerprint, keep their text.
+        assert_eq!(record.request, request);
+        assert_eq!(record.fingerprint, format!("{:016x}", fingerprint(request)));
+    }
+
+    #[test]
+    fn jsonl_writes_every_field_of_each_record() {
         let _guard = guard();
         set_enabled(true);
         reset();
-        for i in 0..6u64 {
+        for i in 0..2u64 {
             let mut r = AuditRecord::new("query", format!("select q{i} from S x"));
             r.rows = i;
             r.wall_ns = 100 * (i + 1);
@@ -385,11 +331,21 @@ mod tests {
         }
         set_enabled(false);
         let all = records();
-        assert_eq!(all.len(), 6);
-        assert_eq!(all[0].seq, 0);
-        assert_eq!(all[5].seq, 5);
-        let parsed = AuditRecord::from_jsonl(&to_jsonl()).unwrap();
-        assert_eq!(parsed, all);
+        assert_eq!(all.len(), 2);
+        assert_eq!((all[0].seq, all[1].seq), (0, 1));
+        let jsonl = to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(
+            lines[1],
+            format!(
+                "{{\"seq\":1,\"kind\":\"query\",\"fingerprint\":\"{}\",\
+                 \"request\":\"select q1 from S x\",\"rows\":1,\"wall_ns\":200,\
+                 \"outcome\":\"ok\",\"tuples_scanned\":0,\"bindings_enumerated\":0,\
+                 \"predicate_triples_tested\":0,\"hash_probes\":0}}",
+                all[1].fingerprint
+            )
+        );
     }
 
     #[test]
@@ -417,23 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_keeps_newest() {
-        let _guard = guard();
-        set_enabled(true);
-        reset();
-        with_log(|l| l.cap = 3);
-        for i in 0..5u64 {
-            record(AuditRecord::new("query", format!("q{i}")));
-        }
-        set_enabled(false);
-        let all = records();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0].seq, 2);
-        let (recorded, retained, dropped, _) = counts();
-        assert_eq!((recorded, retained, dropped), (5, 3, 2));
-    }
-
-    #[test]
     fn sink_streams_every_record() {
         let _guard = guard();
         set_enabled(true);
@@ -448,10 +387,15 @@ mod tests {
         set_enabled(false);
         let lines = lines.lock().unwrap();
         assert_eq!(lines.len(), 2);
-        let first = AuditRecord::from_jsonl(&lines[0]).unwrap();
-        assert_eq!(first[0].kind, "exchange");
-        let second = AuditRecord::from_jsonl(&lines[1]).unwrap();
-        assert_eq!(second[0].outcome, "guard:rows");
+        let field = |line: &str, key: &str| {
+            let value: Value = serde_json::from_str(line).unwrap();
+            value.get(key).and_then(Value::as_str).map(str::to_string)
+        };
+        assert_eq!(field(&lines[0], "kind").as_deref(), Some("exchange"));
+        assert_eq!(field(&lines[1], "outcome").as_deref(), Some("guard:rows"));
+        // The sink sees each record with its assigned sequence number.
+        let seq: Value = serde_json::from_str(&lines[1]).unwrap();
+        assert_eq!(seq.get("seq").and_then(Value::as_u64), Some(1));
     }
 
     #[test]

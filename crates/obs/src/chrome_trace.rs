@@ -4,10 +4,10 @@
 //! document loadable in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`:
 //!
-//! * span end events become complete (`ph: "X"`) duration events keyed by
+//! * span events become complete (`ph: "X"`) duration events keyed by
 //!   `pid`/`tid`, so the parallel-exchange workers render as separate
-//!   tracks (an end event carries its own duration, so the interval
-//!   survives even when the matching begin was evicted from the ring);
+//!   tracks (each event carries its span's duration, so it alone gives
+//!   the whole interval);
 //! * per-mapping exchange windows become `X` events on the recording
 //!   thread's track with the mapping's outcome counts as `args`;
 //! * counter-registry samples become counter (`ph: "C"`) events, one
@@ -45,18 +45,12 @@ fn base_event(name: &str, ph: &str, ts_ns: u64, tid: u64) -> Map {
 }
 
 /// Lower a flight recording into Chrome trace events, sorted by
-/// timestamp. Span begin events are used only as openers for intervals
-/// still in flight when the ring was snapshot; every closed span arrives
-/// via its end event (which carries the duration).
+/// timestamp. Spans still open when the ring was read have recorded
+/// nothing yet, so they do not appear.
 pub fn trace_events(events: &[FlightEvent]) -> Vec<Value> {
     let mut out: Vec<(f64, u64, Value)> = Vec::new();
     for e in events {
         match &e.kind {
-            FlightKind::SpanBegin { .. } => {
-                // The matching end event reconstructs the interval; an
-                // unmatched begin (still-open span) has no known duration
-                // and is omitted rather than emitted as a dangling "B".
-            }
             FlightKind::SpanEnd { name, dur_ns } => {
                 let start_ns = e.ts_ns.saturating_sub(*dur_ns);
                 let mut obj = base_event(name, "X", start_ns, e.tid);
@@ -226,18 +220,15 @@ mod tests {
 
     #[test]
     fn span_ends_become_duration_events() {
-        let events = vec![
-            ev(0, 1_000, 1, FlightKind::SpanBegin { name: "query.eval" }),
-            ev(
-                1,
-                5_000,
-                1,
-                FlightKind::SpanEnd {
-                    name: "query.eval",
-                    dur_ns: 4_000,
-                },
-            ),
-        ];
+        let events = vec![ev(
+            0,
+            5_000,
+            1,
+            FlightKind::SpanEnd {
+                name: "query.eval",
+                dur_ns: 4_000,
+            },
+        )];
         let doc = to_chrome_trace(&events);
         let summary = validate(&doc).unwrap();
         assert_eq!(summary.duration_events, 1);

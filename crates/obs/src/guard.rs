@@ -18,14 +18,14 @@
 //! * **Always cancellable.** The `cancel` flag is a shared
 //!   `Arc<AtomicBool>`; the meter polls it even when no numeric limit is
 //!   set, so a runaway run can be reclaimed from another thread.
-//! * **Observable.** Every trip records a [`GuardReport`] into a global
-//!   last-trip slot (embedded in [`crate::PipelineProfile`]) and bumps the
-//!   `guard.*` counters.
+//! * **Observable.** Every trip bumps the `guard.*` counters and, with
+//!   the flight recorder on, records a trip event. The caller that gets
+//!   the error can turn it into a [`GuardReport`] for its profile.
 
 use serde_json::{Map, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one engine invocation. All limits default to
@@ -220,7 +220,6 @@ impl Meter {
             limit,
             progress: self.progress,
         };
-        record_trip(&err);
         crate::counters().guard_trips.incr();
         if crate::recorder::enabled() {
             crate::recorder::record_guard_trip(resource.name(), self.stage);
@@ -285,8 +284,8 @@ impl Meter {
     }
 }
 
-/// Plain-data record of the most recent guard trip, embedded in
-/// [`crate::PipelineProfile::guard`].
+/// Plain-data form of a [`GuardError`], embedded in
+/// [`crate::PipelineProfile::guard`] by callers that got the error.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GuardReport {
     /// [`Resource::name`] of what ran out.
@@ -303,8 +302,21 @@ pub struct GuardReport {
     pub bytes: u64,
 }
 
+impl From<&GuardError> for GuardReport {
+    fn from(err: &GuardError) -> Self {
+        GuardReport {
+            resource: err.resource.name().to_string(),
+            stage: err.stage.to_string(),
+            limit: err.limit,
+            bindings: err.progress.bindings,
+            rows: err.progress.rows,
+            bytes: err.progress.bytes,
+        }
+    }
+}
+
 impl GuardReport {
-    /// Structured JSON form (inverse of [`GuardReport::from_json`]).
+    /// Structured JSON form.
     pub fn to_json(&self) -> Value {
         let mut obj = Map::new();
         obj.insert("resource", Value::from(self.resource.as_str()));
@@ -315,55 +327,6 @@ impl GuardReport {
         obj.insert("bytes", Value::from(self.bytes));
         Value::Object(obj)
     }
-
-    /// Parse the structure produced by [`GuardReport::to_json`].
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let get = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("guard report: missing integer field '{key}'"))
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("guard report: missing string field '{key}'"))
-        };
-        Ok(GuardReport {
-            resource: get_str("resource")?,
-            stage: get_str("stage")?,
-            limit: get("limit")?,
-            bindings: get("bindings")?,
-            rows: get("rows")?,
-            bytes: get("bytes")?,
-        })
-    }
-}
-
-static LAST_TRIP: Mutex<Option<GuardReport>> = Mutex::new(None);
-
-fn record_trip(err: &GuardError) {
-    let report = GuardReport {
-        resource: err.resource.name().to_string(),
-        stage: err.stage.to_string(),
-        limit: err.limit,
-        bindings: err.progress.bindings,
-        rows: err.progress.rows,
-        bytes: err.progress.bytes,
-    };
-    *LAST_TRIP.lock().unwrap_or_else(|p| p.into_inner()) = Some(report);
-}
-
-/// The most recent guard trip since the last [`reset_report`], if any.
-pub fn last_report() -> Option<GuardReport> {
-    LAST_TRIP.lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
-
-/// Clear the last-trip slot (called from [`crate::profile_reset`]).
-pub fn reset_report() {
-    *LAST_TRIP.lock().unwrap_or_else(|p| p.into_inner()) = None;
 }
 
 #[cfg(test)]
@@ -470,26 +433,28 @@ mod tests {
     }
 
     #[test]
-    fn trips_record_a_guard_report() {
-        let _guard = crate::test_guard();
-        reset_report();
+    fn a_trip_converts_into_a_guard_report() {
         let budget = Budget {
             max_rows: Some(1),
             ..Budget::default()
         };
         let mut meter = budget.meter("exchange.insert_row");
-        meter.charge_rows(2).unwrap_err();
-        let report = last_report().expect("trip recorded");
-        assert_eq!(report.resource, "rows");
-        assert_eq!(report.stage, "exchange.insert_row");
-        assert_eq!(report.limit, 1);
-        assert_eq!(report.rows, 2);
-        reset_report();
-        assert!(last_report().is_none());
+        let err = meter.charge_rows(2).unwrap_err();
+        assert_eq!(
+            GuardReport::from(&err),
+            GuardReport {
+                resource: "rows".to_string(),
+                stage: "exchange.insert_row".to_string(),
+                limit: 1,
+                bindings: 0,
+                rows: 2,
+                bytes: 0,
+            }
+        );
     }
 
     #[test]
-    fn guard_report_round_trips_through_json() {
+    fn guard_report_json_carries_every_field() {
         let report = GuardReport {
             resource: "deadline".to_string(),
             stage: "query.eval".to_string(),
@@ -498,9 +463,11 @@ mod tests {
             rows: 7,
             bytes: 4_096,
         };
-        let round = GuardReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(round, report);
-        assert!(GuardReport::from_json(&serde_json::json!({})).is_err());
+        assert_eq!(
+            report.to_json().to_string(),
+            "{\"resource\":\"deadline\",\"stage\":\"query.eval\",\"limit\":50,\
+             \"bindings\":120,\"rows\":7,\"bytes\":4096}"
+        );
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!   load per event site when off (`DTR_JOURNAL=1` or
 //!   [`set_enabled`] turn it on). Callers must not compute event payloads
 //!   without checking the gate first.
-//! * **Bounded.** Events live in a ring buffer of
-//!   [`default cap 65536`](DEFAULT_CAP) slots (`DTR_JOURNAL_CAP` overrides),
-//!   so always-on capture in a long-lived shell stays safe; evicted events
-//!   bump a `dropped` counter and vanish from the lineage index.
+//! * **Bounded.** Events live in a [`CAP`]-slot ring of the type the
+//!   flight recorder and the audit log use too, so always-on capture in a
+//!   long-lived shell stays safe; evicted events bump a `dropped` counter
+//!   and vanish from the lineage index.
 //! * **Indexed.** A lineage index (`target NodeId → Vec<EventId>`) is
 //!   maintained incrementally so `.trace`-style queries need not scan the
 //!   whole buffer.
@@ -24,16 +24,17 @@
 //!   the schema is documented in `docs/QUERY_LANGUAGE.md`.
 
 use serde_json::{Map, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::ring::{Counts, Ring};
 
 /// Global event sequence number (monotonic since the last [`reset`]).
 pub type EventId = u64;
 
-/// Default ring-buffer capacity (events retained) when `DTR_JOURNAL_CAP`
-/// is unset.
-pub const DEFAULT_CAP: usize = 65_536;
+/// Events the journal retains.
+pub const CAP: usize = 65_536;
 
 /// What happened at an event site.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -276,14 +277,8 @@ impl Event {
 /// [`crate::PipelineProfile::journal`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
-    /// Events recorded since the last reset (including dropped ones).
-    pub recorded: u64,
-    /// Events currently retained in the ring buffer.
-    pub retained: u64,
-    /// Events evicted by the ring bound.
-    pub dropped: u64,
-    /// Ring-buffer capacity.
-    pub cap: u64,
+    /// Recorded, retained and dropped events, and the ring's bound.
+    pub counts: Counts,
     /// Retained events per outcome kind, sorted by kind.
     pub by_outcome: Vec<(String, u64)>,
     /// *Recorded* events per outcome kind since the last reset, sorted by
@@ -294,56 +289,23 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Structured JSON form (inverse of [`Summary::from_json`]).
+    /// Structured JSON form.
     pub fn to_json(&self) -> Value {
-        let mut by = Map::new();
-        for (k, v) in &self.by_outcome {
-            by.insert(k.clone(), Value::from(*v));
-        }
-        let mut recorded_by = Map::new();
-        for (k, v) in &self.recorded_by_outcome {
-            recorded_by.insert(k.clone(), Value::from(*v));
-        }
-        let mut obj = Map::new();
-        obj.insert("recorded", Value::from(self.recorded));
-        obj.insert("retained", Value::from(self.retained));
-        obj.insert("dropped", Value::from(self.dropped));
-        obj.insert("cap", Value::from(self.cap));
-        obj.insert("by_outcome", Value::Object(by));
-        obj.insert("recorded_by_outcome", Value::Object(recorded_by));
-        Value::Object(obj)
-    }
-
-    /// Parse the structure produced by [`Summary::to_json`].
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let get = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("journal summary: missing integer field '{key}'"))
-        };
-        let parse_outcomes = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            let mut outcomes = Vec::new();
-            if let Some(obj) = value.get(key).and_then(Value::as_object) {
-                for (k, v) in obj.iter() {
-                    let v = v.as_u64().ok_or_else(|| {
-                        format!("journal summary: outcome '{k}' is not an integer")
-                    })?;
-                    outcomes.push((k.clone(), v));
-                }
+        let tally = |counts: &[(String, u64)]| {
+            let mut obj = Map::new();
+            for (k, v) in counts {
+                obj.insert(k.clone(), Value::from(*v));
             }
-            outcomes.sort();
-            Ok(outcomes)
+            Value::Object(obj)
         };
-        Ok(Summary {
-            recorded: get("recorded")?,
-            retained: get("retained")?,
-            dropped: get("dropped")?,
-            cap: get("cap")?,
-            by_outcome: parse_outcomes("by_outcome")?,
-            // Absent in pre-stats profiles — tolerate and default to empty.
-            recorded_by_outcome: parse_outcomes("recorded_by_outcome")?,
-        })
+        let mut obj = Map::new();
+        obj.insert("recorded", Value::from(self.counts.recorded));
+        obj.insert("retained", Value::from(self.counts.retained));
+        obj.insert("dropped", Value::from(self.counts.dropped));
+        obj.insert("cap", Value::from(self.counts.cap));
+        obj.insert("by_outcome", tally(&self.by_outcome));
+        obj.insert("recorded_by_outcome", tally(&self.recorded_by_outcome));
+        Value::Object(obj)
     }
 }
 
@@ -365,60 +327,54 @@ pub fn set_enabled(on: bool) {
     GATE.set(on)
 }
 
-// ---- The ring buffer. ----
+// ---- The journal. ----
 
 #[derive(Debug)]
 struct Journal {
-    cap: usize,
-    buf: VecDeque<Event>,
-    next_id: EventId,
-    dropped: u64,
+    ring: Ring<Event>,
     /// Recorded events per outcome kind — NOT pruned on eviction, so the
     /// summary keeps exact totals for outcomes whose events were dropped.
-    tally: HashMap<&'static str, u64>,
+    tally: BTreeMap<&'static str, u64>,
     /// `target node → event ids`, pruned on eviction.
-    lineage: HashMap<u64, Vec<EventId>>,
+    lineage: BTreeMap<u64, Vec<EventId>>,
     /// Fault-injection hook: when the event with this id is recorded, the
     /// flag is set (typically a budget's `cancel`). Fires once.
     trip: Option<(EventId, Arc<AtomicBool>)>,
 }
 
 impl Journal {
-    /// An empty journal holding `DTR_JOURNAL_CAP` events.
-    fn from_env() -> Self {
+    const fn new(cap: usize) -> Self {
         Journal {
-            cap: crate::env_number("DTR_JOURNAL_CAP", DEFAULT_CAP).max(1),
-            buf: VecDeque::new(),
-            next_id: 0,
-            dropped: 0,
-            tally: HashMap::new(),
-            lineage: HashMap::new(),
+            ring: Ring::new(cap),
+            tally: BTreeMap::new(),
+            lineage: BTreeMap::new(),
             trip: None,
         }
     }
 
     fn record(&mut self, mut event: Event) -> EventId {
-        if self.buf.len() >= self.cap {
-            if let Some(evicted) = self.buf.pop_front() {
-                self.dropped += 1;
-                if let Some(t) = evicted.target {
-                    if let Some(ids) = self.lineage.get_mut(&t) {
-                        ids.retain(|&id| id != evicted.id);
-                        if ids.is_empty() {
-                            self.lineage.remove(&t);
-                        }
-                    }
+        let (target, kind) = (event.target, event.outcome.kind());
+        let (id, evicted) = self.ring.push(|id| {
+            event.id = id;
+            event
+        });
+        if let Some(Event {
+            id: old,
+            target: Some(t),
+            ..
+        }) = evicted
+        {
+            if let Some(ids) = self.lineage.get_mut(&t) {
+                ids.retain(|&i| i != old);
+                if ids.is_empty() {
+                    self.lineage.remove(&t);
                 }
             }
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        event.id = id;
-        *self.tally.entry(event.outcome.kind()).or_insert(0) += 1;
-        if let Some(t) = event.target {
+        *self.tally.entry(kind).or_insert(0) += 1;
+        if let Some(t) = target {
             self.lineage.entry(t).or_default().push(id);
         }
-        self.buf.push_back(event);
         if let Some((at, flag)) = &self.trip {
             if id >= *at {
                 flag.store(true, Ordering::Relaxed);
@@ -429,35 +385,24 @@ impl Journal {
     }
 
     fn summary(&self) -> Summary {
-        let mut by: HashMap<&'static str, u64> = HashMap::new();
-        for e in &self.buf {
-            *by.entry(e.outcome.kind()).or_insert(0) += 1;
+        let mut retained: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for e in self.ring.iter() {
+            *retained.entry(e.outcome.kind()).or_insert(0) += 1;
         }
-        let mut by_outcome: Vec<(String, u64)> =
-            by.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        by_outcome.sort();
-        let mut recorded_by_outcome: Vec<(String, u64)> = self
-            .tally
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect();
-        recorded_by_outcome.sort();
+        let sorted = |tally: &BTreeMap<&'static str, u64>| {
+            tally.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+        };
         Summary {
-            recorded: self.next_id,
-            retained: self.buf.len() as u64,
-            dropped: self.dropped,
-            cap: self.cap as u64,
-            by_outcome,
-            recorded_by_outcome,
+            counts: self.ring.counts(),
+            by_outcome: sorted(&retained),
+            recorded_by_outcome: sorted(&self.tally),
         }
     }
 }
 
 fn with_journal<R>(f: impl FnOnce(&mut Journal) -> R) -> R {
-    static JOURNAL: Mutex<Option<Journal>> = Mutex::new(None);
-    let mut guard = JOURNAL.lock().unwrap_or_else(|p| p.into_inner());
-    let journal = guard.get_or_insert_with(Journal::from_env);
-    f(journal)
+    static JOURNAL: Mutex<Journal> = Mutex::new(Journal::new(CAP));
+    f(&mut JOURNAL.lock().unwrap_or_else(|p| p.into_inner()))
 }
 
 // ---- Public recording / query API. ----
@@ -480,13 +425,13 @@ pub fn next_event_id() -> EventId {
     if !enabled() {
         return 0;
     }
-    with_journal(|j| j.next_id)
+    with_journal(|j| j.ring.next_seq())
 }
 
-/// Clear all events and restart the sequence; the capacity is re-read from
-/// `DTR_JOURNAL_CAP`. Any armed fault-injection trip is disarmed.
+/// Clear all events and restart the sequence. Any armed fault-injection
+/// trip is disarmed.
 pub fn reset() {
-    with_journal(|j| *j = Journal::from_env());
+    with_journal(|j| *j = Journal::new(CAP));
 }
 
 /// Fault injection: arm a one-shot trip that sets `flag` (typically a
@@ -502,35 +447,15 @@ pub fn disarm_trip() {
     with_journal(|j| j.trip = None);
 }
 
-/// Override the ring-buffer capacity (truncating oldest events if needed).
-pub fn set_cap(cap: usize) {
-    with_journal(|j| {
-        j.cap = cap.max(1);
-        while j.buf.len() > j.cap {
-            if let Some(evicted) = j.buf.pop_front() {
-                j.dropped += 1;
-                if let Some(t) = evicted.target {
-                    if let Some(ids) = j.lineage.get_mut(&t) {
-                        ids.retain(|&id| id != evicted.id);
-                        if ids.is_empty() {
-                            j.lineage.remove(&t);
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
 /// All retained events, oldest first.
 pub fn events() -> Vec<Event> {
-    with_journal(|j| j.buf.iter().cloned().collect())
+    with_journal(|j| j.ring.iter().cloned().collect())
 }
 
 /// Retained events with `start <= id < end` — a report's event window.
 pub fn events_in(start: EventId, end: EventId) -> Vec<Event> {
     with_journal(|j| {
-        j.buf
+        j.ring
             .iter()
             .filter(|e| e.id >= start && e.id < end)
             .cloned()
@@ -550,7 +475,7 @@ pub fn events_for(target: u64) -> Vec<Event> {
         let Some(ids) = j.lineage.get(&target) else {
             return Vec::new();
         };
-        j.buf
+        j.ring
             .iter()
             .filter(|e| ids.contains(&e.id))
             .cloned()
@@ -565,12 +490,7 @@ pub fn summary() -> Summary {
 
 /// Every retained event as one compact JSON line (the exportable form).
 pub fn to_jsonl() -> String {
-    let mut out = String::new();
-    for e in events() {
-        out.push_str(&e.to_json().to_string());
-        out.push('\n');
-    }
-    out
+    with_journal(|j| j.ring.to_jsonl(Event::to_json))
 }
 
 /// Convenience constructor so call sites stay one expression.
@@ -659,57 +579,52 @@ mod tests {
     }
 
     #[test]
-    fn ring_bound_evicts_oldest_and_prunes_lineage() {
-        let _guard = guard();
-        set_enabled(true);
-        reset();
-        set_cap(4);
-        for i in 0..10u64 {
-            record(event("exchange.insert_row", Outcome::Inserted).target(i % 2));
+    fn eviction_prunes_the_evicted_events_from_the_lineage_index() {
+        let mut j = Journal::new(4);
+        j.record(event("exchange.insert_row", Outcome::Inserted).target(5));
+        for i in 1..10u64 {
+            j.record(event("exchange.insert_row", Outcome::Inserted).target(i % 2));
         }
-        set_enabled(false);
-        let evs = events();
-        assert_eq!(evs.len(), 4);
-        assert_eq!(evs.first().unwrap().id, 6);
-        assert_eq!(evs.last().unwrap().id, 9);
-        // Evicted events left the index; retained ones are findable.
-        assert_eq!(lineage_of(0), vec![6, 8]);
-        assert_eq!(lineage_of(1), vec![7, 9]);
-        let s = summary();
-        assert_eq!(s.recorded, 10);
-        assert_eq!(s.retained, 4);
-        assert_eq!(s.dropped, 6);
-        assert_eq!(s.cap, 4);
+        let ids: Vec<EventId> = j.ring.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![6, 7, 8, 9]);
+        // Evicted events left the index; retained ones are findable, and a
+        // target whose every event was evicted has no entry at all.
+        assert_eq!(j.lineage.get(&0), Some(&vec![6, 8]));
+        assert_eq!(j.lineage.get(&1), Some(&vec![7, 9]));
+        assert_eq!(j.lineage.len(), 2);
+        let s = j.summary();
+        assert_eq!(
+            s.counts,
+            Counts {
+                recorded: 10,
+                retained: 4,
+                dropped: 6,
+                cap: 4
+            }
+        );
         assert_eq!(s.by_outcome, vec![("inserted".to_string(), 4)]);
-        // The recorded tally is not pruned by eviction.
-        assert_eq!(s.recorded_by_outcome, vec![("inserted".to_string(), 10)]);
     }
 
     #[test]
     fn recorded_tally_survives_eviction_of_rare_outcomes() {
-        let _guard = guard();
-        set_enabled(true);
-        reset();
-        set_cap(4);
+        let mut j = Journal::new(4);
         // Two rare outcomes first...
-        record(event(
+        j.record(event(
             "exchange.insert_row",
             Outcome::CollisionSplit {
                 fingerprint: 0xfeed,
             },
         ));
-        record(event(
+        j.record(event(
             "exchange.run_mapping",
             Outcome::GuardAbort { resource: "rows" },
         ));
         // ...then enough bulk traffic to evict them from the ring.
         for _ in 0..8u64 {
-            record(event("exchange.insert_row", Outcome::Inserted));
+            j.record(event("exchange.insert_row", Outcome::Inserted));
         }
-        set_enabled(false);
-        let s = summary();
-        assert_eq!(s.recorded, 10);
-        assert_eq!(s.dropped, 6);
+        let s = j.summary();
+        assert_eq!((s.counts.recorded, s.counts.dropped), (10, 6));
         // The retained view has lost the rare outcomes entirely...
         assert_eq!(s.by_outcome, vec![("inserted".to_string(), 4)]);
         // ...but the recorded tally still counts them.
@@ -802,12 +717,14 @@ mod tests {
     }
 
     #[test]
-    fn summary_round_trips_through_json() {
+    fn summary_json_carries_counts_and_both_tallies() {
         let s = Summary {
-            recorded: 100,
-            retained: 64,
-            dropped: 36,
-            cap: 64,
+            counts: Counts {
+                recorded: 100,
+                retained: 64,
+                dropped: 36,
+                cap: 64,
+            },
             by_outcome: vec![("inserted".to_string(), 40), ("pnf_merged".to_string(), 24)],
             recorded_by_outcome: vec![
                 ("guard_abort".to_string(), 2),
@@ -815,19 +732,11 @@ mod tests {
                 ("pnf_merged".to_string(), 28),
             ],
         };
-        let round = Summary::from_json(&s.to_json()).unwrap();
-        assert_eq!(round, s);
-        assert!(Summary::from_json(&serde_json::json!({})).is_err());
-        // Pre-stats JSON without the recorded tally still parses.
-        let mut legacy = Map::new();
-        if let Some(obj) = s.to_json().as_object() {
-            for (k, v) in obj.iter() {
-                if k != "recorded_by_outcome" {
-                    legacy.insert(k.clone(), v.clone());
-                }
-            }
-        }
-        let parsed = Summary::from_json(&Value::Object(legacy)).unwrap();
-        assert!(parsed.recorded_by_outcome.is_empty());
+        assert_eq!(
+            s.to_json().to_string(),
+            "{\"recorded\":100,\"retained\":64,\"dropped\":36,\"cap\":64,\
+             \"by_outcome\":{\"inserted\":40,\"pnf_merged\":24},\
+             \"recorded_by_outcome\":{\"guard_abort\":2,\"inserted\":70,\"pnf_merged\":28}}"
+        );
     }
 }

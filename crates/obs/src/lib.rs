@@ -48,6 +48,7 @@ pub mod journal;
 mod metrics;
 mod profile;
 pub mod recorder;
+mod ring;
 pub mod stats;
 mod trace;
 
@@ -64,6 +65,7 @@ pub use metrics::{
 };
 pub use profile::{CounterValue, PipelineProfile, ProfileNode};
 pub use recorder::{FlightEvent, FlightKind, Summary as FlightSummary};
+pub use ring::Counts;
 pub use stats::{DistinctEstimator, JoinStats, PathStats, StatsCatalog};
 pub use trace::{span, SpanGuard};
 
@@ -116,15 +118,6 @@ impl Gate {
     }
 }
 
-/// The number in environment variable `var`, or `default` when it is
-/// unset or does not parse.
-pub(crate) fn env_number<T: std::str::FromStr>(var: &str, default: T) -> T {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 static PROFILE: Gate = Gate::new("DTR_PROFILE");
 
 /// Is profiling collection enabled? First call consults `DTR_PROFILE`
@@ -148,28 +141,28 @@ pub(crate) fn counters_live() -> bool {
     enabled() || recorder::enabled()
 }
 
-/// Clear all collected state (global counters, this thread's span tree
-/// and the last guard trip). Call at the start of a region you want to
-/// profile in isolation. The statistics catalog is NOT cleared — it
-/// accumulates across runs by design; use [`stats::reset`].
+/// Clear all collected state (global counters and this thread's span
+/// tree). Call at the start of a region you want to profile in isolation.
+/// The statistics catalog is NOT cleared — it accumulates across runs by
+/// design; use [`stats::reset`].
 pub fn profile_reset() {
     counters().reset();
     trace::reset_current_thread();
-    guard::reset_report();
 }
 
 /// Snapshot the profile collected since the last [`profile_reset`]: the
 /// span tree of the *current* thread plus the global counter registry. If
-/// the event journal is enabled, its [`JournalSummary`] is embedded too,
-/// and if a budget tripped since the last reset, its [`GuardReport`].
-/// No EXPLAIN ANALYZE tree is embedded: an analyzed run returns its tree
-/// to its caller, which may set [`PipelineProfile::analyze`] itself.
+/// the event journal is enabled, its [`JournalSummary`] is embedded too.
+/// No guard report or EXPLAIN ANALYZE tree is embedded: a tripped or
+/// analyzed run returns its [`GuardError`] or tree to its caller, which
+/// may set [`PipelineProfile::guard`] or [`PipelineProfile::analyze`]
+/// itself.
 pub fn profile_snapshot() -> PipelineProfile {
     PipelineProfile {
         stages: trace::snapshot_current_thread(),
         counters: counters().snapshot(),
         journal: journal::enabled().then(journal::summary),
-        guard: guard::last_report(),
+        guard: None,
         analyze: None,
     }
 }

@@ -1,8 +1,8 @@
 //! [`PipelineProfile`]: the exported, plain-data form of a profiling run —
 //! the aggregated span tree plus the counter registry (and, when the event
 //! journal is on, its summary) — with an EXPLAIN-style text rendering and
-//! lossless JSON round-tripping. Counter and span-field keys are sorted
-//! before serialization so `--json` output diffs are stable across runs.
+//! a JSON form. Counter and span-field keys are sorted before
+//! serialization so `--json` output diffs are stable across runs.
 
 use crate::analyze::OpNode;
 use crate::guard::GuardReport;
@@ -32,13 +32,15 @@ pub struct ProfileNode {
 pub type CounterValue = (String, u64);
 
 /// A complete profile: per-stage wall-time tree plus pipeline counters,
-/// plus the event-journal summary when journaling is enabled and the most
-/// recent guard trip when a budget was exhausted.
+/// plus the event-journal summary when journaling is enabled.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PipelineProfile {
     pub stages: Vec<ProfileNode>,
     pub counters: Vec<CounterValue>,
     pub journal: Option<JournalSummary>,
+    /// A guard trip the caller attached (the REPL attaches the report of
+    /// its last query's guard error); [`crate::profile_snapshot`] leaves
+    /// it empty.
     pub guard: Option<GuardReport>,
     /// An EXPLAIN ANALYZE operator tree the caller attached (the REPL
     /// attaches its last `.analyze` tree); [`crate::profile_snapshot`]
@@ -115,43 +117,6 @@ impl ProfileNode {
         }
         Value::Object(obj)
     }
-
-    fn from_json(value: &Value) -> Result<Self, String> {
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("profile node: missing integer field '{key}'"))
-        };
-        let name = value
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("profile node: missing 'name'")?
-            .to_string();
-        let mut fields = Vec::new();
-        if let Some(obj) = value.get("fields").and_then(Value::as_object) {
-            for (k, v) in obj.iter() {
-                let v = v.as_str().ok_or("profile node: field values are strings")?;
-                fields.push((k.clone(), v.to_string()));
-            }
-        }
-        fields.sort();
-        let mut children = Vec::new();
-        if let Some(items) = value.get("children").and_then(Value::as_array) {
-            for item in items {
-                children.push(ProfileNode::from_json(item)?);
-            }
-        }
-        Ok(ProfileNode {
-            name,
-            count: get_u64("count")?,
-            total_ns: get_u64("total_ns")?,
-            min_ns: get_u64("min_ns")?,
-            max_ns: get_u64("max_ns")?,
-            fields,
-            children,
-        })
-    }
 }
 
 impl PipelineProfile {
@@ -193,18 +158,9 @@ impl PipelineProfile {
             out.push_str(&format!("  {name:<width$} {value:>12}\n"));
         }
         if let Some(j) = &self.journal {
-            out.push_str(&format!(
-                "journal: {} recorded, {} retained, {} dropped (cap {})\n",
-                j.recorded, j.retained, j.dropped, j.cap
-            ));
-            // Prefer the recorded (eviction-proof) tally; fall back to the
-            // retained view for pre-stats profiles.
-            let outcomes = if j.recorded_by_outcome.is_empty() {
-                &j.by_outcome
-            } else {
-                &j.recorded_by_outcome
-            };
-            for (kind, count) in outcomes {
+            out.push_str(&format!("journal: {}\n", j.counts));
+            // The recorded tally survives eviction, unlike the retained view.
+            for (kind, count) in &j.recorded_by_outcome {
                 out.push_str(&format!("  {kind:<width$} {count:>12}\n"));
             }
         }
@@ -220,9 +176,8 @@ impl PipelineProfile {
         out
     }
 
-    /// Structured JSON form (see [`PipelineProfile::from_json`] for the
-    /// inverse). Counter keys are emitted in sorted order so the output is
-    /// byte-stable across runs.
+    /// Structured JSON form. Counter keys are emitted in sorted order so
+    /// the output is byte-stable across runs.
     pub fn to_json(&self) -> Value {
         let mut sorted: Vec<&CounterValue> = self.counters.iter().collect();
         sorted.sort();
@@ -252,54 +207,12 @@ impl PipelineProfile {
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string()
     }
-
-    /// Parse the structure produced by [`PipelineProfile::to_json`].
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let mut stages = Vec::new();
-        if let Some(items) = value.get("stages").and_then(Value::as_array) {
-            for item in items {
-                stages.push(ProfileNode::from_json(item)?);
-            }
-        } else {
-            return Err("profile: missing 'stages' array".to_string());
-        }
-        let mut counters = Vec::new();
-        let obj = value
-            .get("counters")
-            .and_then(Value::as_object)
-            .ok_or("profile: missing 'counters' object")?;
-        for (name, v) in obj.iter() {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("profile: counter '{name}' is not an integer"))?;
-            counters.push((name.clone(), v));
-        }
-        counters.sort();
-        let journal = match value.get("journal") {
-            Some(j) => Some(JournalSummary::from_json(j)?),
-            None => None,
-        };
-        let guard = match value.get("guard") {
-            Some(g) => Some(GuardReport::from_json(g)?),
-            None => None,
-        };
-        let analyze = match value.get("analyze") {
-            Some(a) => Some(OpNode::from_json(a)?),
-            None => None,
-        };
-        Ok(PipelineProfile {
-            stages,
-            counters,
-            journal,
-            guard,
-            analyze,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counts;
     use serde_json::json;
 
     fn sample() -> PipelineProfile {
@@ -344,54 +257,84 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_lossless() {
-        let profile = sample();
-        let text = serde_json::to_string_pretty(&profile.to_json()).unwrap();
-        let parsed = serde_json::from_str(&text).unwrap();
-        assert_eq!(PipelineProfile::from_json(&parsed).unwrap(), profile);
+    fn json_carries_the_stage_tree_and_counters() {
+        let json = sample().to_json();
+        let stage = &json.get("stages").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(
+            stage.get("name").and_then(Value::as_str),
+            Some("exchange.run_mapping")
+        );
+        assert_eq!(stage.get("count").and_then(Value::as_u64), Some(5));
+        assert_eq!(
+            stage.get("total_ns").and_then(Value::as_u64),
+            Some(1_234_567)
+        );
+        assert_eq!(stage.get("min_ns").and_then(Value::as_u64), Some(100_000));
+        assert_eq!(stage.get("max_ns").and_then(Value::as_u64), Some(400_000));
+        assert_eq!(stage.get("fields").unwrap(), &json!({"mapping": "m5"}));
+        let children = stage.get("children").and_then(Value::as_array).unwrap();
+        assert_eq!(children.len(), 2);
+        assert_eq!(
+            children[1].get("name").and_then(Value::as_str),
+            Some("exchange.insert_row")
+        );
+        // Leaves carry neither `fields` nor `children`.
+        assert!(children[1].get("fields").is_none());
+        assert!(children[1].get("children").is_none());
+        assert_eq!(
+            json.get("counters").unwrap(),
+            &json!({
+                "eval.tuples_scanned": 4200,
+                "exchange.rows_inserted": 200,
+                "exchange.rows_merged": 40,
+            })
+        );
+        for absent in ["journal", "guard", "analyze"] {
+            assert!(json.get(absent).is_none(), "{absent}");
+        }
     }
 
     #[test]
-    fn json_round_trip_keeps_journal_summary() {
+    fn journal_summary_is_written_and_rendered() {
         let mut profile = sample();
-        profile.journal = Some(JournalSummary {
-            recorded: 12,
-            retained: 12,
-            dropped: 0,
-            cap: 65_536,
+        let summary = JournalSummary {
+            counts: Counts {
+                recorded: 12,
+                retained: 12,
+                dropped: 0,
+                cap: 65_536,
+            },
             by_outcome: vec![("inserted".to_string(), 8), ("pnf_merged".to_string(), 4)],
             recorded_by_outcome: vec![("inserted".to_string(), 8), ("pnf_merged".to_string(), 4)],
-        });
-        let text = profile.to_json_string();
-        let parsed = serde_json::from_str(&text).unwrap();
-        assert_eq!(PipelineProfile::from_json(&parsed).unwrap(), profile);
+        };
+        profile.journal = Some(summary.clone());
+        assert_eq!(profile.to_json().get("journal"), Some(&summary.to_json()));
         let rendered = profile.render();
-        assert!(rendered.contains("journal: 12 recorded"));
+        assert!(rendered.contains("journal: recorded 12, retained 12, dropped 0, cap 65536\n"));
         assert!(rendered.contains("pnf_merged"));
     }
 
     #[test]
-    fn json_round_trip_keeps_guard_report() {
+    fn guard_report_is_written_and_rendered() {
         let mut profile = sample();
-        profile.guard = Some(GuardReport {
+        let report = GuardReport {
             resource: "rows".to_string(),
             stage: "exchange.insert_row".to_string(),
             limit: 100,
             bindings: 240,
             rows: 101,
             bytes: 9_000,
-        });
-        let text = profile.to_json_string();
-        let parsed = serde_json::from_str(&text).unwrap();
-        assert_eq!(PipelineProfile::from_json(&parsed).unwrap(), profile);
+        };
+        profile.guard = Some(report.clone());
+        assert_eq!(profile.to_json().get("guard"), Some(&report.to_json()));
         let rendered = profile.render();
         assert!(rendered.contains("guard: rows tripped at exchange.insert_row"));
     }
 
     #[test]
-    fn json_round_trip_keeps_analyze_plan() {
+    fn analyze_plan_is_written_and_rendered() {
         let mut profile = sample();
-        profile.analyze = Some(OpNode {
+        let plan = OpNode {
             op: "project".into(),
             label: "2 cols".into(),
             rows_in: 7,
@@ -399,10 +342,9 @@ mod tests {
             elapsed_ns: 1_000,
             guard_charges: 7,
             children: vec![OpNode::new("scan", "$x: db:/r")],
-        });
-        let text = profile.to_json_string();
-        let parsed = serde_json::from_str(&text).unwrap();
-        assert_eq!(PipelineProfile::from_json(&parsed).unwrap(), profile);
+        };
+        profile.analyze = Some(plan.clone());
+        assert_eq!(profile.to_json().get("analyze"), Some(&plan.to_json()));
         let rendered = profile.render();
         assert!(rendered.contains("EXPLAIN ANALYZE"));
         assert!(rendered.contains("rows 7 → 7"));
@@ -440,16 +382,5 @@ mod tests {
         assert!(text.contains("eval.tuples_scanned"));
         assert!(text.contains("4200"));
         assert!(text.contains("{mapping=m5}"));
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(PipelineProfile::from_json(&json!({})).is_err());
-        assert!(
-            PipelineProfile::from_json(&json!({"stages": [], "counters": {"x": "nan"}})).is_err()
-        );
-        assert!(
-            PipelineProfile::from_json(&json!({"stages": [{"count": 1}], "counters": {}})).is_err()
-        );
     }
 }

@@ -4,20 +4,20 @@
 //! ([`crate::journal`]) orders decisions, but neither preserves the *time
 //! domain*: when each stage ran, on which thread, and how the parallel
 //! exchange workers overlapped. The flight recorder captures exactly that —
-//! span begin/end events with thread ids, periodic counter-registry delta
-//! samples, guard trips, and per-mapping exchange windows — in a bounded
-//! ring buffer that [`crate::chrome_trace`] exports as a Chrome Trace
-//! Event file loadable in Perfetto or `chrome://tracing`.
+//! span windows with thread ids, periodic counter-registry delta samples,
+//! guard trips, and per-mapping exchange windows — in a bounded ring that
+//! [`crate::chrome_trace`] exports as a Chrome Trace Event file loadable in
+//! Perfetto or `chrome://tracing`.
 //!
 //! ## Design
 //!
 //! * **Gated.** Everything funnels through [`enabled`] — one relaxed
 //!   atomic load per event site when off (`DTR_FLIGHT=1` or
 //!   [`set_enabled`] turn it on), following the `journal.rs` pattern.
-//! * **Bounded.** Events live in a ring buffer of
-//!   [`DEFAULT_CAP`] slots (`DTR_FLIGHT_CAP` overrides); evicted events
-//!   bump a `dropped` counter. Always-on capture in a long-lived shell
-//!   keeps the most recent window, like an aircraft flight recorder.
+//! * **Bounded.** Events live in a [`CAP`]-slot ring of the type the
+//!   journal and the audit log use too; evicted events bump a `dropped`
+//!   counter. Always-on capture in a long-lived shell keeps the most
+//!   recent window, like an aircraft flight recorder.
 //! * **Timestamped.** All timestamps are nanoseconds on one process-wide
 //!   monotonic clock ([`now_ns`]), so events from different threads
 //!   interleave consistently.
@@ -27,20 +27,19 @@
 //!   are included, with absolute values — the exact shape Chrome `C`
 //!   (counter) events want.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use serde_json::{Map, Value};
+use crate::ring::{Counts, Ring};
 
-/// Default ring-buffer capacity (events retained) when `DTR_FLIGHT_CAP`
-/// is unset.
-pub const DEFAULT_CAP: usize = 65_536;
+/// Events the recorder retains.
+pub const CAP: usize = 65_536;
 
 /// A counter-registry delta sample is appended automatically every this
-/// many recorded events (`DTR_FLIGHT_SAMPLE` overrides).
-pub const SAMPLE_STRIDE: u64 = 256;
+/// many recorded events.
+pub const SAMPLE_STRIDE: u64 = 128;
 
 // ---- The monotonic clock and thread ids. ----
 
@@ -68,16 +67,10 @@ pub fn thread_tid() -> u64 {
 /// What a flight event records.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FlightKind {
-    /// A span opened on this thread ([`crate::span`]).
-    SpanBegin {
-        /// The stage name (e.g. `"exchange.run_mapping"`).
-        name: &'static str,
-    },
-    /// A span closed on this thread; `dur_ns` is its wall time, so an
-    /// exporter can reconstruct the interval even if the matching begin
-    /// event was evicted from the ring.
+    /// A span ([`crate::span`]) closed on this thread; `dur_ns` is its
+    /// wall time, so the event alone carries the span's whole window.
     SpanEnd {
-        /// The stage name.
+        /// The stage name (e.g. `"exchange.run_mapping"`).
         name: &'static str,
         /// Elapsed wall time of the span.
         dur_ns: u64,
@@ -112,10 +105,9 @@ pub enum FlightKind {
 }
 
 impl FlightKind {
-    /// Stable snake_case tag used in summaries and JSON.
+    /// Stable snake_case tag used in the `.timeline` summary.
     pub fn kind(&self) -> &'static str {
         match self {
-            FlightKind::SpanBegin { .. } => "span_begin",
             FlightKind::SpanEnd { .. } => "span_end",
             FlightKind::CounterSample { .. } => "counter_sample",
             FlightKind::GuardTrip { .. } => "guard_trip",
@@ -137,63 +129,11 @@ pub struct FlightEvent {
     pub kind: FlightKind,
 }
 
-impl FlightEvent {
-    /// The event as a JSON object (diagnostic form; the exportable trace
-    /// form lives in [`crate::chrome_trace`]).
-    pub fn to_json(&self) -> Value {
-        let mut obj = Map::new();
-        obj.insert("seq", Value::from(self.seq));
-        obj.insert("ts_ns", Value::from(self.ts_ns));
-        obj.insert("tid", Value::from(self.tid));
-        obj.insert("kind", Value::from(self.kind.kind()));
-        match &self.kind {
-            FlightKind::SpanBegin { name } => {
-                obj.insert("name", Value::from(*name));
-            }
-            FlightKind::SpanEnd { name, dur_ns } => {
-                obj.insert("name", Value::from(*name));
-                obj.insert("dur_ns", Value::from(*dur_ns));
-            }
-            FlightKind::CounterSample { values } => {
-                let mut vals = Map::new();
-                for (k, v) in values {
-                    vals.insert(k.clone(), Value::from(*v));
-                }
-                obj.insert("values", Value::Object(vals));
-            }
-            FlightKind::GuardTrip { resource, stage } => {
-                obj.insert("resource", Value::from(*resource));
-                obj.insert("stage", Value::from(stage.as_str()));
-            }
-            FlightKind::MappingWindow {
-                mapping,
-                tuples,
-                rows_inserted,
-                rows_merged,
-                wall_ns,
-            } => {
-                obj.insert("mapping", Value::from(mapping.as_str()));
-                obj.insert("tuples", Value::from(*tuples));
-                obj.insert("rows_inserted", Value::from(*rows_inserted));
-                obj.insert("rows_merged", Value::from(*rows_merged));
-                obj.insert("wall_ns", Value::from(*wall_ns));
-            }
-        }
-        Value::Object(obj)
-    }
-}
-
 /// Aggregate view of the recorder (the `.timeline` REPL rendering).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
-    /// Events recorded since the last reset (including dropped ones).
-    pub recorded: u64,
-    /// Events currently retained in the ring buffer.
-    pub retained: u64,
-    /// Events evicted by the ring bound.
-    pub dropped: u64,
-    /// Ring-buffer capacity.
-    pub cap: u64,
+    /// Recorded, retained and dropped events, and the ring's bound.
+    pub counts: Counts,
     /// Distinct thread ids among retained events.
     pub threads: u64,
     /// Retained events per kind, sorted by kind.
@@ -210,8 +150,8 @@ impl Summary {
             .collect::<Vec<_>>()
             .join(" ");
         format!(
-            "flight: recorded {} retained {} dropped {} cap {} threads {} [{kinds}]",
-            self.recorded, self.retained, self.dropped, self.cap, self.threads
+            "flight: {}, threads {} [{kinds}]",
+            self.counts, self.threads
         )
     }
 }
@@ -234,46 +174,32 @@ pub fn set_enabled(on: bool) {
     GATE.set(on)
 }
 
-// ---- The ring buffer. ----
+// ---- The recorder. ----
 
 #[derive(Debug)]
 struct Flight {
-    cap: usize,
-    buf: VecDeque<FlightEvent>,
-    next_seq: u64,
-    dropped: u64,
-    sample_stride: u64,
+    ring: Ring<FlightEvent>,
     /// Counter values at the previous sample, for delta detection.
     last_sample: BTreeMap<String, u64>,
 }
 
 impl Flight {
-    /// An empty recorder holding `DTR_FLIGHT_CAP` events and sampling
-    /// counters every `DTR_FLIGHT_SAMPLE` events.
-    fn from_env() -> Self {
+    const fn new() -> Self {
         Flight {
-            cap: crate::env_number("DTR_FLIGHT_CAP", DEFAULT_CAP).max(1),
-            buf: VecDeque::new(),
-            next_seq: 0,
-            dropped: 0,
-            sample_stride: crate::env_number("DTR_FLIGHT_SAMPLE", SAMPLE_STRIDE).max(1),
+            ring: Ring::new(CAP),
             last_sample: BTreeMap::new(),
         }
     }
 
     fn push(&mut self, kind: FlightKind, ts_ns: u64, tid: u64) -> u64 {
-        if self.buf.len() >= self.cap && self.buf.pop_front().is_some() {
-            self.dropped += 1;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.buf.push_back(FlightEvent {
-            seq,
-            ts_ns,
-            tid,
-            kind,
-        });
-        seq
+        self.ring
+            .push(|seq| FlightEvent {
+                seq,
+                ts_ns,
+                tid,
+                kind,
+            })
+            .0
     }
 
     /// Append a counter delta sample if any counter moved since the last
@@ -297,7 +223,7 @@ impl Flight {
         let seq = self.push(kind, ts_ns, tid);
         // Periodic registry sampling rides on the event stream itself: no
         // timer thread, and quiet periods record nothing.
-        if seq % self.sample_stride == self.sample_stride - 1 {
+        if seq % SAMPLE_STRIDE == SAMPLE_STRIDE - 1 {
             self.sample(ts_ns, tid);
         }
         seq
@@ -306,17 +232,14 @@ impl Flight {
     fn summary(&self) -> Summary {
         let mut by: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut tids: Vec<u64> = Vec::new();
-        for e in &self.buf {
+        for e in self.ring.iter() {
             *by.entry(e.kind.kind()).or_insert(0) += 1;
             if !tids.contains(&e.tid) {
                 tids.push(e.tid);
             }
         }
         Summary {
-            recorded: self.next_seq,
-            retained: self.buf.len() as u64,
-            dropped: self.dropped,
-            cap: self.cap as u64,
+            counts: self.ring.counts(),
             threads: tids.len() as u64,
             by_kind: by.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
@@ -324,24 +247,11 @@ impl Flight {
 }
 
 fn with_flight<R>(f: impl FnOnce(&mut Flight) -> R) -> R {
-    static FLIGHT: Mutex<Option<Flight>> = Mutex::new(None);
-    let mut guard = FLIGHT.lock().unwrap_or_else(|p| p.into_inner());
-    let flight = guard.get_or_insert_with(Flight::from_env);
-    f(flight)
+    static FLIGHT: Mutex<Flight> = Mutex::new(Flight::new());
+    f(&mut FLIGHT.lock().unwrap_or_else(|p| p.into_inner()))
 }
 
 // ---- Public recording / query API. ----
-
-/// Record a span opening on this thread. A no-op while recording is
-/// disabled; call sites should still check [`enabled`] first so the
-/// disabled path stays at one atomic load.
-pub fn record_span_begin(name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let (ts, tid) = (now_ns(), thread_tid());
-    with_flight(|fl| fl.record(FlightKind::SpanBegin { name }, ts, tid));
-}
 
 /// Record a span closing on this thread with its measured wall time.
 pub fn record_span_end(name: &'static str, dur_ns: u64) {
@@ -418,27 +328,14 @@ pub fn sample_counters() -> bool {
     with_flight(|fl| fl.sample(ts, tid))
 }
 
-/// Clear all events and restart the sequence; capacity and sample stride
-/// are re-read from `DTR_FLIGHT_CAP` / `DTR_FLIGHT_SAMPLE`.
+/// Clear all events and restart the sequence.
 pub fn reset() {
-    with_flight(|fl| *fl = Flight::from_env());
-}
-
-/// Override the ring-buffer capacity (truncating oldest events if needed).
-pub fn set_cap(cap: usize) {
-    with_flight(|fl| {
-        fl.cap = cap.max(1);
-        while fl.buf.len() > fl.cap {
-            if fl.buf.pop_front().is_some() {
-                fl.dropped += 1;
-            }
-        }
-    });
+    with_flight(|fl| *fl = Flight::new());
 }
 
 /// All retained events, oldest first.
 pub fn events() -> Vec<FlightEvent> {
-    with_flight(|fl| fl.buf.iter().cloned().collect())
+    with_flight(|fl| fl.ring.iter().cloned().collect())
 }
 
 /// Aggregate counts for the `.timeline` rendering.
@@ -459,38 +356,41 @@ mod tests {
         let _guard = guard();
         set_enabled(false);
         reset();
-        record_span_begin("exchange.run_mapping");
         record_span_end("exchange.run_mapping", 42);
         record_guard_trip("rows", "exchange.run_mapping");
         record_mapping_window("m1", 3, 2, 1, 1000);
         assert!(!sample_counters());
         assert!(events().is_empty());
         let s = summary();
-        assert_eq!(s.recorded, 0);
-        assert_eq!(s.dropped, 0);
+        assert_eq!(
+            s.counts,
+            Counts {
+                cap: CAP as u64,
+                ..Counts::default()
+            }
+        );
         assert!(s.by_kind.is_empty());
     }
 
     #[test]
-    fn ring_bound_evicts_oldest() {
+    fn one_span_records_one_event() {
         let _guard = guard();
         set_enabled(true);
         reset();
-        set_cap(4);
-        for _ in 0..10 {
-            record_span_begin("exchange.insert_row");
+        {
+            let _span = crate::span("exchange.run_mapping");
         }
         set_enabled(false);
         let evs = events();
-        assert_eq!(evs.len(), 4);
-        assert_eq!(evs.first().unwrap().seq, 6);
-        assert_eq!(evs.last().unwrap().seq, 9);
-        let s = summary();
-        assert_eq!(s.recorded, 10);
-        assert_eq!(s.retained, 4);
-        assert_eq!(s.dropped, 6);
-        assert_eq!(s.cap, 4);
-        assert_eq!(s.by_kind, vec![("span_begin".to_string(), 4)]);
+        assert_eq!(evs.len(), 1, "{evs:?}");
+        assert!(matches!(
+            evs[0].kind,
+            FlightKind::SpanEnd {
+                name: "exchange.run_mapping",
+                ..
+            }
+        ));
+        assert_eq!(summary().by_kind, vec![("span_end".to_string(), 1)]);
     }
 
     #[test]
@@ -498,9 +398,9 @@ mod tests {
         let _guard = guard();
         set_enabled(true);
         reset();
-        record_span_begin("a");
         record_span_end("a", 1);
-        record_span_begin("b");
+        record_guard_trip("rows", "a");
+        record_span_end("b", 2);
         set_enabled(false);
         let evs = events();
         assert_eq!(evs.len(), 3);
@@ -518,10 +418,10 @@ mod tests {
         let _guard = guard();
         set_enabled(true);
         reset();
-        record_span_begin("main");
+        record_span_end("main", 1);
         std::thread::scope(|scope| {
             for _ in 0..2 {
-                scope.spawn(|| record_span_begin("worker"));
+                scope.spawn(|| record_span_end("worker", 1));
             }
         });
         set_enabled(false);
@@ -565,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn mapping_window_round_trips_to_json() {
+    fn mapping_window_keeps_its_counts() {
         let _guard = guard();
         set_enabled(true);
         reset();
@@ -573,13 +473,15 @@ mod tests {
         set_enabled(false);
         let evs = events();
         assert_eq!(evs.len(), 1);
-        let json = evs[0].to_json();
         assert_eq!(
-            json.get("kind").and_then(Value::as_str),
-            Some("mapping_window")
+            evs[0].kind,
+            FlightKind::MappingWindow {
+                mapping: "m2".to_string(),
+                tuples: 10,
+                rows_inserted: 7,
+                rows_merged: 3,
+                wall_ns: 123_456,
+            }
         );
-        assert_eq!(json.get("mapping").and_then(Value::as_str), Some("m2"));
-        assert_eq!(json.get("rows_inserted").and_then(Value::as_u64), Some(7));
-        assert_eq!(json.get("wall_ns").and_then(Value::as_u64), Some(123_456));
     }
 }

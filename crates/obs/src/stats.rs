@@ -3,7 +3,7 @@
 //! collected during exchange and query runs.
 //!
 //! Statistics follow the paper's §7 stance that transformations are data:
-//! the catalog is serializable to sorted-key JSON, mergeable across runs,
+//! the catalog is written as sorted-key JSON, mergeable in memory,
 //! and encodable into the metastore as a queryable meta-instance
 //! (`dtr_metastore::stats_view`), so MXQL can query the engine's own
 //! runtime behavior.
@@ -151,32 +151,6 @@ impl DistinctEstimator {
             }),
         }
     }
-
-    fn from_json(v: &Value) -> Option<Self> {
-        match v.get("mode")?.as_str()? {
-            "exact" => {
-                let mut hashes: Vec<u64> = v
-                    .get("hashes")?
-                    .as_array()?
-                    .iter()
-                    .filter_map(Value::as_u64)
-                    .collect();
-                hashes.sort_unstable();
-                hashes.dedup();
-                Some(DistinctEstimator::Exact(hashes))
-            }
-            "sketch" => {
-                let regs: Vec<u8> = v
-                    .get("registers")?
-                    .as_array()?
-                    .iter()
-                    .filter_map(|r| r.as_u64().map(|n| n.min(u8::MAX as u64) as u8))
-                    .collect();
-                (regs.len() == HLL_REGISTERS).then_some(DistinctEstimator::Sketch(regs))
-            }
-            _ => None,
-        }
-    }
 }
 
 fn sketch_insert(regs: &mut [u8], hash: u64) {
@@ -317,8 +291,8 @@ impl StatsCatalog {
     }
 
     /// Fold `other` into `self` (counts add, histograms add elementwise,
-    /// distinct estimators union). Merging catalogs from separate runs
-    /// yields the catalog of the combined run.
+    /// distinct estimators union), so a locally collected catalog folds
+    /// into the global one as if it had been collected there.
     pub fn merge(&mut self, other: &StatsCatalog) {
         for (path, stats) in &other.paths {
             let entry = self.path_entry(path);
@@ -334,9 +308,8 @@ impl StatsCatalog {
         }
     }
 
-    /// Sorted-key JSON rendering. Derived quantities (`distinct_estimate`,
-    /// `selectivity`) are embedded for readers but ignored by
-    /// [`StatsCatalog::from_json`].
+    /// Sorted-key JSON rendering, with the derived quantities
+    /// (`distinct_estimate`, `selectivity`) embedded for readers.
     pub fn to_json(&self) -> Value {
         let mut paths = Map::new();
         for (path, stats) in &self.paths {
@@ -416,61 +389,6 @@ impl StatsCatalog {
             }
         }
         out
-    }
-
-    /// Parses a catalog from the JSON text [`StatsCatalog::to_json_string`]
-    /// produces.
-    pub fn from_json_str(s: &str) -> Option<StatsCatalog> {
-        StatsCatalog::from_json(&serde_json::from_str(s).ok()?)
-    }
-
-    /// Parse a catalog previously produced by [`StatsCatalog::to_json`].
-    /// Tolerant: unknown keys are ignored, malformed entries skipped.
-    pub fn from_json(v: &Value) -> Option<StatsCatalog> {
-        let mut catalog = StatsCatalog::new();
-        if let Some(paths) = v.get("paths").and_then(Value::as_object) {
-            for (path, entry) in paths.iter() {
-                let mut stats = PathStats {
-                    tuples: entry.get("tuples").and_then(Value::as_u64).unwrap_or(0),
-                    sets: entry.get("sets").and_then(Value::as_u64).unwrap_or(0),
-                    ..PathStats::default()
-                };
-                if let Some(pairs) = entry.get("set_card").and_then(Value::as_array) {
-                    for pair in pairs {
-                        let Some(pair) = pair.as_array() else {
-                            continue;
-                        };
-                        if let (Some(i), Some(n)) = (
-                            pair.first().and_then(Value::as_u64),
-                            pair.get(1).and_then(Value::as_u64),
-                        ) {
-                            if (i as usize) < HISTOGRAM_BUCKETS {
-                                stats.set_card[i as usize] = n;
-                            }
-                        }
-                    }
-                }
-                if let Some(d) = entry.get("distinct").and_then(DistinctEstimator::from_json) {
-                    stats.distinct = d;
-                }
-                catalog.paths.insert(path.clone(), stats);
-            }
-        }
-        if let Some(joins) = v.get("joins").and_then(Value::as_object) {
-            for (key, entry) in joins.iter() {
-                let get = |field: &str| entry.get(field).and_then(Value::as_u64).unwrap_or(0);
-                catalog.joins.insert(
-                    key.clone(),
-                    JoinStats {
-                        build_rows: get("build_rows"),
-                        probe_rows: get("probe_rows"),
-                        probes: get("probes"),
-                        matches: get("matches"),
-                    },
-                );
-            }
-        }
-        Some(catalog)
     }
 }
 
@@ -597,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_catalog() {
+    fn json_writes_every_path_and_join_under_sorted_keys() {
         let mut c = StatsCatalog::new();
         c.record_set("db:/r", 4);
         for i in 0..700u64 {
@@ -613,12 +531,44 @@ mod tests {
                 matches: 5,
             },
         );
-        let text = c.to_json_string();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        let back = StatsCatalog::from_json(&parsed).unwrap();
-        assert_eq!(back, c);
-        // Sorted-key stability: serializing twice is byte-identical.
-        assert_eq!(back.to_json_string(), text);
+        let json = c.to_json();
+        let paths = json.get("paths").and_then(Value::as_object).unwrap();
+        assert_eq!(
+            paths.keys().collect::<Vec<_>>(),
+            vec!["db:/r", "db:/r/x", "db:/r/y"]
+        );
+        let r = paths.get("db:/r").unwrap();
+        assert_eq!(r.get("sets").and_then(Value::as_u64), Some(1));
+        assert_eq!(r.get("set_card"), Some(&json!([[bucket_for(4), 1]])));
+        // Past the exact threshold the estimator is written as a sketch...
+        let x = paths.get("db:/r/x").unwrap();
+        assert_eq!(x.get("tuples").and_then(Value::as_u64), Some(700));
+        let distinct = x.get("distinct").unwrap();
+        assert_eq!(distinct.get("mode").and_then(Value::as_str), Some("sketch"));
+        assert_eq!(
+            distinct
+                .get("registers")
+                .and_then(Value::as_array)
+                .map(Vec::len),
+            Some(HLL_REGISTERS)
+        );
+        // ...and below it as the exact hash set.
+        let y = paths.get("db:/r/y").unwrap();
+        assert_eq!(
+            y.get("distinct"),
+            Some(&json!({"mode": "exact", "hashes": [fnv1a(b"only")]}))
+        );
+        assert_eq!(y.get("distinct_estimate").and_then(Value::as_u64), Some(1));
+        assert_eq!(
+            json.get("joins").unwrap(),
+            &json!({"a = b": {
+                "build_rows": 3,
+                "matches": 5,
+                "probe_rows": 4,
+                "probes": 6,
+                "selectivity": 5.0 / 12.0,
+            }})
+        );
     }
 
     #[test]

@@ -127,9 +127,9 @@ thread_local! {
 
 /// Open a span. Returns a guard that records the elapsed wall time into the
 /// current thread's profile tree when dropped, and — when the flight
-/// recorder is on — emits timestamped begin/end events with this thread's
-/// id. Free when both profiling and flight recording are disabled (two
-/// relaxed atomic loads).
+/// recorder is on — records one timestamped event with this thread's id
+/// and the span's duration. Free when both profiling and flight recording
+/// are disabled (two relaxed atomic loads).
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     let profiled = crate::enabled();
@@ -144,12 +144,9 @@ pub fn span(name: &'static str) -> SpanGuard {
         index: COLLECTOR.with(|c| c.borrow_mut().open(name)),
         start: Instant::now(),
     });
-    let flight = flight.then(|| {
-        crate::recorder::record_span_begin(name);
-        FlightSpan {
-            name,
-            start: Instant::now(),
-        }
+    let flight = flight.then(|| FlightSpan {
+        name,
+        start: Instant::now(),
     });
     SpanGuard { live, flight }
 }

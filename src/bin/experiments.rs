@@ -811,9 +811,10 @@ fn main() {
         );
     }
     if let Some(path) = &args.audit_out {
-        let (recorded, _, dropped, _) = dtr_obs::audit::counts();
+        let c = dtr_obs::audit::counts();
         println!(
-            "audit log written to {path}: {recorded} record(s) ({dropped} dropped by the ring)"
+            "audit log written to {path}: {} record(s) ({} dropped by the ring)",
+            c.recorded, c.dropped
         );
     }
 

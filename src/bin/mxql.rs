@@ -45,8 +45,8 @@
 //!   (mapping → source binding → insert/merge events), cross-checked
 //!   against the Section 6 where-provenance query;
 //! * `.journal [on|off|json|export <file>]` — inspect or export the
-//!   provenance event journal (on by default in this shell; bounded by
-//!   `DTR_JOURNAL_CAP`, default 64k events);
+//!   provenance event journal (on by default in this shell; it keeps the
+//!   most recent 65,536 events);
 //! * `.timeline [on|off|export <file>]` — the flight recorder: a bounded
 //!   ring of timestamped span/counter/guard/exchange events (`DTR_FLIGHT=1`
 //!   to capture from process start); `export` writes Chrome Trace Event
@@ -501,11 +501,15 @@ fn main() {
     // The WAL-backed durable session behind `.save wal`/`.open`; when
     // active, `.delta` commits through it (WAL-then-publish) instead.
     let mut durable: Option<dtr::core::store::DurableSession> = None;
-    // The last `.analyze` tree, embedded in the profile this shell prints.
+    // The last `.analyze` tree and the report of the last query's guard
+    // error, embedded in the profile this shell prints.
     let mut last_analyze: Option<dtr_obs::OpNode> = None;
-    let profile = |last_analyze: &Option<dtr_obs::OpNode>| {
+    let mut last_guard: Option<dtr_obs::GuardReport> = None;
+    let profile = |last_analyze: &Option<dtr_obs::OpNode>,
+                   last_guard: &Option<dtr_obs::GuardReport>| {
         let mut p = dtr_obs::profile_snapshot();
         p.analyze = last_analyze.clone();
+        p.guard = last_guard.clone();
         p
     };
     eprintln!(
@@ -538,14 +542,15 @@ fn main() {
                         dtr_obs::set_enabled(true);
                         dtr_obs::profile_reset();
                         last_analyze = None;
+                        last_guard = None;
                         println!("profiling on");
                     }
                     "off" => {
                         dtr_obs::set_enabled(false);
                         println!("profiling off");
                     }
-                    "json" => println!("{}", profile(&last_analyze).to_json_string()),
-                    _ => println!("{}", profile(&last_analyze).render()),
+                    "json" => println!("{}", profile(&last_analyze, &last_guard).to_json_string()),
+                    _ => println!("{}", profile(&last_analyze, &last_guard).render()),
                 },
                 ".mode" => {
                     mode = match rest.trim() {
@@ -872,10 +877,7 @@ fn main() {
                         }
                         _ => {
                             let s = dtr_obs::journal::summary();
-                            println!(
-                                "journal: {} recorded, {} retained, {} dropped (cap {})",
-                                s.recorded, s.retained, s.dropped, s.cap
-                            );
+                            println!("journal: {}", s.counts);
                             // The recorded tally survives ring eviction, so
                             // rare outcomes (guard aborts, collision splits)
                             // stay visible even after heavy churn.
@@ -915,7 +917,7 @@ fn main() {
                                 Err(e) => println!("trace export failed validation: {e}"),
                             }
                         }
-                        _ => print!("{}", dtr_obs::recorder::summary().render()),
+                        _ => println!("{}", dtr_obs::recorder::summary().render()),
                     }
                 }
                 ".audit" => {
@@ -945,15 +947,14 @@ fn main() {
                             }
                         }
                         _ => {
-                            let (recorded, retained, dropped, cap) = dtr_obs::audit::counts();
                             println!(
-                                "audit: {} (recorded {recorded}, retained {retained}, \
-                                 dropped {dropped}, cap {cap})",
+                                "audit: {} ({})",
                                 if dtr_obs::audit::enabled() {
                                     "on"
                                 } else {
                                     "off"
-                                }
+                                },
+                                dtr_obs::audit::counts()
                             );
                         }
                     }
@@ -1049,6 +1050,7 @@ fn main() {
         buffer.clear();
         if dtr_obs::enabled() {
             dtr_obs::profile_reset();
+            last_guard = None;
         }
         let t0 = std::time::Instant::now();
         let result = parse_query(&text)
@@ -1074,10 +1076,15 @@ fn main() {
                     t0.elapsed().as_secs_f64() * 1e3
                 );
                 if dtr_obs::enabled() {
-                    println!("{}", profile(&last_analyze).render());
+                    println!("{}", profile(&last_analyze, &last_guard).render());
                 }
             }
-            Err(e) => println!("error: {e}"),
+            Err(e) => {
+                if let Some(g) = e.guard() {
+                    last_guard = Some(g.into());
+                }
+                println!("error: {e}");
+            }
         }
         print!("mxql> ");
         let _ = std::io::stdout().flush();

@@ -7,11 +7,22 @@
 //! here as an exact mismatch. Wall-clock numbers are not pinned; the
 //! repository benchmark measures those.
 //!
+//! A second part pins the incremental and durable counters: a WAL-backed
+//! session over the Figure 1 setting commits, checkpoints, commits again
+//! and is reopened.
+//!
 //! The counter registry and the statistics catalog are process-global,
 //! so this file is its own test binary with a single test: nothing else
 //! in the process can tick them.
 
+use std::sync::Arc;
+
 use dtr::core::runner::MetaRunner;
+use dtr::core::store::{DurableOptions, DurableSession};
+use dtr::core::testkit::{figure1_setting, figure1_sources};
+use dtr::mapping::delta::SourceDelta;
+use dtr::mapping::durable::MemVfs;
+use dtr::model::instance::Value;
 use dtr::portal::scenario::{build, ScenarioConfig};
 use dtr::query::parser::parse_query;
 
@@ -60,6 +71,52 @@ const EXPECTED: &[(&str, u64)] = &[
     ("xml.annotations_written", 0),
 ];
 
+/// Every registry counter after the durable session's create, two
+/// commits, checkpoint and reopen, counted from a reset.
+const EXPECTED_DURABLE: &[(&str, u64)] = &[
+    ("durable.checkpoints", 2),
+    ("durable.epochs_published", 3),
+    ("durable.io_retries", 0),
+    ("durable.recoveries", 1),
+    ("durable.replayed_deltas", 1),
+    ("durable.wal_appends", 2),
+    ("durable.wal_bytes", 323),
+    ("eval.bindings_enumerated", 56),
+    ("eval.hash_probes", 20),
+    ("eval.queries_evaluated", 17),
+    ("eval.tuples_scanned", 84),
+    ("exchange.annotations_suppressed", 21),
+    ("exchange.annotations_written", 87),
+    ("exchange.delta_batches", 3),
+    ("exchange.delta_classes_rebuilt", 4),
+    ("exchange.delta_edits", 4),
+    ("exchange.delta_mappings_full", 0),
+    ("exchange.delta_mappings_pruned", 3),
+    ("exchange.delta_mappings_reevaluated", 6),
+    ("exchange.delta_rows_added", 3),
+    ("exchange.delta_rows_removed", 1),
+    ("exchange.parallel_workers", 0),
+    ("exchange.rows_inserted", 15),
+    ("exchange.rows_merged", 3),
+    ("guard.checks", 23),
+    ("guard.rollbacks", 0),
+    ("guard.trips", 0),
+    ("metastore.tuples_encoded", 0),
+    ("translate.branches", 0),
+    ("xml.annotations_suppressed", 0),
+    ("xml.annotations_written", 72),
+];
+
+/// A Figure 1 `US.houses` row.
+fn house(hid: &str) -> Value {
+    Value::record(vec![
+        ("hid", Value::str(hid)),
+        ("floors", Value::str("2")),
+        ("price", Value::str("500K")),
+        ("aid", Value::str("a1")),
+    ])
+}
+
 #[test]
 fn fixed_workload_does_pinned_work() {
     dtr_obs::set_enabled(true);
@@ -95,4 +152,37 @@ fn fixed_workload_does_pinned_work() {
     assert_eq!(counters, EXPECTED);
     // Paths, join keys, and tuples observed across all paths.
     assert_eq!(footprint, (247, 5, 59_954));
+
+    // A durable session on an in-memory file system: one batch with an
+    // insert and a delete, a checkpoint, one more batch, a crash, and a
+    // reopen that replays the batch after the checkpoint.
+    dtr_obs::profile_reset();
+    let vfs = Arc::new(MemVfs::new());
+    let mut session = DurableSession::create(
+        figure1_setting(),
+        figure1_sources(),
+        None,
+        vfs.clone(),
+        "wal",
+        DurableOptions::default(),
+    )
+    .unwrap();
+    session
+        .apply(
+            &SourceDelta::new()
+                .insert("US.houses", house("H800"))
+                .delete("US.houses", 0),
+        )
+        .unwrap();
+    session.checkpoint().unwrap();
+    session
+        .apply(&SourceDelta::new().insert("US.houses", house("H801")))
+        .unwrap();
+    drop(session);
+    let (_, report) = DurableSession::open(vfs, "wal", DurableOptions::default()).unwrap();
+    assert_eq!(report.replayed, 1);
+
+    let counters = dtr_obs::counters().snapshot();
+    let counters: Vec<(&str, u64)> = counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(counters, EXPECTED_DURABLE);
 }
