@@ -38,7 +38,6 @@ proptest! {
                 .unwrap_or_else(|e| panic!("seed {seed}: warm plan failed on `{text}`: {e}"));
             let after = tagged.plan_cache_stats();
             prop_assert!(after.hits > before.hits, "seed {seed}: no cache hit on `{text}`");
-            prop_assert_eq!(after.collisions, before.collisions);
             let bytes = |r: &dtr_query::eval::QueryResult| format!("{:?}|{:?}", r.columns, r.rows);
             prop_assert_eq!(bytes(&cold), bytes(&warm), "seed {seed}: hit differs on `{text}`");
         }

@@ -1,7 +1,8 @@
 //! Continuous-ingest sessions: a [`MappingSetting`] paired with the
 //! delta-driven exchange engine of [`dtr_mapping::incremental`], so source
-//! updates flow into the annotated target without a full re-exchange, and
-//! the metastore rows for touched subtrees are re-encoded alongside.
+//! updates flow into the annotated target without a full re-exchange. An
+//! attached metastore encodes the setting's schemas and mappings, which no
+//! data edit changes, so a batch leaves it as it is.
 //!
 //! ```
 //! use dtr_core::incremental::IncrementalSession;
@@ -16,7 +17,7 @@
 //!     .unwrap();
 //! assert!(!td.retracted.is_empty());
 //! // The tagged view answers MXQL over the incrementally maintained target.
-//! let tagged = session.tagged().unwrap();
+//! let tagged = session.tagged();
 //! let rows = tagged
 //!     .query("select x.hid, m from Portal.estates x, x.hid@map m")
 //!     .unwrap();
@@ -29,7 +30,6 @@ use dtr_mapping::exchange::{ExchangeOptions, ExchangeReport};
 use dtr_mapping::incremental::IncrementalExchange;
 use dtr_metastore::store::MetaStore;
 use dtr_model::instance::Instance;
-use dtr_model::schema::Schema;
 use dtr_query::functions::FunctionRegistry;
 use std::sync::Arc;
 
@@ -83,9 +83,9 @@ impl IncrementalSession {
         })
     }
 
-    /// Attaches a metastore: each applied batch re-encodes the `Element`
-    /// rows under the touched source paths via
-    /// [`MetaStore::reencode_affected`].
+    /// Attaches a metastore holding the setting's schemas and mappings.
+    /// The session keeps it for the durable checkpoint's `metastore`
+    /// render; batches edit data only, so they never change it.
     pub fn attach_store(&mut self, store: MetaStore) {
         self.store = Some(store);
     }
@@ -96,39 +96,9 @@ impl IncrementalSession {
     }
 
     /// Applies one edit batch to the sources and incrementally maintains
-    /// the target (see [`IncrementalExchange::apply`]). Re-encodes the
-    /// metastore rows for the touched schema subtrees when a store is
-    /// attached.
+    /// the target (see [`IncrementalExchange::apply`]).
     pub fn apply(&mut self, delta: &SourceDelta) -> Result<TargetDelta, MxqlError> {
-        let td = self.engine.apply(delta)?;
-        if let Some(store) = &mut self.store {
-            let mut by_schema: Vec<(&Schema, Vec<String>)> = Vec::new();
-            for edit in &delta.edits {
-                let root = edit.path.split('.').next().unwrap_or_default();
-                let Some(schema) = self.setting.source_schemas().iter().find(|s| {
-                    s.roots()
-                        .iter()
-                        .any(|&r| s.element(r).label.as_str() == root)
-                }) else {
-                    continue;
-                };
-                match by_schema
-                    .iter_mut()
-                    .find(|(s, _)| s.name() == schema.name())
-                {
-                    Some((_, paths)) => {
-                        if !paths.contains(&edit.path) {
-                            paths.push(edit.path.clone());
-                        }
-                    }
-                    None => by_schema.push((schema, vec![edit.path.clone()])),
-                }
-            }
-            for (schema, paths) in by_schema {
-                store.reencode_affected(schema, &paths);
-            }
-        }
-        Ok(td)
+        Ok(self.engine.apply(delta)?)
     }
 
     /// Drops all incremental state and rebuilds from the current sources.
@@ -162,18 +132,12 @@ impl IncrementalSession {
         self.engine.batch()
     }
 
-    /// A [`TaggedInstance`] over the current sources and target, for MXQL.
-    /// Snapshots the current state — later applies do not flow into it.
-    /// It shares the session's setting and the instances' arena chunks,
-    /// so taking it costs chunk pointers, and it does not fail.
-    pub fn tagged(&self) -> Result<TaggedInstance, MxqlError> {
-        Ok(self.snapshot())
-    }
-
-    /// The snapshot behind [`IncrementalSession::tagged`] and the durable
-    /// session's epochs: the session's validated setting and annotated
-    /// instances, neither checked nor annotated again.
-    pub(crate) fn snapshot(&self) -> TaggedInstance {
+    /// A [`TaggedInstance`] over the current sources and target, for MXQL,
+    /// also behind the durable session's epochs. Snapshots the current
+    /// state — later applies do not flow into it. It shares the session's
+    /// validated setting and the instances' arena chunks, neither checked
+    /// nor annotated again, so taking it costs chunk pointers.
+    pub fn tagged(&self) -> TaggedInstance {
         TaggedInstance::snapshot(
             self.setting.clone(),
             self.engine.sources().to_vec(),
@@ -205,7 +169,7 @@ mod tests {
             .apply(&SourceDelta::new().insert("US.houses", house("H900")))
             .unwrap();
         assert!(!td.inserted.is_empty());
-        let tagged = s.tagged().unwrap();
+        let tagged = s.tagged();
         let rows = tagged
             .query("select x.hid, m from Portal.estates x, x.hid@map m")
             .unwrap();
@@ -213,22 +177,19 @@ mod tests {
     }
 
     #[test]
-    fn attached_store_reencodes_touched_paths() {
+    fn a_batch_leaves_the_attached_store_unchanged() {
         let mut s = IncrementalSession::new(figure1_setting(), figure1_sources()).unwrap();
         let mut store = MetaStore::new();
         for schema in s.setting().source_schemas() {
             store.add_schema(schema).unwrap();
         }
         store.add_schema(s.setting().target_schema()).unwrap();
+        let before = store.render();
         s.attach_store(store);
         s.apply(&SourceDelta::new().delete("US.houses", 0)).unwrap();
-        // The affected subtree's rows are still present and coherent.
-        let row = s
-            .store()
-            .unwrap()
-            .element_by_path("USdb", "/US/houses")
+        s.apply(&SourceDelta::new().insert("US.houses", house("H900")))
             .unwrap();
-        assert_eq!(row.ty, "Set");
+        assert_eq!(s.store().unwrap().render(), before);
     }
 
     #[test]
@@ -239,7 +200,6 @@ mod tests {
         let answers = |s: &IncrementalSession| {
             let mut rows: Vec<String> = s
                 .tagged()
-                .unwrap()
                 .query("select x.hid from Portal.estates x")
                 .unwrap()
                 .distinct_tuples()

@@ -125,26 +125,12 @@ impl MetaRunner {
         budget: &Budget,
     ) -> Result<QueryResult, MxqlError> {
         let q = tagged.setting().normalize_query(q);
-        // Order/limit (the extension tail) apply to the whole union; each
-        // order key must be one of the select expressions so the sort can
-        // run on the projected columns.
-        let mut key_columns: Vec<(usize, bool)> = Vec::new();
-        for k in &q.order_by {
-            let Some(col) = q.select.iter().position(|e| *e == k.expr) else {
-                return Err(MxqlError::Other(format!(
-                    "translated execution requires order-by keys to appear in the \
-                     select clause; `{}` does not",
-                    k.expr
-                )));
-            };
-            key_columns.push((col, k.descending));
-        }
+        let mut union = DistinctUnion::new(&q, "translated execution")?;
         let branches = translate_budgeted(&q, tagged.target().db(), budget)?;
         let span = dtr_obs::span("mxql.run_translated").field("branches", branches.len());
         let mut meter = budget.meter("mxql.run_translated");
         let mut catalog = tagged.catalog();
         catalog.push(self.meta_source());
-        let mut union = DistinctUnion::default();
         for branch in &branches {
             meter.poll()?;
             let r = Evaluator::new(&catalog, tagged.functions())
@@ -157,23 +143,7 @@ impl MetaRunner {
             // is what `max_rows` bounds on this path.
             union.add(r, Some(&mut meter))?;
         }
-        let mut out = union.out;
-        if !key_columns.is_empty() {
-            out.rows.sort_by(|a, b| {
-                for &(col, desc) in &key_columns {
-                    let ord = dtr_query::eval::coerced_compare(&a[col].value, &b[col].value)
-                        .unwrap_or(std::cmp::Ordering::Equal);
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(n) = q.limit {
-            out.rows.truncate(n);
-        }
+        let out = union.finish();
         span.record("rows_out", out.rows.len());
         Ok(out)
     }
@@ -187,15 +157,42 @@ impl MetaRunner {
 /// The de-duplicated union of query branches (translated MXQL branches,
 /// virtual rewritings): rows keep branch order and the first occurrence
 /// of each rendered value tuple wins; every branch's work counters add up.
-#[derive(Default)]
+/// The query's order-by and limit apply to the de-duplicated union, in
+/// [`DistinctUnion::finish`].
 pub(crate) struct DistinctUnion {
     /// The union so far. Its columns are the first branch's unless set
     /// beforehand.
     pub(crate) out: QueryResult,
     seen: HashSet<String>,
+    /// `(select column, descending)` per order key.
+    key_columns: Vec<(usize, bool)>,
+    limit: Option<usize>,
 }
 
 impl DistinctUnion {
+    /// An empty union for the branches of `q`. Each order key must be one
+    /// of `q`'s select expressions, so the sort can run on the projected
+    /// columns; `what` names the execution path in that error.
+    pub(crate) fn new(q: &Query, what: &str) -> Result<Self, MxqlError> {
+        let mut key_columns: Vec<(usize, bool)> = Vec::new();
+        for k in &q.order_by {
+            let Some(col) = q.select.iter().position(|e| *e == k.expr) else {
+                return Err(MxqlError::Other(format!(
+                    "{what} requires order-by keys to appear in the select clause; \
+                     `{}` does not",
+                    k.expr
+                )));
+            };
+            key_columns.push((col, k.descending));
+        }
+        Ok(DistinctUnion {
+            out: QueryResult::default(),
+            seen: HashSet::new(),
+            key_columns,
+            limit: q.limit,
+        })
+    }
+
     /// Folds one branch in. A `meter` is charged one row per new row.
     pub(crate) fn add(
         &mut self,
@@ -220,6 +217,28 @@ impl DistinctUnion {
             }
         }
         Ok(())
+    }
+
+    /// The union, sorted by the order keys and cut to the limit.
+    pub(crate) fn finish(self) -> QueryResult {
+        let mut out = self.out;
+        if !self.key_columns.is_empty() {
+            out.rows.sort_by(|a, b| {
+                for &(col, desc) in &self.key_columns {
+                    let ord = dtr_query::eval::coerced_compare(&a[col].value, &b[col].value)
+                        .unwrap_or(std::cmp::Ordering::Equal);
+                    let ord = if desc { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        if let Some(n) = self.limit {
+            out.rows.truncate(n);
+        }
+        out
     }
 }
 

@@ -184,11 +184,6 @@ impl SnapshotStore {
         self.head.read().expect("snapshot head lock").clone()
     }
 
-    /// Id of the current head epoch.
-    pub fn head_id(&self) -> u64 {
-        self.pin().id
-    }
-
     fn publish(&self, mut epoch: Epoch) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::AcqRel);
         epoch.id = id;
@@ -669,7 +664,7 @@ fn epoch_of(session: &IncrementalSession, id: u64, batch: u64) -> Epoch {
     Epoch {
         id,
         batch,
-        tagged: Arc::new(session.snapshot()),
+        tagged: Arc::new(session.tagged()),
         canonical: OnceLock::new(),
     }
 }

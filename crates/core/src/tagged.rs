@@ -365,8 +365,8 @@ pub struct TaggedInstance {
     target: Instance,
     functions: FunctionRegistry,
     report: ExchangeReport,
-    /// Compiled plans keyed by query-text fingerprint (structurally
-    /// confirmed on hit), so repeated traffic skips parse + check + plan.
+    /// Compiled plans keyed by query text, so repeated traffic skips
+    /// parse + check + plan.
     plans: PlanCache,
 }
 
@@ -522,12 +522,6 @@ impl TaggedInstance {
         &self.functions
     }
 
-    /// Mutable access to the function registry (to register custom
-    /// functions).
-    pub fn functions_mut(&mut self) -> &mut FunctionRegistry {
-        &mut self.functions
-    }
-
     /// A query catalog spanning the target and all source instances.
     pub fn catalog(&self) -> Catalog<'_> {
         let mut sources = vec![Source {
@@ -629,11 +623,10 @@ impl TaggedInstance {
         self.run(&parse_query(text)?)
     }
 
-    /// Evaluates MXQL text through the plan cache: a hit (fingerprint
-    /// keyed, structurally confirmed against the stored text) skips
-    /// parse + check entirely; a miss parses, normalizes and checks the
-    /// query, caches the plan, and executes it. A plan is the query in its
-    /// written order, run by the same evaluator as
+    /// Evaluates MXQL text through the plan cache: a hit (keyed by the
+    /// exact text) skips parse + check entirely; a miss parses, normalizes
+    /// and checks the query, caches the plan, and executes it. A plan is
+    /// the query in its written order, run by the same evaluator as
     /// [`TaggedInstance::run`], so the result is byte-identical to `run`'s,
     /// row order and annotations included.
     pub fn run_planned(&self, text: &str) -> Result<QueryResult, MxqlError> {
@@ -660,8 +653,7 @@ impl TaggedInstance {
             .map(|(r, _)| r)
     }
 
-    /// Plan-cache counters (hits, misses, structural-confirmation
-    /// collisions) and entry count.
+    /// Plan-cache counters (hits, misses) and entry count.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.plans.stats()
     }
@@ -708,7 +700,7 @@ mod tests {
     #[test]
     fn exchange_builds_tagged_instance() {
         let t = figure1();
-        assert_eq!(t.report().tuples.len(), 3);
+        assert_eq!(t.report().per_mapping.len(), 3);
         assert_eq!(t.target().db(), "Pdb");
         // Figure 3: two estates, two contacts (HomeGain merged).
         assert_eq!(t.target_values("/Portal/estates/hid").len(), 3);

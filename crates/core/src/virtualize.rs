@@ -12,7 +12,8 @@
 //! materializing the target.
 //!
 //! **Soundness / completeness.** Every virtual answer is an answer over the
-//! materialized instance (soundness — asserted by the test suite). The
+//! materialized instance (soundness — asserted by the test suite); for a
+//! query with a `limit`, an answer of the same query without it. The
 //! converse holds for queries whose joins stay inside one mapping's output;
 //! a join that only succeeds because *different* mappings produced merged
 //! (identical) values in the materialized instance is not recovered — that
@@ -209,6 +210,26 @@ fn rename_expr(e: &Expr, prefix: &str) -> Expr {
     }
 }
 
+/// Rewrites an expression of the user query, each path through `path`;
+/// a function call keeps its name and rewrites its arguments. `None` when
+/// some path has no rewriting, and for the annotation functions: they read
+/// the fact their argument names, which over the sources is a source fact,
+/// not the target fact the query asks about.
+fn rewrite_expr(e: &Expr, path: &dyn Fn(&PathExpr) -> Option<Expr>) -> Option<Expr> {
+    match e {
+        Expr::Const(_) => Some(e.clone()),
+        Expr::Path(p) => path(p),
+        Expr::Call(n, _) if n == "getElAnnot" || n == "getMapAnnot" => None,
+        Expr::Call(n, args) => Some(Expr::Call(
+            n.clone(),
+            args.iter()
+                .map(|a| rewrite_expr(a, path))
+                .collect::<Option<_>>()?,
+        )),
+        Expr::ElemOf(_) | Expr::MapOf(_) => None,
+    }
+}
+
 /// Rewrites a plain target query into a union of source queries
 /// (one per combination of covering mappings).
 pub fn virtualize(q: &Query, setting: &MappingSetting) -> Result<Vec<Query>, MxqlError> {
@@ -285,17 +306,12 @@ pub fn virtualize(q: &Query, setting: &MappingSetting) -> Result<Vec<Query>, Mxq
                 .iter()
                 .position(|g| g.members.iter().any(|&i| q.from[i].var == v))
         };
-        let rewrite = |e: &Expr| -> Option<Expr> {
-            match e {
-                Expr::Const(_) => Some(e.clone()),
-                Expr::Path(p) => {
-                    let gi = owner(p)?;
-                    let (mi, assignment, prefix) = &rewrite_ctx[gi];
-                    rewrite_path(p, assignment, &setting.mappings()[*mi], prefix)
-                }
-                _ => None,
-            }
+        let path = |p: &PathExpr| -> Option<Expr> {
+            let gi = owner(p)?;
+            let (mi, assignment, prefix) = &rewrite_ctx[gi];
+            rewrite_path(p, assignment, &setting.mappings()[*mi], prefix)
         };
+        let rewrite = |e: &Expr| rewrite_expr(e, &path);
         for e in &q.select {
             match rewrite(e) {
                 Some(r) => rewriting.select.push(r),
@@ -322,6 +338,13 @@ pub fn virtualize(q: &Query, setting: &MappingSetting) -> Result<Vec<Query>, Mxq
 
 /// Answers a plain target query *virtually*: rewrites it over the sources
 /// and evaluates the union there, never touching a materialized target.
+/// The query's `order by` and `limit` apply to the de-duplicated union, so
+/// each order key must be one of its select expressions. Every row of the
+/// unlimited answer is a materialized answer; with a `limit`, a row that
+/// only a cross-mapping merge produces is missing from the union, so the
+/// rows kept may differ from the materialized answer's first rows. A call
+/// of `getElAnnot` or `getMapAnnot` yields no answers: over the sources it
+/// would read source facts' annotations, not the target's.
 ///
 /// ```
 /// use dtr_core::testkit;
@@ -354,12 +377,12 @@ pub fn answer_virtually(
             .map(|(schema, instance)| Source { schema, instance })
             .collect(),
     );
-    let mut union = DistinctUnion::default();
+    let mut union = DistinctUnion::new(q, "virtual answering")?;
     union.out.columns = q.select.iter().map(|e| e.to_string()).collect();
     for r in &rewritings {
         union.add(Evaluator::new(&catalog, functions).run(r)?, None)?;
     }
-    Ok(union.out)
+    Ok(union.finish())
 }
 
 #[cfg(test)]

@@ -208,7 +208,7 @@ fn late_render_of_a_pinned_epoch_is_its_batch_state() {
     }
     let epoch_k = s.pin();
     let want_xml = instance_to_xml(s.session().target(), WriteOptions::annotated());
-    let live = s.session().tagged().unwrap();
+    let live = s.session().tagged();
     let want: Vec<Vec<String>> = PORTAL_QUERIES.iter().map(|q| answers(&live, q)).collect();
     drop(live);
 

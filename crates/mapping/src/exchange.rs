@@ -184,10 +184,7 @@ pub(crate) fn effective_eval(opts: &ExchangeOptions) -> EvalOptions {
 /// Statistics of one exchange run.
 #[derive(Clone, Debug, Default)]
 pub struct ExchangeReport {
-    /// `(mapping, tuples retrieved by its foreach query)`. Kept as the
-    /// stable summary shape; `per_mapping` carries the full breakdown.
-    pub tuples: Vec<(dtr_model::value::MappingName, usize)>,
-    /// Full per-mapping row/merge/annotation counts, in execution order.
+    /// Per-mapping tuple/row/merge/annotation counts, in execution order.
     pub per_mapping: Vec<MappingStats>,
 }
 
@@ -228,37 +225,6 @@ impl ExchangeReport {
         let start = windows.iter().map(|&(s, _)| s).min()?;
         let end = windows.iter().map(|&(_, e)| e).max()?;
         Some((start, end))
-    }
-
-    /// Synthesizes an EXPLAIN ANALYZE operator tree for the exchange from
-    /// the per-mapping statistics: each mapping contributes a
-    /// `foreach → nest → pnf-merge` chain (upstream operator as the first
-    /// child, matching the query-side convention), and the root `exchange`
-    /// node aggregates all mappings. Row accounting per mapping:
-    /// `foreach` emits `tuples`, `nest` fans them out into `bindings`
-    /// member instantiations, and `pnf-merge` keeps `rows_inserted` of
-    /// them (the rest folded into existing members).
-    pub fn analyze_plan(&self) -> dtr_obs::OpNode {
-        let mut root =
-            dtr_obs::OpNode::new("exchange", format!("{} mapping(s)", self.per_mapping.len()));
-        for s in &self.per_mapping {
-            let mut foreach = dtr_obs::OpNode::new("foreach", s.mapping.as_str().to_string());
-            foreach.rows_out = s.tuples as u64;
-            foreach.elapsed_ns = s.wall_ns;
-            let mut nest = dtr_obs::OpNode::new("nest", s.mapping.as_str().to_string());
-            nest.rows_in = s.tuples as u64;
-            nest.rows_out = s.bindings as u64;
-            nest.children.push(foreach);
-            let mut merge = dtr_obs::OpNode::new("pnf-merge", s.mapping.as_str().to_string());
-            merge.rows_in = s.bindings as u64;
-            merge.rows_out = s.rows_inserted as u64;
-            merge.children.push(nest);
-            root.rows_in += s.bindings as u64;
-            root.rows_out += s.rows_inserted as u64;
-            root.elapsed_ns += s.wall_ns;
-            root.children.push(merge);
-        }
-        root
     }
 }
 
@@ -954,7 +920,6 @@ impl<'a> Exchange<'a> {
         // Rollback snapshot: the arena is append-only, so the target as it
         // was before this mapping is exactly its first `rollback_len` nodes.
         let rollback_len = self.target.len();
-        let tuples_len = self.report.tuples.len();
         let (rows, eval_ns) = match rows {
             Ok(v) => v,
             // A guard trip inside the foreach evaluation: nothing was
@@ -963,7 +928,6 @@ impl<'a> Exchange<'a> {
             Err(e) => return Err(e),
         };
         stats.tuples = rows.len();
-        self.report.tuples.push((m.name.clone(), rows.len()));
         if plan.select_classes.len() != m.foreach.select.len() {
             return Err(ExchangeError::Unsupported(format!(
                 "mapping {}: select arity mismatch",
@@ -977,7 +941,7 @@ impl<'a> Exchange<'a> {
         shapes.resize_with(plan.bindings.len(), || None);
         for row in rows {
             if let Err(g) = self.meter.charge_rows(1) {
-                self.rollback_mapping(m, rollback_len, tuples_len);
+                self.rollback_mapping(m, rollback_len);
                 return Err(self.guard_abort(m, g));
             }
             let touches =
@@ -1417,7 +1381,7 @@ impl<'a> Exchange<'a> {
     /// discarded nodes, and strips this mapping's `f_mp` annotations from
     /// the surviving nodes (each mapping runs once per exchange, so the
     /// name identifies exactly its writes). O(target) — paid only on abort.
-    fn rollback_mapping(&mut self, m: &Mapping, len: usize, tuples_len: usize) {
+    fn rollback_mapping(&mut self, m: &Mapping, len: usize) {
         self.target.truncate(len);
         self.merge_index.retain(|&(set, _), bucket| {
             if set.index() >= len {
@@ -1429,7 +1393,6 @@ impl<'a> Exchange<'a> {
         for i in 0..len {
             self.target.remove_mapping(NodeId(i as u32), &m.name);
         }
-        self.report.tuples.truncate(tuples_len);
         dtr_obs::counters().guard_rollbacks.incr();
     }
 
@@ -1699,9 +1662,9 @@ mod tests {
         let (schema, inst, report) = run_exchange();
         // m1 retrieves the Smith house, m2 the HomeGain house, m3 the EU
         // posting.
-        assert_eq!(report.tuples.len(), 3);
-        for (_, n) in &report.tuples {
-            assert_eq!(*n, 1);
+        assert_eq!(report.per_mapping.len(), 3);
+        for s in &report.per_mapping {
+            assert_eq!(s.tuples, 1);
         }
         let estates = schema.resolve_path("/Portal/estates").unwrap();
         let member_elem = schema.set_member(estates).unwrap();
@@ -2030,14 +1993,18 @@ mod tests {
             &funcs,
         )
         .unwrap();
-        assert_eq!(report.tuples[0].1, 0);
+        assert_eq!(report.per_mapping[0].tuples, 0);
         assert!(out.root("Portal").is_some());
     }
 
     #[test]
     fn report_counts_tuples() {
         let (_, _, report) = run_exchange();
-        let names: Vec<&str> = report.tuples.iter().map(|(m, _)| m.as_str()).collect();
+        let names: Vec<&str> = report
+            .per_mapping
+            .iter()
+            .map(|s| s.mapping.as_str())
+            .collect();
         assert_eq!(names, ["m1", "m2", "m3"]);
     }
 
@@ -2174,7 +2141,6 @@ mod tests {
             )
         };
         assert_eq!(render(&serial), render(&par));
-        assert_eq!(rep_s.tuples, rep_p.tuples);
         assert_eq!(rep_s.per_mapping.len(), rep_p.per_mapping.len());
         for (a, b) in rep_s.per_mapping.iter().zip(&rep_p.per_mapping) {
             assert_eq!(a.mapping, b.mapping);
@@ -2224,8 +2190,9 @@ mod tests {
             )
         };
         assert_eq!(render(&templated), render(&reference));
-        assert_eq!(rep_t.tuples, rep_r.tuples);
+        assert_eq!(rep_t.per_mapping.len(), rep_r.per_mapping.len());
         for (a, b) in rep_t.per_mapping.iter().zip(&rep_r.per_mapping) {
+            assert_eq!((&a.mapping, a.tuples), (&b.mapping, b.tuples));
             assert_eq!(a.rows_inserted, b.rows_inserted);
             assert_eq!(a.rows_merged, b.rows_merged);
             assert_eq!(a.annotations_written, b.annotations_written);
@@ -2317,7 +2284,6 @@ mod tests {
         assert_eq!(g.resource, Resource::Deadline);
         assert_eq!(completed, 0);
         let (inst, report) = engine.finish().unwrap();
-        assert!(report.tuples.is_empty());
         assert!(report.per_mapping.is_empty());
         let (empty, _) = Exchange::new(sources, &p_s, &funcs).finish().unwrap();
         assert_eq!(snapshot(&inst), snapshot(&empty));
@@ -2346,7 +2312,7 @@ mod tests {
         let (g, _) = guard_of(&err);
         assert_eq!(g.resource, Resource::Cancelled);
         let (inst, report) = engine.finish().unwrap();
-        assert!(report.tuples.is_empty());
+        assert!(report.per_mapping.is_empty());
         let (empty, _) = Exchange::new(sources, &p_s, &funcs).finish().unwrap();
         assert_eq!(snapshot(&inst), snapshot(&empty));
     }
@@ -2409,7 +2375,6 @@ mod tests {
         assert_eq!(g.progress.rows, 2);
         assert_eq!(completed, 0);
         let (inst, report) = engine.finish().unwrap();
-        assert!(report.tuples.is_empty());
         assert!(report.per_mapping.is_empty());
         let (empty, _) = Exchange::new(sources, &p_s, &funcs).finish().unwrap();
         assert_eq!(snapshot(&inst), snapshot(&empty));
@@ -2444,7 +2409,12 @@ mod tests {
         assert_eq!(g.resource, Resource::Rows);
         assert_eq!(completed, 1);
         let (inst, report) = engine.finish().unwrap();
-        assert_eq!(report.tuples, vec![("m1".into(), 1)]);
+        let counts: Vec<(&str, usize)> = report
+            .per_mapping
+            .iter()
+            .map(|s| (s.mapping.as_str(), s.tuples))
+            .collect();
+        assert_eq!(counts, [("m1", 1)]);
         let mut only_m1 = Exchange::new(sources, &p_s, &funcs);
         only_m1
             .run_mappings(&ms[..1], &ExchangeOptions::default())
@@ -2501,26 +2471,6 @@ mod tests {
         let (g, completed) = guard_of(&serial);
         assert_eq!(g.progress.rows, 3);
         assert_eq!(completed, 2);
-    }
-
-    #[test]
-    fn report_analyze_plan_follows_per_mapping_stats() {
-        let (_, _, report) = run_exchange();
-        let plan = report.analyze_plan();
-        assert_eq!(plan.op, "exchange");
-        assert_eq!(plan.children.len(), 3);
-        for (merge, stats) in plan.children.iter().zip(&report.per_mapping) {
-            assert_eq!(merge.op, "pnf-merge");
-            assert_eq!(merge.rows_in, stats.bindings as u64);
-            assert_eq!(merge.rows_out, stats.rows_inserted as u64);
-            let nest = &merge.children[0];
-            assert_eq!(nest.op, "nest");
-            assert_eq!(nest.rows_in, stats.tuples as u64);
-            assert_eq!(nest.rows_out, stats.bindings as u64);
-            let foreach = &nest.children[0];
-            assert_eq!(foreach.op, "foreach");
-            assert_eq!(foreach.rows_out, stats.tuples as u64);
-        }
     }
 
     #[test]

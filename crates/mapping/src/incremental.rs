@@ -700,7 +700,6 @@ impl IncrementalExchange {
         for (mi, m) in self.mappings.iter().enumerate() {
             let tuples: usize = self.bags[mi].values().sum();
             let bindings = tuples * self.plans[mi].bindings.len();
-            report.tuples.push((m.name.clone(), tuples));
             report.per_mapping.push(MappingStats {
                 mapping: m.name.clone(),
                 tuples,

@@ -275,64 +275,6 @@ impl MetaStore {
         self.elements.iter().find(|e| e.db == db && e.path == path)
     }
 
-    /// Delta-aware re-encode: refreshes the `Element` rows of the schema
-    /// elements under the given root-rooted dot paths (`"US.houses"`)
-    /// from the current schema, keeping their global eids stable. Called
-    /// after an incremental-exchange batch so the catalog rows for the
-    /// touched subtrees stay current without re-encoding the whole schema.
-    /// Returns the number of rows refreshed.
-    pub fn reencode_affected(&mut self, schema: &Schema, paths: &[String]) -> usize {
-        let span = dtr_obs::span("metastore.reencode_affected").field("db", schema.name());
-        let prefixes: Vec<String> = paths
-            .iter()
-            .map(|p| format!("/{}", p.replace('.', "/")))
-            .collect();
-        let mut refreshed = 0usize;
-        for (id, el) in schema.elements() {
-            let path = schema.path(id);
-            if !prefixes
-                .iter()
-                .any(|pre| path == *pre || path.starts_with(&format!("{pre}/")))
-            {
-                continue;
-            }
-            let Some(&i) = self.eid_index.get(&(schema.name().to_owned(), id.0)) else {
-                continue;
-            };
-            let parent = el.parent.and_then(|p| {
-                self.eid_index
-                    .get(&(schema.name().to_owned(), p.0))
-                    .map(|&pi| self.elements[pi].eid.clone())
-            });
-            let row = &mut self.elements[i];
-            row.name = el.label.to_string();
-            row.ty = el.kind.name().to_owned();
-            row.parent = parent;
-            row.path = path;
-            refreshed += 1;
-        }
-        dtr_obs::counters()
-            .meta_tuples_encoded
-            .add(refreshed as u64);
-        span.record("rows_refreshed", refreshed);
-        if dtr_obs::journal::enabled() && refreshed > 0 {
-            dtr_obs::journal::record(
-                dtr_obs::journal::event(
-                    "metastore.reencode_affected",
-                    dtr_obs::journal::Outcome::MetaEncoded {
-                        relation: "Element",
-                    },
-                )
-                .detail(format!(
-                    "schema {}: {refreshed} row(s) refreshed for {} path(s)",
-                    schema.name(),
-                    paths.len()
-                )),
-            );
-        }
-        refreshed
-    }
-
     /// Stores a mapping: a `Mapping` row, two `Query` rows with their
     /// `Binding`/`Condition` rows, and one `Correspondence` row per select
     /// position. The referenced schemas must have been stored first.

@@ -288,140 +288,6 @@ fn merge_group(
     new_id
 }
 
-/// In-place partition-renormalization of a single set node: members of
-/// `set` that agree on all non-set content are re-merged — nested sets
-/// unioned into the first such member, mapping annotations unioned, the
-/// duplicates detached as arena garbage (annotations stripped). Only `set`
-/// and the merged members' subtrees are touched. Returns the number of
-/// members merged away (0 when the set was already in PNF).
-///
-/// This is the targeted counterpart of [`to_pnf`] used by the incremental
-/// exchange: a retraction that rewrites members of one affected set can
-/// violate PNF locally, and renormalizing just that set restores it
-/// without a whole-instance rebuild.
-pub fn renormalize_set(inst: &mut Instance, set: NodeId) -> usize {
-    renormalize_set_with(inst, set, &non_set_fingerprint)
-}
-
-/// Like [`renormalize_set`], with an injectable fingerprint function (see
-/// [`to_pnf_with`] for the collision-safety contract: fingerprints only
-/// bucket, every merge is confirmed with [`non_set_eq`]).
-pub fn renormalize_set_with(
-    inst: &mut Instance,
-    set: NodeId,
-    fp_of: &dyn Fn(&Instance, NodeId) -> u64,
-) -> usize {
-    let members: Vec<NodeId> = match inst.set_members(set) {
-        Some(m) => m.to_vec(),
-        None => return 0,
-    };
-    let mut keepers: Vec<NodeId> = Vec::new();
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut merged = 0usize;
-    for m in members {
-        let f = fp_of(inst, m);
-        let slots = index.entry(f).or_default();
-        let found = slots
-            .iter()
-            .copied()
-            .find(|&i| non_set_eq(inst, keepers[i], m));
-        match found {
-            Some(i) => {
-                let keeper = keepers[i];
-                union_into(inst, keeper, m, fp_of);
-                inst.strip_annotations(m);
-                if dtr_obs::journal::enabled() {
-                    dtr_obs::journal::record(
-                        dtr_obs::journal::event(
-                            "model.pnf.renormalize",
-                            dtr_obs::journal::Outcome::PnfMerged {
-                                into: u64::from(keeper.0),
-                            },
-                        )
-                        .binding(f)
-                        .target(u64::from(keeper.0)),
-                    );
-                }
-                merged += 1;
-            }
-            None => {
-                slots.push(keepers.len());
-                keepers.push(m);
-            }
-        }
-    }
-    if merged > 0 {
-        inst.replace_children(set, keepers);
-    }
-    merged
-}
-
-/// Merges the subtree of `dup` into the structurally equal (on non-set
-/// content) subtree of `keeper`: mapping annotations union at every paired
-/// node, nested-set members of `dup` either recurse into an equal member of
-/// the keeper's set or are *moved* (reparented) into it.
-fn union_into(
-    inst: &mut Instance,
-    keeper: NodeId,
-    dup: NodeId,
-    fp_of: &dyn Fn(&Instance, NodeId) -> u64,
-) {
-    if keeper == dup {
-        return;
-    }
-    let dup_maps = inst.annotation(dup).mappings.clone();
-    for m in dup_maps {
-        inst.add_mapping(keeper, m);
-    }
-    match inst.node(dup).data.clone() {
-        NodeData::Atomic(_) | NodeData::Choice(None) => {}
-        NodeData::Record(dup_kids) => {
-            for dk in dup_kids {
-                let lbl = inst.node(dk).label.clone();
-                if let Some(kk) = inst.child_by_label(keeper, &lbl) {
-                    union_into(inst, kk, dk, fp_of);
-                }
-            }
-        }
-        NodeData::Choice(Some(dk)) => {
-            if let Some((_, kk)) = inst.choice_selection(keeper) {
-                union_into(inst, kk, dk, fp_of);
-            }
-        }
-        NodeData::Set(dup_members) => {
-            // Fingerprint pool of the keeper's current members; grows as
-            // dup members are moved in, so later dup members can still
-            // merge against them.
-            let mut pool: Vec<(u64, NodeId)> = inst
-                .set_members(keeper)
-                .unwrap_or(&[])
-                .to_vec()
-                .into_iter()
-                .map(|k| (fp_of(inst, k), k))
-                .collect();
-            for dm in dup_members {
-                let f = fp_of(inst, dm);
-                let found = pool
-                    .iter()
-                    .copied()
-                    .find(|&(pf, pk)| pf == f && non_set_eq(inst, pk, dm))
-                    .map(|(_, pk)| pk);
-                match found {
-                    Some(pk) => union_into(inst, pk, dm, fp_of),
-                    None => {
-                        inst.detach_set_member(dup, dm);
-                        let mut kids: Vec<NodeId> =
-                            inst.set_members(keeper).unwrap_or(&[]).to_vec();
-                        kids.push(dm);
-                        inst.replace_children(keeper, kids);
-                        pool.push((f, dm));
-                    }
-                }
-            }
-        }
-    }
-}
-
 // The Instance API installs whole Value trees; PNF needs incremental
 // construction, so these helpers poke nodes in directly via the public
 // building blocks.
@@ -523,55 +389,6 @@ mod tests {
         let agents = pnf.child_by_label(members[0], "agents").unwrap();
         assert_eq!(pnf.set_members(agents).unwrap().len(), 2);
         assert!(is_pnf(&pnf));
-    }
-
-    #[test]
-    fn renormalize_set_remerges_in_place() {
-        // Two postings equal on hid, distinct agents, distinct mapping
-        // annotations: renormalizing just the postings set merges them,
-        // unions the nested agents set and the f_mp annotations, and
-        // strips the detached duplicate so it never pollutes
-        // interpretations.
-        let posting = |agent: &str| {
-            Value::record(vec![
-                ("hid", Value::str("H1")),
-                (
-                    "agents",
-                    Value::set(vec![Value::record(vec![("agentName", Value::str(agent))])]),
-                ),
-            ])
-        };
-        let mut inst = Instance::new("EUdb");
-        let root = inst.install_root(
-            "postings",
-            Value::set(vec![posting("alice"), posting("bob"), posting("alice")]),
-        );
-        let members = inst.set_members(root).unwrap().to_vec();
-        inst.add_mapping(members[0], MappingName::new("m1"));
-        inst.add_mapping(members[1], MappingName::new("m2"));
-        inst.add_mapping(members[2], MappingName::new("m3"));
-        assert!(!is_pnf(&inst));
-
-        let merged = renormalize_set(&mut inst, root);
-        assert_eq!(merged, 2);
-        assert!(is_pnf(&inst));
-        let keepers = inst.set_members(root).unwrap().to_vec();
-        assert_eq!(keepers.len(), 1);
-        let ms: Vec<&str> = inst
-            .annotation(keepers[0])
-            .mappings
-            .iter()
-            .map(|m| m.as_str())
-            .collect();
-        assert_eq!(ms, ["m1", "m2", "m3"]);
-        // Nested agents unioned and deduplicated: alice once, bob once.
-        let agents = inst.child_by_label(keepers[0], "agents").unwrap();
-        assert_eq!(inst.set_members(agents).unwrap().len(), 2);
-        // The detached duplicates carry no annotations any more.
-        assert!(inst.annotation(members[1]).mappings.is_empty());
-        assert!(inst.annotation(members[2]).mappings.is_empty());
-        // Idempotent once in PNF.
-        assert_eq!(renormalize_set(&mut inst, root), 0);
     }
 
     #[test]

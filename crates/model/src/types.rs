@@ -56,14 +56,6 @@ impl AtomicType {
             _ => return None,
         })
     }
-
-    /// True for the three meta-data types introduced by Section 5.
-    pub fn is_meta(self) -> bool {
-        matches!(
-            self,
-            AtomicType::Database | AtomicType::Mapping | AtomicType::Element
-        )
-    }
 }
 
 impl fmt::Display for AtomicType {
@@ -137,14 +129,6 @@ impl Type {
     /// True if the type is atomic.
     pub fn is_atomic(&self) -> bool {
         matches!(self, Type::Atomic(_))
-    }
-
-    /// Returns the atomic type if this is one.
-    pub fn as_atomic(&self) -> Option<AtomicType> {
-        match self {
-            Type::Atomic(a) => Some(*a),
-            _ => None,
-        }
     }
 
     /// True if the type is `Set of Rcd[..atomic..]`, i.e. a relation.
@@ -342,7 +326,5 @@ mod tests {
             assert_eq!(AtomicType::parse(a.name()), Some(a));
         }
         assert_eq!(AtomicType::parse("Rcd"), None);
-        assert!(AtomicType::Mapping.is_meta());
-        assert!(!AtomicType::String.is_meta());
     }
 }

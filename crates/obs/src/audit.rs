@@ -45,8 +45,10 @@ pub fn fingerprint(text: &str) -> u64 {
 pub struct AuditRecord {
     /// Global sequence number, assigned by the log.
     pub seq: u64,
-    /// Request kind: `"query"` (direct evaluation), `"translate"`
-    /// (MXQL→plain translated run), or `"exchange"`.
+    /// Request kind: `"query"` (direct evaluation of a parsed query),
+    /// `"query.planned"` (direct evaluation of query text or a compiled
+    /// plan, through the plan cache), `"translate"` (MXQL→plain translated
+    /// run), or `"exchange"`.
     pub kind: String,
     /// [`fingerprint`] of the request text, rendered as 16 hex digits.
     /// A cross-run grouping label only — record identity is `seq`, and

@@ -128,15 +128,6 @@ impl PipelineProfile {
             .map(|&(_, v)| v)
     }
 
-    /// Total wall time of a top-level stage (summed over same-named roots).
-    pub fn stage_total_ns(&self, name: &str) -> u64 {
-        self.stages
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.total_ns)
-            .sum()
-    }
-
     /// EXPLAIN-style human-readable rendering: the stage tree with call
     /// counts and wall times, followed by the counter table.
     pub fn render(&self) -> String {

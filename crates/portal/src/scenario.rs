@@ -47,17 +47,6 @@ impl Default for ScenarioConfig {
     }
 }
 
-impl ScenarioConfig {
-    /// The paper-scale configuration: 2,000 listings per source (10,000
-    /// total).
-    pub fn paper_scale() -> Self {
-        ScenarioConfig {
-            listings_per_source: 2000,
-            ..Default::default()
-        }
-    }
-}
-
 /// A fully built scenario: the mapping setting plus the five source
 /// instances (in setting order: Yahoo, NK, WM, WF, HS).
 pub struct Scenario {

@@ -40,15 +40,6 @@ impl<'a> SchemaCatalog<'a> {
             .find_map(|(i, s)| s.root(label).map(|e| (i, e)))
     }
 
-    /// Finds a schema by database name.
-    pub fn by_name(&self, db: &str) -> Option<(usize, &'a Schema)> {
-        self.schemas
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.name() == db)
-            .map(|(i, s)| (i, *s))
-    }
-
     /// The schema at a catalog index.
     pub fn schema(&self, idx: usize) -> &'a Schema {
         self.schemas[idx]

@@ -68,11 +68,6 @@ impl<'a> Catalog<'a> {
             .enumerate()
             .find_map(|(i, s)| s.instance.root(label).map(|n| (i, n)))
     }
-
-    /// Finds a source index by database name.
-    pub fn by_name(&self, db: &str) -> Option<usize> {
-        self.sources.iter().position(|s| s.instance.db() == db)
-    }
 }
 
 /// A runtime value: an instance node (a fact) or a bare atomic value.

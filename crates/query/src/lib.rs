@@ -13,7 +13,7 @@
 //! * [`functions`] — the function-call mechanism, with `concat`,
 //!   `getElAnnot` and `getMapAnnot` built in.
 //! * [`plan`] — checked queries in their written order, cached by
-//!   query-text fingerprint with structural confirmation. A plan's view
+//!   query text. A plan's view
 //!   is the operator tree of one analyzed run
 //!   ([`eval::Evaluator::run_analyzed`]), each stage labelled with the
 //!   conditions it applies.

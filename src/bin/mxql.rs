@@ -14,7 +14,11 @@
 //! * `.translate <query>;` — show the Section 7.3 translation;
 //! * `.mode direct|translated|virtual` — switch the execution engine
 //!   (`virtual` answers plain target queries over the sources, never
-//!   touching the materialized instance);
+//!   touching the materialized instance; `order by`, `limit` and function
+//!   calls other than `getElAnnot`/`getMapAnnot` work there; in
+//!   `translated` and `virtual` mode, order-by keys must appear in the
+//!   select clause and the limit cuts the de-duplicated union, and with a
+//!   limit a virtual answer may keep rows the materialized one cuts);
 //! * `.lint` — run the mapping diagnostics;
 //! * `.whatif <db|mapping,...>` — impact analysis;
 //! * `.save <file>` — write the annotated instance as XML;
@@ -662,14 +666,9 @@ fn main() {
                                 for w in &report.warnings {
                                     println!("  warning: {w}");
                                 }
-                                match d.session().tagged() {
-                                    Ok(t) => {
-                                        tagged = t;
-                                        session = None;
-                                        durable = Some(d);
-                                    }
-                                    Err(e) => println!("cannot build tagged view: {e}"),
-                                }
+                                tagged = d.session().tagged();
+                                session = None;
+                                durable = Some(d);
                             }
                             Err(e) => println!("cannot open {dir}: {e}"),
                         }
@@ -686,10 +685,7 @@ fn main() {
                                 d.wal_segment(),
                                 d.batch()
                             );
-                            match d.session().tagged() {
-                                Ok(t) => tagged = t,
-                                Err(e) => println!("cannot refresh tagged view: {e}"),
-                            }
+                            tagged = d.session().tagged();
                         }
                         Err(e) => println!("checkpoint error: {e}"),
                     },
@@ -970,10 +966,7 @@ fn main() {
                                         d.wal_segment(),
                                         d.wal_committed_len()
                                     );
-                                    match d.session().tagged() {
-                                        Ok(t) => tagged = t,
-                                        Err(e) => println!("cannot refresh tagged view: {e}"),
-                                    }
+                                    tagged = d.session().tagged();
                                 }
                                 Err(e) => println!("delta error: {e}"),
                             },
@@ -1002,12 +995,7 @@ fn main() {
                                 Ok(delta) => match s.apply(&delta) {
                                     Ok(td) => {
                                         print_delta_summary(&td);
-                                        match s.tagged() {
-                                            Ok(t) => tagged = t,
-                                            Err(e) => {
-                                                println!("cannot refresh tagged view: {e}")
-                                            }
-                                        }
+                                        tagged = s.tagged();
                                     }
                                     Err(e) => println!("delta error: {e}"),
                                 },
@@ -1024,10 +1012,7 @@ fn main() {
                     Some(s) => match s.rebase() {
                         Ok(()) => {
                             println!("rebased: full re-exchange over the edited sources");
-                            match s.tagged() {
-                                Ok(t) => tagged = t,
-                                Err(e) => println!("cannot refresh tagged view: {e}"),
-                            }
+                            tagged = s.tagged();
                         }
                         Err(e) => println!("rebase error: {e}"),
                     },

@@ -324,5 +324,4 @@ fn reference_engine_agrees_with_default_engines() {
             "one miss then one hit: {text}"
         );
     }
-    assert_eq!(par_t.plan_cache_stats().collisions, 0);
 }

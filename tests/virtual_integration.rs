@@ -5,6 +5,7 @@
 use dtr::core::runner::canonical_rows;
 use dtr::core::virtualize::{answer_virtually, virtualize};
 use dtr::portal::scenario::{build, ScenarioConfig};
+use dtr::query::eval::QueryResult;
 use dtr::query::functions::FunctionRegistry;
 use dtr::query::parser::parse_query;
 
@@ -15,8 +16,8 @@ fn small() -> ScenarioConfig {
     }
 }
 
-/// Runs a query both ways and returns (virtual rows, materialized rows).
-fn both(text: &str) -> (Vec<String>, Vec<String>) {
+/// Runs a query both ways and returns (virtual result, materialized result).
+fn run_both(text: &str) -> (QueryResult, QueryResult) {
     let scenario = build(small());
     let mut sources = scenario.sources.clone();
     for (inst, schema) in sources.iter_mut().zip(scenario.setting.source_schemas()) {
@@ -27,6 +28,12 @@ fn both(text: &str) -> (Vec<String>, Vec<String>) {
     let virt = answer_virtually(&scenario.setting, &sources, &q, &funcs).unwrap();
     let tagged = scenario.exchange().unwrap();
     let mat = tagged.query(text).unwrap();
+    (virt, mat)
+}
+
+/// Runs a query both ways and returns (virtual rows, materialized rows).
+fn both(text: &str) -> (Vec<String>, Vec<String>) {
+    let (virt, mat) = run_both(text);
     (canonical_rows(&virt), canonical_rows(&mat))
 }
 
@@ -80,6 +87,46 @@ fn virtual_is_sound_on_cross_relation_join() {
     for row in &v {
         assert!(m.contains(row), "unsound virtual answer: {row}");
     }
+}
+
+#[test]
+fn order_by_and_limit_apply_to_the_union() {
+    // hid is a key of Portal.houses, so ties cannot pick different rows.
+    let (v, m) = run_both("select h.hid, h.price from Portal.houses h order by h.hid desc limit 3");
+    let hids = |r: &QueryResult| -> Vec<String> {
+        r.rows.iter().map(|row| row[0].value.to_string()).collect()
+    };
+    // In order, not just as a set.
+    assert_eq!(hids(&v), hids(&m));
+    assert_eq!(hids(&v).len(), 3);
+    assert_eq!(canonical_rows(&v), canonical_rows(&m));
+}
+
+#[test]
+fn annotation_functions_get_no_virtual_answers() {
+    // Over the sources they would read source facts' annotations, which
+    // are not answers over the materialized instance.
+    let (v, m) = both("select getElAnnot(h.hid) from Portal.houses h");
+    for row in &v {
+        assert!(m.contains(row), "unsound virtual answer: {row}");
+    }
+    assert!(v.is_empty());
+    assert!(!m.is_empty());
+}
+
+#[test]
+fn function_call_in_select_rewrites_its_arguments() {
+    let (v, m) = both("select concat(h.hid, h.price) from Portal.houses h");
+    assert_eq!(v, m);
+    assert_eq!(v.len(), 50);
+}
+
+#[test]
+fn function_call_in_where_rewrites_its_arguments() {
+    let (v, m) =
+        both("select h.hid from Portal.houses h where concat(h.hid, h.price) = 'H10001188000'");
+    assert_eq!(v, m);
+    assert_eq!(v, ["H1000"]);
 }
 
 #[test]
