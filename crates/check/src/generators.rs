@@ -619,9 +619,7 @@ pub fn gen_mxql_query(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Qu
             // Example 5.5: the predicate constrains the @map variable.
             Term::Var("mv".into())
         } else if chance(rng, 1, 2) {
-            Term::Const(AtomicValue::str(
-                pick(rng, &scen.mappings).name.as_str().to_string(),
-            ))
+            Term::Const(AtomicValue::str(pick(rng, &scen.mappings).name.as_str()))
         } else {
             Term::Var("mp".into())
         };

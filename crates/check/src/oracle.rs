@@ -278,12 +278,10 @@ pub fn naive_compare(a: &AtomicValue, b: &AtomicValue) -> Option<Ordering> {
 }
 
 fn str_meta(s: &AtomicValue, m: &AtomicValue) -> Option<Ordering> {
-    let AtomicValue::Str(text) = s else {
-        return None;
-    };
+    let text = s.as_str()?;
     match m {
-        AtomicValue::Db(d) => Some(text.as_str().cmp(d.as_str())),
-        AtomicValue::Map(name) => Some(text.as_str().cmp(name.as_str())),
+        AtomicValue::Db(d) => Some(text.cmp(d.as_str())),
+        AtomicValue::Map(name) => Some(text.cmp(name.as_str())),
         AtomicValue::Elem(e) => Some(canonical_path(text).as_str().cmp(e.path.as_str())),
         _ => None,
     }

@@ -267,6 +267,7 @@ mod tests {
     use super::*;
     use crate::tagged::Request;
     use crate::testkit::{figure1, figure1_setting};
+    use crate::virtualize::answer_virtually;
     use dtr_query::eval::EvalStats;
 
     fn agree(text: &str) {
@@ -528,6 +529,14 @@ mod tests {
             .unwrap();
         assert_eq!(tree.unwrap().rows_out, r.len() as u64);
         runner.query(&tagged, &text("once-translated")).unwrap();
+        answer_virtually(
+            tagged.setting(),
+            tagged.source_instances(),
+            &parsed("once-virtual"),
+            tagged.functions(),
+            None,
+        )
+        .unwrap();
         let expected = [
             ("once-run", "query"),
             ("once-query", "query"),
@@ -536,6 +545,7 @@ mod tests {
             ("once-budgeted", "query"),
             ("once-analyzed", "query.planned"),
             ("once-translated", "translate"),
+            ("once-virtual", "virtual"),
         ];
         let got: Vec<Vec<String>> = expected
             .iter()
@@ -545,6 +555,51 @@ mod tests {
         for ((marker, kind), kinds) in expected.iter().zip(&got) {
             assert_eq!(kinds, &[kind.to_string()], "{marker}");
         }
+    }
+
+    #[test]
+    fn virtual_answering_audits_its_rows_and_guard_trips() {
+        let _gate = AUDIT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let was_on = dtr_obs::audit::enabled();
+        dtr_obs::audit::set_enabled(true);
+        let tagged = figure1();
+        let virtually = |marker: &str, budget: Option<&Budget>| {
+            let q = parse_query(&format!(
+                "select e.hid from Portal.estates e where e.contact != '{marker}'"
+            ))
+            .unwrap();
+            answer_virtually(
+                tagged.setting(),
+                tagged.source_instances(),
+                &q,
+                tagged.functions(),
+                budget,
+            )
+        };
+        let answered = virtually("virtual-rows", None).unwrap();
+        let one_row = Budget {
+            max_rows: Some(1),
+            ..Budget::default()
+        };
+        let err = virtually("virtual-guard", Some(&one_row)).unwrap_err();
+        let ok = audited("virtual-rows");
+        let tripped = audited("virtual-guard");
+        dtr_obs::audit::set_enabled(was_on);
+        assert_eq!(answered.len(), 3);
+        assert_eq!(ok.len(), 1);
+        assert_eq!(
+            (ok[0].kind.as_str(), ok[0].outcome.as_str()),
+            ("virtual", "ok")
+        );
+        assert_eq!(ok[0].rows, 3);
+        assert!(err.guard().is_some(), "{err}");
+        assert_eq!(tripped.len(), 1);
+        assert_eq!(tripped[0].kind, "virtual");
+        assert!(
+            tripped[0].outcome.starts_with("guard:"),
+            "expected guard outcome, got {:?}",
+            tripped[0].outcome
+        );
     }
 
     #[test]

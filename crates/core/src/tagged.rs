@@ -233,7 +233,7 @@ impl MappingSetting {
                     for (term, db) in [(&mut p.src_elem, src_db), (&mut p.tgt_elem, tgt_db)] {
                         if let Term::Const(cst) = term {
                             if let Some(canon) = normalize(&cst.to_string(), db.as_deref()) {
-                                *term = Term::Const(AtomicValue::Str(canon));
+                                *term = Term::Const(AtomicValue::str(canon));
                             }
                         }
                     }
@@ -259,7 +259,7 @@ impl MappingSetting {
                     };
                     if let Expr::Const(AtomicValue::Str(s)) = target {
                         if let Some(canon) = normalize(s, None) {
-                            *target = Expr::Const(AtomicValue::Str(canon));
+                            *target = Expr::Const(AtomicValue::str(canon));
                         }
                     }
                 }
@@ -903,7 +903,7 @@ mod tests {
         let found = n.conditions.iter().any(|c| {
             matches!(c, Condition::Cmp(cmp)
                 if matches!(&cmp.right, Expr::Const(AtomicValue::Str(s))
-                    if s == "/Portal/estates/value"))
+                    if &**s == "/Portal/estates/value"))
         });
         assert!(found, "{n}");
     }

@@ -400,7 +400,7 @@ fn plan_pred(p: &MappingPred, ctx: &mut Ctx) -> Result<PredPlan, TranslateError>
                 ctx.roles.insert(v.clone(), Role::Elem);
                 shared.push(eq(
                     col(&v, "path"),
-                    Expr::Const(AtomicValue::Str(canonical_path(&c.to_string()))),
+                    Expr::Const(AtomicValue::str(canonical_path(&c.to_string()))),
                 ));
                 Ok(v)
             }
@@ -418,7 +418,7 @@ fn plan_pred(p: &MappingPred, ctx: &mut Ctx) -> Result<PredPlan, TranslateError>
             Term::Const(c) => {
                 shared.push(eq(
                     col(elem_var, "db"),
-                    Expr::Const(AtomicValue::Str(c.to_string())),
+                    Expr::Const(AtomicValue::str(c.to_string())),
                 ));
             }
         };
@@ -435,7 +435,7 @@ fn plan_pred(p: &MappingPred, ctx: &mut Ctx) -> Result<PredPlan, TranslateError>
             ctx.roles.insert(v.clone(), Role::Mapping);
             shared.push(eq(
                 col(&v, "mid"),
-                Expr::Const(AtomicValue::Str(c.to_string())),
+                Expr::Const(AtomicValue::str(c.to_string())),
             ));
             v
         }
@@ -576,17 +576,14 @@ fn rewrite_cmp(
         (Side::ElemVar(v), Side::ElemOfCall(call)) | (Side::ElemOfCall(call), Side::ElemVar(v)) => {
             vec![
                 eq(call, col(&v, "path")),
-                eq(
-                    col(&v, "db"),
-                    Expr::Const(AtomicValue::Str(ctx.target_db.clone())),
-                ),
+                eq(col(&v, "db"), Expr::Const(AtomicValue::str(&ctx.target_db))),
             ]
         }
         // e = '<path>'  =>  e.path = canonical(path)
         (Side::ElemVar(v), Side::Plain(Expr::Const(AtomicValue::Str(s))))
         | (Side::Plain(Expr::Const(AtomicValue::Str(s))), Side::ElemVar(v)) => vec![eq(
             col(&v, "path"),
-            Expr::Const(AtomicValue::Str(canonical_path(&s))),
+            Expr::Const(AtomicValue::str(canonical_path(&s))),
         )],
         // e = e2  =>  same element row content
         (Side::ElemVar(v), Side::ElemVar(w)) => vec![eq(col(&v, "eid"), col(&w, "eid"))],

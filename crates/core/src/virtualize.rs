@@ -25,9 +25,10 @@ use crate::tagged::{MappingSetting, MxqlError};
 use dtr_mapping::glav::Mapping;
 use dtr_model::instance::Instance;
 use dtr_model::schema::ElementId;
+use dtr_obs::guard::Budget;
 use dtr_query::ast::{Binding, Comparison, Condition, Expr, PathExpr, PathStart, Query};
 use dtr_query::check::{check_query, SchemaCatalog, VarTarget};
-use dtr_query::eval::{Catalog, Evaluator, QueryResult, Source};
+use dtr_query::eval::{Catalog, EvalOptions, Evaluator, QueryResult, Source};
 use dtr_query::functions::FunctionRegistry;
 use std::collections::HashMap;
 
@@ -346,6 +347,12 @@ pub fn virtualize(q: &Query, setting: &MappingSetting) -> Result<Vec<Query>, Mxq
 /// of `getElAnnot` or `getMapAnnot` yields no answers: over the sources it
 /// would read source facts' annotations, not the target's.
 ///
+/// Under a `budget`, every rewriting's evaluation and the union loop observe
+/// it, as on the translated path ([`crate::runner::MetaRunner::run`]): the
+/// union charges each row it keeps against `max_rows`, and a deadline or
+/// cancellation aborts with a structured guard error. Each call records one
+/// `virtual` audit entry.
+///
 /// ```
 /// use dtr_core::testkit;
 /// use dtr_core::virtualize::answer_virtually;
@@ -359,7 +366,7 @@ pub fn virtualize(q: &Query, setting: &MappingSetting) -> Result<Vec<Query>, Mxq
 /// }
 /// let q = parse_query("select e.hid from Portal.estates e").unwrap();
 /// let funcs = FunctionRegistry::with_builtins();
-/// let answers = answer_virtually(&setting, &sources, &q, &funcs).unwrap();
+/// let answers = answer_virtually(&setting, &sources, &q, &funcs, None).unwrap();
 /// assert_eq!(answers.len(), 3); // H522, H7, H2525 — no target materialized
 /// ```
 pub fn answer_virtually(
@@ -367,6 +374,29 @@ pub fn answer_virtually(
     source_instances: &[Instance],
     q: &Query,
     functions: &FunctionRegistry,
+    budget: Option<&Budget>,
+) -> Result<QueryResult, MxqlError> {
+    let started = dtr_obs::audit::enabled().then(std::time::Instant::now);
+    let unlimited = Budget::unlimited();
+    let result = run_virtual(
+        setting,
+        source_instances,
+        q,
+        functions,
+        budget.unwrap_or(&unlimited),
+    );
+    if let Some(started) = started {
+        crate::tagged::audit_query("virtual", q.to_string(), started, result.as_ref());
+    }
+    result
+}
+
+fn run_virtual(
+    setting: &MappingSetting,
+    source_instances: &[Instance],
+    q: &Query,
+    functions: &FunctionRegistry,
+    budget: &Budget,
 ) -> Result<QueryResult, MxqlError> {
     let rewritings = virtualize(q, setting)?;
     let catalog = Catalog::new(
@@ -379,8 +409,17 @@ pub fn answer_virtually(
     );
     let mut union = DistinctUnion::new(q, "virtual answering")?;
     union.out.columns = q.select.iter().map(|e| e.to_string()).collect();
+    let mut meter = budget.meter("mxql.answer_virtually");
     for r in &rewritings {
-        union.add(Evaluator::new(&catalog, functions).run(r)?, None)?;
+        meter.poll()?;
+        let branch = Evaluator::new(&catalog, functions)
+            .with_options(EvalOptions {
+                budget: budget.clone(),
+                ..Default::default()
+            })
+            .run(r)?;
+        // As on the translated path, `max_rows` bounds the union's rows.
+        union.add(branch, Some(&mut meter))?;
     }
     Ok(union.finish())
 }
@@ -407,13 +446,30 @@ mod tests {
         let (setting, sources) = figure1_annotated();
         let q = parse_query(text).unwrap();
         let funcs = FunctionRegistry::with_builtins();
-        let r = answer_virtually(&setting, &sources, &q, &funcs).unwrap();
+        let r = answer_virtually(&setting, &sources, &q, &funcs, None).unwrap();
         canonical_rows(&r)
     }
 
     fn materialized_rows(text: &str) -> Vec<String> {
         let tagged = testkit::figure1();
         canonical_rows(&tagged.query(text).unwrap())
+    }
+
+    #[test]
+    fn row_budget_bounds_the_union() {
+        let (setting, sources) = figure1_annotated();
+        let text = "select e.hid from Portal.estates e";
+        let q = parse_query(text).unwrap();
+        let funcs = FunctionRegistry::with_builtins();
+        let budget = |rows| Budget {
+            max_rows: Some(rows),
+            ..Budget::default()
+        };
+        let err = answer_virtually(&setting, &sources, &q, &funcs, Some(&budget(1))).unwrap_err();
+        assert!(err.guard().is_some(), "{err}");
+        // A budget the three answers fit in changes nothing.
+        let r = answer_virtually(&setting, &sources, &q, &funcs, Some(&budget(3))).unwrap();
+        assert_eq!(canonical_rows(&r), virtual_rows(text));
     }
 
     #[test]
@@ -468,7 +524,7 @@ mod tests {
         for r in virtualize(&q, &setting).unwrap() {
             sum += Evaluator::new(&catalog, &funcs).run(&r).unwrap().stats;
         }
-        let got = answer_virtually(&setting, &sources, &q, &funcs).unwrap();
+        let got = answer_virtually(&setting, &sources, &q, &funcs, None).unwrap();
         assert!(sum.hash_probes > 0);
         assert_eq!(
             EvalStats {

@@ -148,7 +148,7 @@ fn where_provenance_reaches_the_journaled_binding() {
         );
 
         // The journaled fingerprint identifies one replayed foreach row.
-        let row = bindings[mapping.0.as_str()]
+        let row = bindings[mapping.as_str()]
             .iter()
             .find(|(rfp, _)| *rfp == fp)
             .map(|(_, r)| r.clone())
@@ -238,7 +238,7 @@ fn event_windows_slice_the_journal_per_mapping() {
             if let Some(name) = e.mapping.as_deref() {
                 assert_eq!(
                     name,
-                    stats.mapping.0.as_str(),
+                    stats.mapping.as_str(),
                     "event #{} from {} leaked into the window of {}",
                     e.id,
                     name,

@@ -25,7 +25,7 @@ use std::fmt;
 pub fn value_to_json(v: &Value) -> serde_json::Value {
     match v {
         Value::Atomic(a) => match a {
-            AtomicValue::Str(s) => serde_json::json!({ "s": s }),
+            AtomicValue::Str(s) => serde_json::json!({ "s": &**s }),
             AtomicValue::Int(i) => serde_json::json!({ "i": *i }),
             AtomicValue::Float(x) => serde_json::json!({ "f": x.to_bits() }),
             AtomicValue::Bool(b) => serde_json::json!({ "b": *b }),
@@ -59,7 +59,7 @@ pub fn value_from_json(v: &serde_json::Value) -> Option<Value> {
     }
     let (tag, body) = obj.iter().next()?;
     Some(match tag.as_str() {
-        "s" => Value::Atomic(AtomicValue::Str(body.as_str()?.to_string())),
+        "s" => Value::Atomic(AtomicValue::str(body.as_str()?)),
         "i" => Value::Atomic(AtomicValue::Int(body.as_i64()?)),
         "f" => Value::Atomic(AtomicValue::Float(f64::from_bits(body.as_u64()?))),
         "b" => Value::Atomic(AtomicValue::Bool(body.as_bool()?)),

@@ -1528,7 +1528,7 @@ pub(crate) fn node_data_for(kind: ElementKind) -> NodeData {
         ElementKind::Record => NodeData::Record(Vec::new()),
         ElementKind::Set => NodeData::Set(Vec::new()),
         ElementKind::Choice => NodeData::Choice(None),
-        ElementKind::Atomic(_) => NodeData::Atomic(AtomicValue::Str(String::new())),
+        ElementKind::Atomic(_) => NodeData::Atomic(AtomicValue::str("")),
     }
 }
 
@@ -2031,6 +2031,53 @@ mod tests {
             "element annotation must point at /Portal/contacts/title"
         );
         let _ = MappingName::new("x");
+    }
+
+    #[test]
+    fn exchange_shares_source_strings_and_mapping_names() {
+        let (us_s, eu_s, p_s) = (us_schema(), eu_schema(), portal_schema());
+        let (us_i, eu_i) = (us_instance(), eu_instance());
+        let funcs = FunctionRegistry::with_builtins();
+        let sources = [
+            Source {
+                schema: &us_s,
+                instance: &us_i,
+            },
+            Source {
+                schema: &eu_s,
+                instance: &eu_i,
+            },
+        ];
+        let mappings = figure1_mappings();
+        let (inst, _) = execute_mappings(&sources, &p_s, &mappings, &funcs).unwrap();
+
+        // The target's H522 holds the source's bytes, not a copy of them.
+        let h522 = |inst: &Instance, schema: &Schema, path: &str| {
+            let hids = inst.interpretation(schema.resolve_path(path).unwrap());
+            let node = hids
+                .into_iter()
+                .find(|&n| inst.atomic(n).unwrap().as_str() == Some("H522"))
+                .unwrap();
+            inst.atomic(node).unwrap().as_str().unwrap().as_ptr()
+        };
+        assert_eq!(
+            h522(&inst, &p_s, "/Portal/estates/hid"),
+            h522(&us_i, &us_s, "/US/houses/hid")
+        );
+
+        // Every node m1 annotates holds the mapping's own name.
+        let m1 = &mappings[0].name;
+        assert_eq!(m1.as_str(), "m1");
+        let portal = inst.root("Portal").unwrap();
+        let title = p_s.resolve_path("/Portal/contacts/title").unwrap();
+        let annotated: Vec<NodeId> = std::iter::once(portal)
+            .chain(inst.interpretation_by(title, m1))
+            .collect();
+        assert!(annotated.len() >= 2);
+        for n in annotated {
+            let name = inst.annotation(n).mappings.iter().find(|m| *m == m1);
+            assert_eq!(name.unwrap().as_str().as_ptr(), m1.as_str().as_ptr());
+        }
     }
 
     #[test]

@@ -130,8 +130,8 @@ pub enum Value {
 
 impl Value {
     /// Shorthand for an atomic string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Atomic(AtomicValue::Str(s.into()))
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Atomic(AtomicValue::str(s))
     }
 
     /// Shorthand for an atomic integer value.

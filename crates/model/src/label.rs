@@ -4,6 +4,8 @@
 //! schema roots (Section 4.1 of the paper). They are immutable and cloned
 //! freely throughout the engine, so they are backed by a reference-counted
 //! string slice: cloning a [`Label`] is a pointer copy plus a refcount bump.
+//! String values and mapping names ([`crate::value`]) share their bytes the
+//! same way.
 
 use std::borrow::Borrow;
 use std::fmt;

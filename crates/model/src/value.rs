@@ -3,21 +3,29 @@
 //! Besides ordinary scalars, MXQL queries manipulate values of the three
 //! meta-data types: `Database` (a source name), `Mapping` (a mapping
 //! identity) and `Element` (a schema element, denoted `db` + canonical path).
+//!
+//! String values and mapping names are shared the way [`crate::label::Label`]s
+//! are: each holds an `Arc<str>`, so a value copied from a source into a
+//! target, or a mapping name attached to every node a mapping generates,
+//! is a reference-count bump rather than a byte copy. Equality, ordering,
+//! hashing and display read the underlying `str`, exactly as a `String`
+//! would.
 
 use crate::types::AtomicType;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The identity of a mapping, e.g. `m1` in Figure 1. Mapping names are
 /// unique within a mapping setting.
 #[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MappingName(pub String);
+pub struct MappingName(Arc<str>);
 
 impl MappingName {
     /// Creates a mapping name.
-    pub fn new(s: impl Into<String>) -> Self {
-        MappingName(s.into())
+    pub fn new(s: impl AsRef<str>) -> Self {
+        MappingName(Arc::from(s.as_ref()))
     }
 
     /// Name as a string slice.
@@ -88,8 +96,8 @@ impl fmt::Display for ElementRef {
 /// An atomic value.
 #[derive(Clone, Debug)]
 pub enum AtomicValue {
-    /// String value.
-    Str(String),
+    /// String value, shared on clone.
+    Str(Arc<str>),
     /// Integer value.
     Int(i64),
     /// Floating point value.
@@ -106,8 +114,8 @@ pub enum AtomicValue {
 
 impl AtomicValue {
     /// Creates a string value.
-    pub fn str(s: impl Into<String>) -> Self {
-        AtomicValue::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Self {
+        AtomicValue::Str(Arc::from(s.as_ref()))
     }
 
     /// The dynamic type of the value.
@@ -244,13 +252,13 @@ impl fmt::Display for AtomicValue {
 
 impl From<&str> for AtomicValue {
     fn from(s: &str) -> Self {
-        AtomicValue::Str(s.to_owned())
+        AtomicValue::str(s)
     }
 }
 
 impl From<String> for AtomicValue {
     fn from(s: String) -> Self {
-        AtomicValue::Str(s)
+        AtomicValue::str(s)
     }
 }
 
@@ -346,6 +354,26 @@ mod tests {
         assert_eq!(AtomicValue::from("x"), AtomicValue::str("x"));
         assert_eq!(AtomicValue::from(3i64), AtomicValue::Int(3));
         assert_eq!(AtomicValue::from(true), AtomicValue::Bool(true));
+    }
+
+    #[test]
+    fn shared_strings_hash_as_the_str_they_hold() {
+        // Merge-index buckets, journal `binding` fingerprints and the fault
+        // trip points keyed on journal ids all hash values, so a string
+        // value must hash as tag byte 0 then its `str`, exactly as it did
+        // when it held a `String`; a mapping name hashes as its `str`.
+        for s in ["", "H522", "Beverly Hills", "é"] {
+            let mut expected = DefaultHasher::new();
+            0u8.hash(&mut expected);
+            String::from(s).hash(&mut expected);
+            assert_eq!(hash_of(&AtomicValue::str(s)), expected.finish());
+
+            let mut name = DefaultHasher::new();
+            MappingName::new(s).hash(&mut name);
+            let mut text = DefaultHasher::new();
+            String::from(s).hash(&mut text);
+            assert_eq!(name.finish(), text.finish());
+        }
     }
 
     #[test]

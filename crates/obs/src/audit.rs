@@ -48,7 +48,8 @@ pub struct AuditRecord {
     /// Request kind: `"query"` (direct evaluation of a parsed query),
     /// `"query.planned"` (direct evaluation of query text or a compiled
     /// plan, through the plan cache), `"translate"` (MXQL→plain translated
-    /// run), or `"exchange"`.
+    /// run), `"virtual"` (a target query answered over the sources), or
+    /// `"exchange"`.
     pub kind: String,
     /// [`fingerprint`] of the request text, rendered as 16 hex digits.
     /// A cross-run grouping label only — record identity is `seq`, and

@@ -34,8 +34,8 @@ fn i() -> Type {
     Type::integer()
 }
 
-fn v(text: impl Into<String>) -> Value {
-    Value::Atomic(dtr_model::value::AtomicValue::Str(text.into()))
+fn v(text: impl AsRef<str>) -> Value {
+    Value::str(text)
 }
 
 /// Collects the distinct agents of a listing batch, by id.

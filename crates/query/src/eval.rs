@@ -23,6 +23,7 @@ use dtr_obs::guard::{Budget, GuardError, Meter};
 use dtr_obs::OpNode;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One queryable data source: a schema and an instance conforming to it.
@@ -388,7 +389,8 @@ type PreSide = Option<Option<AtomicValue>>;
 /// `Budget::max_result_bytes`.
 fn approx_value_bytes(v: &AtomicValue) -> u64 {
     16 + match v {
-        AtomicValue::Str(s) | AtomicValue::Db(s) => s.len() as u64,
+        AtomicValue::Str(s) => s.len() as u64,
+        AtomicValue::Db(d) => d.len() as u64,
         AtomicValue::Map(m) => m.as_str().len() as u64,
         AtomicValue::Elem(e) => (e.db.len() + e.path.len()) as u64,
         AtomicValue::Int(_) | AtomicValue::Float(_) | AtomicValue::Bool(_) => 0,
@@ -1401,7 +1403,8 @@ enum JoinKey {
     Bool(bool),
     /// Str text, Db names, Map names, and Elem paths share one text key
     /// space, because MXQL string constants coerce against meta values.
-    Text(String),
+    /// A `Str` value's key shares its bytes.
+    Text(Arc<str>),
 }
 
 /// How one operand of a comparison depends on the binding being
@@ -1568,18 +1571,18 @@ fn join_keys(v: &AtomicValue) -> Vec<JoinKey> {
     match v {
         AtomicValue::Str(s) => {
             let canon = dtr_model::value::canonical_path(s);
-            if canon == *s {
+            if canon == **s {
                 vec![JoinKey::Text(s.clone())]
             } else {
-                vec![JoinKey::Text(s.clone()), JoinKey::Text(canon)]
+                vec![JoinKey::Text(s.clone()), JoinKey::Text(canon.into())]
             }
         }
         AtomicValue::Int(i) => vec![JoinKey::Num((*i as f64).to_bits())],
         AtomicValue::Float(x) => vec![JoinKey::Num(x.to_bits())],
         AtomicValue::Bool(b) => vec![JoinKey::Bool(*b)],
-        AtomicValue::Db(d) => vec![JoinKey::Text(d.clone())],
-        AtomicValue::Map(m) => vec![JoinKey::Text(m.as_str().to_string())],
-        AtomicValue::Elem(e) => vec![JoinKey::Text(e.path.clone())],
+        AtomicValue::Db(d) => vec![JoinKey::Text(d.as_str().into())],
+        AtomicValue::Map(m) => vec![JoinKey::Text(m.as_str().into())],
+        AtomicValue::Elem(e) => vec![JoinKey::Text(e.path.as_str().into())],
     }
 }
 
@@ -1643,12 +1646,10 @@ pub fn coerced_compare(a: &AtomicValue, b: &AtomicValue) -> Option<std::cmp::Ord
 }
 
 fn meta_str_compare(s: &AtomicValue, m: &AtomicValue) -> Option<std::cmp::Ordering> {
-    let AtomicValue::Str(text) = s else {
-        return None;
-    };
+    let text = s.as_str()?;
     match m {
-        AtomicValue::Db(d) => Some(text.as_str().cmp(d.as_str())),
-        AtomicValue::Map(name) => Some(text.as_str().cmp(name.as_str())),
+        AtomicValue::Db(d) => Some(text.cmp(d.as_str())),
+        AtomicValue::Map(name) => Some(text.cmp(name.as_str())),
         AtomicValue::Elem(e) => {
             let canon = dtr_model::value::canonical_path(text);
             Some(canon.as_str().cmp(e.path.as_str()))

@@ -65,7 +65,7 @@ impl FunctionRegistry {
                     None => return Err(EvalError::Function("concat of missing value".into())),
                 }
             }
-            Ok(FunctionValue::One(AtomicValue::Str(out)))
+            Ok(FunctionValue::One(AtomicValue::str(out)))
         });
         reg.register("getElAnnot", |args, cat| {
             let fact = fact_arg("getElAnnot", args)?;
@@ -243,7 +243,7 @@ mod tests {
         }]);
         let mut funcs = FunctionRegistry::with_builtins();
         funcs.register("upper", |args, _| match &args[0].value {
-            Some(AtomicValue::Str(s)) => Ok(FunctionValue::One(AtomicValue::Str(s.to_uppercase()))),
+            Some(AtomicValue::Str(s)) => Ok(FunctionValue::One(AtomicValue::str(s.to_uppercase()))),
             _ => Err(EvalError::Function("upper wants a string".into())),
         });
         assert!(funcs.names().contains(&"upper"));

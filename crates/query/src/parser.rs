@@ -483,7 +483,7 @@ impl Parser {
         match self.peek().cloned() {
             Some(Tok::Str(s)) => {
                 self.next();
-                Ok(Expr::Const(AtomicValue::Str(s)))
+                Ok(Expr::Const(AtomicValue::str(s)))
             }
             Some(Tok::Int(i)) => {
                 self.next();
@@ -611,7 +611,7 @@ impl Parser {
     fn term(&mut self) -> Result<Term, ParseError> {
         match self.next() {
             Some(Tok::Ident(id)) => Ok(Term::Var(id)),
-            Some(Tok::Str(s)) => Ok(Term::Const(AtomicValue::Str(s))),
+            Some(Tok::Str(s)) => Ok(Term::Const(AtomicValue::str(s))),
             other => Err(self.error(format!("expected variable or constant, found {other:?}"))),
         }
     }

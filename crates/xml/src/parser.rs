@@ -356,7 +356,7 @@ fn parse_atomic(text: &str, t: AtomicType) -> Result<AtomicValue, XmlError> {
         message: m,
     };
     Ok(match t {
-        AtomicType::String => AtomicValue::Str(text.to_owned()),
+        AtomicType::String => AtomicValue::str(text),
         AtomicType::Integer => AtomicValue::Int(
             text.trim()
                 .parse()

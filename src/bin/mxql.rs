@@ -56,11 +56,11 @@
 //!   to capture from process start); `export` writes Chrome Trace Event
 //!   JSON loadable in Perfetto or `chrome://tracing`;
 //! * `.audit [on|off|last|export <file>]` — the per-request audit log: one
-//!   record per query/exchange/translation with fingerprint, row counts,
-//!   wall latency, and guard outcome (`DTR_AUDIT=1`); `export` writes
-//!   JSONL;
-//! * `.limits [off | <key> <n> ...]` — resource budget for direct and
-//!   translated query execution (`deadline-ms`, `max-rows`,
+//!   record per query, translation, virtual answer or exchange with
+//!   fingerprint, row counts, wall latency, and guard outcome
+//!   (`DTR_AUDIT=1`); `export` writes JSONL;
+//! * `.limits [off | <key> <n> ...]` — resource budget for direct,
+//!   translated and virtual query execution (`deadline-ms`, `max-rows`,
 //!   `max-bindings`, `max-bytes`); an exhausted budget aborts the query
 //!   with a structured guard error, never a panic;
 //! * `.delta <op> <path> <idx> [...]` — apply source edits through the
@@ -260,7 +260,7 @@ fn show_limits(budget: &Budget) {
         fmt(budget.max_bindings),
         fmt(budget.max_result_bytes),
     );
-    println!("(applies to direct and translated execution; `.limits off` clears)");
+    println!("(applies to direct, translated and virtual execution; `.limits off` clears)");
 }
 
 /// Parses the `.delta` edit mini-language against the session's current
@@ -1050,6 +1050,7 @@ fn main() {
                     tagged.source_instances(),
                     &q,
                     tagged.functions(),
+                    Some(&limits),
                 ),
             });
         match result {

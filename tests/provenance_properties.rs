@@ -285,6 +285,7 @@ proptest! {
                 tagged.source_instances(),
                 &q,
                 &funcs,
+                None,
             )
             .unwrap();
             let mat = tagged.run(&q).unwrap();

@@ -25,7 +25,7 @@ fn run_both(text: &str) -> (QueryResult, QueryResult) {
     }
     let q = parse_query(text).unwrap();
     let funcs = FunctionRegistry::with_builtins();
-    let virt = answer_virtually(&scenario.setting, &sources, &q, &funcs).unwrap();
+    let virt = answer_virtually(&scenario.setting, &sources, &q, &funcs, None).unwrap();
     let tagged = scenario.exchange().unwrap();
     let mat = tagged.query(text).unwrap();
     (virt, mat)
