@@ -30,6 +30,17 @@
 //! [`DurableSession::open`] needs no pre-loaded scenario and can verify
 //! the rebuilt canonical target byte-for-byte against what was saved.
 //!
+//! Decoding that payload is cheap next to using it. The frame CRC is
+//! slicing-by-8, the JSON parser copies each run of a string between
+//! escapes in one piece, and `instance_from_xml` reads tags straight into
+//! the source instances without an intermediate tree; each produces the
+//! bytes and values it did one character at a time. A recovery's time
+//! therefore goes to the rebuild (a full exchange) and the replay. With
+//! profiling on (`DTR_PROFILE=1`), [`DurableSession::open`] records one
+//! span per step, `durable.recover.{wal, decode, rebuild, verify,
+//! replay}`, and [`DurableSession::checkpoint`] one per step,
+//! `durable.checkpoint.{rebase, encode, rotate}`.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use dtr_core::store::{DurableOptions, DurableSession};
@@ -411,8 +422,10 @@ impl DurableSession {
         opts: DurableOptions,
     ) -> Result<(DurableSession, RecoveryReport), MxqlError> {
         let started = Instant::now();
+        let step = dtr_obs::span("durable.recover.wal");
         let (wal, recovered) =
             retry(&opts, || Wal::recover(vfs.clone(), dir)).map_err(wal_to_mxql)?;
+        drop(step);
         let Recovered {
             checkpoint,
             deltas,
@@ -420,7 +433,10 @@ impl DurableSession {
             mut warnings,
             truncated_bytes,
         } = recovered;
+        let step = dtr_obs::span("durable.recover.decode").field("bytes", checkpoint.len());
         let doc = parse_checkpoint(&checkpoint)?;
+        drop(step);
+        let step = dtr_obs::span("durable.recover.rebuild");
         let setting = MappingSetting::new(
             doc.source_schemas.clone(),
             doc.target_schema.clone(),
@@ -428,9 +444,11 @@ impl DurableSession {
         )?;
         let mut session =
             IncrementalSession::with_options(setting, doc.sources, opts.exchange.clone())?;
+        drop(step);
         // The checkpoint target must be reproducible from the checkpoint
         // sources (the incremental≡full law); anything else means the
         // saved state is not self-consistent and must not be served.
+        let step = dtr_obs::span("durable.recover.verify");
         let rebuilt = instance_to_xml(session.target(), WriteOptions::annotated());
         if rebuilt != doc.target_xml {
             return Err(corrupt(
@@ -457,6 +475,8 @@ impl DurableSession {
             }
             session.attach_store(store);
         }
+        drop(step);
+        let step = dtr_obs::span("durable.recover.replay").field("deltas", deltas.len());
         let mut replayed = 0usize;
         for payload in &deltas {
             let text = std::str::from_utf8(payload)
@@ -470,6 +490,7 @@ impl DurableSession {
                 .map_err(|e| corrupt(format!("delta frame {replayed} failed to replay: {e}")))?;
             replayed += 1;
         }
+        drop(step);
         let batch = doc.batch + replayed as u64;
         let counters = dtr_obs::counters();
         counters.durable_recoveries.incr();
@@ -594,16 +615,22 @@ impl DurableSession {
         }
         let started = Instant::now();
         let batch = self.batch();
+        let step = dtr_obs::span("durable.checkpoint.rebase");
         self.session.rebase()?;
+        drop(step);
         self.batch_base = batch;
+        let step = dtr_obs::span("durable.checkpoint.encode");
         let payload = build_checkpoint(&self.session, batch);
+        drop(step);
         let bytes = payload.len() as u64;
+        let step = dtr_obs::span("durable.checkpoint.rotate").field("bytes", bytes);
         retry(&self.opts, || self.wal.rotate(&payload)).map_err(|e| {
             if matches!(e, WalError::Poisoned(_)) {
                 self.read_only = Some(e.to_string());
             }
             wal_to_mxql(e)
         })?;
+        drop(step);
         self.deltas_since_checkpoint = 0;
         record_checkpoint(bytes, self.wal.segment(), started.elapsed());
         self.snapshots.publish(epoch_of(&self.session, 0, batch));

@@ -181,3 +181,66 @@ fn disabled_profiling_records_nothing() {
     assert!(r.stats.bindings_enumerated > 0);
     dtr_obs::recorder::set_enabled(flight_was_on);
 }
+
+/// Each stage span that `open` and `checkpoint` record, by name.
+const DURABLE_STEPS: [&str; 8] = [
+    "durable.recover.wal",
+    "durable.recover.decode",
+    "durable.recover.rebuild",
+    "durable.recover.verify",
+    "durable.recover.replay",
+    "durable.checkpoint.rebase",
+    "durable.checkpoint.encode",
+    "durable.checkpoint.rotate",
+];
+
+/// Calls of the span `name` summed over every position in the tree.
+fn span_calls(nodes: &[dtr_obs::ProfileNode], name: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| (if n.name == name { n.count } else { 0 }) + span_calls(&n.children, name))
+        .sum()
+}
+
+#[test]
+fn reopen_and_checkpoint_record_one_span_per_step() {
+    use dtr_core::store::{DurableOptions, DurableSession};
+    use dtr_mapping::delta::SourceDelta;
+    use dtr_mapping::durable::MemVfs;
+    use std::sync::Arc;
+
+    let _guard = GUARD.lock().unwrap();
+    dtr_obs::set_enabled(false);
+    let vfs = Arc::new(MemVfs::new());
+    let mut live = DurableSession::create(
+        testkit::figure1_setting(),
+        testkit::figure1_sources(),
+        None,
+        vfs.clone(),
+        "wal",
+        DurableOptions::default(),
+    )
+    .expect("the Figure 1 log is created");
+    live.apply(&SourceDelta::new().delete("US.houses", 0))
+        .expect("the batch commits");
+    drop(live);
+
+    for profiled in [true, false] {
+        dtr_obs::set_enabled(profiled);
+        dtr_obs::profile_reset();
+        let (mut reopened, report) = DurableSession::open(
+            Arc::new(vfs.clone_files()),
+            "wal",
+            DurableOptions::default(),
+        )
+        .expect("the log reopens");
+        assert_eq!(report.replayed, 1);
+        reopened.checkpoint().expect("the checkpoint rotates");
+        let profile = dtr_obs::profile_snapshot();
+        dtr_obs::set_enabled(false);
+        for step in DURABLE_STEPS {
+            let expected = u64::from(profiled);
+            assert_eq!(span_calls(&profile.stages, step), expected, "{step}");
+        }
+    }
+}

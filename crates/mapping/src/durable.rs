@@ -48,11 +48,14 @@ pub const WAL_MAGIC: &[u8; 8] = b"DTRWAL1\n";
 pub const FRAME_HEADER: usize = 9;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, no external dependency.
+// CRC-32 (IEEE 802.3), slicing-by-8, no external dependency.
 // ---------------------------------------------------------------------------
 
-const fn crc32_build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The eight slicing tables: `t[0]` is the classic bytewise table, and
+/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+const fn crc32_build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -65,30 +68,54 @@ const fn crc32_build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_build_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_build_tables();
 
-/// CRC-32 (IEEE) checksum of `bytes`, seeded continuation form: pass
-/// `0xFFFF_FFFF ^ previous` semantics via [`crc32`] for one-shot use.
+/// Folds `bytes` into the (pre-inverted) CRC register `c`.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// CRC-32 (IEEE) checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !crc32_update(!0, bytes)
 }
 
+/// CRC-32 of `head` followed by `tail`, without joining them.
 fn crc32_two(head: &[u8], tail: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in head.iter().chain(tail) {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !crc32_update(crc32_update(!0, head), tail)
 }
 
 // ---------------------------------------------------------------------------
@@ -1010,6 +1037,58 @@ mod tests {
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32 the slicing-by-8 kernel must agree with: one
+    /// table lookup per byte, table built by the textbook bit loop.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// `n` bytes from a fixed-seed xorshift generator.
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_reference() {
+        let data = seeded_bytes(1 << 20);
+        for len in 0..=64 {
+            assert_eq!(crc32(&data[..len]), crc32_bytewise(&data[..len]), "{len}");
+        }
+        // Unaligned starts exercise every tail length after the 8-byte words.
+        for start in 1..8 {
+            let slice = &data[start..start + 1000];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start}");
+        }
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
+        let whole = crc32_bytewise(&data[..64]);
+        for split in 0..=64 {
+            assert_eq!(
+                crc32_two(&data[..split], &data[split..64]),
+                whole,
+                "{split}"
+            );
+        }
     }
 
     #[test]

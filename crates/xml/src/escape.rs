@@ -1,32 +1,43 @@
 //! Minimal XML text/attribute escaping.
 
+use std::borrow::Cow;
+
 /// Escapes text content (`&`, `<`, `>`).
 pub fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(s, out, false);
 }
 
 /// Escapes attribute values (adds `"` to the text set).
 pub fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(s, out, true);
 }
 
-/// Reverses both escapings.
-pub fn unescape(s: &str) -> String {
+/// Appends `s` with its markup characters (and `"` when `quote`) replaced
+/// by entities. Each run between them is copied whole: they are all ASCII,
+/// so every run starts and ends on a character boundary.
+fn escape_into(s: &str, out: &mut String, quote: bool) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Reverses both escapings. Text without an `&` is returned as it is,
+/// borrowed.
+pub fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(pos) = rest.find('&') {
@@ -54,7 +65,7 @@ pub fn unescape(s: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -100,6 +111,22 @@ mod tests {
         assert_eq!(unescape("it&apos;s"), "it's");
     }
 
+    /// The per-character escaper the run-copying one must match byte for
+    /// byte.
+    fn escape_per_char(s: &str, quote: bool) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' if quote => out.push_str("&quot;"),
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
     // A pool mixing markup characters, entity-prefix fragments, controls
     // and multi-byte sequences: the adversarial inputs for an escaper.
     const POOL: &[&str] = &[
@@ -117,9 +144,11 @@ mod tests {
             let original: String = picks.iter().map(|&i| POOL[i]).collect();
             let mut text = String::new();
             escape_text(&original, &mut text);
+            prop_assert_eq!(&text, &escape_per_char(&original, false));
             prop_assert_eq!(unescape(&text), original.clone());
             let mut attr = String::new();
             escape_attr(&original, &mut attr);
+            prop_assert_eq!(&attr, &escape_per_char(&original, true));
             prop_assert!(!attr.contains('<') && !attr.contains('"'));
             prop_assert_eq!(unescape(&attr), original);
         }

@@ -8,8 +8,9 @@
 //!
 //! * [`writer`] — annotated-instance serialization with the naive and the
 //!   PNF-suppressed annotation schemes, plus [`writer::SizeReport`].
-//! * [`parser`] — a small XML reader that round-trips the writer's output
-//!   (instances are reconstructed against a schema).
+//! * [`parser`] — a small XML tag reader that round-trips the writer's
+//!   output: instances are read straight into an `Instance` against a
+//!   schema, other documents into an [`XmlNode`] tree.
 //! * [`schema_xml`] — the flat element-list encoding of schemas.
 //! * [`escape`] — entity escaping.
 

@@ -5,10 +5,18 @@
 //! repository needs for round-trips: elements, attributes, text content,
 //! self-closing tags, the XML declaration, and the standard entities.
 //!
+//! One tag reader serves both entry points. It walks the input once and
+//! hands out borrowed slices of it: a start tag with its raw attributes, a
+//! run of text, an end tag. [`instance_from_xml`] reads those straight into
+//! the [`Instance`], with no intermediate tree; [`parse_document`] builds an
+//! [`XmlNode`] tree from the same reader. Text and attribute values are
+//! unescaped only when they contain `&`.
+//!
 //! Robustness contract: the library paths in this module are
-//! `unwrap`/`expect`-free — every malformed input returns an [`XmlError`] —
-//! and element recursion is bounded (`MAX_ELEMENT_DEPTH`, 128 levels) so
-//! hostile nesting cannot overflow the stack.
+//! `unwrap`/`expect`-free — every malformed input, a truncated one
+//! included, returns an [`XmlError`] — and element nesting is bounded
+//! (`MAX_ELEMENT_DEPTH`, 128 levels) so hostile nesting cannot overflow
+//! the stack.
 
 use crate::escape::unescape;
 use crate::writer::MEMBER_TAG;
@@ -60,19 +68,38 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// Maximum element nesting the reader accepts. Each open tag is one stack
-/// frame (both here and in `build_node`, which mirrors the parsed tree), so
-/// a hostile `<a><a><a>…` document would otherwise overflow the stack
-/// instead of returning an [`XmlError`].
+/// Maximum element nesting the reader accepts. Both readers recurse once
+/// per open element, so a hostile `<a><a><a>…` document would otherwise
+/// overflow the stack instead of returning an [`XmlError`].
 const MAX_ELEMENT_DEPTH: usize = 128;
 
+/// A start tag the reader just consumed.
+struct StartTag<'a> {
+    name: &'a str,
+    /// `<name/>`: no content and no end tag follow.
+    empty: bool,
+}
+
+/// The tag reader: a cursor over the input that yields borrowed slices.
 struct Reader<'a> {
     input: &'a str,
     pos: usize,
+    /// Elements opened and not yet closed.
     depth: usize,
+    /// The attributes of the last start tag, as raw (still escaped) text.
+    attrs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Reader<'a> {
+    fn new(input: &'a str) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            depth: 0,
+            attrs: Vec::new(),
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> XmlError {
         XmlError {
             offset: self.pos,
@@ -80,274 +107,336 @@ impl<'a> Reader<'a> {
         }
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while self
-            .input
-            .as_bytes()
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
-    fn skip_prolog(&mut self) {
+    /// Consumes the longest run of bytes accepted by `ok`.
+    fn scan(&mut self, ok: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&ok) {
+            self.pos += 1;
+        }
+        &self.input[start..self.pos]
+    }
+
+    /// Skips whitespace, the XML declaration, processing instructions and
+    /// comments ahead of the document element.
+    fn skip_prolog(&mut self) -> Result<(), XmlError> {
         self.skip_ws();
-        while self.input[self.pos..].starts_with("<?") || self.input[self.pos..].starts_with("<!--")
-        {
-            if self.input[self.pos..].starts_with("<?") {
-                if let Some(end) = self.input[self.pos..].find("?>") {
-                    self.pos += end + 2;
-                }
-            } else if let Some(end) = self.input[self.pos..].find("-->") {
-                self.pos += end + 3;
-            }
+        loop {
+            let rest = &self.input[self.pos..];
+            let (close, what) = if rest.starts_with("<?") {
+                ("?>", "processing instruction")
+            } else if rest.starts_with("<!--") {
+                ("-->", "comment")
+            } else {
+                return Ok(());
+            };
+            let Some(end) = rest.find(close) else {
+                return Err(self.err(format!("unterminated {what}")));
+            };
+            self.pos += end + close.len();
             self.skip_ws();
         }
     }
 
-    fn element(&mut self) -> Result<XmlNode, XmlError> {
-        self.depth += 1;
-        if self.depth > MAX_ELEMENT_DEPTH {
-            self.depth -= 1;
+    /// Reads the start tag at the cursor, after optional whitespace, and
+    /// keeps its attributes in `attrs`. A tag that does not close itself
+    /// opens an element, counted against [`MAX_ELEMENT_DEPTH`].
+    fn start_tag(&mut self) -> Result<StartTag<'a>, XmlError> {
+        if self.depth >= MAX_ELEMENT_DEPTH {
             return Err(self.err(format!(
                 "element nesting exceeds {MAX_ELEMENT_DEPTH} levels"
             )));
         }
-        let result = self.element_unbounded();
-        self.depth -= 1;
-        result
-    }
-
-    fn element_unbounded(&mut self) -> Result<XmlNode, XmlError> {
         self.skip_ws();
-        if !self.input[self.pos..].starts_with('<') {
+        if self.peek() != Some(b'<') {
             return Err(self.err("expected `<`"));
         }
         self.pos += 1;
-        let name_start = self.pos;
-        while self
-            .input
-            .as_bytes()
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'-' || *b == b'.')
-        {
-            self.pos += 1;
-        }
-        if self.pos == name_start {
+        let name = self.scan(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.'));
+        if name.is_empty() {
             return Err(self.err("expected element name"));
         }
-        let mut node = XmlNode {
-            name: self.input[name_start..self.pos].to_owned(),
-            ..Default::default()
-        };
-        // Attributes.
+        self.attrs.clear();
         loop {
             self.skip_ws();
-            match self.input.as_bytes().get(self.pos) {
+            match self.peek() {
                 Some(b'/') => {
-                    if self.input.as_bytes().get(self.pos + 1) == Some(&b'>') {
-                        self.pos += 2;
-                        return Ok(node);
+                    if self.input.as_bytes().get(self.pos + 1) != Some(&b'>') {
+                        return Err(self.err("stray `/`"));
                     }
-                    return Err(self.err("stray `/`"));
+                    self.pos += 2;
+                    return Ok(StartTag { name, empty: true });
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    self.depth += 1;
+                    return Ok(StartTag { name, empty: false });
                 }
                 Some(_) => {
-                    let astart = self.pos;
-                    while self
-                        .input
-                        .as_bytes()
-                        .get(self.pos)
-                        .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'-')
-                    {
-                        self.pos += 1;
-                    }
-                    if self.pos == astart {
+                    let attr = self.scan(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-'));
+                    if attr.is_empty() {
                         return Err(self.err("expected attribute name"));
                     }
-                    let aname = self.input[astart..self.pos].to_owned();
-                    if self.input.as_bytes().get(self.pos) != Some(&b'=') {
+                    if self.peek() != Some(b'=') {
                         return Err(self.err("expected `=`"));
                     }
                     self.pos += 1;
-                    if self.input.as_bytes().get(self.pos) != Some(&b'"') {
+                    if self.peek() != Some(b'"') {
                         return Err(self.err("expected `\"`"));
                     }
                     self.pos += 1;
-                    let vstart = self.pos;
-                    while self
-                        .input
-                        .as_bytes()
-                        .get(self.pos)
-                        .is_some_and(|b| *b != b'"')
-                    {
-                        self.pos += 1;
-                    }
-                    if self.input.as_bytes().get(self.pos) != Some(&b'"') {
+                    let value = self.scan(|b| b != b'"');
+                    if self.peek() != Some(b'"') {
                         return Err(self.err("unterminated attribute value"));
                     }
-                    let value = unescape(&self.input[vstart..self.pos]);
                     self.pos += 1;
-                    node.attrs.push((aname, value));
+                    self.attrs.push((attr, value));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
         }
-        // Content.
-        loop {
-            let text_start = self.pos;
-            while self
-                .input
-                .as_bytes()
-                .get(self.pos)
-                .is_some_and(|b| *b != b'<')
-            {
-                self.pos += 1;
+    }
+
+    /// The raw value of attribute `name` of the last start tag.
+    fn attr(&self, name: &str) -> Option<&'a str> {
+        self.attrs.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    /// Reads the raw text up to the next `<`. Content always ends in an end
+    /// tag, so running out of input here is an error.
+    fn text(&mut self) -> Result<&'a str, XmlError> {
+        let start = self.pos;
+        match self.input[start..].find('<') {
+            Some(len) => {
+                self.pos += len;
+                Ok(&self.input[start..self.pos])
             }
-            let text = &self.input[text_start..self.pos];
-            if !text.trim().is_empty() || (node.children.is_empty() && !text.is_empty()) {
-                node.text.push_str(&unescape(text));
+            None => {
+                self.pos = self.input.len();
+                Err(self.err("unexpected end of input in content"))
             }
-            if self.input[self.pos..].starts_with("</") {
-                self.pos += 2;
-                let cstart = self.pos;
-                while self
-                    .input
-                    .as_bytes()
-                    .get(self.pos)
-                    .is_some_and(|b| *b != b'>')
-                {
-                    self.pos += 1;
-                }
-                let closing = &self.input[cstart..self.pos];
-                if closing != node.name {
-                    return Err(self.err(format!(
-                        "mismatched closing tag `{closing}` (expected `{}`)",
-                        node.name
-                    )));
-                }
-                self.pos += 1;
-                // Text-only elements: trim pure-whitespace around children.
-                if !node.children.is_empty() {
-                    node.text.clear();
-                }
-                return Ok(node);
-            }
-            if self.pos >= self.input.len() {
-                return Err(self.err("unexpected end of input in content"));
-            }
-            node.children.push(self.element()?);
         }
+    }
+
+    /// At the `<` that ends a run of text: consumes the end tag of `name`
+    /// and returns `true`, or returns `false` if a child's start tag
+    /// follows instead.
+    fn end_tag(&mut self, name: &str) -> Result<bool, XmlError> {
+        let Some(rest) = self.input[self.pos..].strip_prefix("</") else {
+            return Ok(false);
+        };
+        let Some(len) = rest.find('>') else {
+            self.pos = self.input.len();
+            return Err(self.err("unterminated closing tag"));
+        };
+        let closing = &rest[..len];
+        self.pos += 2 + len;
+        if closing != name {
+            return Err(self.err(format!(
+                "mismatched closing tag `{closing}` (expected `{name}`)"
+            )));
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(true)
+    }
+
+    /// Only whitespace may follow the document element.
+    fn finish(&mut self) -> Result<(), XmlError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing content after document element"));
+        }
+        Ok(())
     }
 }
 
 /// Parses a single XML document into its root element.
 pub fn parse_document(input: &str) -> Result<XmlNode, XmlError> {
-    let mut r = Reader {
-        input,
-        pos: 0,
-        depth: 0,
-    };
-    r.skip_prolog();
-    let root = r.element()?;
-    r.skip_ws();
-    if r.pos != input.len() {
-        return Err(r.err("trailing content after document element"));
-    }
+    let mut r = Reader::new(input);
+    r.skip_prolog()?;
+    let root = read_tree(&mut r)?;
+    r.finish()?;
     Ok(root)
+}
+
+/// Reads one element, from its start tag to its end tag, as a tree.
+fn read_tree(r: &mut Reader<'_>) -> Result<XmlNode, XmlError> {
+    let tag = r.start_tag()?;
+    let mut node = XmlNode {
+        name: tag.name.to_owned(),
+        attrs: r
+            .attrs
+            .iter()
+            .map(|&(n, v)| (n.to_owned(), unescape(v).into_owned()))
+            .collect(),
+        ..XmlNode::default()
+    };
+    if tag.empty {
+        return Ok(node);
+    }
+    loop {
+        let text = r.text()?;
+        if !text.trim().is_empty() || (node.children.is_empty() && !text.is_empty()) {
+            node.text.push_str(&unescape(text));
+        }
+        if r.end_tag(tag.name)? {
+            // Text-only elements: trim pure-whitespace around children.
+            if !node.children.is_empty() {
+                node.text.clear();
+            }
+            return Ok(node);
+        }
+        node.children.push(read_tree(r)?);
+    }
 }
 
 /// Reconstructs an [`Instance`] from the XML produced by
 /// [`crate::writer::instance_to_xml`], using `schema` to recover node kinds
 /// and atomic types. Annotations (`el=`, `map=`) are restored when present.
 pub fn instance_from_xml(input: &str, schema: &Schema) -> Result<Instance, XmlError> {
-    let doc = parse_document(input)?;
+    let mut r = Reader::new(input);
+    r.skip_prolog()?;
+    let doc = r.start_tag()?;
     if doc.name != "instance" {
         return Err(XmlError {
             offset: 0,
             message: format!("expected <instance>, found <{}>", doc.name),
         });
     }
-    let db = doc.attr("db").unwrap_or(schema.name()).to_owned();
-    let mut inst = Instance::new(db);
-    for child in &doc.children {
-        let root_elem = schema.root(&child.name).ok_or_else(|| XmlError {
-            offset: 0,
-            message: format!("schema has no root `{}`", child.name),
-        })?;
-        build_node(child, root_elem, schema, &mut inst, None, true)?;
+    let db = r
+        .attr("db")
+        .map_or_else(|| schema.name().to_owned(), |v| unescape(v).into_owned());
+    let mut builder = InstanceBuilder {
+        schema,
+        inst: Instance::new(db),
+        kids: Vec::new(),
+    };
+    if !doc.empty {
+        loop {
+            r.text()?;
+            if r.end_tag(doc.name)? {
+                break;
+            }
+            let tag = r.start_tag()?;
+            let root = schema
+                .root(tag.name)
+                .ok_or_else(|| r.err(format!("schema has no root `{}`", tag.name)))?;
+            builder.node(&mut r, tag, root, None)?;
+        }
     }
-    Ok(inst)
+    r.finish()?;
+    Ok(builder.inst)
 }
 
-fn build_node(
-    xml: &XmlNode,
-    elem: ElementId,
-    schema: &Schema,
-    inst: &mut Instance,
-    parent: Option<NodeId>,
-    is_root: bool,
-) -> Result<NodeId, XmlError> {
-    let kind = schema.element(elem).kind;
-    let label: Label = if xml.name == MEMBER_TAG {
-        Label::star()
-    } else {
-        Label::new(&xml.name)
-    };
-    let data = match kind {
-        ElementKind::Atomic(t) => NodeData::Atomic(parse_atomic(&xml.text, t)?),
-        ElementKind::Record => NodeData::Record(Vec::new()),
-        ElementKind::Set => NodeData::Set(Vec::new()),
-        ElementKind::Choice => NodeData::Choice(None),
-    };
-    let id = inst.push_raw(label, parent, data, is_root);
+/// Builds an [`Instance`] from the tag stream: one node per start tag, in
+/// document order, so node ids follow a pre-order walk of the document.
+struct InstanceBuilder<'s> {
+    schema: &'s Schema,
+    inst: Instance,
+    /// Children read so far of every open complex node, innermost last.
+    kids: Vec<NodeId>,
+}
 
-    // Restore annotations.
-    if let Some(el) = xml.attr("el") {
-        let n: Option<u32> = el.strip_prefix('e').and_then(|s| s.parse().ok());
-        if let Some(n) = n {
-            inst.set_element(id, ElementId(n));
-        }
-    }
-    if let Some(maps) = xml.attr("map") {
-        for m in maps.split_whitespace() {
-            inst.add_mapping(id, MappingName::new(m));
-        }
-    }
-
-    let mut kids = Vec::with_capacity(xml.children.len());
-    for child in &xml.children {
-        let child_elem = match kind {
-            ElementKind::Set => schema.set_member(elem).ok_or_else(|| XmlError {
-                offset: 0,
-                message: "set element without member".into(),
-            })?,
-            _ => schema.child(elem, &child.name).ok_or_else(|| XmlError {
-                offset: 0,
-                message: format!(
-                    "schema element {} has no child `{}`",
-                    schema.path(elem),
-                    child.name
-                ),
-            })?,
+impl InstanceBuilder<'_> {
+    /// Reads the element whose start tag `tag` the reader just consumed, as
+    /// a value of schema element `elem`.
+    fn node<'a>(
+        &mut self,
+        r: &mut Reader<'a>,
+        tag: StartTag<'a>,
+        elem: ElementId,
+        parent: Option<NodeId>,
+    ) -> Result<NodeId, XmlError> {
+        let schema = self.schema;
+        let element = schema.element(elem);
+        // A tag naming its schema element shares that element's label, and
+        // the member tag names a set's `*` element.
+        let label =
+            if element.label == tag.name || (element.label.is_star() && tag.name == MEMBER_TAG) {
+                element.label.clone()
+            } else {
+                Label::new(tag.name)
+            };
+        let (el, maps) = (r.attr("el"), r.attr("map"));
+        let data = match element.kind {
+            ElementKind::Atomic(t) => {
+                let mut text = "";
+                if !tag.empty {
+                    text = r.text()?;
+                    if !r.end_tag(tag.name)? {
+                        let child = r.start_tag()?;
+                        return Err(no_child(r, schema, elem, child.name));
+                    }
+                }
+                NodeData::Atomic(parse_atomic(&unescape(text), t)?)
+            }
+            ElementKind::Record => NodeData::Record(Vec::new()),
+            ElementKind::Set => NodeData::Set(Vec::new()),
+            ElementKind::Choice => NodeData::Choice(None),
         };
-        kids.push(build_node(
-            child,
-            child_elem,
-            schema,
-            inst,
-            Some(id),
-            false,
-        )?);
+        let id = self.inst.push_raw(label, parent, data, parent.is_none());
+        if let Some(n) = el.and_then(|e| e.strip_prefix('e')?.parse().ok()) {
+            self.inst.set_element(id, ElementId(n));
+        }
+        if let Some(maps) = maps {
+            for m in unescape(maps).split_whitespace() {
+                self.inst.add_mapping(id, MappingName::new(m));
+            }
+        }
+        if matches!(element.kind, ElementKind::Atomic(_)) {
+            return Ok(id);
+        }
+        let first_kid = self.kids.len();
+        if !tag.empty {
+            loop {
+                r.text()?;
+                if r.end_tag(tag.name)? {
+                    break;
+                }
+                let child = r.start_tag()?;
+                let child_elem = match element.kind {
+                    ElementKind::Set => schema
+                        .set_member(elem)
+                        .ok_or_else(|| r.err("set element without member"))?,
+                    _ => schema
+                        .child(elem, child.name)
+                        .ok_or_else(|| no_child(r, schema, elem, child.name))?,
+                };
+                let kid = self.node(r, child, child_elem, Some(id))?;
+                self.kids.push(kid);
+            }
+        }
+        let kids: Vec<NodeId> = self.kids.drain(first_kid..).collect();
+        match element.kind {
+            ElementKind::Choice if kids.len() > 1 => {
+                return Err(r.err(format!(
+                    "choice element {} holds {} alternatives",
+                    schema.path(elem),
+                    kids.len()
+                )))
+            }
+            ElementKind::Choice if kids.is_empty() => {}
+            _ => self.inst.replace_children(id, kids),
+        }
+        Ok(id)
     }
-    if !kids.is_empty() || matches!(kind, ElementKind::Record | ElementKind::Set) {
-        inst.replace_children(id, kids);
-    }
-    Ok(id)
+}
+
+fn no_child(r: &Reader<'_>, schema: &Schema, elem: ElementId, name: &str) -> XmlError {
+    r.err(format!(
+        "schema element {} has no child `{name}`",
+        schema.path(elem)
+    ))
 }
 
 fn parse_atomic(text: &str, t: AtomicType) -> Result<AtomicValue, XmlError> {
@@ -592,5 +681,138 @@ mod tests {
         // Reasonable real nesting stays accepted.
         let shallow = "<a>".repeat(16) + &"</a>".repeat(16);
         assert!(parse_document(&shallow).is_ok());
+    }
+
+    /// `parse_document` on a thread of its own, so an input that makes the
+    /// reader loop fails the test instead of hanging the suite.
+    fn parse_within_timeout(input: &'static str) -> Result<XmlNode, XmlError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(parse_document(input));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("parse_document({input:?}) did not return: {e}"));
+        worker.join().expect("parser thread");
+        result
+    }
+
+    #[test]
+    fn unterminated_prolog_is_an_error_not_a_hang() {
+        for input in [
+            "<?xml version=\"1.0\"",
+            "<!-- open",
+            "<?xml version=\"1.0\"?> <!-- open",
+        ] {
+            let err = parse_within_timeout(input).unwrap_err();
+            assert!(err.message.contains("unterminated"), "{input:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn truncated_closing_tag_is_an_error_not_a_panic() {
+        for input in ["<a><b></b", "<a></a", "<a><b></", "<a><b/></"] {
+            assert!(parse_document(input).is_err(), "{input:?}");
+        }
+        let schema = schema();
+        for input in [
+            "<instance db=\"Pdb\"><Portal></Portal",
+            "<instance db=\"Pdb\"><Portal><estates><member><hid>H1</hid",
+        ] {
+            assert!(instance_from_xml(input, &schema).is_err(), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn choice_holds_at_most_one_alternative() {
+        let schema = Schema::build(
+            "C",
+            vec![(
+                "r",
+                Type::choice(vec![("a", Type::string()), ("b", Type::string())]),
+            )],
+        )
+        .unwrap();
+        let one = instance_from_xml("<instance><r><b>y</b></r></instance>", &schema).unwrap();
+        let r = one.root("r").unwrap();
+        assert_eq!(one.children(r).len(), 1);
+        let err =
+            instance_from_xml("<instance><r><a>x</a><b>y</b></r></instance>", &schema).unwrap_err();
+        assert!(err.message.contains("2 alternatives"), "{err}");
+    }
+
+    #[test]
+    fn atomic_element_with_a_child_is_rejected() {
+        let schema = schema();
+        let err = instance_from_xml(
+            "<instance><Portal><estates><member><hid>H1<x/></hid></member></estates>\
+             </Portal></instance>",
+            &schema,
+        )
+        .unwrap_err();
+        assert!(err.message.contains("no child `x`"), "{err}");
+    }
+
+    #[test]
+    fn a_field_named_like_the_member_tag_keeps_its_label() {
+        let schema = Schema::build(
+            "X",
+            vec![(
+                "member",
+                Type::record(vec![
+                    ("member", Type::string()),
+                    ("rows", Type::relation(vec![("member", AtomicType::String)])),
+                ]),
+            )],
+        )
+        .unwrap();
+        let mut inst = Instance::new("X");
+        inst.install_root(
+            "member",
+            Value::record(vec![
+                ("member", Value::str("x")),
+                (
+                    "rows",
+                    Value::set(vec![Value::record(vec![("member", Value::str("y"))])]),
+                ),
+            ]),
+        );
+        inst.annotate_elements(&schema).unwrap();
+        let xml = instance_to_xml(&inst, WriteOptions::annotated());
+        let mut back = instance_from_xml(&xml, &schema).unwrap();
+        let root = back.root("member").unwrap();
+        assert_eq!(
+            back.to_value(root),
+            inst.to_value(inst.root("member").unwrap())
+        );
+        back.annotate_elements(&schema).unwrap();
+        assert_eq!(instance_to_xml(&back, WriteOptions::annotated()), xml);
+    }
+
+    #[test]
+    fn escaped_values_and_db_name_unescape() {
+        let schema = schema();
+        let inst = instance_from_xml(
+            "<instance db=\"P&amp;db\"><Portal map=\"m&lt;1 m2\"><estates>\
+             <member><hid>a &amp; b</hid><value> 7 </value></member></estates>\
+             </Portal></instance>",
+            &schema,
+        )
+        .unwrap();
+        assert_eq!(inst.db(), "P&db");
+        let portal = inst.root("Portal").unwrap();
+        let maps: Vec<&str> = inst
+            .annotation(portal)
+            .mappings
+            .iter()
+            .map(MappingName::as_str)
+            .collect();
+        assert_eq!(maps, ["m2", "m<1"]);
+        let values: Vec<AtomicValue> = inst
+            .walk()
+            .into_iter()
+            .filter_map(|n| inst.atomic(n).cloned())
+            .collect();
+        assert_eq!(values, [AtomicValue::str("a & b"), AtomicValue::Int(7)]);
     }
 }

@@ -11,8 +11,7 @@
 
 use crate::escape::{escape_attr, escape_text};
 use dtr_model::instance::{Instance, NodeData, NodeId};
-use dtr_model::value::MappingName;
-use std::fmt::Write as _;
+use dtr_model::value::{AtomicValue, MappingName};
 
 /// The element name used for anonymous set members (`*` nodes).
 pub const MEMBER_TAG: &str = "member";
@@ -103,8 +102,7 @@ pub fn instance_to_xml(inst: &Instance, opts: WriteOptions) -> String {
     let span = dtr_obs::span("xml.write").field("nodes", inst.len());
     let mut stats = WriteStats::default();
     let mut out = String::with_capacity(inst.len() * 24);
-    let _ = writeln!(out, "<?xml version=\"1.0\"?>");
-    let _ = write!(out, "<instance db=\"");
+    out.push_str("<?xml version=\"1.0\"?>\n<instance db=\"");
     escape_attr(inst.db(), &mut out);
     out.push_str("\">");
     if opts.indent {
@@ -149,7 +147,9 @@ fn write_node(
     let annot = inst.annotation(id);
     if opts.element_annotations {
         if let Some(e) = annot.element {
-            let _ = write!(out, " el=\"{e}\"");
+            out.push_str(" el=\"e");
+            push_decimal(out, u64::from(e.0));
+            out.push('"');
         }
     }
     if opts.mapping_annotations && !annot.mappings.is_empty() {
@@ -173,7 +173,16 @@ fn write_node(
     match &node.data {
         NodeData::Atomic(v) => {
             out.push('>');
-            escape_text(&v.to_string(), out);
+            match v {
+                AtomicValue::Str(s) => escape_text(s, out),
+                AtomicValue::Int(i) => {
+                    if *i < 0 {
+                        out.push('-');
+                    }
+                    push_decimal(out, i.unsigned_abs());
+                }
+                other => escape_text(&other.to_string(), out),
+            }
             out.push_str("</");
             out.push_str(tag);
             out.push('>');
@@ -204,6 +213,22 @@ fn write_node(
     if opts.indent {
         out.push('\n');
     }
+}
+
+/// Appends `n` in decimal, as its `Display` would, without formatting
+/// machinery or a temporary string.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Byte sizes of the same instance under the serialization schemes compared
@@ -347,6 +372,25 @@ mod tests {
         inst.install_root("r", Value::record(vec![("f", Value::str("a<b>&\"c"))]));
         let xml = instance_to_xml(&inst, WriteOptions::plain());
         assert!(xml.contains("a&lt;b&gt;&amp;\"c"));
+    }
+
+    #[test]
+    fn integers_and_element_ids_render_as_display_does() {
+        let ints = [i64::MIN, -1_000_001, -1, 0, 7, 10, 42_000, i64::MAX];
+        let mut inst = Instance::new("X");
+        let fields: Vec<(String, Value)> = ints
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (format!("f{i}"), Value::int(n)))
+            .collect();
+        let root = inst.install_root("r", Value::record(fields));
+        let id = dtr_model::schema::ElementId(u32::MAX);
+        inst.set_element(root, id);
+        let xml = instance_to_xml(&inst, WriteOptions::annotated());
+        for (i, n) in ints.iter().enumerate() {
+            assert!(xml.contains(&format!("<f{i}>{n}</f{i}>")), "{n}: {xml}");
+        }
+        assert!(xml.contains(&format!("<r el=\"{id}\">")), "{xml}");
     }
 
     #[test]
