@@ -695,6 +695,35 @@ pub fn law_incremental(
             (canon(&full), &report),
         )?;
     }
+    // Statistics depend on the live instances alone: after the stream they
+    // equal a fresh exchange's over the final sources, rebuilt from their
+    // roots so that no member an edit detached survives in their arenas.
+    let live = dtr_core::stats::Statistics::of(inc.sources().iter().chain([inc.target()]));
+    let fresh = Scenario {
+        sources: schemas
+            .iter()
+            .zip(inc.sources())
+            .map(|(schema, inst)| {
+                let mut rebuilt = Instance::new(inst.db());
+                for &root in inst.roots() {
+                    rebuilt.install_root(inst.label(root).clone(), inst.to_value(root));
+                }
+                (schema.clone(), rebuilt)
+            })
+            .collect(),
+        target: scen.target.clone(),
+        mappings: scen.mappings.clone(),
+    }
+    .tagged_with(exchange)
+    .map_err(|e| format!("fresh exchange over the final sources failed: {e}"))?
+    .statistics();
+    if live != fresh {
+        return Err(format!(
+            "statistics after the stream differ from a fresh exchange's\n\
+             incremental: {:?}\nfresh: {:?}",
+            live.paths, fresh.paths
+        ));
+    }
     let one_batch = SourceDelta {
         edits: stream
             .iter()

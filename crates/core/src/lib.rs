@@ -12,6 +12,8 @@
 //! * [`mod@translate`] — the MXQL → plain-query translation over the metastore
 //!   (Section 7.3).
 //! * [`runner`] — the translated execution pipeline (encode + view + run).
+//! * [`stats`] — per-path statistics computed from a tagged instance's
+//!   sources and target.
 //! * [`provenance`] — where/what/why-provenance and the Theorem 6.1 / 6.4
 //!   characterizations (Section 6).
 //! * [`inclusion`] — element inclusion between queries (Definition 6.3).
@@ -40,6 +42,7 @@ pub mod inclusion;
 pub mod incremental;
 pub mod provenance;
 pub mod runner;
+pub mod stats;
 pub mod store;
 pub mod tagged;
 pub mod testkit;

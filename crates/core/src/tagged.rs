@@ -7,6 +7,7 @@
 //! carried here as per-node annotations, and makes databases, schema
 //! elements and mappings first-class queryable values.
 
+use crate::stats::Statistics;
 use dtr_mapping::exchange::{
     execute_mappings_with, ExchangeError, ExchangeOptions, ExchangeReport,
 };
@@ -651,6 +652,12 @@ impl TaggedInstance {
     pub fn run_plan(&self, plan: &CompiledPlan) -> Result<QueryResult, MxqlError> {
         self.execute(Request::Plan(plan), None, false)
             .map(|(r, _)| r)
+    }
+
+    /// Per-path statistics of the sources and the target, computed now by
+    /// a walk from their roots.
+    pub fn statistics(&self) -> Statistics {
+        Statistics::of(self.source_instances.iter().chain([&self.target]))
     }
 
     /// Plan-cache counters (hits, misses) and entry count.

@@ -1426,53 +1426,7 @@ impl<'a> Exchange<'a> {
             .annotate_elements(self.target_schema)
             .map_err(|e| ExchangeError::Conformance(e.to_string()))?;
         drop(span);
-        if dtr_obs::stats::enabled() {
-            let mut local = dtr_obs::StatsCatalog::new();
-            for s in &self.sources {
-                collect_instance_stats(&mut local, s.instance);
-            }
-            collect_instance_stats(&mut local, &self.target);
-            dtr_obs::stats::merge(&local);
-        }
         Ok((self.target, self.report))
-    }
-}
-
-/// Walks an instance and records per-schema-path statistics into `catalog`:
-/// every set node contributes one cardinality observation at its path, and
-/// every atomic leaf contributes a tuple count plus a distinct-value
-/// observation. Paths are root-rooted dot paths (`US.houses.price`) with
-/// `->` for choice alternatives — the same convention the query evaluator's
-/// canonicalized statistics keys use, so exchange-collected and
-/// query-collected entries for one schema path merge into one row.
-pub(crate) fn collect_instance_stats(catalog: &mut dtr_obs::StatsCatalog, inst: &Instance) {
-    let mut stack: Vec<(NodeId, String)> = inst
-        .roots()
-        .iter()
-        .map(|&r| (r, inst.label(r).to_string()))
-        .collect();
-    while let Some((id, path)) = stack.pop() {
-        match &inst.node(id).data {
-            NodeData::Atomic(v) => catalog.record_value(&path, &v.to_string()),
-            NodeData::Record(fields) => {
-                for &f in fields {
-                    stack.push((f, format!("{path}.{}", inst.label(f))));
-                }
-            }
-            NodeData::Choice(alt) => {
-                if let Some(a) = *alt {
-                    stack.push((a, format!("{path}->{}", inst.label(a))));
-                }
-            }
-            NodeData::Set(members) => {
-                catalog.record_set(&path, members.len() as u64);
-                // Set members are `*`-labelled; they keep the set's path so
-                // member-field statistics key on `<set path>.<field>`.
-                for &m in members {
-                    stack.push((m, path.clone()));
-                }
-            }
-        }
     }
 }
 
@@ -2529,34 +2483,5 @@ mod tests {
         assert_eq!(report.event_window(), None);
         let totals = report.totals();
         assert_eq!((totals.tuples, totals.bindings, totals.wall_ns), (0, 0, 0));
-    }
-
-    #[test]
-    fn exchange_collects_instance_statistics_when_enabled() {
-        // The stats gate and catalog are process-global and other tests in
-        // this binary run exchanges concurrently, so every assertion is a
-        // lower bound on what this run must have contributed.
-        dtr_obs::stats::set_enabled(true);
-        let (_, _, report) = run_exchange();
-        dtr_obs::stats::set_enabled(false);
-        assert_eq!(report.per_mapping.len(), 3);
-        let snap = dtr_obs::stats::snapshot();
-        // Source sets and the produced target sets both appear, keyed by
-        // root-rooted dot paths.
-        for path in ["US.houses", "US.agents", "EU.postings", "Portal.estates"] {
-            let stats = snap
-                .paths
-                .get(path)
-                .unwrap_or_else(|| panic!("no stats for {path}"));
-            assert!(stats.sets >= 1, "{path} set observations");
-        }
-        // Atomic leaves under set members key on `<set path>.<field>`, and
-        // the two distinct house prices survive the distinct estimator.
-        let price = snap.paths.get("US.houses.price").unwrap();
-        assert!(price.tuples >= 2);
-        assert!(price.distinct_estimate() >= 2);
-        // Choice alternatives use the `->` convention shared with the
-        // query-side canonicalized keys.
-        assert!(snap.paths.contains_key("US.agents.title->name"));
     }
 }

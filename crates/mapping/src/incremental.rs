@@ -5,9 +5,9 @@
 //!
 //! 1. **Mapping pruning** — a mapping is *affected* only when one of its
 //!    foreach from-items is a root-rooted path equal to a changed set path
-//!    (the same root-rooted path keys the statistics catalog uses; a set
-//!    reached through a choice alternative is keyed `C.k->a.s`, the way a
-//!    binding over it renders, whichever spelling the edit used).
+//!    (a set reached through a choice alternative is keyed `C.k->a.s`,
+//!    the way a binding over it renders, whichever spelling the edit
+//!    used).
 //!    Unaffected mappings are skipped entirely.
 //! 2. **Delta rule** — let the from-items touching changed sets be
 //!    t₁ < … < t_k, with deleted members Dᵢ and inserted members Iᵢ. The
@@ -134,7 +134,7 @@ struct SetChange {
     source: usize,
     set: NodeId,
     /// The set's path as a binding over it renders (`C.k->a.s` through a
-    /// choice alternative): the pruning and statistics key.
+    /// choice alternative): the pruning key.
     path: String,
     /// Member list before the batch (for rollback).
     original: Vec<NodeId>,
@@ -275,17 +275,6 @@ impl IncrementalExchange {
                 td.batch = self.batch;
                 td.edits = delta.edits.len();
                 self.synthesize_report();
-                // Keep the statistics catalog's set cardinalities — the
-                // same root-rooted path keys the pruning index uses —
-                // current for the mutated sets.
-                if dtr_obs::stats::enabled() {
-                    for c in &changes {
-                        let n = self.sources[c.source]
-                            .set_members(c.set)
-                            .map_or(0, <[NodeId]>::len);
-                        dtr_obs::stats::record_set(&c.path, n as u64);
-                    }
-                }
                 let counters = dtr_obs::counters();
                 counters.delta_batches.incr();
                 counters.delta_edits.add(delta.edits.len() as u64);

@@ -1,12 +1,12 @@
 //! The audit log as a queryable nested-relational source.
 //!
 //! Section 7.1 stores schemas and mappings as data so the system can be
-//! asked about itself; [`crate::stats_view`] extends that move to runtime
-//! statistics, and this module extends it to the request history: a slice
-//! of [`AuditRecord`]s (see `dtr_obs::audit`) becomes the single
-//! `AuditLog` relation of the `AuditDb` meta-instance, so MXQL queries
-//! can ask "which query fingerprint was slowest?" or "which requests
-//! tripped a guard?" with the same evaluator that runs data queries.
+//! asked about itself; this module extends that move to the request
+//! history: a slice of [`AuditRecord`]s (see `dtr_obs::audit`) becomes
+//! the single `AuditLog` relation of the `AuditDb` meta-instance, so MXQL
+//! queries can ask "which query fingerprint was slowest?" or "which
+//! requests tripped a guard?" with the same evaluator that runs data
+//! queries.
 
 use dtr_model::instance::{Instance, Value};
 use dtr_model::schema::Schema;

@@ -11,14 +11,12 @@
 #![warn(missing_docs)]
 
 pub mod audit_view;
-pub mod stats_view;
 pub mod store;
 pub mod view;
 
 /// Convenient glob-import of the most used names.
 pub mod prelude {
     pub use crate::audit_view::{audit_instance, audit_schema, AUDIT_DB};
-    pub use crate::stats_view::{stats_instance, stats_schema, STATS_DB};
     pub use crate::store::{
         BindingRow, ConditionRow, CorrespondenceRow, DbRow, ElementRow, MappingRow, MetaStore,
         QueryRow, StoreError,

@@ -66,7 +66,6 @@ pub use metrics::{
 pub use profile::{CounterValue, PipelineProfile, ProfileNode};
 pub use recorder::{FlightEvent, FlightKind, Summary as FlightSummary};
 pub use ring::Counts;
-pub use stats::{DistinctEstimator, JoinStats, PathStats, StatsCatalog};
 pub use trace::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -143,8 +142,6 @@ pub(crate) fn counters_live() -> bool {
 
 /// Clear all collected state (global counters and this thread's span
 /// tree). Call at the start of a region you want to profile in isolation.
-/// The statistics catalog is NOT cleared — it accumulates across runs by
-/// design; use [`stats::reset`].
 pub fn profile_reset() {
     counters().reset();
     trace::reset_current_thread();

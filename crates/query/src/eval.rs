@@ -458,8 +458,6 @@ impl<'a> Evaluator<'a> {
         let mut stats = EvalStats::default();
         let mut meter = self.opts.budget.meter("query.eval");
         let mut plan: Option<OpNode> = None;
-        let collect_stats = dtr_obs::stats::enabled();
-        let mut local_stats = dtr_obs::StatsCatalog::new();
         // Variable slots: declared vars first, then implicit ones.
         let mut var_index: HashMap<&str, usize> = HashMap::new();
         for b in &q.from {
@@ -523,7 +521,6 @@ impl<'a> Evaluator<'a> {
             let var = b.var.as_str();
             let slot = var_index[var];
             let stage_rows_in = rows.len() as u64;
-            let probes_before = stats.hash_probes;
             let stage_t = stage_begin(analyze, &meter);
             let ready = ready_at[bi].as_slice();
             for &ci in ready {
@@ -733,22 +730,6 @@ impl<'a> Evaluator<'a> {
                 finish_node(stage_t, &meter, op, label, stage_rows_in, rows.len() as u64),
                 build_node,
             );
-            if collect_stats {
-                if let Some(items) = &static_items {
-                    local_stats.record_set(&canonical_expr(&b.source, q), items.len() as u64);
-                }
-                if let Some((jk, _, _)) = &join_table {
-                    local_stats.record_join(
-                        &canonical_join_key(comparisons[ready[*jk]], q),
-                        dtr_obs::JoinStats {
-                            build_rows: static_items.as_ref().map_or(0, |i| i.len() as u64),
-                            probe_rows: stage_rows_in,
-                            probes: stats.hash_probes - probes_before,
-                            matches: rows.len() as u64,
-                        },
-                    );
-                }
-            }
             if rows.is_empty() {
                 break;
             }
@@ -994,9 +975,6 @@ impl<'a> Evaluator<'a> {
         span.record("tuples_scanned", stats.tuples_scanned);
         span.record("bindings", stats.bindings_enumerated);
         span.record("rows_out", out.rows.len());
-        if collect_stats {
-            dtr_obs::stats::merge(&local_stats);
-        }
         Ok((out, plan))
     }
 
@@ -1502,66 +1480,6 @@ fn fold_durations(node: &OpNode) {
     for child in &node.children {
         fold_durations(child);
     }
-}
-
-/// Renders a path expression with variable starts expanded through the
-/// query's `from` chain into root-rooted paths, so statistics keys are
-/// stable under alpha-renaming of query variables.
-fn canonical_path(p: &PathExpr, q: &Query, depth: usize) -> String {
-    let mut out = match &p.start {
-        PathStart::Root(r) => r.to_string(),
-        PathStart::Var(v) => {
-            let source = if depth < 8 {
-                q.from.iter().find(|b| &b.var == v)
-            } else {
-                None
-            };
-            match source {
-                Some(b) => canonical_source(&b.source, q, depth + 1),
-                None => v.clone(),
-            }
-        }
-    };
-    for s in &p.steps {
-        match s {
-            Step::Project(l) => {
-                out.push('.');
-                out.push_str(l.as_ref());
-            }
-            Step::Choice(l) => {
-                out.push_str("->");
-                out.push_str(l.as_ref());
-            }
-        }
-    }
-    out
-}
-
-fn canonical_source(e: &Expr, q: &Query, depth: usize) -> String {
-    match e {
-        Expr::Path(p) => canonical_path(p, q, depth),
-        Expr::ElemOf(p) => format!("{}@elem", canonical_path(p, q, depth)),
-        Expr::MapOf(p) => format!("{}@map", canonical_path(p, q, depth)),
-        Expr::Const(c) => c.display_quoted().to_string(),
-        Expr::Call(name, args) => {
-            let args: Vec<String> = args.iter().map(|a| canonical_source(a, q, depth)).collect();
-            format!("{name}({})", args.join(", "))
-        }
-    }
-}
-
-/// The canonical statistics key of an expression (see `canonical_path`).
-pub fn canonical_expr(e: &Expr, q: &Query) -> String {
-    canonical_source(e, q, 0)
-}
-
-/// Canonicalized equality-join key: both sides expanded to root-rooted
-/// paths and sorted, so `a.id = l.agent` and `l.agent = a.id` land on one
-/// statistics entry regardless of variable names or operand order.
-pub fn canonical_join_key(cmp: &Comparison, q: &Query) -> String {
-    let mut sides = [canonical_expr(&cmp.left, q), canonical_expr(&cmp.right, q)];
-    sides.sort();
-    format!("{} = {}", sides[0], sides[1])
 }
 
 /// The keys a value is findable under. A plain string yields up to two:
@@ -2384,26 +2302,6 @@ mod tests {
         assert_eq!(plan.rows_out, 2);
         let scan = plan.find("scan").unwrap();
         assert_eq!(scan.rows_out, 2);
-    }
-
-    #[test]
-    fn stats_catalog_records_scans_and_joins() {
-        dtr_obs::stats::set_enabled(true);
-        let r = run("select h.hid, a.phone from US.houses h, US.agents a where h.aid = a.aid");
-        dtr_obs::stats::set_enabled(false);
-        assert_eq!(r.len(), 3);
-        let cat = dtr_obs::stats::snapshot();
-        // Other tests may run concurrently while the gate is open, so
-        // assert lower bounds, not exact counts.
-        let houses = cat.paths.get("US.houses").expect("US.houses scanned");
-        assert!(houses.sets >= 1);
-        let join = cat
-            .joins
-            .get("US.agents.aid = US.houses.aid")
-            .expect("join key canonicalized through the from-chain");
-        assert!(join.build_rows >= 2);
-        assert!(join.matches >= 3);
-        assert!(join.selectivity().is_some());
     }
 
     use dtr_model::value::MappingName;

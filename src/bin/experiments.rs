@@ -17,12 +17,6 @@
 //! (plus p50/p90/p99 span latency) and, with `--json`, embeds it under the
 //! `"profile"` key with the percentiles under `"latency_ns"`.
 //!
-//! `--stats` (or `DTR_STATS=1`) enables the statistics catalog: per-path
-//! tuple counts, distinct-value estimates, set-cardinality histograms, and
-//! observed join selectivities collected while the exchanges and timed
-//! queries run. The harness prints a summary and, with `--json`, embeds the
-//! full catalog under the `"stats"` key.
-//!
 //! `--deadline-ms MS` and `--max-rows N` run every exchange and timed query
 //! under a `dtr-obs` resource budget. An exhausted budget aborts the run
 //! cleanly: the harness prints the structured guard error and exits with
@@ -53,7 +47,6 @@ struct Args {
     listings_per_source: usize,
     json_path: Option<String>,
     profile: bool,
-    stats: bool,
     trace_out: Option<String>,
     audit_out: Option<String>,
     parallel: bool,
@@ -99,7 +92,6 @@ fn parse_args() -> Args {
     let mut json_path = None;
     let mut listings = 2000usize;
     let mut profile = false;
-    let mut stats = false;
     let mut trace_out = None;
     let mut audit_out = None;
     let mut parallel = false;
@@ -128,7 +120,6 @@ fn parse_args() -> Args {
             }
             "--json" => json_path = it.next(),
             "--profile" => profile = true,
-            "--stats" => stats = true,
             "--trace-out" => {
                 trace_out = Some(
                     it.next()
@@ -177,7 +168,6 @@ fn parse_args() -> Args {
         listings_per_source: if quick { listings / 10 } else { listings },
         json_path,
         profile,
-        stats,
         trace_out,
         audit_out,
         parallel,
@@ -703,9 +693,6 @@ fn main() {
     if args.profile {
         dtr_obs::set_enabled(true);
     }
-    if args.stats {
-        dtr_obs::stats::set_enabled(true);
-    }
     if args.trace_out.is_some() {
         dtr_obs::recorder::set_enabled(true);
         dtr_obs::recorder::reset();
@@ -719,9 +706,6 @@ fn main() {
     }
     if dtr_obs::enabled() {
         dtr_obs::profile_reset();
-    }
-    if dtr_obs::stats::enabled() {
-        dtr_obs::stats::reset();
     }
     println!(
         "Section 8 experiment harness — {} listings per source ({} total)",
@@ -787,17 +771,6 @@ fn main() {
     } else {
         None
     };
-    let stats = if dtr_obs::stats::enabled() {
-        let c = dtr_obs::stats::snapshot();
-        println!(
-            "\nstatistics catalog: {} path(s), {} join key(s)",
-            c.paths.len(),
-            c.joins.len()
-        );
-        Some(c)
-    } else {
-        None
-    };
 
     if let Some(path) = &args.trace_out {
         let doc = dtr_obs::chrome_trace::export_current();
@@ -828,9 +801,6 @@ fn main() {
                     json!({"span_p50": p50, "span_p90": p90, "span_p99": p99}),
                 );
             }
-        }
-        if let Some(c) = &stats {
-            results.insert("stats".to_string(), c.to_json());
         }
         std::fs::write(
             &path,

@@ -40,11 +40,9 @@
 //!   per-operator instrumentation and print the operator tree (actual rows
 //!   in/out, wall time, guard charges per scan/bind/filter/hash-join
 //!   stage); the result is byte-identical to a plain run;
-//! * `.stats [on|off|json]` — dump (or toggle) the statistics catalog
-//!   gathered while queries and exchanges run: per-path tuple counts,
-//!   distinct-value estimates, set-cardinality histograms, and observed
-//!   equality-join selectivities (on by default in this shell; also
-//!   `DTR_STATS=1`);
+//! * `.stats [json]` — per-path statistics of the current instance
+//!   (sources and target): tuples, sets and distinct values, computed on
+//!   demand from the instance, so queries never change them;
 //! * `.trace <path> [value]` — replay a target value's journal lineage
 //!   (mapping → source binding → insert/merge events), cross-checked
 //!   against the Section 6 where-provenance query;
@@ -71,10 +69,14 @@
 //! * `.rebase` — drop the incremental state and rebuild the target from
 //!   the current (edited) sources with a full exchange;
 //! * `.help` (the full listing), `.quit`.
+//!
+//! A command given an argument it does not understand (`.mode virtaul`,
+//! `.save wal` without a directory, `.whatif` of an unknown mapping or
+//! database) prints its usage and changes nothing.
 
 use dtr::core::provenance::{provenance_of, ProvenanceKind};
 use dtr::core::runner::MetaRunner;
-use dtr::core::tagged::{MxqlError, Request, TaggedInstance};
+use dtr::core::tagged::{MappingSetting, MxqlError, Request, TaggedInstance};
 use dtr::core::testkit;
 use dtr::core::translate::{translate, translate_explained};
 use dtr::core::virtualize::answer_virtually;
@@ -88,10 +90,65 @@ use dtr_obs::guard::Budget;
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     Direct,
     Translated,
     Virtual,
+}
+
+/// Parses `.mode`'s argument; any other word is `None`, and the shell
+/// keeps its mode.
+fn parse_mode(rest: &str) -> Option<Mode> {
+    match rest.trim() {
+        "direct" => Some(Mode::Direct),
+        "translated" => Some(Mode::Translated),
+        "virtual" => Some(Mode::Virtual),
+        _ => None,
+    }
+}
+
+/// Where `.save` writes: the annotated target as XML to a file, or a
+/// durable session's write-ahead log to a directory.
+#[derive(Debug, PartialEq)]
+enum SaveTo<'a> {
+    Xml(&'a str),
+    Wal(&'a str),
+}
+
+/// Parses `.save`'s arguments: `wal <dir>`, or one file name.
+fn parse_save(rest: &str) -> Result<SaveTo<'_>, &'static str> {
+    match rest.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["wal", dir] => Ok(SaveTo::Wal(dir)),
+        ["wal"] => Err("usage: .save wal <dir>"),
+        [file] => Ok(SaveTo::Xml(file)),
+        _ => Err("usage: .save <file.xml> | .save wal <dir>"),
+    }
+}
+
+/// What `.whatif` removes: the named mappings, or every mapping over one
+/// source database.
+#[derive(Debug, PartialEq)]
+enum WhatIf<'a> {
+    Mappings(Vec<MappingName>),
+    Source(&'a str),
+}
+
+/// Parses `.whatif`'s argument against the setting: a comma-separated
+/// list of its mappings, or one of its source databases.
+fn parse_whatif<'a>(rest: &'a str, setting: &MappingSetting) -> Result<WhatIf<'a>, String> {
+    let arg = rest.trim();
+    if arg.is_empty() {
+        return Err("usage: .whatif <db|m1,m2,...>".into());
+    }
+    let names: Vec<MappingName> = arg.split(',').map(|m| MappingName::new(m.trim())).collect();
+    if names.iter().all(|m| setting.mapping(m).is_some()) {
+        Ok(WhatIf::Mappings(names))
+    } else if setting.source_schema(arg).is_some() {
+        Ok(WhatIf::Source(arg))
+    } else {
+        Err(format!("unknown mapping or database `{arg}`"))
+    }
 }
 
 fn load() -> TaggedInstance {
@@ -101,12 +158,6 @@ fn load() -> TaggedInstance {
     // `.journal off` disable it.
     if std::env::var("DTR_JOURNAL").is_err() {
         dtr_obs::journal::set_enabled(true);
-    }
-    // Statistics collection likewise defaults on in the shell: the catalog
-    // is a handful of maps updated once per run, and having the exchange's
-    // instance walk in it is what makes `.stats` useful immediately.
-    if std::env::var("DTR_STATS").is_err() {
-        dtr_obs::stats::set_enabled(true);
     }
     let mut portal: Option<usize> = None;
     let mut args = std::env::args().skip(1);
@@ -175,7 +226,7 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         ".stats",
-        "[on|off|json|reset] — the statistics catalog (paths, joins, histograms)",
+        "[json] — per-path tuples, sets and distinct values of the current instance",
     ),
     (
         ".trace",
@@ -554,24 +605,24 @@ fn main() {
                         println!("profiling off");
                     }
                     "json" => println!("{}", profile(&last_analyze, &last_guard).to_json_string()),
-                    _ => println!("{}", profile(&last_analyze, &last_guard).render()),
+                    "" => println!("{}", profile(&last_analyze, &last_guard).render()),
+                    _ => println!("usage: .profile [on|off|json]"),
                 },
-                ".mode" => {
-                    mode = match rest.trim() {
-                        "translated" => {
-                            println!("executing through the Section 7.3 translation");
-                            Mode::Translated
-                        }
-                        "virtual" => {
-                            println!("answering plain target queries virtually over the sources");
-                            Mode::Virtual
-                        }
-                        _ => {
-                            println!("executing with the direct Section 5 semantics");
-                            Mode::Direct
-                        }
-                    };
-                }
+                ".mode" => match parse_mode(rest) {
+                    Some(m) => {
+                        mode = m;
+                        println!(
+                            "{}",
+                            match m {
+                                Mode::Direct => "executing with the direct Section 5 semantics",
+                                Mode::Translated => "executing through the Section 7.3 translation",
+                                Mode::Virtual =>
+                                    "answering plain target queries virtually over the sources",
+                            }
+                        );
+                    }
+                    None => println!("usage: .mode direct|translated|virtual"),
+                },
                 ".lint" => {
                     let schemas: Vec<&Schema> = tagged.setting().source_schemas().iter().collect();
                     match lint_mappings(
@@ -588,60 +639,50 @@ fn main() {
                         Err(e) => println!("lint error: {e}"),
                     }
                 }
-                ".whatif" => {
-                    let arg = rest.trim();
-                    let impact = if arg.contains(',')
-                        || tagged.setting().mapping(&MappingName::new(arg)).is_some()
-                    {
-                        let removed: Vec<MappingName> =
-                            arg.split(',').map(|m| MappingName::new(m.trim())).collect();
-                        impact_of_mappings(&tagged, &removed)
-                    } else {
-                        impact_of_source(&tagged, arg)
-                    };
-                    println!(
-                        "lost {} values ({:.1} %), {} survive",
-                        impact.lost_values,
-                        100.0 * impact.lost_fraction(),
-                        impact.surviving_values
-                    );
-                    for (path, n) in impact.lost_by_element.iter().take(8) {
-                        println!("  {path}  ({n})");
-                    }
-                }
-                ".save" => {
-                    let arg = rest.trim();
-                    if let Some(dir) = arg.strip_prefix("wal ").map(str::trim) {
-                        if dir.is_empty() {
-                            println!("usage: .save wal <dir>");
-                        } else {
-                            match start_durable(&tagged, session.as_ref(), dir) {
-                                Ok(d) => {
-                                    println!(
-                                        "durable session started: checkpoint written to \
-                                         {dir}/wal-{:06}.log ({} bytes committed)",
-                                        d.wal_segment(),
-                                        d.wal_committed_len()
-                                    );
-                                    session = None;
-                                    durable = Some(d);
-                                }
-                                Err(e) => println!("cannot start durable session: {e}"),
-                            }
+                ".whatif" => match parse_whatif(rest, tagged.setting()) {
+                    Ok(what) => {
+                        let impact = match what {
+                            WhatIf::Mappings(removed) => impact_of_mappings(&tagged, &removed),
+                            WhatIf::Source(db) => impact_of_source(&tagged, db),
+                        };
+                        println!(
+                            "lost {} values ({:.1} %), {} survive",
+                            impact.lost_values,
+                            100.0 * impact.lost_fraction(),
+                            impact.surviving_values
+                        );
+                        for (path, n) in impact.lost_by_element.iter().take(8) {
+                            println!("  {path}  ({n})");
                         }
-                    } else if arg.is_empty() {
-                        println!("usage: .save <file.xml> | .save wal <dir>");
-                    } else {
+                    }
+                    Err(e) => println!("{e}"),
+                },
+                ".save" => match parse_save(rest) {
+                    Ok(SaveTo::Wal(dir)) => match start_durable(&tagged, session.as_ref(), dir) {
+                        Ok(d) => {
+                            println!(
+                                "durable session started: checkpoint written to \
+                                 {dir}/wal-{:06}.log ({} bytes committed)",
+                                d.wal_segment(),
+                                d.wal_committed_len()
+                            );
+                            session = None;
+                            durable = Some(d);
+                        }
+                        Err(e) => println!("cannot start durable session: {e}"),
+                    },
+                    Ok(SaveTo::Xml(file)) => {
                         let xml = dtr::xml::writer::instance_to_xml(
                             tagged.target(),
                             dtr::xml::writer::WriteOptions::annotated(),
                         );
-                        match std::fs::write(arg, &xml) {
-                            Ok(()) => println!("wrote {} bytes to {arg}", xml.len()),
-                            Err(e) => println!("cannot write {arg}: {e}"),
+                        match std::fs::write(file, &xml) {
+                            Ok(()) => println!("wrote {} bytes to {file}", xml.len()),
+                            Err(e) => println!("cannot write {file}: {e}"),
                         }
                     }
-                }
+                    Err(usage) => println!("{usage}"),
+                },
                 ".open" => {
                     let dir = rest.trim();
                     if dir.is_empty() {
@@ -708,6 +749,7 @@ fn main() {
                                 );
                             }
                         }
+                        None if db.is_empty() => println!("usage: .schema <db>"),
                         None => println!(
                             "unknown database `{db}`; try `{}` or a source name",
                             tagged.setting().target_schema().name()
@@ -804,20 +846,9 @@ fn main() {
                     }
                 }
                 ".stats" => match rest.trim() {
-                    "on" => {
-                        dtr_obs::stats::set_enabled(true);
-                        println!("statistics collection on");
-                    }
-                    "off" => {
-                        dtr_obs::stats::set_enabled(false);
-                        println!("statistics collection off (catalog kept; `.stats` still dumps)");
-                    }
-                    "json" => println!("{}", dtr_obs::stats::snapshot().to_json_string()),
-                    "reset" => {
-                        dtr_obs::stats::reset();
-                        println!("statistics catalog cleared");
-                    }
-                    _ => print!("{}", dtr_obs::stats::snapshot().render()),
+                    "" => print!("{}", tagged.statistics().render()),
+                    "json" => println!("{}", tagged.statistics().to_json()),
+                    _ => println!("usage: .stats [json]"),
                 },
                 ".trace" => {
                     let mut parts = rest.split_whitespace();
@@ -871,7 +902,7 @@ fn main() {
                                 Err(e) => println!("cannot write {file}: {e}"),
                             }
                         }
-                        _ => {
+                        [] => {
                             let s = dtr_obs::journal::summary();
                             println!("journal: {}", s.counts);
                             // The recorded tally survives ring eviction, so
@@ -881,6 +912,7 @@ fn main() {
                                 println!("  {kind:<24} {n:>8}");
                             }
                         }
+                        _ => println!("usage: .journal [on|off|json|export <file>]"),
                     }
                 }
                 ".timeline" => {
@@ -913,7 +945,8 @@ fn main() {
                                 Err(e) => println!("trace export failed validation: {e}"),
                             }
                         }
-                        _ => println!("{}", dtr_obs::recorder::summary().render()),
+                        [] => println!("{}", dtr_obs::recorder::summary().render()),
+                        _ => println!("usage: .timeline [on|off|export <file>]"),
                     }
                 }
                 ".audit" => {
@@ -942,7 +975,7 @@ fn main() {
                                 Err(e) => println!("cannot write {file}: {e}"),
                             }
                         }
-                        _ => {
+                        [] => {
                             println!(
                                 "audit: {} ({})",
                                 if dtr_obs::audit::enabled() {
@@ -953,6 +986,7 @@ fn main() {
                                 dtr_obs::audit::counts()
                             );
                         }
+                        _ => println!("usage: .audit [on|off|last|export <file>]"),
                     }
                 }
                 ".delta" => {
@@ -1080,7 +1114,8 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::COMMANDS;
+    use super::*;
+    use dtr::core::testkit::figure1_setting;
     use std::collections::BTreeSet;
 
     /// `.help` is generated from [`COMMANDS`]; this test keeps that table
@@ -1118,5 +1153,41 @@ mod tests {
         for (name, desc) in COMMANDS {
             assert!(!desc.contains('\n'), "{name} description spans lines");
         }
+    }
+
+    #[test]
+    fn save_takes_a_file_or_wal_and_a_directory() {
+        assert_eq!(parse_save(" out.xml "), Ok(SaveTo::Xml("out.xml")));
+        assert_eq!(parse_save("wal  waldir"), Ok(SaveTo::Wal("waldir")));
+        // A bare `wal` is a missing directory, not a file named `wal`.
+        assert_eq!(parse_save("wal"), Err("usage: .save wal <dir>"));
+        assert!(parse_save("").is_err());
+        assert!(parse_save("a.xml b.xml").is_err());
+    }
+
+    #[test]
+    fn mode_accepts_only_the_three_engines() {
+        assert_eq!(parse_mode(" direct"), Some(Mode::Direct));
+        assert_eq!(parse_mode("translated"), Some(Mode::Translated));
+        assert_eq!(parse_mode("virtual "), Some(Mode::Virtual));
+        assert_eq!(parse_mode("virtaul"), None);
+        assert_eq!(parse_mode(""), None);
+    }
+
+    #[test]
+    fn whatif_takes_mappings_or_a_source_database() {
+        let setting = figure1_setting();
+        let names =
+            |ns: &[&str]| WhatIf::Mappings(ns.iter().copied().map(MappingName::new).collect());
+        assert_eq!(parse_whatif("m1", &setting), Ok(names(&["m1"])));
+        assert_eq!(parse_whatif("m1, m3", &setting), Ok(names(&["m1", "m3"])));
+        assert_eq!(parse_whatif(" USdb", &setting), Ok(WhatIf::Source("USdb")));
+        assert_eq!(
+            parse_whatif("m9", &setting),
+            Err("unknown mapping or database `m9`".to_string())
+        );
+        assert!(parse_whatif("m1,m9", &setting).is_err());
+        assert!(parse_whatif("Pdb", &setting).is_err());
+        assert!(parse_whatif("", &setting).is_err());
     }
 }

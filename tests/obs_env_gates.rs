@@ -20,7 +20,6 @@ fn every_tier_follows_its_variable() {
     for (var, enabled) in [
         ("DTR_PROFILE", dtr_obs::enabled as fn() -> bool),
         ("DTR_JOURNAL", dtr_obs::journal::enabled),
-        ("DTR_STATS", dtr_obs::stats::enabled),
         ("DTR_FLIGHT", dtr_obs::recorder::enabled),
         ("DTR_AUDIT", dtr_obs::audit::enabled),
     ] {

@@ -1,23 +1,24 @@
 //! The work one fixed workload does, pinned exactly.
 //!
 //! Work counters (tuples scanned, bindings enumerated, hash probes, rows
-//! inserted and merged, annotations, guard polls, metastore tuples) and the
-//! statistics catalog's footprint are deterministic for a fixed workload
-//! run serially, so any change to how much work the engine does shows up
-//! here as an exact mismatch. Wall-clock numbers are not pinned; the
-//! repository benchmark measures those.
+//! inserted and merged, annotations, guard polls, metastore tuples) are
+//! deterministic for a fixed workload run serially, so any change to how
+//! much work the engine does shows up here as an exact mismatch. The
+//! workload instance's statistics are pinned too, so a change to what the
+//! exchange produces shows up as well. Wall-clock numbers are not pinned;
+//! the repository benchmark measures those.
 //!
 //! A second part pins the incremental and durable counters: a WAL-backed
 //! session over the Figure 1 setting commits, checkpoints, commits again
 //! and is reopened.
 //!
-//! The counter registry and the statistics catalog are process-global,
-//! so this file is its own test binary with a single test: nothing else
-//! in the process can tick them.
+//! The counter registry is process-global, so this file is its own test
+//! binary with a single test: nothing else in the process can tick it.
 
 use std::sync::Arc;
 
 use dtr::core::runner::MetaRunner;
+use dtr::core::stats::PathStats;
 use dtr::core::store::{DurableOptions, DurableSession};
 use dtr::core::testkit::{figure1_setting, figure1_sources};
 use dtr::mapping::delta::SourceDelta;
@@ -120,9 +121,7 @@ fn house(hid: &str) -> Value {
 #[test]
 fn fixed_workload_does_pinned_work() {
     dtr_obs::set_enabled(true);
-    dtr_obs::stats::set_enabled(true);
     dtr_obs::profile_reset();
-    dtr_obs::stats::reset();
 
     // A serial exchange of the 1,000-listing portal, the three queries
     // evaluated directly, and the second one again through the Section 7
@@ -142,16 +141,18 @@ fn fixed_workload_does_pinned_work() {
         .unwrap();
 
     let counters = dtr_obs::counters().snapshot();
-    let catalog = dtr_obs::stats::snapshot();
-    let footprint = (
-        catalog.paths.len(),
-        catalog.joins.len(),
-        catalog.paths.values().map(|p| p.tuples).sum::<u64>(),
-    );
     let counters: Vec<(&str, u64)> = counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     assert_eq!(counters, EXPECTED);
-    // Paths, join keys, and tuples observed across all paths.
-    assert_eq!(footprint, (247, 5, 59_954));
+    // Paths, and tuples, sets and distinct values summed over all paths.
+    let stats = tagged.statistics();
+    let sum = |f: fn(&PathStats) -> u64| stats.paths.values().map(f).sum::<u64>();
+    let footprint = (
+        stats.paths.len(),
+        sum(|p| p.tuples),
+        sum(|p| p.sets),
+        sum(|p| p.distinct),
+    );
+    assert_eq!(footprint, (247, 59_954, 2_417, 19_343));
 
     // A durable session on an in-memory file system: one batch with an
     // insert and a delete, a checkpoint, one more batch, a crash, and a
