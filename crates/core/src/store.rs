@@ -739,6 +739,7 @@ mod tests {
     use crate::testkit::{figure1_setting, figure1_sources};
     use dtr_mapping::durable::{FaultVfs, MemVfs, StorageFault};
     use dtr_model::instance::Value;
+    use dtr_query::eval::QueryResult;
 
     fn house(hid: &str) -> Value {
         Value::record(vec![
@@ -972,5 +973,45 @@ mod tests {
             "another session's delta evicted the plan"
         );
         assert_eq!(tagged.plan_cache_stats().hits, 1);
+    }
+
+    #[test]
+    fn a_plan_from_one_epoch_runs_on_a_later_one() {
+        let mut s = fresh(Arc::new(MemVfs::new()), "wal");
+        let text = "select e.hid, e.value, c.phone, m \
+                    from Portal.estates e, Portal.contacts c, e.value@map m \
+                    where e.contact = c.title";
+        let old = s.pin().tagged();
+        let plan = old.plan_for(text).unwrap();
+        let before = old.run_plan(&plan).unwrap();
+        s.apply(
+            &SourceDelta::new()
+                .delete("US.houses", 0)
+                .insert("US.houses", house("H9")),
+        )
+        .unwrap();
+        let new = s.pin().tagged();
+        let replayed = new.run_plan(&plan).unwrap();
+        let planned = new.run_planned(text).unwrap();
+        // Every fact of a result with the annotations the new epoch gives it.
+        let annotated = |r: &QueryResult| -> Vec<String> {
+            let catalog = new.catalog();
+            r.rows
+                .iter()
+                .flatten()
+                .map(|v| match v.node {
+                    Some((src, n)) => {
+                        format!("{:?} {:?}", v, catalog.source(src).instance.annotation(n))
+                    }
+                    None => format!("{v:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(replayed.columns, planned.columns);
+        assert_eq!(replayed.rows, planned.rows);
+        assert_eq!(annotated(&replayed), annotated(&planned));
+        // The delta moved the answer, so the old plan read the new epoch.
+        assert_ne!(before.tuples(), replayed.tuples());
+        assert!(replayed.tuples().iter().any(|t| t[0].to_string() == "H9"));
     }
 }

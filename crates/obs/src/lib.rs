@@ -60,8 +60,8 @@ pub use journal::{
     Event as JournalEvent, EventId, Outcome as JournalOutcome, Summary as JournalSummary,
 };
 pub use metrics::{
-    bucket_for, bucket_lower, bucket_upper, counters, snapshot_percentile, snapshot_percentiles,
-    Counter, Counters, Histogram, HistogramSnapshot,
+    counters, snapshot_percentile, snapshot_percentiles, Counter, Counters, Histogram,
+    HistogramSnapshot,
 };
 pub use profile::{CounterValue, PipelineProfile, ProfileNode};
 pub use recorder::{FlightEvent, FlightKind, Summary as FlightSummary};

@@ -56,14 +56,14 @@ pub const HISTOGRAM_BUCKETS: usize = 38;
 /// as one (bucket 0) and everything at or above `2^(HISTOGRAM_BUCKETS-1)`
 /// saturating into the top bucket.
 #[inline]
-pub fn bucket_for(value: u64) -> usize {
+pub(crate) fn bucket_for(value: u64) -> usize {
     let bucket = (63 - value.max(1).leading_zeros()) as usize;
     bucket.min(HISTOGRAM_BUCKETS - 1)
 }
 
 /// Inclusive lower bound of bucket `i` (`2^i`, except bucket 0 which also
 /// absorbs zero).
-pub fn bucket_lower(i: usize) -> u64 {
+pub(crate) fn bucket_lower(i: usize) -> u64 {
     debug_assert!(i < HISTOGRAM_BUCKETS);
     if i == 0 {
         0
@@ -74,7 +74,8 @@ pub fn bucket_lower(i: usize) -> u64 {
 
 /// Inclusive upper bound of bucket `i` (`2^(i+1) - 1`, except the top
 /// bucket which saturates to `u64::MAX`).
-pub fn bucket_upper(i: usize) -> u64 {
+#[cfg(test)]
+fn bucket_upper(i: usize) -> u64 {
     debug_assert!(i < HISTOGRAM_BUCKETS);
     if i >= HISTOGRAM_BUCKETS - 1 {
         u64::MAX

@@ -15,7 +15,10 @@
 //!   `dtr-core` — and act as generators for their unbound variables.
 
 use crate::ast::*;
-use crate::functions::{ArgValue, FunctionRegistry, FunctionValue};
+use crate::functions::{ArgValue, FunctionRegistry, FunctionValue, NativeFn};
+use crate::program::{
+    CmpProg, ExprKind, ExprProg, PathProg, PredProg, Program, Side, Start, TermProg,
+};
 use dtr_model::instance::{Instance, NodeId};
 use dtr_model::schema::Schema;
 use dtr_model::value::{AtomicValue, ElementRef, MappingName};
@@ -420,7 +423,10 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Evaluates a query.
+    /// Evaluates a query. The run first lowers `q` into a slot-resolved
+    /// program over this evaluator's catalog — variables to slots, roots
+    /// to nodes, field steps to position hints — and drops it at the end,
+    /// so nothing of one run carries over to the next.
     pub fn run(&self, q: &Query) -> Result<QueryResult, EvalError> {
         self.run_impl(q, false).map(|(result, _)| result)
     }
@@ -458,115 +464,46 @@ impl<'a> Evaluator<'a> {
         let mut stats = EvalStats::default();
         let mut meter = self.opts.budget.meter("query.eval");
         let mut plan: Option<OpNode> = None;
-        // Variable slots: declared vars first, then implicit ones.
-        let mut var_index: HashMap<&str, usize> = HashMap::new();
-        for b in &q.from {
-            let next = var_index.len();
-            var_index.entry(b.var.as_str()).or_insert(next);
-        }
-        for v in q.implicit_vars() {
-            let next = var_index.len();
-            var_index.entry(v).or_insert(next);
-        }
-        let nvars = var_index.len();
+        let prog = Program::lower(q, self.catalog, self.functions, self.opts.hash_join);
+        let cmps = prog.cmps.as_slice();
+        let mut cmp_done = vec![false; cmps.len()];
 
-        // Split conditions.
-        let comparisons: Vec<&Comparison> = q
-            .conditions
-            .iter()
-            .filter_map(|c| match c {
-                Condition::Cmp(cmp) => Some(cmp),
-                _ => None,
-            })
-            .collect();
-        let predicates: Vec<&MappingPred> = q
-            .conditions
-            .iter()
-            .filter_map(|c| match c {
-                Condition::MapPred(p) => Some(p),
-                _ => None,
-            })
-            .collect();
-        // Each comparison's variables, per side.
-        let cmp_vars: Vec<[Vec<&str>; 2]> = comparisons
-            .iter()
-            .map(|cmp| [cmp.left.variables(), cmp.right.variables()])
-            .collect();
-        let mut cmp_done = vec![false; comparisons.len()];
-
-        let mut rows: Vec<Env> = vec![vec![None; nvars]];
-
-        // Precompute which comparisons become *ready* (all variables bound)
-        // as each binding completes, so candidates can be tested in place
-        // before any row is materialized.
-        let mut bound: Vec<&str> = Vec::new();
-        let mut assigned = vec![false; comparisons.len()];
-        let mut ready_at: Vec<Vec<usize>> = Vec::with_capacity(q.from.len());
-        for b in &q.from {
-            bound.push(b.var.as_str());
-            let mut ready = Vec::new();
-            for (ci, vars) in cmp_vars.iter().enumerate() {
-                if !assigned[ci] && vars.iter().flatten().all(|v| bound.contains(v)) {
-                    assigned[ci] = true;
-                    ready.push(ci);
-                }
-            }
-            ready_at.push(ready);
-        }
+        let mut rows: Vec<Env> = vec![vec![None; prog.nvars]];
+        // The current row's hoisted operands, one entry per ready
+        // comparison; one buffer serves every row.
+        let mut pre: Vec<(PreSide, PreSide)> = Vec::new();
 
         // From-clause bindings, in order. Each candidate item is written
         // into the (mutable) current row and tested against the newly ready
         // comparisons; only survivors are cloned into the next generation.
-        for (bi, b) in q.from.iter().enumerate() {
-            let var = b.var.as_str();
-            let slot = var_index[var];
+        for (bi, b) in prog.bindings.iter().enumerate() {
+            let slot = b.slot;
             let stage_rows_in = rows.len() as u64;
             let stage_t = stage_begin(analyze, &meter);
-            let ready = ready_at[bi].as_slice();
+            let ready = b.ready.as_slice();
             for &ci in ready {
                 cmp_done[ci] = true;
             }
-            // How each side of each ready comparison depends on this
-            // binding. This one classification decides the item
-            // pre-filter, the per-row hoisting and the hash-join key below.
-            let sides: Vec<[Side; 2]> = ready
-                .iter()
-                .map(|&ci| {
-                    [
-                        Side::of(&cmp_vars[ci][0], var),
-                        Side::of(&cmp_vars[ci][1], var),
-                    ]
-                })
-                .collect();
             // A binding source without variables (a schema root) produces
             // the same items for every row: compute them once, restrict
             // them to the binding's member domain (if any), and pre-filter
             // them by the ready conditions whose other operand is
-            // row-independent (constants and root paths) — e.g. the
-            // `e.db = 'Portal'` filters of translated MXQL queries.
-            let root = b.source.variables().is_empty();
+            // row-independent (constants and root paths).
             let static_items: Option<Vec<Val>> = match rows.first() {
-                Some(env) if root => {
-                    let mut items = self.binding_items(&b.source, env, &var_index)?;
+                Some(env) if b.root => {
+                    let mut items = self.binding_items(&b.source, env)?;
                     if let Some(domain) = self.opts.domains.as_ref().and_then(|d| d.get(&bi)) {
                         items.retain(|item| match item {
                             Val::Node(_, n) => domain.admits(*n),
                             Val::Atom(_) => false,
                         });
                     }
-                    for (&ci, s) in ready.iter().zip(&sides) {
-                        if !matches!(
-                            s,
-                            [Side::Const, Side::Const | Side::Candidate]
-                                | [Side::Candidate, Side::Const]
-                        ) {
-                            continue;
-                        }
+                    for &ci in ready.iter().filter(|&&ci| cmps[ci].prefiltered) {
                         let mut probe = env.clone();
                         let mut kept = Vec::with_capacity(items.len());
                         for item in items {
                             probe[slot] = Some(item.clone());
-                            if self.comparison_holds(comparisons[ci], &probe, &var_index)? {
+                            if self.comparison_holds(&cmps[ci], &probe)? {
                                 kept.push(item);
                             }
                         }
@@ -582,26 +519,17 @@ impl<'a> Evaluator<'a> {
             // probe it per row instead of scanning every item per row.
             // Bucket mates are still confirmed with the real (coercing)
             // comparison, so conservative key sharing is harmless.
-            let join_key = sides.iter().enumerate().find_map(|(k, s)| {
-                match (self.opts.hash_join, comparisons[ready[k]].op, s) {
-                    (true, CmpOp::Eq, [Side::Candidate, Side::Row]) => Some((k, true)),
-                    (true, CmpOp::Eq, [Side::Row, Side::Candidate]) => Some((k, false)),
-                    _ => None,
-                }
-            });
             let build_t = stage_begin(analyze, &meter);
             let join_table: Option<(usize, bool, HashMap<JoinKey, Vec<usize>>)> =
-                match (join_key, &static_items, rows.first()) {
+                match (b.join, &static_items, rows.first()) {
                     (Some((k, cand_left)), Some(items), Some(env0)) => {
-                        let cmp = comparisons[ready[k]];
+                        let cmp = &cmps[ready[k]];
                         let cand_expr = if cand_left { &cmp.left } else { &cmp.right };
                         let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
                         let mut probe = env0.clone();
                         for (idx, item) in items.iter().enumerate() {
                             probe[slot] = Some(item.clone());
-                            if let Some(v) =
-                                self.out_value_opt(cand_expr, &probe, &var_index)?.value
-                            {
+                            if let Some(v) = self.out_value_opt(cand_expr, &probe)?.value {
                                 for key in join_keys(&v) {
                                     table.entry(key).or_default().push(idx);
                                 }
@@ -618,7 +546,7 @@ impl<'a> Evaluator<'a> {
                     build_t,
                     &meter,
                     "hash-build",
-                    || format!("{} {}", b.source, b.var),
+                    || b.ast.to_string(),
                     items.len() as u64,
                     items.len() as u64,
                 ),
@@ -628,19 +556,22 @@ impl<'a> Evaluator<'a> {
             for mut env in rows {
                 meter.poll()?;
                 // Sides that do not mention the candidate are loop-invariant
-                // over the candidates: computed once per row.
-                let mut pre: Vec<(PreSide, PreSide)> = Vec::with_capacity(ready.len());
-                for (&ci, s) in ready.iter().zip(&sides) {
-                    let cmp = comparisons[ci];
-                    let hoist = |side: Side, e: &Expr| -> Result<PreSide, EvalError> {
+                // over the candidates: computed once per row. Those of
+                // pre-filtered comparisons too, so that a constant side
+                // that fails still fails when the pre-filter saw no item.
+                pre.clear();
+                for &ci in ready {
+                    let cmp = &cmps[ci];
+                    let hoist = |side: Side, e: &ExprProg| -> Result<PreSide, EvalError> {
                         Ok(match side {
-                            Side::Const | Side::Row => {
-                                Some(self.out_value_opt(e, &env, &var_index)?.value)
-                            }
+                            Side::Const | Side::Row => Some(self.out_value_opt(e, &env)?.value),
                             Side::Candidate | Side::Mixed => None,
                         })
                     };
-                    pre.push((hoist(s[0], &cmp.left)?, hoist(s[1], &cmp.right)?));
+                    pre.push((
+                        hoist(cmp.sides[0], &cmp.left)?,
+                        hoist(cmp.sides[1], &cmp.right)?,
+                    ));
                 }
                 if let Some((jk, cand_left, table)) = &join_table {
                     let items = static_items.as_deref().unwrap_or(&[]);
@@ -656,20 +587,7 @@ impl<'a> Evaluator<'a> {
                     stats.tuples_scanned += candidates.len() as u64;
                     for &idx in &candidates {
                         env[slot] = Some(items[idx].clone());
-                        let mut ok = true;
-                        for (k, &ci) in ready.iter().enumerate() {
-                            if !self.comparison_holds_pre(
-                                comparisons[ci],
-                                &pre[k].0,
-                                &pre[k].1,
-                                &env,
-                                &var_index,
-                            )? {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        if ok {
+                        if self.candidate_holds(cmps, ready, &pre, &env)? {
                             next_rows.push(env.clone());
                             meter.check_bindings(
                                 stats.bindings_enumerated + next_rows.len() as u64,
@@ -678,27 +596,18 @@ impl<'a> Evaluator<'a> {
                     }
                     continue;
                 }
-                let items = match &static_items {
-                    Some(cached) => cached.clone(),
-                    None => self.binding_items(&b.source, &env, &var_index)?,
+                let per_row;
+                let items: &[Val] = match &static_items {
+                    Some(cached) => cached,
+                    None => {
+                        per_row = self.binding_items(&b.source, &env)?;
+                        &per_row
+                    }
                 };
                 stats.tuples_scanned += items.len() as u64;
                 for item in items {
-                    env[slot] = Some(item);
-                    let mut ok = true;
-                    for (k, &ci) in ready.iter().enumerate() {
-                        if !self.comparison_holds_pre(
-                            comparisons[ci],
-                            &pre[k].0,
-                            &pre[k].1,
-                            &env,
-                            &var_index,
-                        )? {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
+                    env[slot] = Some(item.clone());
+                    if self.candidate_holds(cmps, ready, &pre, &env)? {
                         next_rows.push(env.clone());
                         meter.check_bindings(stats.bindings_enumerated + next_rows.len() as u64)?;
                     }
@@ -707,23 +616,23 @@ impl<'a> Evaluator<'a> {
             rows = next_rows;
             stats.bindings_enumerated += rows.len() as u64;
             meter.check_bindings(stats.bindings_enumerated)?;
-            let op = match (&join_table, root) {
+            let op = match (&join_table, b.root) {
                 (Some(_), _) => "hash-probe",
                 (None, true) => "scan",
                 (None, false) => "bind",
             };
             let join_ci = join_table.as_ref().map(|(k, _, _)| ready[*k]);
             let label = || {
-                let mut label = format!("{} {}", b.source, b.var);
+                let mut label = b.ast.to_string();
                 if let Some(ci) = join_ci {
-                    label.push_str(&format!("; on {}", comparisons[ci]));
+                    label.push_str(&format!("; on {}", cmps[ci].ast));
                 }
                 let filters: Vec<usize> = ready
                     .iter()
                     .copied()
                     .filter(|&ci| Some(ci) != join_ci)
                     .collect();
-                with_filters(label, &comparisons, &filters)
+                with_filters(label, cmps, &filters)
             };
             push_stage(
                 &mut plan,
@@ -738,7 +647,7 @@ impl<'a> Evaluator<'a> {
         // Mapping predicates act as generators/filters. Triples are
         // pre-filtered against the predicate's constant slots once, instead
         // of per row.
-        for p in &predicates {
+        for p in &prog.preds {
             if rows.is_empty() {
                 break;
             }
@@ -746,9 +655,9 @@ impl<'a> Evaluator<'a> {
             let stage_t = stage_begin(analyze, &meter);
             let meta = self.meta.ok_or(EvalError::NoMetaEnv)?;
             let triples: Vec<PredTriple> = meta
-                .triples(p.double)
+                .triples(p.ast.double)
                 .into_iter()
-                .filter(|t| pred_constants_match(p, t))
+                .filter(|t| pred_constants_match(p.ast, t))
                 .collect();
             // Index the triples by the first predicate position whose
             // variable is already bound to an atom (every row shares one
@@ -757,15 +666,12 @@ impl<'a> Evaluator<'a> {
             let pred_index: Option<(usize, HashMap<JoinKey, Vec<usize>>)> = if self.opts.hash_join {
                 rows.first()
                     .and_then(|env0| {
-                        let terms: [&Term; 5] =
-                            [&p.src_db, &p.src_elem, &p.mapping, &p.tgt_db, &p.tgt_elem];
-                        terms.iter().enumerate().find_map(|(pos, t)| match t {
-                            Term::Var(v) => var_index
-                                .get(v.as_str())
-                                .copied()
+                        p.terms.iter().enumerate().find_map(|(pos, t)| match t {
+                            TermProg::Var(v) => v
+                                .slot
                                 .filter(|&s| matches!(env0[s], Some(Val::Atom(_))))
                                 .map(|s| (pos, s)),
-                            Term::Const(_) => None,
+                            TermProg::Const(_) => None,
                         })
                     })
                     .map(|(pos, env_slot)| {
@@ -793,7 +699,7 @@ impl<'a> Evaluator<'a> {
                     stats.predicate_triples_tested += candidates.len() as u64;
                     stats.hash_probes += candidates.len() as u64;
                     for &idx in &candidates {
-                        if let Some(e2) = self.unify_pred(p, &triples[idx], env, &var_index)? {
+                        if let Some(e2) = self.unify_pred(p, &triples[idx], env)? {
                             next_rows.push(e2);
                         }
                     }
@@ -801,7 +707,7 @@ impl<'a> Evaluator<'a> {
                 }
                 stats.predicate_triples_tested += triples.len() as u64;
                 for t in &triples {
-                    if let Some(e2) = self.unify_pred(p, t, env, &var_index)? {
+                    if let Some(e2) = self.unify_pred(p, t, env)? {
                         next_rows.push(e2);
                     }
                 }
@@ -809,20 +715,14 @@ impl<'a> Evaluator<'a> {
             rows = next_rows;
             stats.bindings_enumerated += rows.len() as u64;
             meter.check_bindings(stats.bindings_enumerated)?;
-            let applied = self.apply_ready_comparisons(
-                &comparisons,
-                &cmp_vars,
-                &mut cmp_done,
-                &var_index,
-                &mut rows,
-            )?;
+            let applied = self.apply_ready_comparisons(cmps, &mut cmp_done, &mut rows)?;
             push_stage(
                 &mut plan,
                 finish_node(
                     stage_t,
                     &meter,
                     "map-pred",
-                    || with_filters(p.to_string(), &comparisons, &applied),
+                    || with_filters(p.ast.to_string(), cmps, &applied),
                     stage_rows_in,
                     rows.len() as u64,
                 ),
@@ -831,7 +731,7 @@ impl<'a> Evaluator<'a> {
         }
 
         // Remaining comparisons.
-        let residual: Vec<usize> = (0..comparisons.len()).filter(|&i| !cmp_done[i]).collect();
+        let residual: Vec<usize> = (0..cmps.len()).filter(|&i| !cmp_done[i]).collect();
         let filter_rows_in = rows.len() as u64;
         let filter_t = if residual.is_empty() {
             None
@@ -841,7 +741,7 @@ impl<'a> Evaluator<'a> {
         for &i in &residual {
             let mut kept = Vec::with_capacity(rows.len());
             for env in rows {
-                if self.comparison_holds(comparisons[i], &env, &var_index)? {
+                if self.comparison_holds(&cmps[i], &env)? {
                     kept.push(env);
                 }
             }
@@ -853,7 +753,7 @@ impl<'a> Evaluator<'a> {
                 filter_t,
                 &meter,
                 "filter",
-                || and_joined(&comparisons, &residual),
+                || and_joined(cmps, &residual),
                 filter_rows_in,
                 rows.len() as u64,
             ),
@@ -870,9 +770,9 @@ impl<'a> Evaluator<'a> {
         };
         let mut sort_keys: Vec<Vec<Option<AtomicValue>>> = Vec::new();
         'rows: for env in &rows {
-            let mut tuple = Vec::with_capacity(q.select.len());
-            for e in &q.select {
-                let arg = self.out_value_opt(e, env, &var_index)?;
+            let mut tuple = Vec::with_capacity(prog.select.len());
+            for e in &prog.select {
+                let arg = self.out_value_opt(e, env)?;
                 match arg.value {
                     Some(value) => tuple.push(OutValue {
                         value,
@@ -887,10 +787,10 @@ impl<'a> Evaluator<'a> {
             }
             meter.charge_rows(1)?;
             meter.charge_bytes(tuple.iter().map(|v| approx_value_bytes(&v.value)).sum())?;
-            if !q.order_by.is_empty() {
-                let mut keys = Vec::with_capacity(q.order_by.len());
-                for k in &q.order_by {
-                    keys.push(self.out_value_opt(&k.expr, env, &var_index)?.value);
+            if !prog.order_by.is_empty() {
+                let mut keys = Vec::with_capacity(prog.order_by.len());
+                for k in &prog.order_by {
+                    keys.push(self.out_value_opt(k, env)?.value);
                 }
                 sort_keys.push(keys);
             }
@@ -978,28 +878,40 @@ impl<'a> Evaluator<'a> {
         Ok((out, plan))
     }
 
+    /// Tests a candidate row against the ready comparisons of its binding
+    /// that the root pre-filter did not already apply, with the operands
+    /// hoisted into `pre` (one entry per ready comparison).
+    fn candidate_holds(
+        &self,
+        cmps: &[CmpProg],
+        ready: &[usize],
+        pre: &[(PreSide, PreSide)],
+        env: &Env,
+    ) -> Result<bool, EvalError> {
+        for (&ci, (left, right)) in ready.iter().zip(pre) {
+            let cmp = &cmps[ci];
+            if !cmp.prefiltered && !self.comparison_holds_pre(cmp, left, right, env)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// Applies every pending comparison whose variables the rows now
     /// bind (after a mapping predicate bound its own); returns the indices
     /// it applied.
     fn apply_ready_comparisons(
         &self,
-        comparisons: &[&Comparison],
-        cmp_vars: &[[Vec<&str>; 2]],
+        cmps: &[CmpProg],
         cmp_done: &mut [bool],
-        var_index: &HashMap<&str, usize>,
         rows: &mut Vec<Env>,
     ) -> Result<Vec<usize>, EvalError> {
         let mut applied = Vec::new();
-        for (i, cmp) in comparisons.iter().enumerate() {
+        for (i, cmp) in cmps.iter().enumerate() {
             // Ready if every referenced variable is bound in every row.
             // All rows share the same binding pattern at this point, so
             // checking the first row suffices.
-            let bound = |env: &Env| {
-                cmp_vars[i]
-                    .iter()
-                    .flatten()
-                    .all(|v| var_index.get(v).is_some_and(|&s| env[s].is_some()))
-            };
+            let bound = |env: &Env| cmp.ready_under(|s| env[s].is_some());
             if cmp_done[i] || !rows.first().is_some_and(bound) {
                 continue;
             }
@@ -1007,7 +919,7 @@ impl<'a> Evaluator<'a> {
             applied.push(i);
             let mut kept = Vec::with_capacity(rows.len());
             for env in rows.drain(..) {
-                if self.comparison_holds(cmp, &env, var_index)? {
+                if self.comparison_holds(cmp, &env)? {
                     kept.push(env);
                 }
             }
@@ -1018,13 +930,8 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates a path expression to a value, or `None` when a choice step
     /// filters the valuation out.
-    fn eval_path(
-        &self,
-        p: &PathExpr,
-        env: &Env,
-        var_index: &HashMap<&str, usize>,
-    ) -> Result<Option<Val>, EvalError> {
-        Ok(self.eval_path_ref(p, env, var_index)?.map(|v| match v {
+    fn eval_path(&self, p: &PathProg, env: &Env) -> Result<Option<Val>, EvalError> {
+        Ok(self.eval_path_ref(p, env)?.map(|v| match v {
             ValRef::Node(s, n) => Val::Node(s, n),
             ValRef::Atom(a) => Val::Atom(a.clone()),
         }))
@@ -1034,72 +941,48 @@ impl<'a> Evaluator<'a> {
     /// the environment directly, so hot comparison loops avoid cloning.
     fn eval_path_ref<'x>(
         &self,
-        p: &PathExpr,
+        p: &PathProg,
         env: &'x Env,
-        var_index: &HashMap<&str, usize>,
     ) -> Result<Option<ValRef<'x>>, EvalError> {
         let mut cur: ValRef<'x> = match &p.start {
-            PathStart::Root(r) => {
-                let (s, n) = self
-                    .catalog
-                    .find_root(r)
-                    .ok_or_else(|| EvalError::UnknownRoot(r.to_string()))?;
-                ValRef::Node(s, n)
-            }
-            PathStart::Var(v) => {
-                let slot = *var_index
-                    .get(v.as_str())
-                    .ok_or_else(|| EvalError::UnboundVariable(v.clone()))?;
-                match env[slot].as_ref() {
-                    Some(Val::Node(s, n)) => ValRef::Node(*s, *n),
-                    Some(Val::Atom(a)) => ValRef::Atom(a),
-                    None => return Err(EvalError::UnboundVariable(v.clone())),
-                }
-            }
+            Start::Root(s, n) => ValRef::Node(*s, *n),
+            Start::UnknownRoot(r) => return Err(EvalError::UnknownRoot(r.to_string())),
+            Start::Var(v) => match v.slot.and_then(|s| env[s].as_ref()) {
+                Some(Val::Node(s, n)) => ValRef::Node(*s, *n),
+                Some(Val::Atom(a)) => ValRef::Atom(a),
+                None => return Err(EvalError::UnboundVariable(v.name.to_string())),
+            },
         };
         for step in &p.steps {
             let (src, node) = match cur {
                 ValRef::Node(s, n) => (s, n),
-                ValRef::Atom(_) => return Err(EvalError::BadProjection(p.to_string())),
+                ValRef::Atom(_) => return Err(EvalError::BadProjection(p.ast.to_string())),
             };
-            let inst = self.catalog.source(src).instance;
-            match step {
-                Step::Project(l) => match inst.child_by_label(node, l) {
-                    Some(c) => cur = ValRef::Node(src, c),
-                    // A conformant record always carries all fields;
-                    // exchange-produced instances may omit unassigned ones,
-                    // which simply yields no valuation.
-                    None => return Ok(None),
-                },
-                Step::Choice(l) => match inst.choice_selection(node) {
-                    Some((sel, c)) if sel == l.as_str() => cur = ValRef::Node(src, c),
-                    // The choice selected a different alternative: filter.
-                    Some(_) => return Ok(None),
-                    None => return Ok(None),
-                },
+            match step.apply(self.catalog.source(src).instance, node) {
+                Some(c) => cur = ValRef::Node(src, c),
+                // A conformant record always carries all fields;
+                // exchange-produced instances may omit unassigned ones,
+                // and a choice may have selected a different alternative:
+                // either way, no valuation.
+                None => return Ok(None),
             }
         }
         Ok(Some(cur))
     }
 
     /// Evaluates a comparison operand without cloning where possible.
-    fn operand<'x>(
-        &'x self,
-        e: &'x Expr,
-        env: &'x Env,
-        var_index: &HashMap<&str, usize>,
-    ) -> Result<Operand<'x>, EvalError> {
-        match e {
-            Expr::Const(c) => Ok(Operand::Ref(c)),
-            Expr::Path(p) => match self.eval_path_ref(p, env, var_index)? {
+    fn operand<'x>(&'x self, e: &'x ExprProg, env: &'x Env) -> Result<Operand<'x>, EvalError> {
+        match &e.kind {
+            ExprKind::Const(c) => Ok(Operand::Ref(c)),
+            ExprKind::Path(p) => match self.eval_path_ref(p, env)? {
                 None => Ok(Operand::None),
                 Some(ValRef::Atom(a)) => Ok(Operand::Ref(a)),
                 Some(ValRef::Node(s, n)) => match self.catalog.source(s).instance.atomic(n) {
                     Some(v) => Ok(Operand::Ref(v)),
-                    None => Err(EvalError::ComplexValue(e.to_string())),
+                    None => Err(EvalError::ComplexValue(e.ast.to_string())),
                 },
             },
-            other => match self.out_value_opt(other, env, var_index)?.value {
+            _ => match self.out_value_opt(e, env)?.value {
                 Some(v) => Ok(Operand::Owned(v)),
                 None => Ok(Operand::None),
             },
@@ -1107,15 +990,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The items a binding source generates for one row.
-    fn binding_items(
-        &self,
-        source: &Expr,
-        env: &Env,
-        var_index: &HashMap<&str, usize>,
-    ) -> Result<Vec<Val>, EvalError> {
-        match source {
-            Expr::Path(p) => {
-                let Some(val) = self.eval_path(p, env, var_index)? else {
+    fn binding_items(&self, source: &ExprProg, env: &Env) -> Result<Vec<Val>, EvalError> {
+        match &source.kind {
+            ExprKind::Path(p) => {
+                let Some(val) = self.eval_path(p, env)? else {
                     return Ok(Vec::new());
                 };
                 match &val {
@@ -1123,23 +1001,23 @@ impl<'a> Evaluator<'a> {
                         let inst = self.catalog.source(*s).instance;
                         if let Some(members) = inst.set_members(*n) {
                             Ok(members.iter().map(|&m| Val::Node(*s, m)).collect())
-                        } else if matches!(p.steps.last(), Some(Step::Choice(_))) {
+                        } else if matches!(p.ast.steps.last(), Some(Step::Choice(_))) {
                             // A union-choice binding yields the single
                             // selected value (Section 4.2).
                             Ok(vec![val])
                         } else {
-                            Err(EvalError::NotIterable(source.to_string()))
+                            Err(EvalError::NotIterable(source.ast.to_string()))
                         }
                     }
-                    Val::Atom(_) => Err(EvalError::NotIterable(source.to_string())),
+                    Val::Atom(_) => Err(EvalError::NotIterable(source.ast.to_string())),
                 }
             }
-            Expr::MapOf(p) => {
-                let Some(val) = self.eval_path(p, env, var_index)? else {
+            ExprKind::MapOf(p) => {
+                let Some(val) = self.eval_path(p, env)? else {
                     return Ok(Vec::new());
                 };
                 let Val::Node(s, n) = val else {
-                    return Err(EvalError::NotIterable(source.to_string()));
+                    return Err(EvalError::NotIterable(source.ast.to_string()));
                 };
                 let inst = self.catalog.source(s).instance;
                 Ok(inst
@@ -1149,25 +1027,27 @@ impl<'a> Evaluator<'a> {
                     .map(|m| Val::Atom(AtomicValue::Map(m.clone())))
                     .collect())
             }
-            Expr::Call(name, args) => match self.call_function(name, args, env, var_index)? {
+            ExprKind::Call(name, f, args) => match self.call_function(name, *f, args, env)? {
                 Some(FunctionValue::One(v)) => Ok(vec![Val::Atom(v)]),
                 Some(FunctionValue::Many(vs)) => Ok(vs.into_iter().map(Val::Atom).collect()),
                 None => Ok(Vec::new()),
             },
-            other => Err(EvalError::NotIterable(other.to_string())),
+            ExprKind::Const(_) | ExprKind::ElemOf(_) => {
+                Err(EvalError::NotIterable(source.ast.to_string()))
+            }
         }
     }
 
     fn call_function(
         &self,
         name: &str,
-        args: &[Expr],
+        f: Option<&NativeFn>,
+        args: &[ExprProg],
         env: &Env,
-        var_index: &HashMap<&str, usize>,
     ) -> Result<Option<FunctionValue>, EvalError> {
         let mut arg_vals = Vec::with_capacity(args.len());
         for a in args {
-            let out = self.out_value_opt(a, env, var_index)?;
+            let out = self.out_value_opt(a, env)?;
             if out.value.is_none() && out.node.is_none() {
                 // A choice step filtered a path argument out: the call has
                 // no valuation for this row, like any other expression over
@@ -1179,57 +1059,43 @@ impl<'a> Evaluator<'a> {
             }
             arg_vals.push(out);
         }
-        let f = self
-            .functions
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownFunction(name.to_string()))?;
+        let f = f.ok_or_else(|| EvalError::UnknownFunction(name.to_string()))?;
         f(&arg_vals, self.catalog).map(Some)
     }
 
     /// Evaluates an expression to an [`ArgValue`] (value + optional node).
-    fn out_value_opt(
-        &self,
-        e: &Expr,
-        env: &Env,
-        var_index: &HashMap<&str, usize>,
-    ) -> Result<ArgValue, EvalError> {
-        match e {
-            Expr::Const(c) => Ok(ArgValue {
-                value: Some(c.clone()),
+    fn out_value_opt(&self, e: &ExprProg, env: &Env) -> Result<ArgValue, EvalError> {
+        const NONE: ArgValue = ArgValue {
+            value: None,
+            node: None,
+        };
+        match &e.kind {
+            ExprKind::Const(c) => Ok(ArgValue {
+                value: Some((*c).clone()),
                 node: None,
             }),
-            Expr::Path(p) => match self.eval_path(p, env, var_index)? {
-                None => Ok(ArgValue {
-                    value: None,
+            ExprKind::Path(p) => match self.eval_path_ref(p, env)? {
+                None => Ok(NONE),
+                Some(ValRef::Atom(a)) => Ok(ArgValue {
+                    value: Some(a.clone()),
                     node: None,
                 }),
-                Some(Val::Atom(a)) => Ok(ArgValue {
-                    value: Some(a),
-                    node: None,
-                }),
-                Some(Val::Node(s, n)) => {
-                    let inst = self.catalog.source(s).instance;
-                    match inst.atomic(n) {
-                        Some(v) => Ok(ArgValue {
-                            value: Some(v.clone()),
-                            node: Some((s, n)),
-                        }),
-                        None => Err(EvalError::ComplexValue(e.to_string())),
-                    }
-                }
+                Some(ValRef::Node(s, n)) => match self.catalog.source(s).instance.atomic(n) {
+                    Some(v) => Ok(ArgValue {
+                        value: Some(v.clone()),
+                        node: Some((s, n)),
+                    }),
+                    None => Err(EvalError::ComplexValue(e.ast.to_string())),
+                },
             },
-            Expr::ElemOf(p) => match self.eval_path(p, env, var_index)? {
-                None => Ok(ArgValue {
-                    value: None,
-                    node: None,
-                }),
-                Some(Val::Node(s, n)) => {
+            ExprKind::ElemOf(p) => match self.eval_path_ref(p, env)? {
+                None => Ok(NONE),
+                Some(ValRef::Node(s, n)) => {
                     let source = self.catalog.source(s);
-                    let elem = source
-                        .instance
-                        .annotation(n)
-                        .element
-                        .ok_or_else(|| EvalError::MissingElementAnnotation(e.to_string()))?;
+                    let elem =
+                        source.instance.annotation(n).element.ok_or_else(|| {
+                            EvalError::MissingElementAnnotation(e.ast.to_string())
+                        })?;
                     Ok(ArgValue {
                         value: Some(AtomicValue::Elem(ElementRef::new(
                             source.instance.db(),
@@ -1238,36 +1104,30 @@ impl<'a> Evaluator<'a> {
                         node: None,
                     })
                 }
-                Some(Val::Atom(_)) => Err(EvalError::ComplexValue(e.to_string())),
+                Some(ValRef::Atom(_)) => Err(EvalError::ComplexValue(e.ast.to_string())),
             },
-            Expr::MapOf(_) => Err(EvalError::ComplexValue(format!(
-                "`{e}` is set-valued; bind it in the from clause"
+            ExprKind::MapOf(_) => Err(EvalError::ComplexValue(format!(
+                "`{}` is set-valued; bind it in the from clause",
+                e.ast
             ))),
-            Expr::Call(name, args) => match self.call_function(name, args, env, var_index)? {
+            ExprKind::Call(name, f, args) => match self.call_function(name, *f, args, env)? {
                 Some(FunctionValue::One(v)) => Ok(ArgValue {
                     value: Some(v),
                     node: None,
                 }),
                 Some(FunctionValue::Many(_)) => Err(EvalError::ComplexValue(format!(
-                    "`{e}` is set-valued; bind it in the from clause"
+                    "`{}` is set-valued; bind it in the from clause",
+                    e.ast
                 ))),
-                None => Ok(ArgValue {
-                    value: None,
-                    node: None,
-                }),
+                None => Ok(NONE),
             },
         }
     }
 
-    fn comparison_holds(
-        &self,
-        cmp: &Comparison,
-        env: &Env,
-        var_index: &HashMap<&str, usize>,
-    ) -> Result<bool, EvalError> {
-        let l = self.operand(&cmp.left, env, var_index)?;
-        let r = self.operand(&cmp.right, env, var_index)?;
-        self.compare_sides(cmp, l.as_ref(), r.as_ref())
+    fn comparison_holds(&self, cmp: &CmpProg, env: &Env) -> Result<bool, EvalError> {
+        let l = self.operand(&cmp.left, env)?;
+        let r = self.operand(&cmp.right, env)?;
+        self.compare_sides(cmp.ast, l.as_ref(), r.as_ref())
     }
 
     /// Like [`Evaluator::comparison_holds`], but with one or both operand
@@ -1276,17 +1136,16 @@ impl<'a> Evaluator<'a> {
     /// values are compared by reference — no per-candidate clones.
     fn comparison_holds_pre(
         &self,
-        cmp: &Comparison,
+        cmp: &CmpProg,
         pre_left: &PreSide,
         pre_right: &PreSide,
         env: &Env,
-        var_index: &HashMap<&str, usize>,
     ) -> Result<bool, EvalError> {
         let l_owned;
         let l = match pre_left {
             Some(v) => v.as_ref(),
             None => {
-                l_owned = self.operand(&cmp.left, env, var_index)?;
+                l_owned = self.operand(&cmp.left, env)?;
                 l_owned.as_ref()
             }
         };
@@ -1294,11 +1153,11 @@ impl<'a> Evaluator<'a> {
         let r = match pre_right {
             Some(v) => v.as_ref(),
             None => {
-                r_owned = self.operand(&cmp.right, env, var_index)?;
+                r_owned = self.operand(&cmp.right, env)?;
                 r_owned.as_ref()
             }
         };
-        self.compare_sides(cmp, l, r)
+        self.compare_sides(cmp.ast, l, r)
     }
 
     fn compare_sides(
@@ -1328,30 +1187,23 @@ impl<'a> Evaluator<'a> {
     /// Unifies a mapping predicate against one triple, extending `env`.
     fn unify_pred(
         &self,
-        p: &MappingPred,
+        p: &PredProg,
         t: &PredTriple,
         env: &Env,
-        var_index: &HashMap<&str, usize>,
     ) -> Result<Option<Env>, EvalError> {
         let mut out = env.clone();
-        let slots: [(&Term, AtomicValue); 5] = [
-            (&p.src_db, AtomicValue::Db(t.src.db.clone())),
-            (&p.src_elem, AtomicValue::Elem(t.src.clone())),
-            (&p.mapping, AtomicValue::Map(t.mapping.clone())),
-            (&p.tgt_db, AtomicValue::Db(t.tgt.db.clone())),
-            (&p.tgt_elem, AtomicValue::Elem(t.tgt.clone())),
-        ];
-        for (term, actual) in slots {
+        for (pos, term) in p.terms.iter().enumerate() {
+            let actual = pred_slot_value(t, pos);
             match term {
-                Term::Const(c) => {
+                TermProg::Const(c) => {
                     if !meta_matches(c, &actual) {
                         return Ok(None);
                     }
                 }
-                Term::Var(v) => {
-                    let slot = *var_index
-                        .get(v.as_str())
-                        .ok_or_else(|| EvalError::UnboundVariable(v.clone()))?;
+                TermProg::Var(v) => {
+                    let slot = v
+                        .slot
+                        .ok_or_else(|| EvalError::UnboundVariable(v.name.to_string()))?;
                     match &out[slot] {
                         Some(Val::Atom(existing)) => {
                             if !meta_matches(existing, &actual) {
@@ -1385,51 +1237,18 @@ enum JoinKey {
     Text(Arc<str>),
 }
 
-/// How one operand of a comparison depends on the binding being
-/// enumerated.
-#[derive(Clone, Copy)]
-enum Side {
-    /// No variables: a constant or a root path.
-    Const,
-    /// Only the binding's own variable.
-    Candidate,
-    /// Only variables of earlier bindings.
-    Row,
-    /// The binding's own variable and earlier ones.
-    Mixed,
-}
-
-impl Side {
-    /// Classifies an operand by its variables against the binding's `var`.
-    fn of(vars: &[&str], var: &str) -> Side {
-        let own = vars.iter().filter(|v| **v == var).count();
-        if vars.is_empty() {
-            Side::Const
-        } else if own == vars.len() {
-            Side::Candidate
-        } else if own == 0 {
-            Side::Row
-        } else {
-            Side::Mixed
-        }
-    }
-}
-
 /// The comparisons at `indices`, joined by `and`.
-fn and_joined(comparisons: &[&Comparison], indices: &[usize]) -> String {
-    let texts: Vec<String> = indices
-        .iter()
-        .map(|&ci| comparisons[ci].to_string())
-        .collect();
+fn and_joined(cmps: &[CmpProg], indices: &[usize]) -> String {
+    let texts: Vec<String> = indices.iter().map(|&ci| cmps[ci].ast.to_string()).collect();
     texts.join(" and ")
 }
 
 /// An operator label followed by the comparisons the stage applies.
-fn with_filters(label: String, comparisons: &[&Comparison], indices: &[usize]) -> String {
+fn with_filters(label: String, cmps: &[CmpProg], indices: &[usize]) -> String {
     if indices.is_empty() {
         label
     } else {
-        format!("{label}; filter [{}]", and_joined(comparisons, indices))
+        format!("{label}; filter [{}]", and_joined(cmps, indices))
     }
 }
 

@@ -9,7 +9,9 @@
 //! * [`parser`] — the concrete text syntax used throughout the paper's
 //!   examples.
 //! * [`check`] — static well-formedness checking and schema resolution.
-//! * [`eval`] — the evaluator over (annotated) instances.
+//! * [`eval`] — the evaluator over (annotated) instances. Each run first
+//!   lowers its query into a slot-resolved program, so the row loops
+//!   resolve no names.
 //! * [`functions`] — the function-call mechanism, with `concat`,
 //!   `getElAnnot` and `getMapAnnot` built in.
 //! * [`plan`] — checked queries in their written order, cached by
@@ -58,6 +60,7 @@ pub mod eval;
 pub mod functions;
 pub mod parser;
 pub mod plan;
+mod program;
 
 /// Convenient glob-import of the most used names.
 pub mod prelude {

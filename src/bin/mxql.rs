@@ -151,6 +151,19 @@ fn parse_whatif<'a>(rest: &'a str, setting: &MappingSetting) -> Result<WhatIf<'a
     }
 }
 
+/// The command line `mxql` accepts.
+const USAGE: &str = "usage: mxql [--portal N] [--profile] [--no-journal]";
+
+/// Parses `--portal`'s value: a positive number of listings per source. A
+/// missing value, or another flag in its place, is an error rather than a
+/// default.
+fn parse_portal(value: Option<&str>) -> Result<usize, &'static str> {
+    match value.map(str::parse::<usize>) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err("--portal takes a positive number of listings per source"),
+    }
+}
+
 fn load() -> TaggedInstance {
     // The journal is on by default in this interactive shell (ring-bounded,
     // so always-on capture stays safe): enabling it *before* the exchange
@@ -163,9 +176,14 @@ fn load() -> TaggedInstance {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--portal" => {
-                portal = Some(args.next().and_then(|s| s.parse().ok()).unwrap_or(100));
-            }
+            "--portal" => match parse_portal(args.next().as_deref()) {
+                Ok(n) => portal = Some(n),
+                Err(msg) => {
+                    eprintln!("mxql: {msg}");
+                    eprintln!("{USAGE}");
+                    std::process::exit(2);
+                }
+            },
             "--profile" => dtr_obs::set_enabled(true),
             "--no-journal" => dtr_obs::journal::set_enabled(false),
             other => eprintln!("unknown flag {other} (ignored)"),
@@ -1163,6 +1181,18 @@ mod tests {
         assert_eq!(parse_save("wal"), Err("usage: .save wal <dir>"));
         assert!(parse_save("").is_err());
         assert!(parse_save("a.xml b.xml").is_err());
+    }
+
+    #[test]
+    fn portal_takes_a_positive_number() {
+        assert_eq!(parse_portal(Some("100")), Ok(100));
+        assert_eq!(parse_portal(Some("1")), Ok(1));
+        // The next flag is not a value, and a typo is not a default.
+        assert!(parse_portal(Some("--quick")).is_err());
+        assert!(parse_portal(Some("2O")).is_err());
+        assert!(parse_portal(Some("0")).is_err());
+        assert!(parse_portal(Some("-5")).is_err());
+        assert!(parse_portal(None).is_err());
     }
 
     #[test]
