@@ -607,7 +607,9 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
 /// exchange driver, so right after each the engine's annotated XML must
 /// equal the full exchange's byte for byte. And any split of the stream is
 /// one batch: the whole stream applied as one concatenated delta to a
-/// second engine must end canonically equal, with equal decisions.
+/// second engine must end canonically equal, with equal decisions. After
+/// every batch, each join index the engine keeps equals one built fresh
+/// over the current sources: the same keys, with the same members per key.
 pub fn law_incremental(
     rng: &mut TestRng,
     scen: &Scenario,
@@ -617,6 +619,7 @@ pub fn law_incremental(
     use dtr_mapping::delta::SourceDelta;
     use dtr_mapping::exchange::{execute_mappings_with, ExchangeReport};
     use dtr_mapping::incremental::IncrementalExchange;
+    use dtr_query::index::JoinIndex;
     let funcs = FunctionRegistry::with_builtins();
     let schemas: Vec<dtr_model::schema::Schema> =
         scen.sources.iter().map(|(s, _)| s.clone()).collect();
@@ -681,6 +684,23 @@ pub fn law_incremental(
             (xml(&full), &report),
         )
     };
+    // The join indexes the engine keeps follow the sources: each equals
+    // one built fresh over them, key for key and member for member.
+    let fresh_indexes = |inc: &IncrementalExchange, what: &str| {
+        for ix in inc.join_indexes() {
+            let source = &inc.sources()[ix.source()];
+            let fresh = JoinIndex::build(ix.source(), source, ix.set(), ix.path().to_vec());
+            if *ix != fresh {
+                return Err(format!(
+                    "{what}: the kept join index over {} keyed on {:?} differs from one \
+                     built fresh\nkept: {ix:?}\nfresh: {fresh:?}",
+                    source.node_path(ix.set()),
+                    ix.path()
+                ));
+            }
+        }
+        Ok(())
+    };
     let mut inc = build()?;
     same_bytes(&inc, "build")?;
     let stream = generators::gen_update_stream(rng, scen, cfg, 4);
@@ -694,6 +714,7 @@ pub fn law_incremental(
             (canon(inc.target()), inc.report()),
             (canon(&full), &report),
         )?;
+        fresh_indexes(&inc, &format!("after step {step} ({delta:?})"))?;
     }
     // Statistics depend on the live instances alone: after the stream they
     // equal a fresh exchange's over the final sources, rebuilt from their
@@ -739,6 +760,7 @@ pub fn law_incremental(
         (canon(inc.target()), inc.report()),
         (canon(batched.target()), batched.report()),
     )?;
+    fresh_indexes(&batched, "after the stream as one batch")?;
     inc.rebase()
         .map_err(|e| format!("incremental rebase failed: {e}"))?;
     same_bytes(&inc, "rebase")

@@ -18,22 +18,32 @@
 //!    (inserted) member is counted exactly once, at its first such item,
 //!    so the removed rows are exactly rows of the old bag, and the
 //!    survivors — tuples over surviving members only — need no work at
-//!    all. Each term is one foreach evaluation with per-binding member
-//!    domains ([`dtr_query::eval::EvalOptions::domains`]) over the hash
-//!    join. Only mappings with function- or annotation-sourced from-items,
-//!    which can depend on any source state, re-evaluate in full and diff
-//!    the row bags.
+//!    all. Term j runs delta-first: it is the foreach with tⱼ moved to the
+//!    front (a root path, so the move is legal and the bag of rows is the
+//!    same), built once per mapping and item and kept. Each run carries
+//!    per-binding scopes ([`dtr_query::eval::EvalOptions::domains`]): tⱼ
+//!    enumerates exactly its changed members (`Domain::Only`, O(|Δ|)), each
+//!    earlier touching item skips its own (`Domain::Except`), and every
+//!    hash join whose key [`dtr_query::index::join_key_paths`] reports
+//!    probes a [`JoinIndex`] the engine keeps over the source set, one per
+//!    set and field path. An index is built on first use, follows its
+//!    set's members where stage 2 detaches and appends them, and is dropped
+//!    by a failed apply and by a rebase. So a term costs what its changed
+//!    members join with, not what their sets hold. Only mappings with
+//!    function- or annotation-sourced from-items, which can depend on any
+//!    source state, re-evaluate in full and diff the row bags.
 //! 3. **Retraction by journal replay** — target rows are organized into
 //!    *member classes* (one top-level PNF member plus its subtree). The
 //!    engine keeps, per class, the multiset of foreach rows each mapping
 //!    contributed — the same `f_mp` binding fingerprints the provenance
 //!    journal records. A class touched by removed/added rows is detached
-//!    (annotations stripped, merge-index entries pruned) and rebuilt by
-//!    replaying only its surviving rows, in mapping order, with the insert
-//!    mask restricted to the chains of the root bindings that build the
-//!    class's member value. PNF re-merge and collision splits replay
-//!    naturally through the exchange merge index, confined to the affected
-//!    sets.
+//!    (annotations stripped, and the merge-index entries of the sets inside
+//!    it dropped — each class records the keys its nested bindings created,
+//!    so no other entry is visited) and rebuilt by replaying only its
+//!    surviving rows, in mapping order, with the insert mask restricted to
+//!    the chains of the root bindings that build the class's member value.
+//!    PNF re-merge and collision splits replay naturally through the
+//!    exchange merge index, confined to the affected sets.
 //! 4. **Skeleton sync** — mappings whose row bag transitions to/from empty
 //!    have their `f_mp` names added/removed along the skeleton chains, and
 //!    chain nodes left with no annotations and no children are detached,
@@ -51,9 +61,12 @@
 //! any node depends only on *which* rows each mapping contributed, never on
 //! the order rows were inserted, so replaying a class's surviving rows in
 //! mapping order reproduces the exact annotated subtree a full re-exchange
-//! would produce (canonically — arena node ids differ). The conformance law
-//! `law_incremental` in dtr-check holds this identity over generated update
-//! streams, including the synthesized [`ExchangeReport`].
+//! would produce (canonically — arena node ids differ). The synthesized
+//! [`ExchangeReport`] comes from per-mapping totals — bag rows and class
+//! insert events — that each apply adjusts by what it added, removed,
+//! retracted and rebuilt. The conformance law `law_incremental` in
+//! dtr-check holds this identity over generated update streams, the report
+//! and the kept join indexes included.
 
 use crate::delta::{DeltaError, EditOp, SourceDelta, TargetChange, TargetDelta};
 use crate::exchange::{
@@ -63,11 +76,13 @@ use crate::exchange::{
 };
 use crate::glav::Mapping;
 use dtr_model::instance::{Instance, NodeData, NodeId, Value};
+use dtr_model::label::Label;
 use dtr_model::schema::Schema;
 use dtr_model::value::AtomicValue;
-use dtr_query::ast::{Expr, PathStart};
-use dtr_query::eval::{Domain, Source};
+use dtr_query::ast::{Expr, PathExpr, PathStart, Query, Step};
+use dtr_query::eval::{BindingScope, Catalog, Domain, Evaluator, Source};
 use dtr_query::functions::FunctionRegistry;
+use dtr_query::index::{join_key_paths, JoinIndex};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -78,6 +93,74 @@ type Bag = HashMap<Row, usize>;
 /// A row whose member class did not exist before the batch: `(mapping,
 /// row, multiplicity, insert mask over the plan's bindings)`.
 type FreshRow = (usize, Row, usize, Vec<bool>);
+/// What a kept join index covers: `(source, set node, field path below
+/// each member)`.
+type IndexKey = (usize, NodeId, Vec<Label>);
+
+/// One term of the delta rule: a mapping's foreach query with one touching
+/// from-item moved to the front. The item is a root path, so no other item
+/// depends on it and the move is legal; it only reorders a cross product,
+/// so the bag of rows is the foreach's. Enumerating the changed members
+/// first lets every later item join them through a hash index instead of
+/// walking its set.
+struct Term {
+    query: Query,
+    /// The position in `query` of each from-item of the foreach.
+    pos: Vec<usize>,
+    /// Per from-item of `query`, the kept index its hash join probes.
+    joins: Vec<Option<IndexKey>>,
+}
+
+impl Term {
+    /// The term for item `j` of `foreach`, over `sources` (whose root sets
+    /// never move: edits change members only).
+    fn new(foreach: &Query, j: usize, sources: &[Instance]) -> Term {
+        let mut query = foreach.clone();
+        let item = query.from.remove(j);
+        query.from.insert(0, item);
+        let pos = (0..foreach.from.len())
+            .map(|b| match b.cmp(&j) {
+                std::cmp::Ordering::Less => b + 1,
+                std::cmp::Ordering::Equal => 0,
+                std::cmp::Ordering::Greater => b,
+            })
+            .collect();
+        let joins = join_key_paths(&query)
+            .into_iter()
+            .zip(&query.from)
+            .map(|(path, b)| {
+                let Expr::Path(p) = &b.source else {
+                    return None;
+                };
+                let (source, set) = root_set(sources, p)?;
+                Some((source, set, path?))
+            })
+            .collect();
+        Term { query, pos, joins }
+    }
+}
+
+/// The source and set node a root path names, if it names a set.
+fn root_set(sources: &[Instance], p: &PathExpr) -> Option<(usize, NodeId)> {
+    let PathStart::Root(root) = &p.start else {
+        return None;
+    };
+    let (si, mut node) = sources
+        .iter()
+        .enumerate()
+        .find_map(|(i, s)| s.root(root).map(|n| (i, n)))?;
+    let inst = &sources[si];
+    for step in &p.steps {
+        node = match step {
+            Step::Project(l) => inst.child_by_label(node, l)?,
+            Step::Choice(l) => match inst.choice_selection(node)? {
+                (label, kid) if label == *l => kid,
+                _ => return None,
+            },
+        };
+    }
+    inst.set_members(node).map(|_| (si, node))
+}
 
 /// Total-order key over rows, used wherever `HashMap` iteration order
 /// would otherwise leak into the target's member order (atomic values
@@ -103,6 +186,9 @@ struct ClassState {
     rows: BTreeMap<usize, Bag>,
     /// mapping index → (member-binding insert events, merge events).
     stats: BTreeMap<usize, (usize, usize)>,
+    /// The merge-index keys of the members the class's nested bindings
+    /// created: every merge-index entry of a set inside the member.
+    nested: Vec<(NodeId, u64)>,
 }
 
 impl ClassState {
@@ -160,9 +246,19 @@ pub struct IncrementalExchange {
     plans: Vec<Plan>,
     root_of: Vec<Vec<usize>>,
     bags: Vec<Bag>,
+    /// Per mapping, the rows its bag holds and the member-binding insert
+    /// events its classes hold: the report's `tuples` and
+    /// `rows_inserted`, kept as the bags and classes change.
+    totals: Vec<(usize, usize)>,
     target: Instance,
     merge_index: HashMap<(NodeId, u64), Vec<(Value, NodeId)>>,
     classes: HashMap<NodeId, ClassState>,
+    /// The delta-rule terms built so far, by `(mapping, from-item)`.
+    terms: HashMap<(usize, usize), Term>,
+    /// Hash indexes over source sets, one per set and field path a term's
+    /// hash join keys on: built on first use, kept as members come and go,
+    /// dropped by a failed apply and by a rebase.
+    indexes: HashMap<IndexKey, Arc<JoinIndex>>,
     report: ExchangeReport,
     batch: u64,
 }
@@ -190,8 +286,11 @@ impl IncrementalExchange {
             plans: Vec::new(),
             root_of: Vec::new(),
             bags: Vec::new(),
+            totals: Vec::new(),
             merge_index: HashMap::new(),
             classes: HashMap::new(),
+            terms: HashMap::new(),
+            indexes: HashMap::new(),
             report: ExchangeReport::default(),
             batch: 0,
         };
@@ -221,9 +320,11 @@ impl IncrementalExchange {
             .collect::<Result<Vec<_>, _>>()?;
         let root_of: Vec<Vec<usize>> = plans.iter().map(Plan::root_of).collect();
         let mut bags = vec![Bag::new(); self.mappings.len()];
+        let mut totals = vec![(0, 0); self.mappings.len()];
         let mut classes = HashMap::new();
         let mut record = |mi: usize, row: Row, touches: &[BindingTouch]| {
-            record_row(&mut classes, &root_of[mi], touches, mi, &row);
+            totals[mi].1 += record_row(&mut classes, &root_of[mi], touches, mi, &row);
+            totals[mi].0 += 1;
             *bags[mi].entry(row).or_insert(0) += 1;
         };
         let mut ex = Exchange::new(
@@ -237,11 +338,13 @@ impl IncrementalExchange {
         let merge_index = std::mem::take(&mut ex.merge_index);
         let (target, _) = ex.finish()?;
         self.bags = bags;
+        self.totals = totals;
         self.classes = classes;
         self.plans = plans;
         self.root_of = root_of;
         self.target = target;
         self.merge_index = merge_index;
+        self.indexes.clear();
         self.batch = 0;
         self.synthesize_report();
         span.record("classes", self.classes.len());
@@ -261,7 +364,7 @@ impl IncrementalExchange {
         // source sets are always restorable from the per-set originals.
         let snapshot = self.opts.budget.is_limited().then(|| {
             (
-                self.bags.clone(),
+                (self.bags.clone(), self.totals.clone()),
                 self.target.clone(),
                 self.merge_index.clone(),
                 self.classes.clone(),
@@ -315,7 +418,10 @@ impl IncrementalExchange {
             }
             Err(e) => {
                 // Roll the source sets back and re-derive their element
-                // annotations, then restore the target-side state.
+                // annotations, then restore the target-side state. The
+                // join indexes may have followed the mutation part way:
+                // drop them, and build them afresh when next needed.
+                self.indexes.clear();
                 for c in &changes {
                     self.sources[c.source].replace_children(c.set, c.original.clone());
                     for &d in &c.inserted {
@@ -324,8 +430,9 @@ impl IncrementalExchange {
                     let _ =
                         self.sources[c.source].annotate_elements(&self.source_schemas[c.source]);
                 }
-                if let Some((bags, target, merge_index, classes)) = snapshot {
+                if let Some(((bags, totals), target, merge_index, classes)) = snapshot {
                     self.bags = bags;
+                    self.totals = totals;
                     self.target = target;
                     self.merge_index = merge_index;
                     self.classes = classes;
@@ -371,6 +478,13 @@ impl IncrementalExchange {
     /// Batches applied since the last rebase.
     pub fn batch(&self) -> u64 {
         self.batch
+    }
+
+    /// The join indexes the engine keeps over its sources, in no
+    /// particular order. Each must equal one [`JoinIndex::build`] makes
+    /// over the current sources.
+    pub fn join_indexes(&self) -> impl Iterator<Item = &JoinIndex> {
+        self.indexes.values().map(|ix| &**ix)
     }
 
     /// Resolves an edit batch against the sources *without mutating them*:
@@ -509,39 +623,81 @@ impl IncrementalExchange {
         }
     }
 
+    /// Builds the terms this batch's delta rule runs that no earlier batch
+    /// did, and the join indexes their hash joins key on, over the sources
+    /// as they stand before the batch mutates them.
+    fn prepare_terms(&mut self, modes: &[Reeval]) {
+        for (mi, mode) in modes.iter().enumerate() {
+            let Reeval::Delta(touching) = mode else {
+                continue;
+            };
+            for &(bi, _) in touching {
+                let foreach = &self.mappings[mi].foreach;
+                let sources = &self.sources;
+                let term = self
+                    .terms
+                    .entry((mi, bi))
+                    .or_insert_with(|| Term::new(foreach, bi, sources));
+                for key in term.joins.iter().flatten() {
+                    self.indexes.entry(key.clone()).or_insert_with(|| {
+                        let (source, set, path) = key.clone();
+                        Arc::new(JoinIndex::build(source, &sources[source], set, path))
+                    });
+                }
+            }
+        }
+    }
+
     /// The rows each delta-ruled mapping gains or loses, over the sources
-    /// as they stand: one foreach evaluation per touching item j whose
-    /// change has `members` (deleted or inserted), with item j limited to
-    /// those members and every earlier touching item to its set minus its
-    /// own change's `members`.
+    /// as they stand: one evaluation of term j per touching item j whose
+    /// change has `members` (deleted or inserted), with item j — first in
+    /// the term — limited to those members, every earlier touching item to
+    /// its set minus its own change's `members`, and every hash join
+    /// probing the kept index on its key.
     fn delta_rows(
         &self,
         modes: &[Reeval],
         changes: &[SetChange],
         members: impl Fn(&SetChange) -> &[NodeId],
     ) -> Result<Vec<Bag>, DeltaError> {
-        let views = source_views(&self.source_schemas, &self.sources);
+        let catalog = Catalog::new(source_views(&self.source_schemas, &self.sources));
         let eval = effective_eval(&self.opts);
         let mut out = vec![Bag::new(); modes.len()];
         for (mi, mode) in modes.iter().enumerate() {
             let Reeval::Delta(touching) = mode else {
                 continue;
             };
-            let mut domains: HashMap<usize, Domain> = HashMap::new();
-            for &(bi, ci) in touching {
-                let ids: HashSet<NodeId> = members(&changes[ci]).iter().copied().collect();
+            for (t, &(bi, ci)) in touching.iter().enumerate() {
+                let ids = members(&changes[ci]);
                 if ids.is_empty() {
                     continue;
                 }
-                domains.insert(bi, Domain::Only(ids.clone()));
+                let term = &self.terms[&(mi, bi)];
+                let mut scopes: HashMap<usize, BindingScope> = HashMap::new();
+                scopes.entry(0).or_default().domain = Some(Domain::Only(ids.to_vec()));
+                // Earlier items count only the tuples whose first changed
+                // member sits at this one.
+                for &(bk, ck) in &touching[..t] {
+                    let earlier = members(&changes[ck]);
+                    if !earlier.is_empty() {
+                        scopes.entry(term.pos[bk]).or_default().domain =
+                            Some(Domain::Except(earlier.iter().copied().collect()));
+                    }
+                }
+                for (at, key) in term.joins.iter().enumerate() {
+                    if let Some(ix) = key.as_ref().and_then(|k| self.indexes.get(k)) {
+                        scopes.entry(at).or_default().index = Some(Arc::clone(ix));
+                    }
+                }
                 let mut opts = eval.clone();
-                opts.domains = Some(Arc::new(domains.clone()));
-                for row in eval_foreach(&views, &self.functions, &self.mappings[mi], opts)? {
+                opts.domains = Some(Arc::new(scopes));
+                let result = Evaluator::new(&catalog, &self.functions)
+                    .with_options(opts)
+                    .run(&term.query)
+                    .map_err(ExchangeError::from)?;
+                for row in result.tuples() {
                     *out[mi].entry(row).or_insert(0) += 1;
                 }
-                // Later terms count only the tuples whose first changed
-                // member sits at a later item.
-                domains.insert(bi, Domain::Except(ids));
             }
         }
         Ok(out)
@@ -562,6 +718,7 @@ impl IncrementalExchange {
 
         // Phase 1 (pure): removed rows of delta-ruled mappings, evaluated
         // over the *old* sources, where the deleted members still sit.
+        self.prepare_terms(&modes);
         let mut removed = self.delta_rows(&modes, changes, |c| &c.deleted)?;
 
         // Phase 2: mutate the sources and annotate the members the batch
@@ -575,6 +732,18 @@ impl IncrementalExchange {
             let appended_from = source.len();
             for v in &c.inserted_values {
                 c.inserted.push(source.push_set_member(c.set, v.clone()));
+            }
+            // The kept indexes over this set follow its members.
+            for (key, ix) in self.indexes.iter_mut() {
+                if (key.0, key.1) == (c.source, c.set) {
+                    let ix = Arc::make_mut(ix);
+                    for &d in &c.deleted {
+                        ix.remove(source, d);
+                    }
+                    for &n in &c.inserted {
+                        ix.insert(source, n);
+                    }
+                }
             }
             source
                 .annotate_elements_from(&self.source_schemas[c.source], appended_from)
@@ -616,6 +785,7 @@ impl IncrementalExchange {
                 match self.bags[mi].get_mut(row) {
                     Some(n) if *n >= k => {
                         *n -= k;
+                        self.totals[mi].0 -= k;
                         if *n == 0 {
                             self.bags[mi].remove(row);
                         }
@@ -630,6 +800,7 @@ impl IncrementalExchange {
             }
             for (row, &k) in &added[mi] {
                 td.rows_added += k;
+                self.totals[mi].0 += k;
                 *self.bags[mi].entry(row.clone()).or_insert(0) += k;
             }
         }
@@ -656,6 +827,7 @@ impl IncrementalExchange {
                 .iter()
                 .map(|p| (0..p.bindings.len()).map(|_| None).collect())
                 .collect(),
+            totals: &mut self.totals,
         };
         let result = replay
             .route(&ex, &mut self.classes, &removed, &added)
@@ -673,28 +845,21 @@ impl IncrementalExchange {
         result.map(|()| td)
     }
 
-    /// Regenerates the report from bags, plans and per-class statistics:
-    /// `tuples` is the bag size, `bindings = tuples × |plan|`, and
-    /// `rows_inserted` sums the min-mapping insert events over all classes
-    /// — the same attribution a full exchange's execution order produces.
+    /// Regenerates the report from the kept totals and the plans: `tuples`
+    /// is the bag size, `bindings = tuples × |plan|`, and `rows_inserted`
+    /// the sum of the member-binding insert events over all classes — the
+    /// same attribution a full exchange's execution order produces.
     fn synthesize_report(&mut self) {
-        let n = self.mappings.len();
-        let mut inserted = vec![0usize; n];
-        for cls in self.classes.values() {
-            for (&mi, &(ins, _)) in &cls.stats {
-                inserted[mi] += ins;
-            }
-        }
         let mut report = ExchangeReport::default();
         for (mi, m) in self.mappings.iter().enumerate() {
-            let tuples: usize = self.bags[mi].values().sum();
+            let (tuples, inserted) = self.totals[mi];
             let bindings = tuples * self.plans[mi].bindings.len();
             report.per_mapping.push(MappingStats {
                 mapping: m.name.clone(),
                 tuples,
                 bindings,
-                rows_inserted: inserted[mi],
-                rows_merged: bindings.saturating_sub(inserted[mi]),
+                rows_inserted: inserted,
+                rows_merged: bindings.saturating_sub(inserted),
                 ..MappingStats::default()
             });
         }
@@ -703,14 +868,16 @@ impl IncrementalExchange {
 }
 
 /// The target-side phases of one apply: the engine's mappings with their
-/// plans and root chains, the member constructor in use, and the member
-/// templates routing and insertion share.
+/// plans and root chains, the member constructor in use, the member
+/// templates routing and insertion share, and the engine's totals, whose
+/// insert events follow the classes retracted and rebuilt.
 struct Replay<'e> {
     mappings: &'e [Mapping],
     plans: &'e [Plan],
     root_of: &'e [Vec<usize>],
     templates: bool,
     shapes: Vec<Vec<Option<MemberShape>>>,
+    totals: &'e mut [(usize, usize)],
 }
 
 impl Replay<'_> {
@@ -765,7 +932,7 @@ impl Replay<'_> {
             // delta (crash recovery) has to walk the same sequence.
             let mut additions: Vec<(&Row, usize)> =
                 added[mi].iter().map(|(row, &k)| (row, k)).collect();
-            additions.sort_unstable_by_key(|(row, _)| row_order_key(row));
+            additions.sort_by_cached_key(|(row, _)| row_order_key(row));
             let removals = removed[mi].iter().map(|(row, &k)| (row, k, false));
             for (row, k, adding) in removals.chain(additions.into_iter().map(|(r, k)| (r, k, true)))
             {
@@ -824,14 +991,20 @@ impl Replay<'_> {
             let Some(cls) = classes.remove(&member) else {
                 continue;
             };
+            for (&mi, &(ins, _)) in &cls.stats {
+                self.totals[mi].1 -= ins;
+            }
             let set_path = ex.target.node_path(cls.set);
             // Detach: unlink the member, strip its annotations, and prune
-            // every merge-index entry rooted in its subtree plus its own
-            // bucket slot — whose value identifies the class — so the
-            // replay starts from a clean slate.
+            // the merge-index entries of the sets inside it — the keys the
+            // class recorded, so no other entry is visited — plus its own
+            // bucket slot, whose value identifies the class, so the replay
+            // starts from a clean slate.
             ex.target.detach_set_member(cls.set, member);
-            let subtree: HashSet<NodeId> = subtree_nodes(&ex.target, member);
             ex.target.strip_annotations(member);
+            for key in &cls.nested {
+                ex.merge_index.remove(key);
+            }
             let key = (cls.set, cls.fp);
             let unindexed =
                 || ExchangeError::Conformance("rebuilt member missing from merge index".into());
@@ -844,8 +1017,6 @@ impl Replay<'_> {
             if bucket.is_empty() {
                 ex.merge_index.remove(&key);
             }
-            ex.merge_index
-                .retain(|&(set, _), _| !subtree.contains(&set));
             td.retracted.push(TargetChange {
                 set_path: set_path.clone(),
                 member: member.0,
@@ -872,7 +1043,7 @@ impl Replay<'_> {
                 // member are populated row by row, so recovery must insert in
                 // the same sequence the live engine did.
                 let mut rows: Vec<(&Row, usize)> = per.iter().map(|(row, &n)| (row, n)).collect();
-                rows.sort_unstable_by_key(|(row, _)| row_order_key(row));
+                rows.sort_by_cached_key(|(row, _)| row_order_key(row));
                 for (row, count) in rows {
                     // Only the root bindings building this class's member
                     // value in its set replay; the row's other classes
@@ -944,7 +1115,7 @@ impl Replay<'_> {
                 &mut stats,
                 Some(mask),
             )?;
-            record_row(into, &self.root_of[mi], &touches, mi, row);
+            self.totals[mi].1 += record_row(into, &self.root_of[mi], &touches, mi, row);
             if copy == 0 {
                 first = touches;
             }
@@ -1016,28 +1187,19 @@ fn source_views<'a>(schemas: &'a [Schema], instances: &'a [Instance]) -> Vec<Sou
         .collect()
 }
 
-/// All nodes of the subtree rooted at `id` (the root included).
-fn subtree_nodes(inst: &Instance, id: NodeId) -> HashSet<NodeId> {
-    let mut out = HashSet::new();
-    let mut stack = vec![id];
-    while let Some(n) = stack.pop() {
-        if out.insert(n) {
-            stack.extend_from_slice(inst.children(n));
-        }
-    }
-    out
-}
-
 /// Folds one inserted row's binding touches into the class index: counts
 /// the row once under each class a root binding put it in, and attributes
-/// every member-binding insert/merge event to its root class.
+/// every member-binding insert/merge event to its root class, which also
+/// records the merge-index key of each member a nested binding created.
+/// Returns the insert events it attributed.
 fn record_row(
     classes: &mut HashMap<NodeId, ClassState>,
     root_of: &[usize],
     touches: &[BindingTouch],
     mi: usize,
     row: &Row,
-) {
+) -> usize {
+    let mut inserted = 0;
     for (bi, t) in touches.iter().enumerate() {
         if t.member.0 == u32::MAX || root_of[bi] != bi {
             continue;
@@ -1047,6 +1209,7 @@ fn record_row(
             fp: t.fp,
             rows: BTreeMap::new(),
             stats: BTreeMap::new(),
+            nested: Vec::new(),
         });
         // Two root bindings building one member count the row once.
         let counted = touches[..bi]
@@ -1070,11 +1233,16 @@ fn record_row(
             let s = cls.stats.entry(mi).or_insert((0, 0));
             if t.created {
                 s.0 += 1;
+                inserted += 1;
+                if root_of[bi] != bi {
+                    cls.nested.push((t.set, t.fp));
+                }
             } else {
                 s.1 += 1;
             }
         }
     }
+    inserted
 }
 
 /// Counts rows into a multiset.
@@ -1409,6 +1577,72 @@ mod tests {
             let td = inc.apply(&delta).unwrap();
             assert_eq!(td.mappings_full, 0);
             assert_matches_full(&inc);
+        }
+    }
+
+    #[test]
+    fn retraction_prunes_the_merge_index_of_the_nested_sets() {
+        // `T.out` members carry a nested set of tags, filled by a nested
+        // binding, so each member's class holds merge-index entries of a
+        // set inside it.
+        let tags = || Type::set(Type::record(vec![("t", Type::string())]));
+        let shape = || Type::set(Type::record(vec![("k", Type::string()), ("tags", tags())]));
+        let source =
+            Schema::build("Sdb", vec![("S", Type::record(vec![("items", shape())]))]).unwrap();
+        let target =
+            Schema::build("Tdb", vec![("T", Type::record(vec![("out", shape())]))]).unwrap();
+        let item = |k: &str, ts: &[&str]| {
+            let ts = ts
+                .iter()
+                .map(|t| Value::record(vec![("t", Value::str(*t))]))
+                .collect();
+            Value::record(vec![("k", Value::str(k)), ("tags", Value::set(ts))])
+        };
+        let mut inst = Instance::new("Sdb");
+        inst.install_root(
+            "S",
+            Value::record(vec![(
+                "items",
+                Value::set(vec![item("a", &["x", "y"]), item("b", &["z"])]),
+            )]),
+        );
+        inst.annotate_elements(&source).unwrap();
+        let mapping = Mapping::parse(
+            "m",
+            "foreach select i.k, g.t from S.items i, i.tags g
+             exists select o.k, p.t from T.out o, o.tags p",
+        )
+        .unwrap();
+        let mut inc = IncrementalExchange::new(
+            vec![source],
+            vec![inst],
+            target,
+            vec![mapping],
+            FunctionRegistry::with_builtins(),
+            ExchangeOptions::default(),
+        )
+        .unwrap();
+        let entries =
+            |inc: &IncrementalExchange| inc.merge_index.values().map(Vec::len).sum::<usize>();
+        // Retag `a` (its class is replayed) and drop `b` (its class drains).
+        for delta in [
+            SourceDelta::new().modify("S.items", 0, item("a", &["y", "w"])),
+            SourceDelta::new().delete("S.items", 0),
+        ] {
+            inc.apply(&delta).unwrap();
+            assert_matches_full(&inc);
+            // The index holds the live members' entries and no other: an
+            // engine built from scratch over the same sources holds as many.
+            let rebuilt = IncrementalExchange::new(
+                inc.source_schemas().to_vec(),
+                inc.sources().to_vec(),
+                inc.target_schema().clone(),
+                inc.mappings().to_vec(),
+                FunctionRegistry::with_builtins(),
+                ExchangeOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(entries(&inc), entries(&rebuilt));
         }
     }
 

@@ -16,8 +16,10 @@
 
 use crate::ast::*;
 use crate::functions::{ArgValue, FunctionRegistry, FunctionValue, NativeFn};
+use crate::index::{join_keys, probe_buckets, JoinIndex, JoinKey};
 use crate::program::{
-    CmpProg, ExprKind, ExprProg, PathProg, PredProg, Program, Side, Start, TermProg,
+    BindingProg, CmpProg, ExprKind, ExprProg, PathProg, PredProg, Program, Side, Start, StepProg,
+    TermProg,
 };
 use dtr_model::instance::{Instance, NodeId};
 use dtr_model::schema::Schema;
@@ -26,7 +28,6 @@ use dtr_obs::guard::{Budget, GuardError, Meter};
 use dtr_obs::OpNode;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One queryable data source: a schema and an instance conforming to it.
@@ -116,25 +117,51 @@ pub struct EvalOptions {
     /// wall-clock deadline and a cooperative cancel flag. Exceeding it
     /// aborts the run with [`EvalError::Guard`]. Unlimited by default.
     pub budget: Budget,
-    /// Per-binding member domains for semi-naive delta evaluation: a
-    /// `from`-binding index (its position in the executed query) maps to
-    /// the [`Domain`] of set members that binding may enumerate. A domain
-    /// applies only to a binding whose source has no variables (a root
-    /// path), once, when its row-independent items are computed; it is
-    /// never consulted per row. Two bindings over one set may carry
-    /// different domains. The incremental exchange uses this to evaluate
-    /// the terms of the delta rule. `None` (the default) leaves every
-    /// binding unrestricted.
-    pub domains: Option<std::sync::Arc<HashMap<usize, Domain>>>,
+    /// Per-binding scopes for semi-naive delta evaluation: a `from`-binding
+    /// index (its position in the executed query) maps to the
+    /// [`BindingScope`] that binding runs under — the [`Domain`] of set
+    /// members it may enumerate, and a kept [`JoinIndex`] its hash join may
+    /// probe. A scope applies only to a binding whose source has no
+    /// variables (a root path): its domain once, when the binding's
+    /// row-independent items are computed, and to each candidate an index
+    /// probe returns. Two bindings over one set may carry different scopes.
+    /// The incremental exchange uses this to evaluate the terms of the
+    /// delta rule. `None` (the default) leaves every binding unrestricted
+    /// and builds every hash join's table in the run.
+    pub domains: Option<std::sync::Arc<HashMap<usize, BindingScope>>>,
+}
+
+/// What one `from`-binding runs under (see [`EvalOptions::domains`]).
+#[derive(Clone, Debug, Default)]
+pub struct BindingScope {
+    /// The members the binding may enumerate; `None` admits every member.
+    pub domain: Option<Domain>,
+    /// A hash index over the binding's set. The binding's hash join probes
+    /// it instead of building a table over the set, but only when the index
+    /// covers the set the binding's source names and keys on exactly the
+    /// field path the join's candidate side reads (see
+    /// [`join_key_paths`](crate::index::join_key_paths)); otherwise it is
+    /// ignored. Every member a probe returns still passes the domain, the
+    /// comparisons the binding's pre-filter would have applied, and the
+    /// binding's other conditions, and counts in
+    /// [`EvalStats::hash_probes`] and [`EvalStats::tuples_scanned`].
+    pub index: Option<std::sync::Arc<JoinIndex>>,
 }
 
 /// The set members one `from`-binding may enumerate (see
-/// [`EvalOptions::domains`]).
+/// [`BindingScope::domain`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Domain {
-    /// Only these members.
-    Only(HashSet<NodeId>),
-    /// Every member except these.
+    /// Only these members, distinct, enumerated in this order. The binding
+    /// visits exactly the listed ids its set holds: each id is checked
+    /// against the set (its parent, then the set's member list, the check
+    /// [`Instance::annotate_elements_from`] makes), never the set against
+    /// the ids, so the cost is the list's length and not the set's. An id
+    /// the set does not hold — another set's member, or one an edit
+    /// detached — is skipped.
+    Only(Vec<NodeId>),
+    /// Every member except these: the binding walks its set and skips
+    /// them.
     Except(HashSet<NodeId>),
 }
 
@@ -484,20 +511,29 @@ impl<'a> Evaluator<'a> {
             for &ci in ready {
                 cmp_done[ci] = true;
             }
+            let scope = self.opts.domains.as_ref().and_then(|d| d.get(&bi));
+            let domain = scope.and_then(|s| s.domain.as_ref());
+            let index = match rows.first() {
+                Some(env0) => self.kept_index(b, cmps, scope, env0)?,
+                None => None,
+            };
             // A binding source without variables (a schema root) produces
             // the same items for every row: compute them once, restrict
             // them to the binding's member domain (if any), and pre-filter
             // them by the ready conditions whose other operand is
             // row-independent (constants and root paths).
             let static_items: Option<Vec<Val>> = match rows.first() {
-                Some(env) if b.root => {
-                    let mut items = self.binding_items(&b.source, env)?;
-                    if let Some(domain) = self.opts.domains.as_ref().and_then(|d| d.get(&bi)) {
-                        items.retain(|item| match item {
-                            Val::Node(_, n) => domain.admits(*n),
-                            Val::Atom(_) => false,
-                        });
-                    }
+                Some(env) if b.root && index.is_none() => {
+                    let mut items = match domain {
+                        Some(Domain::Only(ids)) => self.only_items(&b.source, env, ids)?,
+                        Some(Domain::Except(ids)) => {
+                            let mut items = self.binding_items(&b.source, env)?;
+                            items
+                                .retain(|item| matches!(item, Val::Node(_, n) if !ids.contains(n)));
+                            items
+                        }
+                        None => self.binding_items(&b.source, env)?,
+                    };
                     for &ci in ready.iter().filter(|&&ci| cmps[ci].prefiltered) {
                         let mut probe = env.clone();
                         let mut kept = Vec::with_capacity(items.len());
@@ -573,6 +609,30 @@ impl<'a> Evaluator<'a> {
                         hoist(cmp.sides[1], &cmp.right)?,
                     ));
                 }
+                if let Some((jk, cand_left, ix)) = index {
+                    let row_side = if cand_left { &pre[jk].1 } else { &pre[jk].0 };
+                    let Some(Some(row_val)) = row_side else {
+                        continue;
+                    };
+                    let candidates = ix.probe(&join_keys(row_val));
+                    stats.hash_probes += candidates.len() as u64;
+                    stats.tuples_scanned += candidates.len() as u64;
+                    for m in candidates {
+                        if domain.is_some_and(|d| !d.admits(m)) {
+                            continue;
+                        }
+                        env[slot] = Some(Val::Node(ix.source(), m));
+                        // No pre-filter ran over the set: every ready
+                        // comparison is tested here.
+                        if self.candidate_holds(cmps, ready, &pre, &env, true)? {
+                            next_rows.push(env.clone());
+                            meter.check_bindings(
+                                stats.bindings_enumerated + next_rows.len() as u64,
+                            )?;
+                        }
+                    }
+                    continue;
+                }
                 if let Some((jk, cand_left, table)) = &join_table {
                     let items = static_items.as_deref().unwrap_or(&[]);
                     // The probing side was hoisted into `pre` (it does not
@@ -587,7 +647,7 @@ impl<'a> Evaluator<'a> {
                     stats.tuples_scanned += candidates.len() as u64;
                     for &idx in &candidates {
                         env[slot] = Some(items[idx].clone());
-                        if self.candidate_holds(cmps, ready, &pre, &env)? {
+                        if self.candidate_holds(cmps, ready, &pre, &env, false)? {
                             next_rows.push(env.clone());
                             meter.check_bindings(
                                 stats.bindings_enumerated + next_rows.len() as u64,
@@ -607,7 +667,7 @@ impl<'a> Evaluator<'a> {
                 stats.tuples_scanned += items.len() as u64;
                 for item in items {
                     env[slot] = Some(item.clone());
-                    if self.candidate_holds(cmps, ready, &pre, &env)? {
+                    if self.candidate_holds(cmps, ready, &pre, &env, false)? {
                         next_rows.push(env.clone());
                         meter.check_bindings(stats.bindings_enumerated + next_rows.len() as u64)?;
                     }
@@ -616,12 +676,15 @@ impl<'a> Evaluator<'a> {
             rows = next_rows;
             stats.bindings_enumerated += rows.len() as u64;
             meter.check_bindings(stats.bindings_enumerated)?;
-            let op = match (&join_table, b.root) {
+            let join_k = index
+                .map(|(k, _, _)| k)
+                .or(join_table.as_ref().map(|(k, _, _)| *k));
+            let op = match (join_k, b.root) {
                 (Some(_), _) => "hash-probe",
                 (None, true) => "scan",
                 (None, false) => "bind",
             };
-            let join_ci = join_table.as_ref().map(|(k, _, _)| ready[*k]);
+            let join_ci = join_k.map(|k| ready[k]);
             let label = || {
                 let mut label = b.ast.to_string();
                 if let Some(ci) = join_ci {
@@ -878,23 +941,119 @@ impl<'a> Evaluator<'a> {
         Ok((out, plan))
     }
 
-    /// Tests a candidate row against the ready comparisons of its binding
-    /// that the root pre-filter did not already apply, with the operands
-    /// hoisted into `pre` (one entry per ready comparison).
+    /// Tests a candidate row against the ready comparisons of its binding,
+    /// with the operands hoisted into `pre` (one entry per ready
+    /// comparison): all of them with `with_prefiltered`, else those the
+    /// root pre-filter did not already apply.
     fn candidate_holds(
         &self,
         cmps: &[CmpProg],
         ready: &[usize],
         pre: &[(PreSide, PreSide)],
         env: &Env,
+        with_prefiltered: bool,
     ) -> Result<bool, EvalError> {
         for (&ci, (left, right)) in ready.iter().zip(pre) {
             let cmp = &cmps[ci];
-            if !cmp.prefiltered && !self.comparison_holds_pre(cmp, left, right, env)? {
+            if (with_prefiltered || !cmp.prefiltered)
+                && !self.comparison_holds_pre(cmp, left, right, env)?
+            {
                 return Ok(false);
             }
         }
         Ok(true)
+    }
+
+    /// The kept index binding `b` probes in place of this run's hash-join
+    /// table: its scope's index, when that keys on exactly the candidate
+    /// side the lowering chose, over the set the binding's source names.
+    /// Then no item list is computed: the probes visit only matching
+    /// members. Returns the join's position in `b.ready`, whether its
+    /// candidate side is the left one, and the index.
+    fn kept_index<'s>(
+        &self,
+        b: &BindingProg,
+        cmps: &[CmpProg],
+        scope: Option<&'s BindingScope>,
+        env0: &Env,
+    ) -> Result<Option<(usize, bool, &'s JoinIndex)>, EvalError> {
+        let (Some((k, cand_left)), Some(ix)) = (b.join, scope.and_then(|s| s.index.as_deref()))
+        else {
+            return Ok(None);
+        };
+        let cmp = &cmps[b.ready[k]];
+        let cand = if cand_left { &cmp.left } else { &cmp.right };
+        if !keys_on(cand, b.slot, ix.path()) || !self.ranges_over(&b.source, env0, ix)? {
+            return Ok(None);
+        }
+        // A member whose key is not atomic fails the run, as the table
+        // build fails on reaching it.
+        let domain = scope.and_then(|s| s.domain.as_ref());
+        let mut probe = env0.clone();
+        for &m in ix.complex() {
+            probe[b.slot] = Some(Val::Node(ix.source(), m));
+            if domain.is_none_or(|d| d.admits(m)) && self.prefilter_holds(cmps, &b.ready, &probe)? {
+                return Err(EvalError::ComplexValue(cand.ast.to_string()));
+            }
+        }
+        Ok(Some((k, cand_left, ix)))
+    }
+
+    /// Does the candidate in `env` pass the comparisons the root pre-filter
+    /// applies to its binding's items?
+    fn prefilter_holds(
+        &self,
+        cmps: &[CmpProg],
+        ready: &[usize],
+        env: &Env,
+    ) -> Result<bool, EvalError> {
+        for &ci in ready.iter().filter(|&&ci| cmps[ci].prefiltered) {
+            if !self.comparison_holds(&cmps[ci], env)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Does a root binding's source name the set `ix` covers?
+    fn ranges_over(&self, source: &ExprProg, env: &Env, ix: &JoinIndex) -> Result<bool, EvalError> {
+        let ExprKind::Path(p) = &source.kind else {
+            return Ok(false);
+        };
+        Ok(self.eval_path(p, env)? == Some(Val::Node(ix.source(), ix.set())))
+    }
+
+    /// The items of a root binding under [`Domain::Only`]: the listed ids
+    /// its set holds, in list order, each checked against the set instead
+    /// of the set being walked. A source that is not a set (a choice
+    /// binding's single value, a function's atoms) keeps the listed nodes
+    /// among its items.
+    fn only_items(
+        &self,
+        source: &ExprProg,
+        env: &Env,
+        ids: &[NodeId],
+    ) -> Result<Vec<Val>, EvalError> {
+        if let ExprKind::Path(p) = &source.kind {
+            if let Some(Val::Node(s, set)) = self.eval_path(p, env)? {
+                let inst = self.catalog.source(s).instance;
+                if let Some(members) = inst.set_members(set) {
+                    let holds = |id: NodeId| {
+                        id.index() < inst.len()
+                            && inst.parent(id) == Some(set)
+                            && members.iter().rev().any(|&m| m == id)
+                    };
+                    return Ok(ids
+                        .iter()
+                        .filter(|&&id| holds(id))
+                        .map(|&id| Val::Node(s, id))
+                        .collect());
+                }
+            }
+        }
+        let mut items = self.binding_items(source, env)?;
+        items.retain(|item| matches!(item, Val::Node(_, n) if ids.contains(n)));
+        Ok(items)
     }
 
     /// Applies every pending comparison whose variables the rows now
@@ -1220,21 +1379,18 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// A conservative hash key for equi-join bucketing: values that
-/// [`coerced_compare`] treats as equal always share at least one key, so
-/// a bucket probe can only miss values that could never compare equal.
-/// Bucket mates are *confirmed* with the real comparison before use, so
-/// spurious key sharing is harmless (it only costs an extra test).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum JoinKey {
-    /// Int (widened) and Float, keyed by the widened f64 bit pattern —
-    /// exactly the pairs `AtomicValue::compare` can call equal.
-    Num(u64),
-    Bool(bool),
-    /// Str text, Db names, Map names, and Elem paths share one text key
-    /// space, because MXQL string constants coerce against meta values.
-    /// A `Str` value's key shares its bytes.
-    Text(Arc<str>),
+/// Is `e` the path `slot.path[0].path[1]…`, record projections only from
+/// the binding's own variable — the field path a [`JoinIndex`] keys on?
+fn keys_on(e: &ExprProg, slot: usize, path: &[dtr_model::label::Label]) -> bool {
+    let ExprKind::Path(p) = &e.kind else {
+        return false;
+    };
+    matches!(&p.start, Start::Var(v) if v.slot == Some(slot))
+        && p.steps.len() == path.len()
+        && p.steps
+            .iter()
+            .zip(path)
+            .all(|(step, label)| matches!(step, StepProg::Field(l, _) if *label == **l))
 }
 
 /// The comparisons at `indices`, joined by `and`.
@@ -1298,65 +1454,6 @@ fn fold_durations(node: &OpNode) {
     dtr_obs::counters().span_duration_ns.record(node.elapsed_ns);
     for child in &node.children {
         fold_durations(child);
-    }
-}
-
-/// The keys a value is findable under. A plain string yields up to two:
-/// its text (matching Str/Db/Map) and its canonical element path
-/// (matching Elem) — mirroring the two branches of `meta_str_compare`.
-fn join_keys(v: &AtomicValue) -> Vec<JoinKey> {
-    match v {
-        AtomicValue::Str(s) => {
-            let canon = dtr_model::value::canonical_path(s);
-            if canon == **s {
-                vec![JoinKey::Text(s.clone())]
-            } else {
-                vec![JoinKey::Text(s.clone()), JoinKey::Text(canon.into())]
-            }
-        }
-        AtomicValue::Int(i) => vec![JoinKey::Num((*i as f64).to_bits())],
-        AtomicValue::Float(x) => vec![JoinKey::Num(x.to_bits())],
-        AtomicValue::Bool(b) => vec![JoinKey::Bool(*b)],
-        AtomicValue::Db(d) => vec![JoinKey::Text(d.as_str().into())],
-        AtomicValue::Map(m) => vec![JoinKey::Text(m.as_str().into())],
-        AtomicValue::Elem(e) => vec![JoinKey::Text(e.path.as_str().into())],
-    }
-}
-
-/// Merges the (ascending) bucket lists for a set of probe keys into one
-/// ascending, deduplicated candidate list — preserving exactly the order
-/// the nested-loop scan would have visited the candidates in, so both
-/// engines produce identical row orders.
-fn probe_buckets(table: &HashMap<JoinKey, Vec<usize>>, keys: &[JoinKey]) -> Vec<usize> {
-    match keys {
-        [k] => table.get(k).cloned().unwrap_or_default(),
-        [k1, k2] => {
-            let a: &[usize] = table.get(k1).map_or(&[], |v| v.as_slice());
-            let b: &[usize] = table.get(k2).map_or(&[], |v| v.as_slice());
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => {
-                        out.push(a[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        out.push(b[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        out.push(a[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
-            out
-        }
-        _ => Vec::new(),
     }
 }
 
@@ -2034,7 +2131,21 @@ mod tests {
             let mut rows: Vec<String> = Evaluator::new(&catalog, &funcs)
                 .with_options(EvalOptions {
                     hash_join,
-                    domains: Some(std::sync::Arc::new(domains.into_iter().collect())),
+                    domains: Some(std::sync::Arc::new(
+                        domains
+                            .into_iter()
+                            .map(|(bi, domain)| {
+                                let domain = Some(domain);
+                                (
+                                    bi,
+                                    BindingScope {
+                                        domain,
+                                        index: None,
+                                    },
+                                )
+                            })
+                            .collect(),
+                    )),
                     ..Default::default()
                 })
                 .run(&q)
@@ -2046,7 +2157,7 @@ mod tests {
             rows.sort();
             rows
         };
-        let only = || Domain::Only(HashSet::from([h3]));
+        let only = || Domain::Only(vec![h3]);
         let except = || Domain::Except(HashSet::from([h3]));
         for hash_join in [true, false] {
             // H1 and H3 share agent a1: the pairs holding H3, split by the

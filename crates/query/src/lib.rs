@@ -14,6 +14,8 @@
 //!   resolve no names.
 //! * [`functions`] — the function-call mechanism, with `concat`,
 //!   `getElAnnot` and `getMapAnnot` built in.
+//! * [`index`] — equi-join keys, and the hash indexes over a set's members
+//!   a caller keeps across runs for a binding's hash join to probe.
 //! * [`plan`] — checked queries in their written order, cached by
 //!   query text. A plan's view
 //!   is the operator tree of one analyzed run
@@ -58,6 +60,7 @@ pub mod ast;
 pub mod check;
 pub mod eval;
 pub mod functions;
+pub mod index;
 pub mod parser;
 pub mod plan;
 mod program;

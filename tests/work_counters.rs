@@ -85,7 +85,7 @@ const EXPECTED_DURABLE: &[(&str, u64)] = &[
     ("eval.bindings_enumerated", 56),
     ("eval.hash_probes", 20),
     ("eval.queries_evaluated", 17),
-    ("eval.tuples_scanned", 84),
+    ("eval.tuples_scanned", 68),
     ("exchange.annotations_suppressed", 21),
     ("exchange.annotations_written", 87),
     ("exchange.delta_batches", 3),
