@@ -1,6 +1,6 @@
 //! Measures the cost of the `dtr-obs` instrumentation: the same exchange
 //! and query workload with profiling disabled (the default — every span
-//! and counter reduces to one relaxed atomic load and a branch) and with
+//! reduces to one relaxed atomic load and a branch) and with
 //! profiling enabled (spans aggregate into the thread-local collector).
 //!
 //! The acceptance bar is that the disabled path stays within noise (<3 %)

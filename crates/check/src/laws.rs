@@ -9,14 +9,18 @@ use crate::generators::{self, GenConfig, Scenario};
 use crate::oracle;
 use dtr_core::prelude::*;
 use dtr_core::provenance::{positions_for, provenance_of, ProvenanceKind};
+use dtr_mapping::delta::SourceDelta;
+use dtr_mapping::exchange::{execute_mappings_with, ExchangeReport, MappingStats};
 use dtr_mapping::glav::Mapping;
+use dtr_mapping::incremental::IncrementalExchange;
 use dtr_mapping::satisfy::is_satisfied;
 use dtr_model::instance::{Instance, NodeData, NodeId};
 use dtr_model::pnf::{is_pnf, to_pnf};
 use dtr_model::value::MappingName;
+use dtr_obs::Work;
 use dtr_query::ast::Query;
 use dtr_query::check::{check_query, SchemaCatalog};
-use dtr_query::eval::{Catalog, EvalOptions, Evaluator, MetaEnv};
+use dtr_query::eval::{Catalog, EvalOptions, EvalStats, Evaluator, MetaEnv};
 use dtr_query::functions::FunctionRegistry;
 use dtr_query::parser::parse_query;
 use dtr_xml::parser::instance_from_xml;
@@ -452,9 +456,11 @@ fn roundtrip_query(q: &Query) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// Evaluating mapping foreach queries on worker threads must produce a
-/// target instance (canonical rendering, annotations included) and
-/// per-mapping decision counts identical to the serial engine's: the
-/// insert stage is single-writer and applies mappings in order.
+/// target instance (canonical rendering, annotations included),
+/// per-mapping decision counts and per-mapping foreach work (every
+/// `EvalStats` field but the wall time) identical to the serial engine's:
+/// the insert stage is single-writer and applies mappings in order, and
+/// a worker's evaluation is the serial one's.
 pub fn law_parallel_exchange(scen: &Scenario) -> Result<(), String> {
     let serial = scen
         .tagged()
@@ -475,47 +481,54 @@ pub fn law_parallel_exchange(scen: &Scenario) -> Result<(), String> {
             "parallel exchange changed the target instance\nserial: {before}\nparallel: {after}"
         ));
     }
-    let decisions = |t: &dtr_core::tagged::TaggedInstance| {
-        t.report()
-            .per_mapping
-            .iter()
-            .map(|s| {
-                (
-                    s.mapping.clone(),
-                    s.tuples,
-                    s.bindings,
-                    s.rows_inserted,
-                    s.rows_merged,
-                    s.annotations_written,
-                    s.annotations_suppressed,
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    if decisions(&serial) != decisions(&parallel) {
+    let (before, after) = (decisions(serial.report()), decisions(parallel.report()));
+    if before != after {
         return Err(format!(
-            "parallel exchange changed per-mapping decisions\nserial: {:?}\nparallel: {:?}",
-            decisions(&serial),
-            decisions(&parallel)
+            "parallel exchange changed per-mapping decisions\nserial: {before:?}\nparallel: \
+             {after:?}"
         ));
     }
     Ok(())
+}
+
+/// A report's per-mapping stats without what differs run to run: wall
+/// times and journal event windows.
+fn decisions(report: &ExchangeReport) -> Vec<MappingStats> {
+    let strip = |s: &MappingStats| MappingStats {
+        wall_ns: 0,
+        eval: untimed(s.eval),
+        started_at_event: 0,
+        ended_at_event: 0,
+        ..s.clone()
+    };
+    report.per_mapping.iter().map(strip).collect()
 }
 
 // ---------------------------------------------------------------------------
 // Flight recorder / audit transparency
 // ---------------------------------------------------------------------------
 
+/// `stats` without its wall time, which differs run to run.
+fn untimed(stats: EvalStats) -> EvalStats {
+    EvalStats {
+        eval_ns: 0,
+        ..stats
+    }
+}
+
 /// Everything one run shows the comparison: the canonical target, the
-/// rendered per-mapping decision counts, and each query's canonical rows
-/// or error text.
-type FlightOutcome = (String, String, Vec<Result<Vec<String>, String>>);
+/// untimed per-mapping stats, the exchange's work, and each query's
+/// canonical rows and untimed stats, or its error text.
+type FlightOutcome = (String, Vec<MappingStats>, Work, Vec<QueryOutcome>);
+type QueryOutcome = Result<(Vec<String>, EvalStats), String>;
 
 /// The time-domain observability tiers are pure observers: running the
 /// exchange and a query workload with the flight recorder and audit log
 /// capturing must produce byte-identical canonical targets, per-mapping
-/// decision counts, and query results (or identical errors) to a run with
-/// both gates off.
+/// decision counts, the same exchange work, and the same query results
+/// and stats but wall time (or identical errors) as a run with both gates
+/// off. Work is counted from returned values, so it cannot depend on a
+/// tier.
 pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result<(), String> {
     // Draw the query workload once so both runs see identical queries.
     let queries: Vec<Query> = (0..cfg.queries_per_case)
@@ -526,35 +539,17 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
             .tagged()
             .map_err(|e| format!("exchange failed on generated scenario: {e}"))?;
         let target = canon(tagged.target());
-        let decisions = format!(
-            "{:?}",
-            tagged
-                .report()
-                .per_mapping
-                .iter()
-                .map(|s| {
-                    (
-                        s.mapping.clone(),
-                        s.tuples,
-                        s.bindings,
-                        s.rows_inserted,
-                        s.rows_merged,
-                        s.annotations_written,
-                        s.annotations_suppressed,
-                    )
-                })
-                .collect::<Vec<_>>()
-        );
+        let per_mapping = decisions(tagged.report());
         let results = queries
             .iter()
             .map(|q| {
                 tagged
                     .run(q)
-                    .map(|r| oracle::canonical_multiset(&r.tuples()))
+                    .map(|r| (oracle::canonical_multiset(&r.tuples()), untimed(r.stats)))
                     .map_err(|e| e.to_string())
             })
             .collect();
-        Ok((target, decisions, results))
+        Ok((target, per_mapping, tagged.report().work(), results))
     };
     let was_flight = dtr_obs::recorder::enabled();
     let was_audit = dtr_obs::audit::enabled();
@@ -566,8 +561,8 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
     let on = run_all(scen);
     dtr_obs::recorder::set_enabled(was_flight);
     dtr_obs::audit::set_enabled(was_audit);
-    let (off_target, off_decisions, off_results) = off?;
-    let (on_target, on_decisions, on_results) = on?;
+    let (off_target, off_decisions, off_work, off_results) = off?;
+    let (on_target, on_decisions, on_work, on_results) = on?;
     if off_target != on_target {
         return Err(format!(
             "flight recorder changed the target instance\noff: {off_target}\non: {on_target}"
@@ -575,7 +570,13 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
     }
     if off_decisions != on_decisions {
         return Err(format!(
-            "flight recorder changed per-mapping decisions\noff: {off_decisions}\non: {on_decisions}"
+            "flight recorder changed per-mapping decisions\noff: {off_decisions:?}\non: \
+             {on_decisions:?}"
+        ));
+    }
+    if off_work != on_work {
+        return Err(format!(
+            "flight recorder changed the exchange's work\noff: {off_work:?}\non: {on_work:?}"
         ));
     }
     for (q, (off_r, on_r)) in queries
@@ -584,7 +585,8 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
     {
         if off_r != on_r {
             return Err(format!(
-                "flight recorder changed the result of `{q}`\noff: {off_r:?}\non: {on_r:?}"
+                "flight recorder changed the result or stats of `{q}`\noff: {off_r:?}\non: \
+                 {on_r:?}"
             ));
         }
     }
@@ -610,15 +612,13 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
 /// second engine must end canonically equal, with equal decisions. After
 /// every batch, each join index the engine keeps equals one built fresh
 /// over the current sources: the same keys, with the same members per key.
+/// The two engines' tallies are the solo runs of [`law_work_isolation`].
 pub fn law_incremental(
     rng: &mut TestRng,
     scen: &Scenario,
     cfg: &GenConfig,
     exchange: &dtr_mapping::exchange::ExchangeOptions,
 ) -> Result<(), String> {
-    use dtr_mapping::delta::SourceDelta;
-    use dtr_mapping::exchange::{execute_mappings_with, ExchangeReport};
-    use dtr_mapping::incremental::IncrementalExchange;
     use dtr_query::index::JoinIndex;
     let funcs = FunctionRegistry::with_builtins();
     let schemas: Vec<dtr_model::schema::Schema> =
@@ -761,9 +761,47 @@ pub fn law_incremental(
         (canon(batched.target()), batched.report()),
     )?;
     fresh_indexes(&batched, "after the stream as one batch")?;
+    law_work_isolation(
+        build,
+        [&stream, std::slice::from_ref(&one_batch)],
+        [inc.work(), batched.work()],
+    )?;
     inc.rebase()
         .map_err(|e| format!("incremental rebase failed: {e}"))?;
     same_bytes(&inc, "rebase")
+}
+
+/// No work leaks between sessions: two engines built from one scenario,
+/// with their update streams applied interleaved batch by batch (first
+/// engine, second engine, next batch), each report the work tally
+/// (`IncrementalExchange::work`) they report when run alone, `solo`.
+pub fn law_work_isolation(
+    build: impl Fn() -> Result<IncrementalExchange, String>,
+    streams: [&[SourceDelta]; 2],
+    solo: [Work; 2],
+) -> Result<(), String> {
+    let mut engines = [build()?, build()?];
+    let rounds = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+    for step in 0..rounds {
+        for (k, engine) in engines.iter_mut().enumerate() {
+            if let Some(delta) = streams[k].get(step) {
+                engine.apply(delta).map_err(|e| {
+                    format!("work isolation: engine {k} failed at step {step} ({delta:?}): {e}")
+                })?;
+            }
+        }
+    }
+    for (k, engine) in engines.iter().enumerate() {
+        if engine.work() != solo[k] {
+            return Err(format!(
+                "work isolation: engine {k}'s tally differs when another engine's batches \
+                 interleave\ninterleaved: {:?}\nalone: {:?}",
+                engine.work(),
+                solo[k]
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ use dtr_mapping::exchange::{ExchangeOptions, ExchangeReport};
 use dtr_mapping::incremental::IncrementalExchange;
 use dtr_metastore::store::MetaStore;
 use dtr_model::instance::Instance;
+use dtr_obs::Work;
 use dtr_query::functions::FunctionRegistry;
 use std::sync::Arc;
 
@@ -130,6 +131,12 @@ impl IncrementalSession {
     /// Batches applied since the last rebase.
     pub fn batch(&self) -> u64 {
         self.engine.batch()
+    }
+
+    /// The session's work tally: its build, rebases and batches (see
+    /// [`IncrementalExchange::work`]).
+    pub fn work(&self) -> Work {
+        self.engine.work()
     }
 
     /// A [`TaggedInstance`] over the current sources and target, for MXQL,

@@ -15,6 +15,7 @@ use dtr_metastore::view::{meta_instance, meta_schema};
 use dtr_model::instance::Instance;
 use dtr_model::schema::Schema;
 use dtr_obs::guard::{Budget, GuardError, Meter};
+use dtr_obs::Work;
 use dtr_query::ast::Query;
 use dtr_query::eval::{EvalOptions, Evaluator, QueryResult, Source};
 use dtr_query::parser::parse_query;
@@ -86,6 +87,14 @@ impl MetaRunner {
     /// The underlying relational store (for inspection / Figure 5 dumps).
     pub fn store(&self) -> &MetaStore {
         &self.store
+    }
+
+    /// The work of building this runner: the rows its metastore encoded.
+    pub fn work(&self) -> Work {
+        Work {
+            metastore_tuples_encoded: self.store.total_rows() as u64,
+            ..Work::default()
+        }
     }
 
     /// The metastore as a queryable source.

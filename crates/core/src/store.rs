@@ -75,6 +75,7 @@ use dtr_mapping::glav::Mapping;
 use dtr_metastore::store::MetaStore;
 use dtr_model::instance::Instance;
 use dtr_model::schema::Schema;
+use dtr_obs::Work;
 use dtr_xml::parser::instance_from_xml;
 use dtr_xml::schema_xml::{schema_from_xml, schema_to_xml};
 use dtr_xml::writer::{instance_to_xml, WriteOptions};
@@ -199,7 +200,6 @@ impl SnapshotStore {
         let id = self.next_id.fetch_add(1, Ordering::AcqRel);
         epoch.id = id;
         *self.head.write().expect("snapshot head lock") = Arc::new(epoch);
-        dtr_obs::counters().durable_epochs_published.incr();
         id
     }
 }
@@ -363,6 +363,10 @@ pub struct DurableSession {
     /// every apply (chunk-pointer clones; rendering is deferred to the
     /// first reader that asks for it).
     publish_nanos: u64,
+    /// What this session adds to its incremental session's tally: its
+    /// commits, checkpoints, publishes and retries, and the recovery that
+    /// opened it.
+    durable: Work,
 }
 
 impl DurableSession {
@@ -385,7 +389,8 @@ impl DurableSession {
         }
         let payload = build_checkpoint(&session, 0);
         let bytes = payload.len() as u64;
-        let wal = retry(&opts, || {
+        let mut durable = Work::default();
+        let wal = retry(&opts, &mut durable, || {
             // A half-written create leaves segments behind; scrub so the
             // retry starts from an empty directory again.
             if let Ok(nums) = Wal::segment_numbers(vfs.as_ref(), dir) {
@@ -396,6 +401,7 @@ impl DurableSession {
             Wal::create(vfs.clone(), dir, &payload)
         })
         .map_err(wal_to_mxql)?;
+        durable.durable_checkpoints += 1;
         record_checkpoint(bytes, wal.segment(), started.elapsed());
         let snapshots = SnapshotStore::new(epoch_of(&session, 1, 0));
         Ok(DurableSession {
@@ -408,6 +414,7 @@ impl DurableSession {
             read_only: None,
             wal_commit_nanos: 0,
             publish_nanos: 0,
+            durable,
         })
     }
 
@@ -423,8 +430,9 @@ impl DurableSession {
     ) -> Result<(DurableSession, RecoveryReport), MxqlError> {
         let started = Instant::now();
         let step = dtr_obs::span("durable.recover.wal");
+        let mut durable = Work::default();
         let (wal, recovered) =
-            retry(&opts, || Wal::recover(vfs.clone(), dir)).map_err(wal_to_mxql)?;
+            retry(&opts, &mut durable, || Wal::recover(vfs.clone(), dir)).map_err(wal_to_mxql)?;
         drop(step);
         let Recovered {
             checkpoint,
@@ -473,6 +481,7 @@ impl DurableSession {
                     "metastore render drifted from checkpoint (rebuilt store kept)".to_string(),
                 );
             }
+            durable.metastore_tuples_encoded += store.total_rows() as u64;
             session.attach_store(store);
         }
         drop(step);
@@ -492,9 +501,8 @@ impl DurableSession {
         }
         drop(step);
         let batch = doc.batch + replayed as u64;
-        let counters = dtr_obs::counters();
-        counters.durable_recoveries.incr();
-        counters.durable_replayed_deltas.add(replayed as u64);
+        durable.durable_recoveries += 1;
+        durable.durable_replayed_deltas += replayed as u64;
         if dtr_obs::journal::enabled() {
             dtr_obs::journal::record(dtr_obs::journal::event(
                 "durable.recover",
@@ -523,6 +531,7 @@ impl DurableSession {
             read_only: None,
             wal_commit_nanos: 0,
             publish_nanos: 0,
+            durable,
         };
         let report = RecoveryReport {
             replayed,
@@ -545,7 +554,9 @@ impl DurableSession {
         let started = Instant::now();
         let payload = delta.to_json().to_string().into_bytes();
         let before = self.wal.committed_len();
-        let commit_result = retry(&self.opts, || self.wal.append_delta(&payload));
+        let commit_result = retry(&self.opts, &mut self.durable, || {
+            self.wal.append_delta(&payload)
+        });
         self.wal_commit_nanos += started.elapsed().as_nanos() as u64;
         if let Err(e) = commit_result {
             if !e.is_transient() || matches!(e, WalError::Poisoned(_)) {
@@ -566,9 +577,8 @@ impl DurableSession {
                 return Err(e);
             }
         };
-        let counters = dtr_obs::counters();
-        counters.durable_wal_appends.incr();
-        counters.durable_wal_bytes.add(payload.len() as u64);
+        self.durable.durable_wal_appends += 1;
+        self.durable.durable_wal_bytes += payload.len() as u64;
         if dtr_obs::journal::enabled() {
             dtr_obs::journal::record(dtr_obs::journal::event(
                 "durable.wal_append",
@@ -590,6 +600,7 @@ impl DurableSession {
         let batch = self.batch();
         let publish_started = Instant::now();
         self.snapshots.publish(epoch_of(&self.session, 0, batch));
+        self.durable.durable_epochs_published += 1;
         self.publish_nanos += publish_started.elapsed().as_nanos() as u64;
         if self.opts.checkpoint_every > 0
             && self.deltas_since_checkpoint >= self.opts.checkpoint_every
@@ -624,7 +635,7 @@ impl DurableSession {
         drop(step);
         let bytes = payload.len() as u64;
         let step = dtr_obs::span("durable.checkpoint.rotate").field("bytes", bytes);
-        retry(&self.opts, || self.wal.rotate(&payload)).map_err(|e| {
+        retry(&self.opts, &mut self.durable, || self.wal.rotate(&payload)).map_err(|e| {
             if matches!(e, WalError::Poisoned(_)) {
                 self.read_only = Some(e.to_string());
             }
@@ -632,8 +643,10 @@ impl DurableSession {
         })?;
         drop(step);
         self.deltas_since_checkpoint = 0;
+        self.durable.durable_checkpoints += 1;
         record_checkpoint(bytes, self.wal.segment(), started.elapsed());
         self.snapshots.publish(epoch_of(&self.session, 0, batch));
+        self.durable.durable_epochs_published += 1;
         Ok(())
     }
 
@@ -685,6 +698,17 @@ impl DurableSession {
     pub fn publish_nanos(&self) -> u64 {
         self.publish_nanos
     }
+
+    /// The session's work tally: its incremental session's
+    /// ([`IncrementalSession::work`]) plus its WAL appends and bytes,
+    /// checkpoints, published epochs and I/O retries. A reopened
+    /// session's tally starts with its recovery: the rebuild, the replayed
+    /// batches, the rows of a rebuilt metastore and `durable.recoveries` 1.
+    pub fn work(&self) -> Work {
+        let mut work = self.session.work();
+        work += self.durable;
+        work
+    }
 }
 
 fn epoch_of(session: &IncrementalSession, id: u64, batch: u64) -> Epoch {
@@ -697,7 +721,6 @@ fn epoch_of(session: &IncrementalSession, id: u64, batch: u64) -> Epoch {
 }
 
 fn record_checkpoint(bytes: u64, segment: u32, wall: Duration) {
-    dtr_obs::counters().durable_checkpoints.incr();
     if dtr_obs::journal::enabled() {
         dtr_obs::journal::record(dtr_obs::journal::event(
             "durable.checkpoint",
@@ -712,8 +735,11 @@ fn record_checkpoint(bytes: u64, segment: u32, wall: Duration) {
     }
 }
 
+/// Runs `attempt`, retrying transient failures with backoff; each retry
+/// counts in `durable`.
 fn retry<T>(
     opts: &DurableOptions,
+    durable: &mut Work,
     mut attempt: impl FnMut() -> Result<T, WalError>,
 ) -> Result<T, WalError> {
     let mut tries = 0u32;
@@ -722,7 +748,7 @@ fn retry<T>(
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() && tries < opts.retries => {
                 tries += 1;
-                dtr_obs::counters().durable_io_retries.incr();
+                durable.durable_io_retries += 1;
                 let shift = tries.min(6);
                 std::thread::sleep(Duration::from_millis(
                     opts.backoff_ms.saturating_mul(1u64 << shift),
@@ -955,6 +981,16 @@ mod tests {
             report.warnings
         );
         assert_eq!(reopened.session().store().unwrap().render(), render);
+        // The recovery's work includes the metastore it rebuilt.
+        let work = reopened.work();
+        assert_eq!(
+            (work.durable_recoveries, work.durable_replayed_deltas),
+            (1, 1)
+        );
+        assert_eq!(
+            work.metastore_tuples_encoded,
+            reopened.session().store().unwrap().total_rows() as u64
+        );
     }
 
     #[test]

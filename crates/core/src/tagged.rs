@@ -67,8 +67,7 @@ impl MxqlError {
     pub fn guard(&self) -> Option<&GuardError> {
         match self {
             MxqlError::Guard(g) | MxqlError::Eval(EvalError::Guard(g)) => Some(g),
-            MxqlError::Exchange(ExchangeError::Guard { error, .. }) => Some(error),
-            MxqlError::Exchange(ExchangeError::Eval(EvalError::Guard(g))) => Some(g),
+            MxqlError::Exchange(e) => e.guard(),
             _ => None,
         }
     }

@@ -333,9 +333,6 @@ pub fn translate_explained_budgeted(
         branches = next;
     }
 
-    dtr_obs::counters()
-        .translate_branches
-        .add(branches.len() as u64);
     span.record("branches", branches.len());
     if !plans.is_empty() {
         explain_step(

@@ -1,9 +1,9 @@
 //! End-to-end checks of the `dtr-obs` instrumentation: per-mapping exchange
-//! statistics, the global counter registry, the aggregated span tree, and
+//! statistics and the work they add up to, the aggregated span tree, and
 //! the profile's JSON form.
 //!
-//! The span collector is thread-local but the enable gate and the counter
-//! registry are global, so every test here takes `GUARD` to serialize.
+//! The span collector is thread-local but the enable gate is global, so
+//! every test here takes `GUARD` to serialize.
 
 use dtr_core::tagged::{MappingSetting, TaggedInstance};
 use dtr_core::testkit;
@@ -60,23 +60,21 @@ fn two_mapping_exchange_stats_spans_and_counters() {
     let m3 = report.stats_for("m3").expect("m3 stats present");
     assert!(m3.rows_merged > 0, "{m3:?}");
 
-    // The global counters agree with the report totals.
+    // The exchange's work agrees with the report totals: one foreach run
+    // per mapping, and every insert, merge and annotation decision.
     let totals = report.totals();
+    let work = report.work();
+    assert_eq!(work.eval_queries_evaluated, 2);
+    assert_eq!(work.eval_tuples_scanned, totals.eval.tuples_scanned);
+    assert_eq!(work.exchange_rows_inserted, totals.rows_inserted as u64);
+    assert_eq!(work.exchange_rows_merged, totals.rows_merged as u64);
     assert_eq!(
-        profile.counter("exchange.rows_inserted"),
-        Some(totals.rows_inserted as u64)
+        work.exchange_annotations_written,
+        totals.annotations_written as u64
     );
     assert_eq!(
-        profile.counter("exchange.rows_merged"),
-        Some(totals.rows_merged as u64)
-    );
-    assert_eq!(
-        profile.counter("exchange.annotations_written"),
-        Some(totals.annotations_written as u64)
-    );
-    assert_eq!(
-        profile.counter("exchange.annotations_suppressed"),
-        Some(totals.annotations_suppressed as u64)
+        work.exchange_annotations_suppressed,
+        totals.annotations_suppressed as u64
     );
 
     // The span tree aggregates both mappings under one run_mapping node.
@@ -114,21 +112,24 @@ fn exchange_profile_json_carries_every_counter_and_stage() {
     dtr_obs::profile_reset();
 
     let tagged = two_mapping_tagged();
-    let _ = tagged
+    let r = tagged
         .query("select x.hid, m from Portal.estates x, x.value@map m")
         .expect("MXQL query runs");
-    let profile = dtr_obs::profile_snapshot();
+    let mut profile = dtr_obs::profile_snapshot();
     dtr_obs::set_enabled(false);
+    let mut work = tagged.report().work();
+    work += r.stats.into();
+    profile.counters = work.entries();
 
     assert!(profile.counter("eval.tuples_scanned").unwrap_or(0) > 0);
     assert!(profile.counter("eval.bindings_enumerated").unwrap_or(0) > 0);
 
     let json: Value = serde_json::from_str(&profile.to_json_string()).expect("compact parses");
-    // Every registry counter, under its name, with its value.
+    // Every attached count, under its name, with its value.
     let counters = json.get("counters").and_then(Value::as_object).unwrap();
     assert_eq!(counters.len(), profile.counters.len());
-    for (name, value) in &profile.counters {
-        assert_eq!(counters.get(name).and_then(Value::as_u64), Some(*value));
+    for &(name, value) in &profile.counters {
+        assert_eq!(counters.get(name).and_then(Value::as_u64), Some(value));
     }
     // Every root stage, in order, with its call count and times.
     let stages = json.get("stages").and_then(Value::as_array).unwrap();
@@ -157,21 +158,18 @@ fn exchange_profile_json_carries_every_counter_and_stage() {
 fn disabled_profiling_records_nothing() {
     let _guard = GUARD.lock().unwrap();
     dtr_obs::set_enabled(false);
-    // The counter registry also ticks while the flight recorder is live
-    // (so `DTR_FLIGHT=1` alone yields counter samples); park it so this
-    // test observes the fully-disabled path even under that env.
-    let flight_was_on = dtr_obs::recorder::enabled();
-    dtr_obs::recorder::set_enabled(false);
     dtr_obs::profile_reset();
 
     let tagged = two_mapping_tagged();
-    // Local report stats are always on (plain integer bumps)...
+    // Local report stats and the work they add up to are always on
+    // (plain integer bumps)...
     assert!(tagged.report().totals().bindings > 0);
-    // ...but no spans or counters were recorded globally.
+    assert!(tagged.report().work().exchange_rows_inserted > 0);
+    // ...but no spans were recorded, and a snapshot carries no counts of
+    // its own.
     let profile = dtr_obs::profile_snapshot();
     assert!(profile.stages.is_empty());
-    assert_eq!(profile.counter("exchange.rows_inserted"), Some(0));
-    assert_eq!(profile.counter("eval.tuples_scanned"), Some(0));
+    assert!(profile.counters.is_empty());
 
     // EvalStats on QueryResult are always populated as well.
     let r = tagged
@@ -179,7 +177,6 @@ fn disabled_profiling_records_nothing() {
         .expect("query runs");
     assert!(r.stats.tuples_scanned > 0);
     assert!(r.stats.bindings_enumerated > 0);
-    dtr_obs::recorder::set_enabled(flight_was_on);
 }
 
 /// Each stage span that `open` and `checkpoint` record, by name.

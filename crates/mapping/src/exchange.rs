@@ -20,9 +20,10 @@ use dtr_model::label::Label;
 use dtr_model::schema::{ElementId, ElementKind, Schema};
 use dtr_model::value::AtomicValue;
 use dtr_obs::guard::{Budget, GuardError, Meter};
+use dtr_obs::Work;
 use dtr_query::ast::{CmpOp, Condition, Expr, PathExpr, PathStart, Step};
 use dtr_query::check::{check_query, CheckError, ExprKind, SchemaCatalog};
-use dtr_query::eval::{Catalog, EvalError, EvalOptions, Evaluator, Source};
+use dtr_query::eval::{Catalog, EvalError, EvalOptions, EvalStats, Evaluator, Source};
 use dtr_query::functions::FunctionRegistry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -75,6 +76,19 @@ impl fmt::Display for ExchangeError {
 
 impl std::error::Error for ExchangeError {}
 
+impl ExchangeError {
+    /// The budget violation behind this error, if it is one: an insert
+    /// stage's abort or a foreach evaluation's trip.
+    pub fn guard(&self) -> Option<&GuardError> {
+        match self {
+            ExchangeError::Guard { error, .. } | ExchangeError::Eval(EvalError::Guard(error)) => {
+                Some(error)
+            }
+            _ => None,
+        }
+    }
+}
+
 impl From<CheckError> for ExchangeError {
     fn from(e: CheckError) -> Self {
         ExchangeError::Check(e)
@@ -109,6 +123,10 @@ pub struct MappingStats {
     pub annotations_suppressed: usize,
     /// Wall time spent running this mapping (foreach eval + insertion).
     pub wall_ns: u64,
+    /// The foreach query's evaluator run: its work counts, and in
+    /// `eval_ns` the time the evaluator itself took, apart from the
+    /// insertion that `wall_ns` adds.
+    pub eval: EvalStats,
     /// Journal offset when this mapping started (0 when journaling is off).
     pub started_at_event: u64,
     /// Journal offset when this mapping finished (0 when journaling is off).
@@ -122,6 +140,18 @@ impl MappingStats {
     pub fn event_window(&self) -> Option<(u64, u64)> {
         (self.ended_at_event > self.started_at_event)
             .then_some((self.started_at_event, self.ended_at_event))
+    }
+
+    /// The work of this mapping's run: its insert, merge and annotation
+    /// counts and its foreach evaluation's.
+    pub fn work(&self) -> Work {
+        Work {
+            exchange_rows_inserted: self.rows_inserted as u64,
+            exchange_rows_merged: self.rows_merged as u64,
+            exchange_annotations_written: self.annotations_written as u64,
+            exchange_annotations_suppressed: self.annotations_suppressed as u64,
+            ..Work::from(self.eval)
+        }
     }
 }
 
@@ -206,12 +236,23 @@ impl ExchangeReport {
             out.annotations_written += s.annotations_written;
             out.annotations_suppressed += s.annotations_suppressed;
             out.wall_ns += s.wall_ns;
+            out.eval += s.eval;
         }
         if let Some((start, end)) = self.event_window() {
             out.started_at_event = start;
             out.ended_at_event = end;
         }
         out
+    }
+
+    /// The work of the whole exchange: every mapping's
+    /// [`MappingStats::work`], summed.
+    pub fn work(&self) -> Work {
+        let mut work = Work::default();
+        for s in &self.per_mapping {
+            work += s.work();
+        }
+        work
     }
 
     /// The journal event window covering every mapping in this report, if
@@ -884,10 +925,8 @@ impl<'a> Exchange<'a> {
             self.run_parallel(mappings, opts)
         } else {
             for m in mappings {
-                let started = std::time::Instant::now();
                 let rows = eval_foreach(&self.sources, self.functions, m, effective_eval(opts));
-                let eval_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.insert_mapping_rows(m, rows.map(|r| (r, eval_ns)), opts.member_templates)?;
+                self.insert_mapping_rows(m, rows, opts.member_templates)?;
             }
             Ok(())
         }
@@ -895,8 +934,8 @@ impl<'a> Exchange<'a> {
 
     /// The single-writer insert stage for one mapping whose foreach rows
     /// were already evaluated — by this thread (serial) or by a worker
-    /// (parallel). `rows` carries the evaluation result plus the wall time
-    /// already spent evaluating (see [`EvaluatedRows`]), so
+    /// (parallel). `rows` carries the evaluation result, its stats and the
+    /// wall time already spent evaluating (see [`EvaluatedRows`]), so
     /// `MappingStats::wall_ns` keeps covering eval + insertion as it did
     /// when the two stages were fused.
     fn insert_mapping_rows(
@@ -920,7 +959,7 @@ impl<'a> Exchange<'a> {
         // Rollback snapshot: the arena is append-only, so the target as it
         // was before this mapping is exactly its first `rollback_len` nodes.
         let rollback_len = self.target.len();
-        let (rows, eval_ns) = match rows {
+        let (rows, eval, eval_ns) = match rows {
             Ok(v) => v,
             // A guard trip inside the foreach evaluation: nothing was
             // written for this mapping, surface the structured abort.
@@ -928,6 +967,7 @@ impl<'a> Exchange<'a> {
             Err(e) => return Err(e),
         };
         stats.tuples = rows.len();
+        stats.eval = eval;
         if plan.select_classes.len() != m.foreach.select.len() {
             return Err(ExchangeError::Unsupported(format!(
                 "mapping {}: select arity mismatch",
@@ -953,22 +993,14 @@ impl<'a> Exchange<'a> {
         stats.wall_ns =
             eval_ns.saturating_add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         stats.ended_at_event = dtr_obs::journal::next_event_id();
-        let counters = dtr_obs::counters();
-        counters.rows_inserted.add(stats.rows_inserted as u64);
-        counters.rows_merged.add(stats.rows_merged as u64);
-        counters
-            .annotations_written
-            .add(stats.annotations_written as u64);
-        counters
-            .annotations_suppressed
-            .add(stats.annotations_suppressed as u64);
         span.record("tuples", stats.tuples);
         span.record("rows_inserted", stats.rows_inserted);
         span.record("rows_merged", stats.rows_merged);
         if dtr_obs::recorder::enabled() {
             // The flight recorder gets this mapping's completed exchange
-            // window plus a forced counter sample, so counter tracks in the
-            // exported trace bracket every mapping boundary.
+            // window plus the exchange's work so far, this mapping
+            // included, so counter tracks in the exported trace bracket
+            // every mapping boundary.
             dtr_obs::recorder::record_mapping_window(
                 m.name.as_str(),
                 stats.tuples as u64,
@@ -976,7 +1008,9 @@ impl<'a> Exchange<'a> {
                 stats.rows_merged as u64,
                 stats.wall_ns,
             );
-            dtr_obs::recorder::sample_counters();
+            let mut work = self.report.work();
+            work += stats.work();
+            dtr_obs::recorder::record_work(&work);
         }
         self.report.per_mapping.push(stats);
         Ok(())
@@ -998,7 +1032,6 @@ impl<'a> Exchange<'a> {
 
         let n = mappings.len();
         let workers = resolved_workers(opts, n);
-        dtr_obs::counters().parallel_workers.add(workers as u64);
         // Workers only read sources/functions/mappings; clone the source
         // list out so `self` stays free for the mutable insert stage.
         let sources = self.sources.clone();
@@ -1021,10 +1054,8 @@ impl<'a> Exchange<'a> {
                     if i >= n {
                         break;
                     }
-                    let started = std::time::Instant::now();
                     let rows = eval_foreach(sources, functions, &mappings[i], eval.clone());
-                    let eval_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    if tx.send((i, rows.map(|r| (r, eval_ns)))).is_err() {
+                    if tx.send((i, rows)).is_err() {
                         break;
                     }
                 });
@@ -1393,7 +1424,6 @@ impl<'a> Exchange<'a> {
         for i in 0..len {
             self.target.remove_mapping(NodeId(i as u32), &m.name);
         }
-        dtr_obs::counters().guard_rollbacks.incr();
     }
 
     /// Folds a guard trip into the structured exchange error, journaling
@@ -1517,10 +1547,10 @@ fn attach_child(
     inst.replace_children(parent, kids);
 }
 
-/// One mapping's evaluated foreach rows plus the wall time spent
-/// evaluating them, as handed from the (possibly worker-side) eval stage
-/// to the single-writer insert stage.
-type EvaluatedRows = Result<(Vec<Vec<AtomicValue>>, u64), ExchangeError>;
+/// One mapping's evaluated foreach rows, the evaluator's stats, and the
+/// wall time spent evaluating and converting them, as handed from the
+/// (possibly worker-side) eval stage to the single-writer insert stage.
+type EvaluatedRows = Result<(Vec<Vec<AtomicValue>>, EvalStats, u64), ExchangeError>;
 
 /// Evaluates one mapping's foreach query over the sources. Free-standing so
 /// parallel workers can run it without borrowing the (mutable) engine.
@@ -1529,12 +1559,15 @@ pub(crate) fn eval_foreach(
     functions: &FunctionRegistry,
     m: &Mapping,
     opts: EvalOptions,
-) -> Result<Vec<Vec<AtomicValue>>, ExchangeError> {
+) -> EvaluatedRows {
+    let started = std::time::Instant::now();
     let catalog = Catalog::new(sources.to_vec());
-    Ok(Evaluator::new(&catalog, functions)
+    let result = Evaluator::new(&catalog, functions)
         .with_options(opts)
-        .run(&m.foreach)?
-        .tuples())
+        .run(&m.foreach)?;
+    let rows = result.tuples();
+    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    Ok((rows, result.stats, ns))
 }
 
 /// Executes a set of mappings over the sources and returns the annotated

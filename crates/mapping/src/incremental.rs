@@ -79,8 +79,9 @@ use dtr_model::instance::{Instance, NodeData, NodeId, Value};
 use dtr_model::label::Label;
 use dtr_model::schema::Schema;
 use dtr_model::value::AtomicValue;
+use dtr_obs::Work;
 use dtr_query::ast::{Expr, PathExpr, PathStart, Query, Step};
-use dtr_query::eval::{BindingScope, Catalog, Domain, Evaluator, Source};
+use dtr_query::eval::{BindingScope, Catalog, Domain, EvalStats, Evaluator, Source};
 use dtr_query::functions::FunctionRegistry;
 use dtr_query::index::{join_key_paths, JoinIndex};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -261,6 +262,10 @@ pub struct IncrementalExchange {
     indexes: HashMap<IndexKey, Arc<JoinIndex>>,
     report: ExchangeReport,
     batch: u64,
+    /// What the engine's calls did: each build and rebase's exchange,
+    /// each applied batch and its delta-term evaluations, and the guard
+    /// errors the calls returned.
+    work: Work,
 }
 
 impl IncrementalExchange {
@@ -293,6 +298,7 @@ impl IncrementalExchange {
             indexes: HashMap::new(),
             report: ExchangeReport::default(),
             batch: 0,
+            work: Work::default(),
         };
         me.rebase()?;
         Ok(me)
@@ -334,9 +340,15 @@ impl IncrementalExchange {
         );
         ex.set_member_fingerprinter(self.member_fp);
         ex.sink = Some(&mut record);
-        ex.run_mappings(&self.mappings, &self.opts)?;
+        if let Err(e) = ex.run_mappings(&self.mappings, &self.opts) {
+            if e.guard().is_some() {
+                self.work.guard_trips += 1;
+            }
+            return Err(e.into());
+        }
         let merge_index = std::mem::take(&mut ex.merge_index);
-        let (target, _) = ex.finish()?;
+        let (target, report) = ex.finish()?;
+        self.work += report.work();
         self.bags = bags;
         self.totals = totals;
         self.classes = classes;
@@ -371,28 +383,26 @@ impl IncrementalExchange {
             )
         });
         let mut changes = self.resolve(delta)?;
-        let result = self.apply_resolved(&mut changes);
+        let mut eval = EvalStats::default();
+        let result = self.apply_resolved(&mut changes, &mut eval);
+        self.work += Work::from(eval);
         match result {
             Ok(mut td) => {
                 self.batch += 1;
                 td.batch = self.batch;
                 td.edits = delta.edits.len();
                 self.synthesize_report();
-                let counters = dtr_obs::counters();
-                counters.delta_batches.incr();
-                counters.delta_edits.add(delta.edits.len() as u64);
-                counters.delta_rows_added.add(td.rows_added as u64);
-                counters.delta_rows_removed.add(td.rows_removed as u64);
-                counters
-                    .delta_classes_rebuilt
-                    .add(td.classes_rebuilt as u64);
-                counters
-                    .delta_mappings_pruned
-                    .add(td.mappings_pruned as u64);
-                counters
-                    .delta_mappings_reevaluated
-                    .add(td.mappings_reevaluated as u64);
-                counters.delta_mappings_full.add(td.mappings_full as u64);
+                self.work += Work {
+                    exchange_delta_batches: 1,
+                    exchange_delta_edits: td.edits as u64,
+                    exchange_delta_rows_added: td.rows_added as u64,
+                    exchange_delta_rows_removed: td.rows_removed as u64,
+                    exchange_delta_classes_rebuilt: td.classes_rebuilt as u64,
+                    exchange_delta_mappings_pruned: td.mappings_pruned as u64,
+                    exchange_delta_mappings_reevaluated: td.mappings_reevaluated as u64,
+                    exchange_delta_mappings_full: td.mappings_full as u64,
+                    ..Work::default()
+                };
                 let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 if dtr_obs::journal::enabled() {
                     dtr_obs::journal::record(dtr_obs::journal::event(
@@ -411,12 +421,16 @@ impl IncrementalExchange {
                         td.retracted.len() as u64,
                         wall,
                     );
-                    dtr_obs::recorder::sample_counters();
+                    dtr_obs::recorder::record_work(&self.work);
                 }
                 span.record("rebuilt", td.classes_rebuilt);
                 Ok(td)
             }
             Err(e) => {
+                if matches!(&e, DeltaError::Exchange(x) if x.guard().is_some()) {
+                    self.work.guard_trips += 1;
+                    self.work.guard_rollbacks += 1;
+                }
                 // Roll the source sets back and re-derive their element
                 // annotations, then restore the target-side state. The
                 // join indexes may have followed the mutation part way:
@@ -478,6 +492,15 @@ impl IncrementalExchange {
     /// Batches applied since the last rebase.
     pub fn batch(&self) -> u64 {
         self.batch
+    }
+
+    /// The engine's work tally since it was built: every build and
+    /// rebase exchange ([`ExchangeReport::work`]), every applied batch's
+    /// counts and delta-term evaluations, and the guard errors its calls
+    /// returned (an apply that tripped also counts one rollback). It is
+    /// this engine's alone: another engine's calls never move it.
+    pub fn work(&self) -> Work {
+        self.work
     }
 
     /// The join indexes the engine keeps over its sources, in no
@@ -653,12 +676,14 @@ impl IncrementalExchange {
     /// change has `members` (deleted or inserted), with item j — first in
     /// the term — limited to those members, every earlier touching item to
     /// its set minus its own change's `members`, and every hash join
-    /// probing the kept index on its key.
+    /// probing the kept index on its key. Each term's evaluator stats add
+    /// into `eval_stats`.
     fn delta_rows(
         &self,
         modes: &[Reeval],
         changes: &[SetChange],
         members: impl Fn(&SetChange) -> &[NodeId],
+        eval_stats: &mut EvalStats,
     ) -> Result<Vec<Bag>, DeltaError> {
         let catalog = Catalog::new(source_views(&self.source_schemas, &self.sources));
         let eval = effective_eval(&self.opts);
@@ -695,6 +720,7 @@ impl IncrementalExchange {
                     .with_options(opts)
                     .run(&term.query)
                     .map_err(ExchangeError::from)?;
+                *eval_stats += result.stats;
                 for row in result.tuples() {
                     *out[mi].entry(row).or_insert(0) += 1;
                 }
@@ -705,8 +731,14 @@ impl IncrementalExchange {
 
     /// The post-resolution pipeline: delta-rule/full re-enumeration, bag
     /// updates, dirty-class rebuild, skeleton sync, element annotation of
-    /// the nodes the batch created.
-    fn apply_resolved(&mut self, changes: &mut [SetChange]) -> Result<TargetDelta, DeltaError> {
+    /// the nodes the batch created. The evaluator stats of every delta
+    /// term and full re-evaluation add into `eval`, whether or not the
+    /// batch completes.
+    fn apply_resolved(
+        &mut self,
+        changes: &mut [SetChange],
+        eval: &mut EvalStats,
+    ) -> Result<TargetDelta, DeltaError> {
         let mut td = TargetDelta::default();
         if changes.is_empty() {
             td.mappings_pruned = self.mappings.len();
@@ -719,7 +751,7 @@ impl IncrementalExchange {
         // Phase 1 (pure): removed rows of delta-ruled mappings, evaluated
         // over the *old* sources, where the deleted members still sit.
         self.prepare_terms(&modes);
-        let mut removed = self.delta_rows(&modes, changes, |c| &c.deleted)?;
+        let mut removed = self.delta_rows(&modes, changes, |c| &c.deleted, eval)?;
 
         // Phase 2: mutate the sources and annotate the members the batch
         // appended — the arena suffix; nothing older changes element.
@@ -757,10 +789,10 @@ impl IncrementalExchange {
 
         // Phase 3: added rows (delta rule over the new sources) and full
         // re-evaluations, then bag updates.
-        let mut added = self.delta_rows(&modes, changes, |c| &c.inserted)?;
+        let mut added = self.delta_rows(&modes, changes, |c| &c.inserted, eval)?;
         {
             let views = source_views(&self.source_schemas, &self.sources);
-            let eval = effective_eval(&self.opts);
+            let opts = effective_eval(&self.opts);
             for (mi, mode) in modes.iter().enumerate() {
                 match mode {
                     Reeval::Pruned => td.mappings_pruned += 1,
@@ -768,12 +800,13 @@ impl IncrementalExchange {
                     Reeval::Full => {
                         td.mappings_reevaluated += 1;
                         td.mappings_full += 1;
-                        let rows = eval_foreach(
+                        let (rows, stats, _) = eval_foreach(
                             &views,
                             &self.functions,
                             &self.mappings[mi],
-                            eval.clone(),
+                            opts.clone(),
                         )?;
+                        *eval += stats;
                         (removed[mi], added[mi]) = bag_diff(&self.bags[mi], &bag_of(rows));
                     }
                 }

@@ -247,7 +247,6 @@ impl MetaStore {
             });
         }
         let encoded = self.total_rows() - before;
-        dtr_obs::counters().meta_tuples_encoded.add(encoded as u64);
         span.record("rows_encoded", encoded);
         if dtr_obs::journal::enabled() {
             dtr_obs::journal::record(
@@ -332,7 +331,6 @@ impl MetaStore {
             }
         }
         let encoded = self.total_rows() - before;
-        dtr_obs::counters().meta_tuples_encoded.add(encoded as u64);
         span.record("rows_encoded", encoded);
         if dtr_obs::journal::enabled() {
             dtr_obs::journal::record(

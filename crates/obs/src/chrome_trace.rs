@@ -10,8 +10,8 @@
 //!   the whole interval);
 //! * per-mapping exchange windows become `X` events on the recording
 //!   thread's track with the mapping's outcome counts as `args`;
-//! * counter-registry samples become counter (`ph: "C"`) events, one
-//!   series per counter name;
+//! * work samples become counter (`ph: "C"`) events, one series per
+//!   count name;
 //! * guard trips become instant (`ph: "i"`) events with global scope so
 //!   they draw as full-height markers.
 //!
@@ -277,10 +277,7 @@ mod tests {
                 4_000,
                 1,
                 FlightKind::CounterSample {
-                    values: vec![
-                        ("exchange.rows_inserted".to_string(), 10),
-                        ("exchange.rows_merged".to_string(), 3),
-                    ],
+                    values: vec![("exchange.rows_inserted", 10), ("exchange.rows_merged", 3)],
                 },
             ),
             ev(

@@ -18,9 +18,10 @@
 //! * **Always cancellable.** The `cancel` flag is a shared
 //!   `Arc<AtomicBool>`; the meter polls it even when no numeric limit is
 //!   set, so a runaway run can be reclaimed from another thread.
-//! * **Observable.** Every trip bumps the `guard.*` counters and, with
-//!   the flight recorder on, records a trip event. The caller that gets
-//!   the error can turn it into a [`GuardReport`] for its profile.
+//! * **Observable.** With the flight recorder on, every trip records a
+//!   trip event. The caller that gets the error counts it in its
+//!   [`crate::Work`] (`guard.trips`) and can turn it into a
+//!   [`GuardReport`] for its profile.
 
 use serde_json::{Map, Value};
 use std::fmt;
@@ -220,7 +221,6 @@ impl Meter {
             limit,
             progress: self.progress,
         };
-        crate::counters().guard_trips.incr();
         if crate::recorder::enabled() {
             crate::recorder::record_guard_trip(resource.name(), self.stage);
         }
@@ -229,7 +229,6 @@ impl Meter {
 
     #[cold]
     fn poll_now(&mut self) -> Result<(), GuardError> {
-        crate::counters().guard_checks.incr();
         if self.cancel.load(Ordering::Relaxed) {
             return Err(self.trip(Resource::Cancelled, 0));
         }

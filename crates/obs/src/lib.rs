@@ -1,36 +1,45 @@
 //! # dtr-obs — observability for the dtr pipeline
 //!
-//! Structured tracing spans, a lightweight atomic counter/histogram
-//! registry, and an EXPLAIN-style [`PipelineProfile`] covering the whole
-//! pipeline: data exchange (row inserts vs. PNF merges, annotation writes
-//! vs. suppressions), query evaluation (tuples scanned, bindings
-//! enumerated), MXQL translation, and metastore encoding.
+//! Structured tracing spans, an EXPLAIN-style [`PipelineProfile`] covering
+//! the whole pipeline, and [`Work`], the plain tally of what the pipeline
+//! did: data exchange (row inserts vs. PNF merges, annotation writes vs.
+//! suppressions), query evaluation (tuples scanned, bindings enumerated),
+//! incremental and durable sessions, MXQL translation, and metastore
+//! encoding.
 //!
 //! ## Design
 //!
-//! * **Near-zero cost when off.** Everything is gated on a single global
-//!   flag ([`enabled`], one relaxed atomic load). Disabled spans allocate
-//!   nothing and record nothing; disabled counters skip the atomic add.
+//! * **Near-zero cost when off.** Spans are gated on a single global flag
+//!   ([`enabled`], one relaxed atomic load). Disabled spans allocate
+//!   nothing and record nothing.
+//! * **Work travels as values.** The counts are not kept here: each call
+//!   returns what it did (`EvalStats`, `MappingStats`, `TargetDelta`), and
+//!   sessions fold those into their own [`Work`]. A caller attaches the
+//!   tally it holds to the profile it prints, so no session's counts leak
+//!   into another's, and they are the same with every tier off.
 //! * **No external dependencies.** The span machinery is implemented
 //!   natively (a thread-local aggregation tree) rather than via the
 //!   `tracing` crate, which the offline build environment cannot fetch.
 //! * **Aggregation, not event logs.** Hot paths run a span per *call*
 //!   (e.g. one per inserted row); the collector folds repeated spans at the
-//!   same tree position into one node with call count, total/min/max wall
-//!   time and a log₂ duration histogram, so profiling a million-row
-//!   exchange costs O(stages), not O(rows), in memory.
+//!   same tree position into one node with call count and total/min/max
+//!   wall time, and every span's duration into one log₂ histogram, so
+//!   profiling a million-row exchange costs O(stages), not O(rows), in
+//!   memory.
 //!
 //! ## Usage
 //!
 //! ```
 //! dtr_obs::set_enabled(true);
 //! dtr_obs::profile_reset();
+//! let mut work = dtr_obs::Work::default();
 //! {
 //!     let _span = dtr_obs::span("exchange.run_mapping").field("mapping", "m1");
-//!     dtr_obs::counters().rows_inserted.add(10);
-//!     dtr_obs::counters().rows_merged.add(2);
+//!     work.exchange_rows_inserted += 10;
+//!     work.exchange_rows_merged += 2;
 //! }
-//! let profile = dtr_obs::profile_snapshot();
+//! let mut profile = dtr_obs::profile_snapshot();
+//! profile.counters = work.entries();
 //! assert_eq!(profile.counter("exchange.rows_inserted"), Some(10));
 //! println!("{}", profile.render());
 //! ```
@@ -59,10 +68,7 @@ pub use guard::{Budget, GuardError, GuardReport, Meter, Progress, Resource};
 pub use journal::{
     Event as JournalEvent, EventId, Outcome as JournalOutcome, Summary as JournalSummary,
 };
-pub use metrics::{
-    counters, snapshot_percentile, snapshot_percentiles, Counter, Counters, Histogram,
-    HistogramSnapshot,
-};
+pub use metrics::Work;
 pub use profile::{CounterValue, PipelineProfile, ProfileNode};
 pub use recorder::{FlightEvent, FlightKind, Summary as FlightSummary};
 pub use ring::Counts;
@@ -132,39 +138,30 @@ pub fn set_enabled(on: bool) {
     PROFILE.set(on)
 }
 
-/// Is any counter-consuming tier live? The registry also ticks while the
-/// flight recorder is on (its periodic `C`-track samples read it), so
-/// `DTR_FLIGHT=1` alone produces counter data without full profiling.
-#[inline]
-pub(crate) fn counters_live() -> bool {
-    enabled() || recorder::enabled()
-}
-
-/// Clear all collected state (global counters and this thread's span
-/// tree). Call at the start of a region you want to profile in isolation.
+/// Clear this thread's span tree and span-duration histogram. Call at the
+/// start of a region you want to profile in isolation.
 pub fn profile_reset() {
-    counters().reset();
     trace::reset_current_thread();
 }
 
-/// Snapshot the profile collected since the last [`profile_reset`]: the
-/// span tree of the *current* thread plus the global counter registry. If
-/// the event journal is enabled, its [`JournalSummary`] is embedded too.
-/// No guard report or EXPLAIN ANALYZE tree is embedded: a tripped or
-/// analyzed run returns its [`GuardError`] or tree to its caller, which
-/// may set [`PipelineProfile::guard`] or [`PipelineProfile::analyze`]
-/// itself.
+/// Snapshot the profile collected on the *current* thread since the last
+/// [`profile_reset`]: its span tree and the percentiles of its span
+/// durations. If the event journal is enabled, its [`JournalSummary`] is
+/// embedded too. No work counts, guard report or EXPLAIN ANALYZE tree are
+/// embedded: a session or request returns its [`Work`], [`GuardError`]
+/// or tree to its caller, which may set [`PipelineProfile::counters`],
+/// [`PipelineProfile::guard`] or [`PipelineProfile::analyze`] itself.
 pub fn profile_snapshot() -> PipelineProfile {
+    let (stages, span_latency) = trace::snapshot_current_thread();
     PipelineProfile {
-        stages: trace::snapshot_current_thread(),
-        counters: counters().snapshot(),
+        stages,
+        span_latency,
         journal: journal::enabled().then(journal::summary),
-        guard: None,
-        analyze: None,
+        ..PipelineProfile::default()
     }
 }
 
-/// Serializes tests that mutate the global enabled flag / counter registry.
+/// Serializes tests that mutate the global enabled flags.
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -179,20 +176,16 @@ mod tests {
     fn disabled_spans_record_nothing() {
         let _guard = test_guard();
         set_enabled(false);
-        // The registry also feeds the flight recorder; force that tier off
-        // too so this asserts the fully-disabled hot path (the CI soak
-        // reruns the suite under DTR_FLIGHT=1).
-        recorder::set_enabled(false);
         profile_reset();
         {
             let _s = span("exchange.run_mapping").field("mapping", "m1");
-            counters().rows_inserted.add(5);
         }
         set_enabled(true);
         let p = profile_snapshot();
         set_enabled(false);
         assert!(p.stages.is_empty());
-        assert_eq!(p.counter("exchange.rows_inserted"), Some(0));
+        assert!(p.counters.is_empty());
+        assert_eq!(p.span_latency, None);
     }
 
     #[test]
@@ -219,5 +212,8 @@ mod tests {
         assert_eq!(outer.children.len(), 1);
         assert_eq!(outer.children[0].count, 12);
         assert!(outer.total_ns >= outer.children[0].total_ns);
+        // All 15 spans land in the duration histogram.
+        let (p50, p90, p99) = p.span_latency.expect("spans were recorded");
+        assert!(p50 <= p90 && p90 <= p99);
     }
 }

@@ -1,56 +1,130 @@
-//! The counter/histogram registry: a fixed set of named atomic counters
-//! covering every pipeline stage. No global sampler, no locks — counters
-//! are plain relaxed atomics, gated on [`crate::enabled`] so the disabled
-//! cost is one load + branch.
+//! What the pipeline counts: [`Work`], the tally a session keeps and a
+//! request returns, plus the log₂ histogram helpers behind the span
+//! collector's latency percentiles.
+//!
+//! A `Work` value is plain data. Each count is folded from what a call
+//! already returns — an evaluator run's `EvalStats`, a mapping's
+//! `MappingStats`, an incremental batch's `TargetDelta`, a durable
+//! session's commits — once per call, never per row. Nothing is shared
+//! between sessions, so one session's tally never moves another's, and
+//! the counts are the same whether any telemetry tier is on or off.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::AddAssign;
 
-/// A single named monotonic counter.
-#[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
-    cell: AtomicU64,
+/// Declares [`Work`] from one line per count: its field, its name and
+/// its meaning, in name order. `entries` and `AddAssign` follow from
+/// that one list.
+macro_rules! work {
+    ($($(#[$doc:meta])* $field:ident: $name:literal,)+) => {
+        /// The work a session did or a request cost: one count per name,
+        /// summed with `+=`. Sessions keep one (`IncrementalSession::work`,
+        /// `DurableSession::work`); an exchange's is
+        /// `ExchangeReport::work`, a query's follows from its `EvalStats`.
+        /// A profile shows the one its caller attaches
+        /// ([`crate::PipelineProfile::counters`]).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Work {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl Work {
+            /// Every count under its name, sorted by name.
+            pub fn entries(&self) -> Vec<(&'static str, u64)> {
+                vec![$(($name, self.$field)),+]
+            }
+
+            /// A value whose counts run `start + 1`, `start + 2`, ... in
+            /// name order, so no two fields hold the same count.
+            #[cfg(test)]
+            fn numbered(start: u64) -> Work {
+                let mut n = start;
+                Work {
+                    $($field: {
+                        n += 1;
+                        n
+                    },)+
+                }
+            }
+        }
+
+        impl AddAssign for Work {
+            fn add_assign(&mut self, other: Work) {
+                $(self.$field += other.$field;)+
+            }
+        }
+    };
 }
 
-impl Counter {
-    const fn new(name: &'static str) -> Self {
-        Counter {
-            name,
-            cell: AtomicU64::new(0),
-        }
-    }
-
-    /// The registry name, e.g. `"exchange.rows_merged"`.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Add `n`; a no-op while both profiling and flight recording are
-    /// disabled.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if crate::counters_live() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by one; a no-op while profiling is disabled.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.cell.store(0, Ordering::Relaxed);
-    }
+work! {
+    /// Checkpoints written: a log's opening one and each rotation.
+    durable_checkpoints: "durable.checkpoints",
+    /// Epoch snapshots published after a session's first.
+    durable_epochs_published: "durable.epochs_published",
+    /// Transient I/O errors retried (appends, fsyncs, rotations, the
+    /// recovery read).
+    durable_io_retries: "durable.io_retries",
+    /// Recoveries from a log: 1 for a reopened session.
+    durable_recoveries: "durable.recoveries",
+    /// Delta batches a recovery replayed on top of its checkpoint.
+    durable_replayed_deltas: "durable.replayed_deltas",
+    /// Delta frames committed to the write-ahead log.
+    durable_wal_appends: "durable.wal_appends",
+    /// The payload bytes of those delta frames: each committed batch's
+    /// JSON, without the frame header. Checkpoints add nothing here.
+    durable_wal_bytes: "durable.wal_bytes",
+    /// Variable bindings that survived each enumeration stage.
+    eval_bindings_enumerated: "eval.bindings_enumerated",
+    /// Candidate items tested after a hash-table probe.
+    eval_hash_probes: "eval.hash_probes",
+    /// Evaluator runs: one per query, translated branch, virtual
+    /// rewriting, foreach and delta term evaluated.
+    eval_queries_evaluated: "eval.queries_evaluated",
+    /// Candidate items visited while enumerating bindings.
+    eval_tuples_scanned: "eval.tuples_scanned",
+    /// Annotation writes that were no-ops (the name was already there:
+    /// the PNF-merge sharing Section 8 relies on).
+    exchange_annotations_suppressed: "exchange.annotations_suppressed",
+    /// `f_mp` annotations newly written onto target nodes.
+    exchange_annotations_written: "exchange.annotations_written",
+    /// Incremental batches applied.
+    exchange_delta_batches: "exchange.delta_batches",
+    /// Target member classes an incremental batch rebuilt in place.
+    exchange_delta_classes_rebuilt: "exchange.delta_classes_rebuilt",
+    /// Source edits the applied batches carried.
+    exchange_delta_edits: "exchange.delta_edits",
+    /// Re-enumerated mappings whose foreach ran in full (function- or
+    /// annotation-sourced from-items).
+    exchange_delta_mappings_full: "exchange.delta_mappings_full",
+    /// Mappings a batch skipped by path-affectedness pruning.
+    exchange_delta_mappings_pruned: "exchange.delta_mappings_pruned",
+    /// Mappings a batch re-enumerated (delta rule or full).
+    exchange_delta_mappings_reevaluated: "exchange.delta_mappings_reevaluated",
+    /// Foreach rows the batches added to the kept row bags.
+    exchange_delta_rows_added: "exchange.delta_rows_added",
+    /// Foreach rows the batches retracted from the kept row bags.
+    exchange_delta_rows_removed: "exchange.delta_rows_removed",
+    /// Fresh target members a full exchange materialized.
+    exchange_rows_inserted: "exchange.rows_inserted",
+    /// Bindings a full exchange folded into an existing member by PNF
+    /// merging.
+    exchange_rows_merged: "exchange.rows_merged",
+    /// Incremental batches rolled back after a guard trip.
+    guard_rollbacks: "guard.rollbacks",
+    /// Guard errors the session's calls (or the request) returned.
+    guard_trips: "guard.trips",
+    /// Rows encoded into the metastore's seven relations.
+    metastore_tuples_encoded: "metastore.tuples_encoded",
+    /// Union branches of the §7.3 translation that were evaluated: a
+    /// translated result's `EvalStats::runs`.
+    translate_branches: "translate.branches",
 }
 
 /// Number of log₂ buckets in a [`Histogram`] (covers 1 ns .. ~137 s).
-pub const HISTOGRAM_BUCKETS: usize = 38;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 38;
+
+/// A log₂-bucketed histogram: bucket *i* counts values `v` with
+/// `floor(log2(v)) == i`; zero lands in bucket 0.
+pub(crate) type Histogram = [u64; HISTOGRAM_BUCKETS];
 
 /// The bucket index a value lands in: `floor(log2(v))`, with zero treated
 /// as one (bucket 0) and everything at or above `2^(HISTOGRAM_BUCKETS-1)`
@@ -84,67 +158,21 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// A lock-free log₂-bucketed histogram (bucket *i* counts values `v` with
-/// `floor(log2(v)) == i`; zero lands in bucket 0).
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-/// A plain-data copy of a [`Histogram`].
-pub type HistogramSnapshot = [u64; HISTOGRAM_BUCKETS];
-
-impl Histogram {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-
-    pub const fn new() -> Self {
-        Histogram {
-            buckets: [Self::ZERO; HISTOGRAM_BUCKETS],
-        }
-    }
-
-    /// Record one observation (typically nanoseconds); a no-op while both
-    /// profiling and flight recording are disabled.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        if crate::counters_live() {
-            self.buckets[bucket_for(value)].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Estimate the `q`-quantile (`0.0 ..= 1.0`) of the recorded values.
-    /// Returns `None` on an empty histogram. See [`snapshot_percentile`].
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        snapshot_percentile(&self.snapshot(), q)
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Estimate the `q`-quantile (`0.0 ..= 1.0`) from a histogram snapshot.
+/// Estimate the `q`-quantile (`0.0 ..= 1.0`) of a histogram.
 ///
 /// Walks the buckets until the cumulative count covers `ceil(q * total)`
 /// observations and returns the geometric midpoint of that bucket's bounds
 /// (lower bound for bucket 0 / the saturated top bucket, whose upper bound
 /// is not meaningful). Returns `None` when no observations were recorded.
-pub fn snapshot_percentile(snap: &HistogramSnapshot, q: f64) -> Option<u64> {
-    let total: u64 = snap.iter().sum();
+pub(crate) fn percentile(hist: &Histogram, q: f64) -> Option<u64> {
+    let total: u64 = hist.iter().sum();
     if total == 0 {
         return None;
     }
     let q = q.clamp(0.0, 1.0);
     let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut seen = 0u64;
-    for (i, &count) in snap.iter().enumerate() {
+    for (i, &count) in hist.iter().enumerate() {
         seen += count;
         if seen >= rank {
             if i == 0 || i == HISTOGRAM_BUCKETS - 1 {
@@ -157,209 +185,55 @@ pub fn snapshot_percentile(snap: &HistogramSnapshot, q: f64) -> Option<u64> {
     unreachable!("cumulative count covers rank <= total")
 }
 
-/// The standard reporting percentiles (p50/p90/p99) of a snapshot, or
-/// `None` on an empty histogram.
-pub fn snapshot_percentiles(snap: &HistogramSnapshot) -> Option<(u64, u64, u64)> {
+/// The standard reporting percentiles (p50/p90/p99) of a histogram, or
+/// `None` on an empty one.
+pub(crate) fn percentiles(hist: &Histogram) -> Option<(u64, u64, u64)> {
     Some((
-        snapshot_percentile(snap, 0.50)?,
-        snapshot_percentile(snap, 0.90)?,
-        snapshot_percentile(snap, 0.99)?,
+        percentile(hist, 0.50)?,
+        percentile(hist, 0.90)?,
+        percentile(hist, 0.99)?,
     ))
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-/// The global registry: one field per pipeline metric.
-#[derive(Debug)]
-pub struct Counters {
-    /// Source tuples visited during query evaluation / binding enumeration.
-    pub tuples_scanned: Counter,
-    /// Candidate variable bindings produced by the evaluator's `from` loop.
-    pub bindings_enumerated: Counter,
-    /// Hash-join probes: candidate items tested after a hash-table lookup
-    /// (instead of a full nested-loop scan).
-    pub hash_probes: Counter,
-    /// Plain + MXQL queries evaluated end to end.
-    pub queries_evaluated: Counter,
-    /// Exchange: fresh target rows materialized.
-    pub rows_inserted: Counter,
-    /// Exchange: rows folded into an existing member by PNF merging.
-    pub rows_merged: Counter,
-    /// Exchange: worker threads spawned by parallel mapping evaluation.
-    pub parallel_workers: Counter,
-    /// Exchange: `f_mp` annotations newly written onto target nodes.
-    pub annotations_written: Counter,
-    /// Exchange: annotation writes that were no-ops (name already present —
-    /// the PNF-merge sharing the paper's Section 8 optimization relies on).
-    pub annotations_suppressed: Counter,
-    /// Metastore: rows encoded into the seven storage relations.
-    pub meta_tuples_encoded: Counter,
-    /// MXQL→plain translation: union branches produced.
-    pub translate_branches: Counter,
-    /// XML writer: annotation attributes emitted.
-    pub xml_annotations_written: Counter,
-    /// XML writer: annotation attributes suppressed by PNF sharing.
-    pub xml_annotations_suppressed: Counter,
-    /// Guard: deadline/cancellation poll points actually evaluated
-    /// (strided — not every charge).
-    pub guard_checks: Counter,
-    /// Guard: budget violations (each yields one `GuardError`).
-    pub guard_trips: Counter,
-    /// Guard: exchange rollbacks performed after a mid-mapping trip.
-    pub guard_rollbacks: Counter,
-    /// Incremental exchange: delta batches applied.
-    pub delta_batches: Counter,
-    /// Incremental exchange: source edits applied across all batches.
-    pub delta_edits: Counter,
-    /// Incremental exchange: foreach rows added to the cached row bags.
-    pub delta_rows_added: Counter,
-    /// Incremental exchange: foreach rows retracted from the cached bags.
-    pub delta_rows_removed: Counter,
-    /// Incremental exchange: target member classes rebuilt in place.
-    pub delta_classes_rebuilt: Counter,
-    /// Incremental exchange: mappings skipped by path-affectedness pruning.
-    pub delta_mappings_pruned: Counter,
-    /// Incremental exchange: mappings re-enumerated (delta rule or full).
-    pub delta_mappings_reevaluated: Counter,
-    /// Incremental exchange: re-enumerated mappings whose foreach ran in
-    /// full (function- or annotation-sourced from-items).
-    pub delta_mappings_full: Counter,
-    /// Durable store: delta frames committed to the write-ahead log.
-    pub durable_wal_appends: Counter,
-    /// Durable store: WAL bytes durably written (frames + checkpoints).
-    pub durable_wal_bytes: Counter,
-    /// Durable store: checkpoints written (initial + rotations).
-    pub durable_checkpoints: Counter,
-    /// Durable store: recoveries performed on open.
-    pub durable_recoveries: Counter,
-    /// Durable store: delta batches replayed during recovery.
-    pub durable_replayed_deltas: Counter,
-    /// Durable store: transient I/O errors retried (fsync/append).
-    pub durable_io_retries: Counter,
-    /// Durable store: epoch snapshots published for concurrent readers.
-    pub durable_epochs_published: Counter,
-    /// Distribution of span durations (ns) across all stages.
-    pub span_duration_ns: Histogram,
-}
-
-static COUNTERS: Counters = Counters {
-    tuples_scanned: Counter::new("eval.tuples_scanned"),
-    bindings_enumerated: Counter::new("eval.bindings_enumerated"),
-    hash_probes: Counter::new("eval.hash_probes"),
-    queries_evaluated: Counter::new("eval.queries_evaluated"),
-    rows_inserted: Counter::new("exchange.rows_inserted"),
-    rows_merged: Counter::new("exchange.rows_merged"),
-    parallel_workers: Counter::new("exchange.parallel_workers"),
-    annotations_written: Counter::new("exchange.annotations_written"),
-    annotations_suppressed: Counter::new("exchange.annotations_suppressed"),
-    meta_tuples_encoded: Counter::new("metastore.tuples_encoded"),
-    translate_branches: Counter::new("translate.branches"),
-    xml_annotations_written: Counter::new("xml.annotations_written"),
-    xml_annotations_suppressed: Counter::new("xml.annotations_suppressed"),
-    guard_checks: Counter::new("guard.checks"),
-    guard_trips: Counter::new("guard.trips"),
-    guard_rollbacks: Counter::new("guard.rollbacks"),
-    delta_batches: Counter::new("exchange.delta_batches"),
-    delta_edits: Counter::new("exchange.delta_edits"),
-    delta_rows_added: Counter::new("exchange.delta_rows_added"),
-    delta_rows_removed: Counter::new("exchange.delta_rows_removed"),
-    delta_classes_rebuilt: Counter::new("exchange.delta_classes_rebuilt"),
-    delta_mappings_pruned: Counter::new("exchange.delta_mappings_pruned"),
-    delta_mappings_reevaluated: Counter::new("exchange.delta_mappings_reevaluated"),
-    delta_mappings_full: Counter::new("exchange.delta_mappings_full"),
-    durable_wal_appends: Counter::new("durable.wal_appends"),
-    durable_wal_bytes: Counter::new("durable.wal_bytes"),
-    durable_checkpoints: Counter::new("durable.checkpoints"),
-    durable_recoveries: Counter::new("durable.recoveries"),
-    durable_replayed_deltas: Counter::new("durable.replayed_deltas"),
-    durable_io_retries: Counter::new("durable.io_retries"),
-    durable_epochs_published: Counter::new("durable.epochs_published"),
-    span_duration_ns: Histogram::new(),
-};
-
-/// The global counter registry.
-pub fn counters() -> &'static Counters {
-    &COUNTERS
-}
-
-impl Counters {
-    fn all(&self) -> [&Counter; 31] {
-        [
-            &self.tuples_scanned,
-            &self.bindings_enumerated,
-            &self.hash_probes,
-            &self.queries_evaluated,
-            &self.rows_inserted,
-            &self.rows_merged,
-            &self.parallel_workers,
-            &self.annotations_written,
-            &self.annotations_suppressed,
-            &self.meta_tuples_encoded,
-            &self.translate_branches,
-            &self.xml_annotations_written,
-            &self.xml_annotations_suppressed,
-            &self.guard_checks,
-            &self.guard_trips,
-            &self.guard_rollbacks,
-            &self.delta_batches,
-            &self.delta_edits,
-            &self.delta_rows_added,
-            &self.delta_rows_removed,
-            &self.delta_classes_rebuilt,
-            &self.delta_mappings_pruned,
-            &self.delta_mappings_reevaluated,
-            &self.delta_mappings_full,
-            &self.durable_wal_appends,
-            &self.durable_wal_bytes,
-            &self.durable_checkpoints,
-            &self.durable_recoveries,
-            &self.durable_replayed_deltas,
-            &self.durable_io_retries,
-            &self.durable_epochs_published,
-        ]
-    }
-
-    /// Current value of every counter, sorted by name so snapshots (and
-    /// the JSON they serialize into) are stable across runs.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut values: Vec<(String, u64)> = self
-            .all()
-            .iter()
-            .map(|c| (c.name().to_string(), c.get()))
-            .collect();
-        values.sort();
-        values
-    }
-
-    pub(crate) fn reset(&self) {
-        for c in self.all() {
-            c.reset();
-        }
-        self.span_duration_ns.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn histogram(values: &[u64]) -> Histogram {
+        let mut h = [0; HISTOGRAM_BUCKETS];
+        for &v in values {
+            h[bucket_for(v)] += 1;
+        }
+        h
+    }
+
+    #[test]
+    fn work_names_are_unique_and_sorted() {
+        let names: Vec<&str> = Work::default().entries().iter().map(|e| e.0).collect();
+        assert!(
+            names.windows(2).all(|w| w[0] < w[1]),
+            "names must be strictly increasing: {names:?}"
+        );
+    }
+
+    #[test]
+    fn add_assign_sums_every_field() {
+        let mut sum = Work::numbered(0);
+        sum += Work::numbered(100);
+        for (i, (name, value)) in sum.entries().into_iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(value, (i + 1) + (i + 101), "{name}");
+        }
+        assert_eq!(
+            Work::default().entries().iter().map(|e| e.1).sum::<u64>(),
+            0
+        );
+    }
+
     #[test]
     fn histogram_buckets_by_log2() {
-        let _guard = crate::test_guard();
-        let h = Histogram::new();
-        crate::set_enabled(true);
-        h.record(0); // bucket 0
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(3); // bucket 1
-        h.record(1024); // bucket 10
-        h.record(u64::MAX); // clamped to last bucket
-        crate::set_enabled(false);
-        let snap = h.snapshot();
+        // Zero and one share bucket 0; u64::MAX clamps to the last bucket.
+        let snap = histogram(&[0, 1, 2, 3, 1024, u64::MAX]);
         assert_eq!(snap[0], 2);
         assert_eq!(snap[1], 2);
         assert_eq!(snap[10], 1);
@@ -401,19 +275,11 @@ mod tests {
 
     #[test]
     fn percentiles_from_histogram() {
-        let _guard = crate::test_guard();
-        let h = Histogram::new();
-        crate::set_enabled(true);
-        for _ in 0..90 {
-            h.record(100); // bucket 6: [64, 127]
-        }
-        for _ in 0..10 {
-            h.record(100_000); // bucket 16: [65536, 131071]
-        }
-        crate::set_enabled(false);
-        let p50 = h.percentile(0.50).unwrap();
-        let p90 = h.percentile(0.90).unwrap();
-        let p99 = h.percentile(0.99).unwrap();
+        // 90 values in bucket 6 ([64, 127]), 10 in bucket 16.
+        let mut values = vec![100; 90];
+        values.extend([100_000; 10]);
+        let h = histogram(&values);
+        let (p50, p90, p99) = percentiles(&h).unwrap();
         assert!((bucket_lower(6)..=bucket_upper(6)).contains(&p50));
         assert!((bucket_lower(6)..=bucket_upper(6)).contains(&p90));
         assert!((bucket_lower(16)..=bucket_upper(16)).contains(&p99));
@@ -422,17 +288,15 @@ mod tests {
 
     #[test]
     fn percentile_empty_and_edge_quantiles() {
-        let _guard = crate::test_guard();
-        let h = Histogram::new();
-        assert_eq!(h.percentile(0.5), None);
-        crate::set_enabled(true);
-        h.record(0);
-        h.record(u64::MAX);
-        crate::set_enabled(false);
+        assert_eq!(percentile(&histogram(&[]), 0.5), None);
+        assert_eq!(percentiles(&histogram(&[])), None);
+        let h = histogram(&[0, u64::MAX]);
         // Bucket 0 and the saturated top bucket report their lower bound.
-        assert_eq!(h.percentile(0.0), Some(0));
-        assert_eq!(h.percentile(1.0), Some(bucket_lower(HISTOGRAM_BUCKETS - 1)));
-        let snap = h.snapshot();
-        assert!(snapshot_percentiles(&snap).is_some());
+        assert_eq!(percentile(&h, 0.0), Some(0));
+        assert_eq!(
+            percentile(&h, 1.0),
+            Some(bucket_lower(HISTOGRAM_BUCKETS - 1))
+        );
+        assert!(percentiles(&h).is_some());
     }
 }

@@ -1,8 +1,10 @@
 //! [`PipelineProfile`]: the exported, plain-data form of a profiling run —
-//! the aggregated span tree plus the counter registry (and, when the event
-//! journal is on, its summary) — with an EXPLAIN-style text rendering and
-//! a JSON form. Counter and span-field keys are sorted before
-//! serialization so `--json` output diffs are stable across runs.
+//! the current thread's aggregated span tree and span-latency percentiles
+//! (and, when the event journal is on, its summary), plus whatever the
+//! caller attaches: the [`crate::Work`] of the session or request it
+//! holds, a guard report, an EXPLAIN ANALYZE tree — with an EXPLAIN-style
+//! text rendering and a JSON form. Counter and span-field keys are sorted
+//! before serialization so `--json` output diffs are stable across runs.
 
 use crate::analyze::OpNode;
 use crate::guard::GuardReport;
@@ -28,14 +30,22 @@ pub struct ProfileNode {
     pub children: Vec<ProfileNode>,
 }
 
-/// A named counter reading.
-pub type CounterValue = (String, u64);
+/// A named counter reading, as [`crate::Work::entries`] lists them.
+pub type CounterValue = (&'static str, u64);
 
-/// A complete profile: per-stage wall-time tree plus pipeline counters,
-/// plus the event-journal summary when journaling is enabled.
+/// A complete profile: per-stage wall-time tree plus the work counts the
+/// caller attached, plus the event-journal summary when journaling is
+/// enabled.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PipelineProfile {
     pub stages: Vec<ProfileNode>,
+    /// p50/p90/p99 (ns) of every span closed since the last
+    /// [`crate::profile_reset`] on the snapshotting thread; `None` when
+    /// none closed.
+    pub span_latency: Option<(u64, u64, u64)>,
+    /// The work counts the caller attached (the entries of the
+    /// [`crate::Work`] it holds); [`crate::profile_snapshot`] leaves them
+    /// empty.
     pub counters: Vec<CounterValue>,
     pub journal: Option<JournalSummary>,
     /// A guard trip the caller attached (the REPL attaches the report of
@@ -120,11 +130,11 @@ impl ProfileNode {
 }
 
 impl PipelineProfile {
-    /// Look up a counter by registry name.
+    /// Look up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
     }
 
@@ -174,7 +184,7 @@ impl PipelineProfile {
         sorted.sort();
         let mut counters = Map::new();
         for (name, value) in sorted {
-            counters.insert(name.clone(), Value::from(*value));
+            counters.insert(*name, Value::from(*value));
         }
         let mut obj = Map::new();
         obj.insert(
@@ -237,13 +247,11 @@ mod tests {
                 ],
             }],
             counters: vec![
-                ("eval.tuples_scanned".into(), 4_200),
-                ("exchange.rows_inserted".into(), 200),
-                ("exchange.rows_merged".into(), 40),
+                ("eval.tuples_scanned", 4_200),
+                ("exchange.rows_inserted", 200),
+                ("exchange.rows_merged", 40),
             ],
-            journal: None,
-            guard: None,
-            analyze: None,
+            ..PipelineProfile::default()
         }
     }
 
@@ -353,10 +361,8 @@ mod tests {
                 fields: vec![("zeta".into(), "1".into()), ("alpha".into(), "2".into())],
                 children: vec![],
             }],
-            counters: vec![("z.last".into(), 1), ("a.first".into(), 2)],
-            journal: None,
-            guard: None,
-            analyze: None,
+            counters: vec![("z.last", 1), ("a.first", 2)],
+            ..PipelineProfile::default()
         };
         let text = profile.to_json_string();
         assert!(text.find("a.first").unwrap() < text.find("z.last").unwrap());

@@ -4,8 +4,8 @@
 //! ([`crate::journal`]) orders decisions, but neither preserves the *time
 //! domain*: when each stage ran, on which thread, and how the parallel
 //! exchange workers overlapped. The flight recorder captures exactly that —
-//! span windows with thread ids, periodic counter-registry delta samples,
-//! guard trips, and per-mapping exchange windows — in a bounded ring that
+//! span windows with thread ids, work samples at stage boundaries, guard
+//! trips, and per-mapping exchange windows — in a bounded ring that
 //! [`crate::chrome_trace`] exports as a Chrome Trace Event file loadable in
 //! Perfetto or `chrome://tracing`.
 //!
@@ -21,11 +21,12 @@
 //! * **Timestamped.** All timestamps are nanoseconds on one process-wide
 //!   monotonic clock ([`now_ns`]), so events from different threads
 //!   interleave consistently.
-//! * **Self-sampling.** Every [`SAMPLE_STRIDE`]th event (and every forced
-//!   [`sample_counters`] call) appends a delta sample of the counter
-//!   registry: only counters whose value changed since the previous sample
-//!   are included, with absolute values — the exact shape Chrome `C`
-//!   (counter) events want.
+//! * **Work samples at boundaries.** Where a mapping of an exchange or an
+//!   incremental batch ends, the engine records its own [`crate::Work`]
+//!   tally so far ([`record_work`]): the non-zero counts, with absolute
+//!   values — the exact shape Chrome `C` (counter) events want. A sample
+//!   names the tally of the session that reached the boundary; nothing
+//!   samples on a stride, since no global tally exists to sample.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,10 +37,6 @@ use crate::ring::{Counts, Ring};
 
 /// Events the recorder retains.
 pub const CAP: usize = 65_536;
-
-/// A counter-registry delta sample is appended automatically every this
-/// many recorded events.
-pub const SAMPLE_STRIDE: u64 = 128;
 
 // ---- The monotonic clock and thread ids. ----
 
@@ -75,11 +72,10 @@ pub enum FlightKind {
         /// Elapsed wall time of the span.
         dur_ns: u64,
     },
-    /// A delta sample of the counter registry: counters whose value
-    /// changed since the previous sample, with absolute values.
+    /// A session's work tally at a stage boundary: its non-zero counts.
     CounterSample {
-        /// `(counter name, absolute value)`, sorted by name.
-        values: Vec<(String, u64)>,
+        /// `(count name, absolute value)`, sorted by name.
+        values: Vec<(&'static str, u64)>,
     },
     /// A resource budget tripped ([`crate::guard`]).
     GuardTrip {
@@ -179,54 +175,22 @@ pub fn set_enabled(on: bool) {
 #[derive(Debug)]
 struct Flight {
     ring: Ring<FlightEvent>,
-    /// Counter values at the previous sample, for delta detection.
-    last_sample: BTreeMap<String, u64>,
 }
 
 impl Flight {
     const fn new() -> Self {
         Flight {
             ring: Ring::new(CAP),
-            last_sample: BTreeMap::new(),
         }
     }
 
-    fn push(&mut self, kind: FlightKind, ts_ns: u64, tid: u64) -> u64 {
-        self.ring
-            .push(|seq| FlightEvent {
-                seq,
-                ts_ns,
-                tid,
-                kind,
-            })
-            .0
-    }
-
-    /// Append a counter delta sample if any counter moved since the last
-    /// sample. Returns whether a sample was recorded.
-    fn sample(&mut self, ts_ns: u64, tid: u64) -> bool {
-        let mut changed: Vec<(String, u64)> = Vec::new();
-        for (name, value) in crate::counters().snapshot() {
-            if self.last_sample.get(&name) != Some(&value) {
-                self.last_sample.insert(name.clone(), value);
-                changed.push((name, value));
-            }
-        }
-        if changed.is_empty() {
-            return false;
-        }
-        self.push(FlightKind::CounterSample { values: changed }, ts_ns, tid);
-        true
-    }
-
-    fn record(&mut self, kind: FlightKind, ts_ns: u64, tid: u64) -> u64 {
-        let seq = self.push(kind, ts_ns, tid);
-        // Periodic registry sampling rides on the event stream itself: no
-        // timer thread, and quiet periods record nothing.
-        if seq % SAMPLE_STRIDE == SAMPLE_STRIDE - 1 {
-            self.sample(ts_ns, tid);
-        }
-        seq
+    fn record(&mut self, kind: FlightKind, ts_ns: u64, tid: u64) {
+        self.ring.push(|seq| FlightEvent {
+            seq,
+            ts_ns,
+            tid,
+            kind,
+        });
     }
 
     fn summary(&self) -> Summary {
@@ -317,15 +281,20 @@ pub fn record_durable_window(op: &str, bytes: u64, count: u64, wall_ns: u64) {
     record_mapping_window(format!("durable:{op}"), bytes, count, 0, wall_ns);
 }
 
-/// Force a counter-registry delta sample now (stage boundaries call this
-/// so counter tracks bracket the interesting intervals even when the
-/// stride has not elapsed). Returns whether any counter had moved.
-pub fn sample_counters() -> bool {
+/// Record a session's work tally at a stage boundary: its non-zero
+/// counts, so the exported trace's counter tracks follow the session
+/// that reached the boundary. Nothing is recorded for an all-zero tally.
+pub fn record_work(work: &crate::Work) {
     if !enabled() {
-        return false;
+        return;
+    }
+    let values: Vec<(&'static str, u64)> =
+        work.entries().into_iter().filter(|&(_, v)| v > 0).collect();
+    if values.is_empty() {
+        return;
     }
     let (ts, tid) = (now_ns(), thread_tid());
-    with_flight(|fl| fl.sample(ts, tid))
+    with_flight(|fl| fl.record(FlightKind::CounterSample { values }, ts, tid));
 }
 
 /// Clear all events and restart the sequence.
@@ -359,7 +328,10 @@ mod tests {
         record_span_end("exchange.run_mapping", 42);
         record_guard_trip("rows", "exchange.run_mapping");
         record_mapping_window("m1", 3, 2, 1, 1000);
-        assert!(!sample_counters());
+        record_work(&crate::Work {
+            exchange_rows_inserted: 5,
+            ..crate::Work::default()
+        });
         assert!(events().is_empty());
         let s = summary();
         assert_eq!(
@@ -434,34 +406,34 @@ mod tests {
     }
 
     #[test]
-    fn counter_samples_are_deltas_with_absolute_values() {
+    fn work_samples_carry_the_non_zero_counts() {
         let _guard = guard();
-        crate::set_enabled(true);
-        crate::profile_reset();
         set_enabled(true);
         reset();
-        crate::counters().rows_inserted.add(5);
-        assert!(sample_counters());
-        // Nothing moved: no second sample.
-        assert!(!sample_counters());
-        crate::counters().rows_inserted.add(2);
-        assert!(sample_counters());
-        set_enabled(false);
-        crate::set_enabled(false);
-        let samples: Vec<FlightEvent> = events()
-            .into_iter()
-            .filter(|e| matches!(e.kind, FlightKind::CounterSample { .. }))
-            .collect();
-        assert_eq!(samples.len(), 2);
-        let values = |e: &FlightEvent| match &e.kind {
-            FlightKind::CounterSample { values } => values.clone(),
-            _ => unreachable!(),
+        let mut work = crate::Work {
+            exchange_rows_inserted: 5,
+            ..crate::Work::default()
         };
-        // The first sample carries the absolute value 5; the second is a
-        // delta sample mentioning only the moved counter, at value 7.
-        assert!(values(&samples[0]).contains(&("exchange.rows_inserted".to_string(), 5)));
-        let second = values(&samples[1]);
-        assert_eq!(second, vec![("exchange.rows_inserted".to_string(), 7)]);
+        record_work(&work);
+        // An all-zero tally records nothing.
+        record_work(&crate::Work::default());
+        work.exchange_rows_merged += 2;
+        record_work(&work);
+        set_enabled(false);
+        let samples: Vec<Vec<(&str, u64)>> = events()
+            .into_iter()
+            .map(|e| match e.kind {
+                FlightKind::CounterSample { values } => values,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            samples,
+            vec![
+                vec![("exchange.rows_inserted", 5)],
+                vec![("exchange.rows_inserted", 5), ("exchange.rows_merged", 2)],
+            ]
+        );
     }
 
     #[test]

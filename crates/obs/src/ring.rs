@@ -3,8 +3,8 @@
 //!
 //! A [`Ring`] numbers every record it is given, keeps the newest `cap` of
 //! them, and counts what it evicted, so each log keeps only its typed
-//! records and its own extras (the journal's lineage index, the
-//! recorder's counter sampler, the audit log's sink). [`Counts`] is the
+//! records and its own extras (the journal's lineage index, the audit
+//! log's sink). [`Counts`] is the
 //! status every log prints.
 
 use std::collections::VecDeque;

@@ -4,13 +4,16 @@
 //! "query.eval", ...). Spans nest lexically: the collector keeps a
 //! thread-local stack, and repeated spans at the same tree position fold
 //! into a single aggregate node (call count, total/min/max wall time), so a
-//! span inside a per-row loop stays O(1) in memory.
+//! span inside a per-row loop stays O(1) in memory. Every closed span's
+//! duration also lands in the collector's log₂ histogram, the source of
+//! the profile's latency percentiles.
 //!
 //! Guards must be dropped in LIFO order, which Rust scoping gives for free.
 
 use std::cell::RefCell;
 use std::time::Instant;
 
+use crate::metrics::{bucket_for, percentiles, Histogram, HISTOGRAM_BUCKETS};
 use crate::profile::ProfileNode;
 
 #[derive(Debug)]
@@ -40,12 +43,14 @@ impl Node {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Collector {
     nodes: Vec<Node>,
     roots: Vec<usize>,
     /// Indices of the currently open spans, innermost last.
     stack: Vec<usize>,
+    /// Durations (ns) of every span closed on this thread.
+    durations: Histogram,
 }
 
 impl Collector {
@@ -82,6 +87,7 @@ impl Collector {
             return;
         }
         self.stack.pop();
+        self.durations[bucket_for(elapsed_ns)] += 1;
         let node = &mut self.nodes[index];
         node.count += 1;
         node.total_ns += elapsed_ns;
@@ -122,7 +128,14 @@ impl Collector {
 }
 
 thread_local! {
-    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
+    static COLLECTOR: RefCell<Collector> = const {
+        RefCell::new(Collector {
+            nodes: Vec::new(),
+            roots: Vec::new(),
+            stack: Vec::new(),
+            durations: [0; HISTOGRAM_BUCKETS],
+        })
+    };
 }
 
 /// Open a span. Returns a guard that records the elapsed wall time into the
@@ -193,45 +206,39 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let profiled = if let Some(live) = self.live.take() {
+        if let Some(live) = self.live.take() {
             let elapsed_ns = u64::try_from(live.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            crate::counters().span_duration_ns.record(elapsed_ns);
             COLLECTOR.with(|c| c.borrow_mut().close(live.index, elapsed_ns));
-            true
-        } else {
-            false
-        };
+        }
         if let Some(flight) = self.flight.take() {
             let elapsed_ns = u64::try_from(flight.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if !profiled {
-                // Flight-only runs still feed the duration histogram so
-                // counter samples carry latency percentiles.
-                crate::counters().span_duration_ns.record(elapsed_ns);
-            }
             crate::recorder::record_span_end(flight.name, elapsed_ns);
         }
     }
 }
 
-/// Drop every collected span on this thread (open guards keep recording
-/// into fresh nodes afterwards).
+/// Drop every collected span and duration on this thread (open guards
+/// keep recording into fresh nodes afterwards).
 pub(crate) fn reset_current_thread() {
     COLLECTOR.with(|c| {
         let mut collector = c.borrow_mut();
         collector.nodes.clear();
         collector.roots.clear();
         collector.stack.clear();
+        collector.durations = [0; HISTOGRAM_BUCKETS];
     });
 }
 
-/// Export this thread's span tree.
-pub(crate) fn snapshot_current_thread() -> Vec<ProfileNode> {
+/// Export this thread's span tree and the p50/p90/p99 of its span
+/// durations (`None` before any span closed).
+pub(crate) fn snapshot_current_thread() -> (Vec<ProfileNode>, Option<(u64, u64, u64)>) {
     COLLECTOR.with(|c| {
         let collector = c.borrow();
-        collector
+        let stages = collector
             .roots
             .iter()
             .map(|&r| collector.export(r))
-            .collect()
+            .collect();
+        (stages, percentiles(&collector.durations))
     })
 }

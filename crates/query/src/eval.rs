@@ -25,7 +25,7 @@ use dtr_model::instance::{Instance, NodeId};
 use dtr_model::schema::Schema;
 use dtr_model::value::{AtomicValue, ElementRef, MappingName};
 use dtr_obs::guard::{Budget, GuardError, Meter};
-use dtr_obs::OpNode;
+use dtr_obs::{OpNode, Work};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
@@ -216,6 +216,9 @@ pub struct EvalStats {
     /// results are aggregated (translated MXQL branches, virtual unions),
     /// so latency percentiles can be extracted across repetitions.
     pub eval_ns: u64,
+    /// Evaluator runs these numbers cover: 1 for one run, the branch
+    /// count of a summed union (translated MXQL, virtual rewritings).
+    pub runs: u64,
 }
 
 impl std::ops::AddAssign for EvalStats {
@@ -225,6 +228,20 @@ impl std::ops::AddAssign for EvalStats {
         self.predicate_triples_tested += other.predicate_triples_tested;
         self.hash_probes += other.hash_probes;
         self.eval_ns += other.eval_ns;
+        self.runs += other.runs;
+    }
+}
+
+/// The `eval.*` counts of these stats.
+impl From<EvalStats> for Work {
+    fn from(s: EvalStats) -> Work {
+        Work {
+            eval_bindings_enumerated: s.bindings_enumerated,
+            eval_hash_probes: s.hash_probes,
+            eval_queries_evaluated: s.runs,
+            eval_tuples_scanned: s.tuples_scanned,
+            ..Work::default()
+        }
     }
 }
 
@@ -467,14 +484,11 @@ impl<'a> Evaluator<'a> {
     /// stage's label names the comparisons it applies: a binding's hash
     /// join (`on`) and filters, those a mapping predicate's stage ran
     /// after unification, and the residual filter's. Labels are formatted
-    /// only here, never on a plain run. Every operator's elapsed time is
-    /// folded into the shared log₂ span-duration histogram. The tree is
-    /// returned to the caller, so concurrent analyzed runs each own
-    /// theirs.
+    /// only here, never on a plain run. The tree is returned to the
+    /// caller, so concurrent analyzed runs each own theirs.
     pub fn run_analyzed(&self, q: &Query) -> Result<(QueryResult, OpNode), EvalError> {
         let (result, plan) = self.run_impl(q, true)?;
         let plan = plan.expect("analyze mode always builds a plan");
-        fold_durations(&plan);
         Ok((result, plan))
     }
 
@@ -486,7 +500,6 @@ impl<'a> Evaluator<'a> {
         let span = dtr_obs::span("query.eval")
             .field("from_len", q.from.len())
             .field("conditions", q.conditions.len());
-        dtr_obs::counters().queries_evaluated.incr();
         let started = Instant::now();
         let mut stats = EvalStats::default();
         let mut meter = self.opts.budget.meter("query.eval");
@@ -930,11 +943,8 @@ impl<'a> Evaluator<'a> {
             );
         }
         stats.eval_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        stats.runs = 1;
         out.stats = stats;
-        let counters = dtr_obs::counters();
-        counters.tuples_scanned.add(stats.tuples_scanned);
-        counters.bindings_enumerated.add(stats.bindings_enumerated);
-        counters.hash_probes.add(stats.hash_probes);
         span.record("tuples_scanned", stats.tuples_scanned);
         span.record("bindings", stats.bindings_enumerated);
         span.record("rows_out", out.rows.len());
@@ -1446,15 +1456,6 @@ fn push_stage(plan: &mut Option<OpNode>, node: Option<OpNode>, extra_child: Opti
         node.children.push(extra);
     }
     *plan = Some(node);
-}
-
-/// Folds every operator's elapsed time into the shared log₂ span-duration
-/// histogram (the "histogram reuse" of the analyze mode).
-fn fold_durations(node: &OpNode) {
-    dtr_obs::counters().span_duration_ns.record(node.elapsed_ns);
-    for child in &node.children {
-        fold_durations(child);
-    }
 }
 
 /// The atomic value at one of the five mapping-predicate positions of a

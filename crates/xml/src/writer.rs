@@ -113,9 +113,6 @@ pub fn instance_to_xml(inst: &Instance, opts: WriteOptions) -> String {
     }
     out.push_str("</instance>");
     out.push('\n');
-    let c = dtr_obs::counters();
-    c.xml_annotations_written.add(stats.written);
-    c.xml_annotations_suppressed.add(stats.suppressed);
     span.record("annotations_written", stats.written);
     span.record("annotations_suppressed", stats.suppressed);
     out

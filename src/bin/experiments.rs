@@ -12,10 +12,11 @@
 //! cargo run --release --bin experiments -- --all --profile  # EXPLAIN-style profile
 //! ```
 //!
-//! `--profile` (or `DTR_PROFILE=1`) enables the `dtr-obs` span collector and
-//! counter registry; the harness then prints the aggregated profile tree
-//! (plus p50/p90/p99 span latency) and, with `--json`, embeds it under the
-//! `"profile"` key with the percentiles under `"latency_ns"`.
+//! `--profile` (or `DTR_PROFILE=1`) enables the `dtr-obs` span collector;
+//! the harness then prints the aggregated profile tree with the work
+//! counts of the shared scenario's exchange (plus p50/p90/p99 span
+//! latency) and, with `--json`, embeds it under the `"profile"` key with
+//! the percentiles under `"latency_ns"`.
 //!
 //! `--deadline-ms MS` and `--max-rows N` run every exchange and timed query
 //! under a `dtr-obs` resource budget. An exhausted budget aborts the run
@@ -761,10 +762,13 @@ fn main() {
     }
 
     let profile = if dtr_obs::enabled() {
-        let p = dtr_obs::profile_snapshot();
+        let mut p = dtr_obs::profile_snapshot();
+        // The work the harness holds a tally of: the shared exchange.
+        if let Some((tagged, _)) = &shared {
+            p.counters = tagged.report().work().entries();
+        }
         println!("\n{}", p.render());
-        let snap = dtr_obs::counters().span_duration_ns.snapshot();
-        if let Some((p50, p90, p99)) = dtr_obs::snapshot_percentiles(&snap) {
+        if let Some((p50, p90, p99)) = p.span_latency {
             println!("span latency: p50 {p50} ns, p90 {p90} ns, p99 {p99} ns");
         }
         Some(p)
@@ -794,8 +798,7 @@ fn main() {
     if let Some(path) = args.json_path {
         if let Some(p) = &profile {
             results.insert("profile".to_string(), p.to_json());
-            let snap = dtr_obs::counters().span_duration_ns.snapshot();
-            if let Some((p50, p90, p99)) = dtr_obs::snapshot_percentiles(&snap) {
+            if let Some((p50, p90, p99)) = p.span_latency {
                 results.insert(
                     "latency_ns".to_string(),
                     json!({"span_p50": p50, "span_p90": p90, "span_p99": p99}),

@@ -30,8 +30,9 @@
 //!   replays the committed delta suffix, reports torn tails as warnings;
 //! * `.checkpoint` — fold the durable session's delta suffix into a fresh
 //!   checkpoint segment (renormalizing the target to canonical form);
-//! * `.profile [on|off|json]` — toggle or dump the `dtr-obs` profile
-//!   (also enabled by `--profile` or `DTR_PROFILE=1`);
+//! * `.profile [on|off|json]` — toggle or dump the `dtr-obs` profile:
+//!   the span tree of the last query and its work counts (also enabled by
+//!   `--profile` or `DTR_PROFILE=1`);
 //! * `.explain <query>;` — translation EXPLAIN: every Section 7.3 rewrite
 //!   step plus the final plain quer(ies), followed by the EXPLAIN ANALYZE
 //!   operator tree of one run of the cached plan, each stage labelled
@@ -87,6 +88,7 @@ use dtr::model::value::MappingName;
 use dtr::portal::scenario::{tagged as portal_tagged, ScenarioConfig};
 use dtr::query::parser::parse_query;
 use dtr_obs::guard::Budget;
+use dtr_obs::{PipelineProfile, Work};
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
@@ -574,16 +576,14 @@ fn main() {
     // The WAL-backed durable session behind `.save wal`/`.open`; when
     // active, `.delta` commits through it (WAL-then-publish) instead.
     let mut durable: Option<dtr::core::store::DurableSession> = None;
-    // The last `.analyze` tree and the report of the last query's guard
-    // error, embedded in the profile this shell prints.
-    let mut last_analyze: Option<dtr_obs::OpNode> = None;
-    let mut last_guard: Option<dtr_obs::GuardReport> = None;
-    let profile = |last_analyze: &Option<dtr_obs::OpNode>,
-                   last_guard: &Option<dtr_obs::GuardReport>| {
-        let mut p = dtr_obs::profile_snapshot();
-        p.analyze = last_analyze.clone();
-        p.guard = last_guard.clone();
-        p
+    // What this shell attaches to the profiles it prints: the last
+    // query's work counts and guard report, and the last `.analyze` tree.
+    let mut last = PipelineProfile::default();
+    let profile = |last: &PipelineProfile| PipelineProfile {
+        counters: last.counters.clone(),
+        guard: last.guard.clone(),
+        analyze: last.analyze.clone(),
+        ..dtr_obs::profile_snapshot()
     };
     eprintln!(
         "tagged instance ready: {} target values, {} mappings. Type .help for help.",
@@ -614,16 +614,15 @@ fn main() {
                     "on" => {
                         dtr_obs::set_enabled(true);
                         dtr_obs::profile_reset();
-                        last_analyze = None;
-                        last_guard = None;
+                        last = PipelineProfile::default();
                         println!("profiling on");
                     }
                     "off" => {
                         dtr_obs::set_enabled(false);
                         println!("profiling off");
                     }
-                    "json" => println!("{}", profile(&last_analyze, &last_guard).to_json_string()),
-                    "" => println!("{}", profile(&last_analyze, &last_guard).render()),
+                    "json" => println!("{}", profile(&last).to_json_string()),
+                    "" => println!("{}", profile(&last).render()),
                     _ => println!("usage: .profile [on|off|json]"),
                 },
                 ".mode" => match parse_mode(rest) {
@@ -843,6 +842,7 @@ fn main() {
                                 let t0 = std::time::Instant::now();
                                 match tagged.execute(Request::Parsed(&q), None, true) {
                                     Ok((r, plan)) => {
+                                        last.counters = Work::from(r.stats).entries();
                                         print!("{}", r.to_table());
                                         println!(
                                             "({} rows in {:.1} ms)",
@@ -853,7 +853,7 @@ fn main() {
                                         // `.profile json` embed it.
                                         if let Some(plan) = plan {
                                             print!("{}", plan.render());
-                                            last_analyze = Some(plan);
+                                            last.analyze = Some(plan);
                                         }
                                     }
                                     Err(e) => println!("error: {e}"),
@@ -1087,7 +1087,7 @@ fn main() {
         buffer.clear();
         if dtr_obs::enabled() {
             dtr_obs::profile_reset();
-            last_guard = None;
+            last.guard = None;
         }
         let t0 = std::time::Instant::now();
         let result = parse_query(&text)
@@ -1107,6 +1107,13 @@ fn main() {
             });
         match result {
             Ok(r) => {
+                let mut work = Work::from(r.stats);
+                if mode == Mode::Translated {
+                    // Each branch a translated run evaluated is one of its
+                    // `translate.branches`.
+                    work.translate_branches = r.stats.runs;
+                }
+                last.counters = work.entries();
                 print!("{}", r.to_table());
                 println!(
                     "({} rows in {:.1} ms)",
@@ -1114,13 +1121,16 @@ fn main() {
                     t0.elapsed().as_secs_f64() * 1e3
                 );
                 if dtr_obs::enabled() {
-                    println!("{}", profile(&last_analyze, &last_guard).render());
+                    println!("{}", profile(&last).render());
                 }
             }
             Err(e) => {
+                let mut work = Work::default();
                 if let Some(g) = e.guard() {
-                    last_guard = Some(g.into());
+                    work.guard_trips = 1;
+                    last.guard = Some(g.into());
                 }
+                last.counters = work.entries();
                 println!("error: {e}");
             }
         }

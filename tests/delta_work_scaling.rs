@@ -2,8 +2,9 @@
 //!
 //! One fixed, seeded stream of reprice, delete and insert batches on
 //! `HS.houses` and `Yahoo.listings` runs against the Section 8 portal at
-//! 100 and at 400 listings per source. The work counters of a serial run
-//! repeat exactly, so the bounds are ratios between the two scales:
+//! 100 and at 400 listings per source. The session's work tally
+//! (`IncrementalSession::work`) repeats exactly for a serial run, so the
+//! bounds are ratios between the two scales:
 //!
 //! * the items enumerated outside hash probes (`eval.tuples_scanned −
 //!   eval.hash_probes`) stay flat: a delta term enumerates its changed
@@ -12,9 +13,6 @@
 //!   and remove. `hs2` keys its self-join on `neighborhood` alone, and a
 //!   neighborhood name holds more houses at a larger scale, so the rows —
 //!   and the raw `eval.hash_probes` — do grow; neither is pinned.
-//!
-//! The counter registry is process-global, so this file is its own test
-//! binary with a single test.
 
 use dtr::core::incremental::IncrementalSession;
 use dtr::mapping::delta::SourceDelta;
@@ -142,28 +140,23 @@ fn stream_work(listings_per_source: usize) -> (u64, u64, u64) {
     let mut rng = Rng(0x5CA1_E000);
     let mut listings = ListingGenerator::new(0x5CA1_E5EED, 16);
     let mut hid = 900_000;
-    let counters = dtr_obs::counters();
-    let (scanned0, probes0, bindings0) = (
-        counters.tuples_scanned.get(),
-        counters.hash_probes.get(),
-        counters.bindings_enumerated.get(),
-    );
+    // The build's work is in the tally too; count only the commits'.
+    let built = session.work();
     let mut rows = 0;
     for _ in 0..BATCHES {
         let delta = next_batch(&mut rng, &mut listings, &mut hid, session.sources());
         let td = session.apply(&delta).unwrap();
         rows += (td.rows_added + td.rows_removed) as u64;
     }
-    let scanned = counters.tuples_scanned.get() - scanned0;
-    let probes = counters.hash_probes.get() - probes0;
-    let bindings = counters.bindings_enumerated.get() - bindings0;
+    let work = session.work();
+    let scanned = work.eval_tuples_scanned - built.eval_tuples_scanned;
+    let probes = work.eval_hash_probes - built.eval_hash_probes;
+    let bindings = work.eval_bindings_enumerated - built.eval_bindings_enumerated;
     (scanned - probes, bindings, rows)
 }
 
 #[test]
 fn a_commit_costs_what_its_batch_touches() {
-    dtr_obs::set_enabled(true);
-    dtr_obs::profile_reset();
     let (outside_small, bindings_small, rows_small) = stream_work(100);
     let (outside_large, bindings_large, rows_large) = stream_work(400);
     assert!(rows_small > 0 && bindings_small > 0 && outside_small > 0);

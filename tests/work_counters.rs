@@ -1,19 +1,18 @@
 //! The work one fixed workload does, pinned exactly.
 //!
-//! Work counters (tuples scanned, bindings enumerated, hash probes, rows
-//! inserted and merged, annotations, guard polls, metastore tuples) are
-//! deterministic for a fixed workload run serially, so any change to how
-//! much work the engine does shows up here as an exact mismatch. The
-//! workload instance's statistics are pinned too, so a change to what the
-//! exchange produces shows up as well. Wall-clock numbers are not pinned;
-//! the repository benchmark measures those.
+//! Work counts (tuples scanned, bindings enumerated, hash probes, rows
+//! inserted and merged, annotations, metastore tuples) are deterministic
+//! for a fixed workload run serially, so any change to how much work the
+//! engine does shows up here as an exact mismatch. They are summed from
+//! what the workload's calls return and the tallies its sessions keep, so
+//! they are the same whichever telemetry tiers are on. The workload
+//! instance's statistics are pinned too, so a change to what the exchange
+//! produces shows up as well. Wall-clock numbers are not pinned; the
+//! repository benchmark measures those.
 //!
-//! A second part pins the incremental and durable counters: a WAL-backed
+//! A second part pins the incremental and durable counts: a WAL-backed
 //! session over the Figure 1 setting commits, checkpoints, commits again
 //! and is reopened.
-//!
-//! The counter registry is process-global, so this file is its own test
-//! binary with a single test: nothing else in the process can tick it.
 
 use std::sync::Arc;
 
@@ -26,6 +25,7 @@ use dtr::mapping::durable::MemVfs;
 use dtr::model::instance::Value;
 use dtr::portal::scenario::{build, ScenarioConfig};
 use dtr::query::parser::parse_query;
+use dtr_obs::Work;
 
 /// Direct selection, an `@map` extension, and an MXQL mapping predicate.
 const QUERIES: &[&str] = &[
@@ -36,8 +36,7 @@ const QUERIES: &[&str] = &[
        and <'Yahoo':'/Yahoo/listings/price' -> m -> 'Portal':e>",
 ];
 
-/// Every registry counter after the workload, sorted by name. The exchange
-/// is serial, so `exchange.parallel_workers` stays 0 on any host.
+/// Every count of the workload's work, sorted by name.
 const EXPECTED: &[(&str, u64)] = &[
     ("durable.checkpoints", 0),
     ("durable.epochs_published", 0),
@@ -60,20 +59,16 @@ const EXPECTED: &[(&str, u64)] = &[
     ("exchange.delta_mappings_reevaluated", 0),
     ("exchange.delta_rows_added", 0),
     ("exchange.delta_rows_removed", 0),
-    ("exchange.parallel_workers", 0),
     ("exchange.rows_inserted", 3416),
     ("exchange.rows_merged", 1978),
-    ("guard.checks", 440),
     ("guard.rollbacks", 0),
     ("guard.trips", 0),
     ("metastore.tuples_encoded", 842),
     ("translate.branches", 1),
-    ("xml.annotations_suppressed", 0),
-    ("xml.annotations_written", 0),
 ];
 
-/// Every registry counter after the durable session's create, two
-/// commits, checkpoint and reopen, counted from a reset.
+/// Every count of the durable session's work (create, two commits,
+/// checkpoint) plus the reopened session's (its recovery).
 const EXPECTED_DURABLE: &[(&str, u64)] = &[
     ("durable.checkpoints", 2),
     ("durable.epochs_published", 3),
@@ -96,16 +91,12 @@ const EXPECTED_DURABLE: &[(&str, u64)] = &[
     ("exchange.delta_mappings_reevaluated", 6),
     ("exchange.delta_rows_added", 3),
     ("exchange.delta_rows_removed", 1),
-    ("exchange.parallel_workers", 0),
     ("exchange.rows_inserted", 15),
     ("exchange.rows_merged", 3),
-    ("guard.checks", 23),
     ("guard.rollbacks", 0),
     ("guard.trips", 0),
     ("metastore.tuples_encoded", 0),
     ("translate.branches", 0),
-    ("xml.annotations_suppressed", 0),
-    ("xml.annotations_written", 72),
 ];
 
 /// A Figure 1 `US.houses` row.
@@ -120,9 +111,6 @@ fn house(hid: &str) -> Value {
 
 #[test]
 fn fixed_workload_does_pinned_work() {
-    dtr_obs::set_enabled(true);
-    dtr_obs::profile_reset();
-
     // A serial exchange of the 1,000-listing portal, the three queries
     // evaluated directly, and the second one again through the Section 7
     // translation over the metastore.
@@ -133,16 +121,20 @@ fn fixed_workload_does_pinned_work() {
     .exchange()
     .unwrap();
     let runner = MetaRunner::new(tagged.setting()).unwrap();
+    let mut work = tagged.report().work();
+    work += runner.work();
     for text in QUERIES {
-        tagged.query(text).unwrap();
+        work += Work::from(tagged.query(text).unwrap().stats);
     }
-    runner
+    let translated = runner
         .run(&tagged, &parse_query(QUERIES[1]).unwrap(), None)
         .unwrap();
-
-    let counters = dtr_obs::counters().snapshot();
-    let counters: Vec<(&str, u64)> = counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    assert_eq!(counters, EXPECTED);
+    // Each branch the translated run evaluated is one translate.branches.
+    work += Work {
+        translate_branches: translated.stats.runs,
+        ..translated.stats.into()
+    };
+    assert_eq!(work.entries(), EXPECTED);
     // Paths, and tuples, sets and distinct values summed over all paths.
     let stats = tagged.statistics();
     let sum = |f: fn(&PathStats) -> u64| stats.paths.values().map(f).sum::<u64>();
@@ -157,7 +149,6 @@ fn fixed_workload_does_pinned_work() {
     // A durable session on an in-memory file system: one batch with an
     // insert and a delete, a checkpoint, one more batch, a crash, and a
     // reopen that replays the batch after the checkpoint.
-    dtr_obs::profile_reset();
     let vfs = Arc::new(MemVfs::new());
     let mut session = DurableSession::create(
         figure1_setting(),
@@ -179,11 +170,10 @@ fn fixed_workload_does_pinned_work() {
     session
         .apply(&SourceDelta::new().insert("US.houses", house("H801")))
         .unwrap();
+    let mut work = session.work();
     drop(session);
-    let (_, report) = DurableSession::open(vfs, "wal", DurableOptions::default()).unwrap();
+    let (reopened, report) = DurableSession::open(vfs, "wal", DurableOptions::default()).unwrap();
     assert_eq!(report.replayed, 1);
-
-    let counters = dtr_obs::counters().snapshot();
-    let counters: Vec<(&str, u64)> = counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    assert_eq!(counters, EXPECTED_DURABLE);
+    work += reopened.work();
+    assert_eq!(work.entries(), EXPECTED_DURABLE);
 }
