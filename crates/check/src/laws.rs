@@ -460,33 +460,54 @@ fn roundtrip_query(q: &Query) -> Result<(), String> {
 /// per-mapping decision counts and per-mapping foreach work (every
 /// `EvalStats` field but the wall time) identical to the serial engine's:
 /// the insert stage is single-writer and applies mappings in order, and
-/// a worker's evaluation is the serial one's.
+/// a worker's evaluation is the serial one's. The per-row reference
+/// construction (`member_templates: false`), which builds every row's
+/// member value and compares values where the default path compares its
+/// templates against the merge index's snapshots, must agree the same
+/// way.
 pub fn law_parallel_exchange(scen: &Scenario) -> Result<(), String> {
+    use dtr_mapping::exchange::ExchangeOptions;
     let serial = scen
         .tagged()
         .map_err(|e| format!("serial exchange failed on generated scenario: {e}"))?;
-    let parallel = scen
-        .tagged_with(&dtr_mapping::exchange::ExchangeOptions {
-            parallel: true,
-            // Explicit cap so the threaded path runs even on one core
-            // (auto sizing would fall back to the serial engine there).
-            workers: 2,
-            ..Default::default()
-        })
-        .map_err(|e| format!("parallel exchange failed on generated scenario: {e}"))?;
+    let variants = [
+        (
+            "parallel exchange",
+            ExchangeOptions {
+                parallel: true,
+                // Explicit cap so the threaded path runs even on one core
+                // (auto sizing would fall back to the serial engine there).
+                workers: 2,
+                ..Default::default()
+            },
+        ),
+        (
+            "reference member construction",
+            ExchangeOptions {
+                member_templates: false,
+                ..Default::default()
+            },
+        ),
+    ];
     let before = canon(serial.target());
-    let after = canon(parallel.target());
-    if before != after {
-        return Err(format!(
-            "parallel exchange changed the target instance\nserial: {before}\nparallel: {after}"
-        ));
-    }
-    let (before, after) = (decisions(serial.report()), decisions(parallel.report()));
-    if before != after {
-        return Err(format!(
-            "parallel exchange changed per-mapping decisions\nserial: {before:?}\nparallel: \
-             {after:?}"
-        ));
+    let before_decisions = decisions(serial.report());
+    for (name, opts) in &variants {
+        let other = scen
+            .tagged_with(opts)
+            .map_err(|e| format!("{name} failed on generated scenario: {e}"))?;
+        let after = canon(other.target());
+        if before != after {
+            return Err(format!(
+                "{name} changed the target instance\ndefault: {before}\n{name}: {after}"
+            ));
+        }
+        let after = decisions(other.report());
+        if before_decisions != after {
+            return Err(format!(
+                "{name} changed per-mapping decisions\ndefault: {before_decisions:?}\n{name}: \
+                 {after:?}"
+            ));
+        }
     }
     Ok(())
 }
@@ -522,13 +543,15 @@ fn untimed(stats: EvalStats) -> EvalStats {
 type FlightOutcome = (String, Vec<MappingStats>, Work, Vec<QueryOutcome>);
 type QueryOutcome = Result<(Vec<String>, EvalStats), String>;
 
-/// The time-domain observability tiers are pure observers: running the
-/// exchange and a query workload with the flight recorder and audit log
-/// capturing must produce byte-identical canonical targets, per-mapping
-/// decision counts, the same exchange work, and the same query results
-/// and stats but wall time (or identical errors) as a run with both gates
-/// off. Work is counted from returned values, so it cannot depend on a
-/// tier.
+/// The event-recording observability tiers are pure observers: running
+/// the exchange and a query workload with the flight recorder, the audit
+/// log and the decision journal capturing must produce byte-identical
+/// canonical targets, per-mapping decision counts, the same exchange
+/// work, and the same query results and stats but wall time (or identical
+/// errors) as a run with the three gates off. Work is counted from
+/// returned values, so it cannot depend on a tier. The journal records a
+/// fresh member's annotations apart from writing them, so this holds the
+/// two together.
 pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result<(), String> {
     // Draw the query workload once so both runs see identical queries.
     let queries: Vec<Query> = (0..cfg.queries_per_case)
@@ -551,32 +574,37 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
             .collect();
         Ok((target, per_mapping, tagged.report().work(), results))
     };
-    let was_flight = dtr_obs::recorder::enabled();
-    let was_audit = dtr_obs::audit::enabled();
-    dtr_obs::recorder::set_enabled(false);
-    dtr_obs::audit::set_enabled(false);
+    let was = (
+        dtr_obs::recorder::enabled(),
+        dtr_obs::audit::enabled(),
+        dtr_obs::journal::enabled(),
+    );
+    let set = |(flight, audit, journal): (bool, bool, bool)| {
+        dtr_obs::recorder::set_enabled(flight);
+        dtr_obs::audit::set_enabled(audit);
+        dtr_obs::journal::set_enabled(journal);
+    };
+    set((false, false, false));
     let off = run_all(scen);
-    dtr_obs::recorder::set_enabled(true);
-    dtr_obs::audit::set_enabled(true);
+    set((true, true, true));
     let on = run_all(scen);
-    dtr_obs::recorder::set_enabled(was_flight);
-    dtr_obs::audit::set_enabled(was_audit);
+    set(was);
     let (off_target, off_decisions, off_work, off_results) = off?;
     let (on_target, on_decisions, on_work, on_results) = on?;
     if off_target != on_target {
         return Err(format!(
-            "flight recorder changed the target instance\noff: {off_target}\non: {on_target}"
+            "event recording changed the target instance\noff: {off_target}\non: {on_target}"
         ));
     }
     if off_decisions != on_decisions {
         return Err(format!(
-            "flight recorder changed per-mapping decisions\noff: {off_decisions:?}\non: \
+            "event recording changed per-mapping decisions\noff: {off_decisions:?}\non: \
              {on_decisions:?}"
         ));
     }
     if off_work != on_work {
         return Err(format!(
-            "flight recorder changed the exchange's work\noff: {off_work:?}\non: {on_work:?}"
+            "event recording changed the exchange's work\noff: {off_work:?}\non: {on_work:?}"
         ));
     }
     for (q, (off_r, on_r)) in queries
@@ -585,7 +613,7 @@ pub fn law_flight(rng: &mut TestRng, scen: &Scenario, cfg: &GenConfig) -> Result
     {
         if off_r != on_r {
             return Err(format!(
-                "flight recorder changed the result or stats of `{q}`\noff: {off_r:?}\non: \
+                "event recording changed the result or stats of `{q}`\noff: {off_r:?}\non: \
                  {on_r:?}"
             ));
         }

@@ -155,6 +155,53 @@ fn exchange_profile_json_carries_every_counter_and_stage() {
 }
 
 #[test]
+fn parallel_exchange_profile_keeps_the_workers_spans() {
+    use dtr_mapping::exchange::ExchangeOptions;
+    let _guard = GUARD.lock().unwrap();
+    // The stages directly under `exchange.execute_mappings`, with their
+    // call counts, and the `query.eval` calls anywhere in the tree.
+    let profiled = |opts: &ExchangeOptions| {
+        dtr_obs::set_enabled(true);
+        dtr_obs::profile_reset();
+        let tagged = TaggedInstance::exchange_with_options(
+            testkit::figure1_setting(),
+            testkit::figure1_sources(),
+            opts,
+        )
+        .expect("the Figure 1 exchange succeeds");
+        let profile = dtr_obs::profile_snapshot();
+        dtr_obs::set_enabled(false);
+        assert_eq!(tagged.report().per_mapping.len(), 3);
+        let execute = profile.stages[0]
+            .children
+            .iter()
+            .find(|c| c.name == "exchange.execute_mappings")
+            .expect("execute_mappings recorded")
+            .clone();
+        let mut stages: Vec<(String, u64)> = execute
+            .children
+            .iter()
+            .map(|c| (c.name.clone(), c.count))
+            .collect();
+        stages.sort();
+        (stages, span_calls(&profile.stages, "query.eval"))
+    };
+    let serial = profiled(&ExchangeOptions::default());
+    let parallel = profiled(&ExchangeOptions {
+        parallel: true,
+        // Explicit cap so the threaded path runs even on one core.
+        workers: 2,
+        ..ExchangeOptions::default()
+    });
+    assert!(
+        serial.0.contains(&("query.eval".to_string(), 3)),
+        "{serial:?}"
+    );
+    // The workers' foreach evaluations sit where the serial run's do.
+    assert_eq!(parallel, serial);
+}
+
+#[test]
 fn disabled_profiling_records_nothing() {
     let _guard = GUARD.lock().unwrap();
     dtr_obs::set_enabled(false);

@@ -490,39 +490,135 @@ pub(crate) fn plan_exists(m: &Mapping, target_schema: &Schema) -> Result<Plan, E
     Ok(plan)
 }
 
+/// A row's slot-class values, borrowed from the row: `None` for a class no
+/// select position assigns.
+type Slots<'r> = [Option<&'r AtomicValue>];
+
 /// A compiled member template for one plan binding: the structural work of
 /// member construction — grouping field paths, resolving them against the
 /// target schema, sorting record fields into declaration order — performed
-/// once per mapping run instead of once per row. Filling a template with a
-/// row's slot-class values is then a single pass cloning atomic values into
-/// the prebuilt shape.
-pub(crate) enum MemberShape {
+/// once per mapping run instead of once per row, together with the hash of
+/// the structure it builds. A row's member is then identified from the
+/// template and the row's slots alone ([`MemberShape::fingerprint`],
+/// [`MemberShape::matches`]); only a member that proves new is built.
+pub(crate) struct MemberShape {
+    node: ShapeNode,
+    /// The hash of the template's labels, nesting and kinds: the prefix of
+    /// every member fingerprint (see [`member_fingerprint`]).
+    structure: u64,
+}
+
+/// One level of a member template.
+enum ShapeNode {
     /// A leaf filled from one slot class.
     Atomic(usize),
     /// A record whose children are already in schema declaration order.
-    Record(Vec<(Label, MemberShape)>),
+    Record(Vec<(Label, ShapeNode)>),
     /// A choice committed to one alternative.
-    Choice(Label, Box<MemberShape>),
+    Choice(Label, Box<ShapeNode>),
+}
+
+/// The value of the slot class a template leaf reads. A template compiles
+/// from the classes the first row assigns, and which classes a row assigns
+/// is decided by the select positions alone, so every leaf is assigned on
+/// every row.
+fn leaf<'r>(slots: &Slots<'r>, class: usize) -> &'r AtomicValue {
+    slots[class].expect("a template leaf reads an assigned slot class")
 }
 
 impl MemberShape {
-    /// Builds the member [`Value`] for one row. Returns `None` when every
-    /// slot class under this shape is unassigned (the subtree is absent) —
-    /// which classes are assigned is row-invariant, so this mirrors the
-    /// per-row field filtering the template replaced.
-    fn fill(&self, class_values: &[Option<AtomicValue>]) -> Option<Value> {
+    fn new(node: ShapeNode) -> MemberShape {
+        let mut h = DefaultHasher::new();
+        node.hash_structure(&mut h);
+        MemberShape {
+            structure: h.finish(),
+            node,
+        }
+    }
+
+    /// Builds the member [`Value`] for one row.
+    fn fill(&self, slots: &Slots<'_>) -> Value {
+        self.node.fill(slots)
+    }
+
+    /// [`member_fingerprint`] of the value [`MemberShape::fill`] would
+    /// build, without building it: the structure hash, then the leaves.
+    fn fingerprint(&self, slots: &Slots<'_>) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.structure.hash(&mut h);
+        self.node.hash_leaves(slots, &mut h);
+        h.finish()
+    }
+
+    /// Whether the value [`MemberShape::fill`] would build equals `v`,
+    /// decided without building it.
+    fn matches(&self, slots: &Slots<'_>, v: &Value) -> bool {
+        self.node.matches(slots, v)
+    }
+}
+
+impl ShapeNode {
+    fn fill(&self, slots: &Slots<'_>) -> Value {
         match self {
-            MemberShape::Atomic(c) => class_values[*c].clone().map(Value::Atomic),
-            MemberShape::Record(children) => {
-                let rec: Vec<(Label, Value)> = children
+            ShapeNode::Atomic(c) => Value::Atomic(leaf(slots, *c).clone()),
+            ShapeNode::Record(children) => Value::Record(
+                children
                     .iter()
-                    .filter_map(|(l, s)| s.fill(class_values).map(|v| (l.clone(), v)))
-                    .collect();
-                (!rec.is_empty()).then_some(Value::Record(rec))
+                    .map(|(l, s)| (l.clone(), s.fill(slots)))
+                    .collect(),
+            ),
+            ShapeNode::Choice(l, inner) => Value::choice(l.clone(), inner.fill(slots)),
+        }
+    }
+
+    /// Feeds the structure [`hash_value_structure`] feeds for the values
+    /// this template builds.
+    fn hash_structure(&self, h: &mut DefaultHasher) {
+        match self {
+            ShapeNode::Atomic(_) => 0u8.hash(h),
+            ShapeNode::Record(children) => {
+                1u8.hash(h);
+                children.len().hash(h);
+                for (l, s) in children {
+                    l.hash(h);
+                    s.hash_structure(h);
+                }
             }
-            MemberShape::Choice(l, inner) => inner
-                .fill(class_values)
-                .map(|v| Value::choice(l.clone(), v)),
+            ShapeNode::Choice(l, inner) => {
+                2u8.hash(h);
+                l.hash(h);
+                inner.hash_structure(h);
+            }
+        }
+    }
+
+    /// Feeds the leaves in the order [`hash_value_leaves`] does.
+    fn hash_leaves(&self, slots: &Slots<'_>, h: &mut DefaultHasher) {
+        match self {
+            ShapeNode::Atomic(c) => leaf(slots, *c).hash(h),
+            ShapeNode::Record(children) => {
+                for (_, s) in children {
+                    s.hash_leaves(slots, h);
+                }
+            }
+            ShapeNode::Choice(_, inner) => inner.hash_leaves(slots, h),
+        }
+    }
+
+    fn matches(&self, slots: &Slots<'_>, v: &Value) -> bool {
+        match (self, v) {
+            (ShapeNode::Atomic(c), Value::Atomic(a)) => leaf(slots, *c) == a,
+            (ShapeNode::Record(children), Value::Record(fields)) => {
+                children.len() == fields.len()
+                    && children
+                        .iter()
+                        .zip(fields)
+                        .all(|((l, s), (fl, fv))| l == fl && s.matches(slots, fv))
+            }
+            (ShapeNode::Choice(l, inner), Value::Choice(vl, vv)) => {
+                l == vl && inner.matches(slots, vv)
+            }
+            _ => false,
         }
     }
 }
@@ -533,7 +629,7 @@ fn build_shape(
     schema: &Schema,
     elem: ElementId,
     fields: &[(&[Step], usize)],
-) -> Result<MemberShape, ExchangeError> {
+) -> Result<ShapeNode, ExchangeError> {
     if fields.is_empty() {
         return Err(ExchangeError::Unsupported(
             "a target member with no assigned fields".into(),
@@ -541,7 +637,7 @@ fn build_shape(
     }
     // Leaf?
     if fields.len() == 1 && fields[0].0.is_empty() {
-        return Ok(MemberShape::Atomic(fields[0].1));
+        return Ok(ShapeNode::Atomic(fields[0].1));
     }
     /// Field assignments grouped under one leading label.
     type Group<'a> = Vec<(&'a [Step], usize)>;
@@ -593,7 +689,7 @@ fn build_shape(
                 .map(|(i, &c)| (&schema.element(c).label, i))
                 .collect();
             rec.sort_by_key(|(l, _)| order_index.get(l).copied().unwrap_or(usize::MAX));
-            Ok(MemberShape::Record(rec))
+            Ok(ShapeNode::Record(rec))
         }
         ElementKind::Choice => {
             let mut label: Option<Label> = None;
@@ -625,7 +721,7 @@ fn build_shape(
                     schema.path(elem)
                 ))
             })?;
-            Ok(MemberShape::Choice(
+            Ok(ShapeNode::Choice(
                 label,
                 Box::new(build_shape(schema, child, &inner)?),
             ))
@@ -761,35 +857,91 @@ pub fn row_fingerprint(row: &[AtomicValue]) -> u64 {
     h.finish()
 }
 
-/// The default merge-index fingerprint of a member value: its structural
-/// hash.
+/// The structural fingerprint of a member value, which buckets the merge
+/// index: the hash of its structure (labels, nesting and kinds), then its
+/// atomic leaves in order. [`MemberShape::fingerprint`] computes the same
+/// function from a template and a row's slots, so the per-row reference
+/// construction and the templates bucket every member alike.
 pub(crate) fn member_fingerprint(v: &Value) -> u64 {
+    let mut structure = DefaultHasher::new();
+    hash_value_structure(v, &mut structure);
     let mut h = DefaultHasher::new();
-    value_fingerprint(v, &mut h);
+    structure.finish().hash(&mut h);
+    hash_value_leaves(v, &mut h);
     h.finish()
 }
 
-fn value_fingerprint(v: &Value, h: &mut DefaultHasher) {
+/// Feeds a value's labels, nesting and kinds, as
+/// [`ShapeNode::hash_structure`] does for a template.
+fn hash_value_structure(v: &Value, h: &mut DefaultHasher) {
     match v {
-        Value::Atomic(a) => {
-            0u8.hash(h);
-            a.hash(h);
-        }
+        Value::Atomic(_) => 0u8.hash(h),
         Value::Record(fields) => {
             1u8.hash(h);
+            fields.len().hash(h);
             for (l, v) in fields {
                 l.hash(h);
-                value_fingerprint(v, h);
+                hash_value_structure(v, h);
             }
         }
         Value::Choice(l, v) => {
             2u8.hash(h);
             l.hash(h);
-            value_fingerprint(v, h);
+            hash_value_structure(v, h);
         }
         Value::Set(members) => {
             3u8.hash(h);
             members.len().hash(h);
+        }
+    }
+}
+
+/// Feeds a value's atomic leaves in order, as [`ShapeNode::hash_leaves`]
+/// does for a template (a set contributes none).
+fn hash_value_leaves(v: &Value, h: &mut DefaultHasher) {
+    match v {
+        Value::Atomic(a) => a.hash(h),
+        Value::Record(fields) => {
+            for (_, v) in fields {
+                hash_value_leaves(v, h);
+            }
+        }
+        Value::Choice(_, v) => hash_value_leaves(v, h),
+        Value::Set(_) => {}
+    }
+}
+
+/// One binding's member for one row, as the insert stage identifies it:
+/// the compiled template over the row's slots, of which nothing is built
+/// until the member proves new, or the value the per-row reference
+/// construction built.
+pub(crate) enum Candidate<'s> {
+    Template(&'s MemberShape, &'s Slots<'s>),
+    Built(Value),
+}
+
+impl Candidate<'_> {
+    /// The structural fingerprint of the member ([`member_fingerprint`]).
+    fn fingerprint(&self) -> u64 {
+        match self {
+            Candidate::Template(shape, slots) => shape.fingerprint(slots),
+            Candidate::Built(v) => member_fingerprint(v),
+        }
+    }
+
+    /// Whether the member equals `v`.
+    pub(crate) fn matches(&self, v: &Value) -> bool {
+        match self {
+            Candidate::Template(shape, slots) => shape.matches(slots, v),
+            Candidate::Built(built) => built == v,
+        }
+    }
+
+    /// The member's value, built now if it was not.
+    fn into_value(self) -> Value {
+        match self {
+            Candidate::Template(shape, slots) => shape.fill(slots),
+            Candidate::Built(v) => v,
         }
     }
 }
@@ -803,18 +955,19 @@ pub struct Exchange<'a> {
     pub(crate) target: Instance,
     /// `(set node, member fingerprint) -> candidate members` for PNF
     /// merging. A fingerprint match alone is not proof of equality: each
-    /// bucket keeps the built member values so a merge is only taken after
-    /// a structural comparison confirms it, and colliding-but-distinct
-    /// members split the bucket instead of being folded together.
+    /// bucket keeps the value each member was installed from, so a merge
+    /// is only taken after the row's member is confirmed equal to it, and
+    /// colliding-but-distinct members split the bucket instead of being
+    /// folded together.
     pub(crate) merge_index: HashMap<(NodeId, u64), Vec<(Value, NodeId)>>,
     pub(crate) report: ExchangeReport,
     /// Insert-stage budget enforcement: `max_rows` charges accumulate
     /// across mappings; deadline/cancellation are polled per row.
     pub(crate) meter: Meter,
-    /// Member fingerprint bucketing the merge index: the structural
-    /// [`member_fingerprint`] unless overridden (see
-    /// [`Exchange::set_member_fingerprinter`]).
-    member_fp: fn(&Value) -> u64,
+    /// Maps a member's structural fingerprint ([`member_fingerprint`]) to
+    /// the key that buckets it in the merge index: the identity unless
+    /// overridden (see [`Exchange::set_member_fingerprinter`]).
+    member_fp: fn(u64) -> u64,
     /// Crate-private hook on the insert stage, `None` outside incremental
     /// builds (see [`RowSink`]).
     pub(crate) sink: Option<&'a mut RowSink<'a>>,
@@ -827,13 +980,11 @@ pub struct Exchange<'a> {
 pub(crate) type RowSink<'s> = dyn FnMut(usize, Vec<AtomicValue>, &[BindingTouch]) + 's;
 
 /// Where one root binding of a plan puts a foreach row (see
-/// [`Exchange::root_members`]): the binding's index, its skeleton set and
-/// the live member holding its value (`None` while absent), and the value.
+/// [`Exchange::root_members`]): the binding's index and the live member
+/// holding its value (`None` while absent).
 pub(crate) struct RootMember {
     pub(crate) binding: usize,
-    pub(crate) set: Option<NodeId>,
     pub(crate) member: Option<NodeId>,
-    pub(crate) value: Value,
 }
 
 /// The outcome of one plan binding for one inserted row: which set was
@@ -884,7 +1035,7 @@ impl<'a> Exchange<'a> {
             merge_index: HashMap::new(),
             report: ExchangeReport::default(),
             meter: Budget::default().meter("exchange.insert_row"),
-            member_fp: member_fingerprint,
+            member_fp: std::convert::identity,
             sink: None,
         }
     }
@@ -895,13 +1046,14 @@ impl<'a> Exchange<'a> {
         self.meter = budget.meter("exchange.insert_row");
     }
 
-    /// Overrides the member fingerprint used for PNF-merge bucketing. As
-    /// with [`dtr_model::pnf::to_pnf_with`], fingerprints only *bucket*
+    /// Overrides the fingerprint used for PNF-merge bucketing: `f` maps a
+    /// member's structural fingerprint to its bucket key. As with
+    /// [`dtr_model::pnf::to_pnf_with`], fingerprints only *bucket*
     /// candidates — every merge is confirmed structurally — so a weaker or
-    /// even constant hasher must never change the produced instance, only
-    /// the bucketing cost. Exposed for differential/conformance testing
-    /// (forcing collision splits on demand).
-    pub fn set_member_fingerprinter(&mut self, f: fn(&Value) -> u64) {
+    /// even constant function must never change the produced instance,
+    /// only the bucketing cost. Exposed for differential/conformance
+    /// testing (`|_| 42` forces every member into one bucket).
+    pub fn set_member_fingerprinter(&mut self, f: fn(u64) -> u64) {
         self.member_fp = f;
     }
 
@@ -1044,22 +1196,29 @@ impl<'a> Exchange<'a> {
         let mut result: Result<(), ExchangeError> = Ok(());
         let mut inserted = 0usize;
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let sources = &sources;
-                let eval = eval.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let rows = eval_foreach(sources, functions, &mappings[i], eval.clone());
-                    if tx.send((i, rows)).is_err() {
-                        break;
-                    }
-                });
-            }
+            // Each worker hands back the spans it collected, which its
+            // thread would otherwise drop with it.
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    let next = &next;
+                    let sources = &sources;
+                    let eval = eval.clone();
+                    scope.spawn(move || {
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            let rows = eval_foreach(sources, functions, &mappings[i], eval.clone());
+                            if tx.send((i, rows)).is_err() {
+                                break;
+                            }
+                        }
+                        dtr_obs::take_thread_spans()
+                    })
+                })
+                .collect();
             drop(tx);
             // Buffer out-of-order completions and insert in mapping order.
             let mut pending: BTreeMap<usize, EvaluatedRows> = BTreeMap::new();
@@ -1082,6 +1241,15 @@ impl<'a> Exchange<'a> {
                     Err(_) => break,
                 }
             }
+            // Folded under this thread's open span, where the serial run's
+            // evaluations sit. A worker's panic propagates, as the scope's
+            // own join would propagate it.
+            for handle in handles {
+                match handle.join() {
+                    Ok(spans) => dtr_obs::adopt_thread_spans(spans),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
         });
         if result.is_ok() && inserted < n {
             // Only reachable if a worker died without sending (a panic).
@@ -1099,6 +1267,11 @@ impl<'a> Exchange<'a> {
     /// its base is) — the incremental engine replays rows against a single
     /// member class this way. Returns one [`BindingTouch`] per plan
     /// binding, [`BindingTouch::SKIPPED`] for masked-out ones.
+    ///
+    /// Each binding's member is identified from its template and the row's
+    /// slots: a merge builds nothing, and a new member's value is built
+    /// once, installed by reference with `f_mp = {m}` on every node it
+    /// creates, and kept as the merge-index snapshot.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_row(
         &mut self,
@@ -1114,7 +1287,7 @@ impl<'a> Exchange<'a> {
         // One source-binding fingerprint per foreach tuple; only computed
         // when the journal is capturing.
         let row_fp = dtr_obs::journal::enabled().then(|| row_fingerprint(row));
-        let class_values = slot_values(m, plan, row)?;
+        let slots = slot_values(m, plan, row)?;
 
         // Insert bindings in order; remember each binding's member node.
         let mut touches: Vec<BindingTouch> = Vec::with_capacity(plan.bindings.len());
@@ -1131,9 +1304,9 @@ impl<'a> Exchange<'a> {
                     self.nested_set(m, base, b.member_elem, steps, stats)?
                 }
             };
-            let value = self.member_value(b, &class_values, templates, &mut shapes[bi])?;
-            let fp = (self.member_fp)(&value);
-            let (member, created) = match self.find_member(set_node, fp, &value) {
+            let candidate = self.candidate(b, &slots, templates, &mut shapes[bi])?;
+            let fp = (self.member_fp)(candidate.fingerprint());
+            let (member, created) = match self.find_member(set_node, fp, &candidate) {
                 Some(existing) => {
                     stats.rows_merged += 1;
                     if let Some(binding_fp) = row_fp {
@@ -1154,12 +1327,15 @@ impl<'a> Exchange<'a> {
                 }
                 None => {
                     stats.rows_inserted += 1;
-                    // The bucket keeps the insert-time value snapshot, not
-                    // the node: nested-set containers are appended under a
-                    // member after installation, so the live node's
-                    // structure drifts from the member identity that merge
-                    // confirmation must compare against.
-                    let node = self.target.push_set_member(set_node, value.clone());
+                    // The bucket keeps the value the member was installed
+                    // from, not the node: nested-set containers are
+                    // appended under a member after installation, so the
+                    // live node's structure drifts from the member identity
+                    // that merge confirmation must compare against.
+                    let value = candidate.into_value();
+                    let installed_from = self.target.len();
+                    let node = self.target.push_generated_member(set_node, &value, &m.name);
+                    stats.annotations_written += self.target.len() - installed_from;
                     let bucket = self.merge_index.entry((set_node, fp)).or_default();
                     let bucket_len = bucket.len();
                     bucket.push((value, node));
@@ -1186,8 +1362,8 @@ impl<'a> Exchange<'a> {
                             .binding(binding_fp)
                             .target(u64::from(node.0)),
                         );
+                        self.journal_installed(node, m);
                     }
-                    self.annotate_subtree(node, m, stats);
                     (node, true)
                 }
             };
@@ -1201,11 +1377,41 @@ impl<'a> Exchange<'a> {
         Ok(touches)
     }
 
-    /// Where one foreach row's `Parent::Root` bindings land, without
-    /// inserting anything. Built from the slot assignment, member
-    /// constructor, fingerprint and merge-index lookup [`Exchange::insert_row`]
-    /// uses, so the incremental engine routes rows to member classes exactly
-    /// as insertion would.
+    /// Visits the `Parent::Root` bindings of `plan` for one foreach row
+    /// without inserting anything: each binding's index, its skeleton set
+    /// (`None` while absent), its merge-index fingerprint and the row's
+    /// member. Built from the slot assignment, member identity and
+    /// fingerprint [`Exchange::insert_row`] uses, so the incremental engine
+    /// routes and replays rows exactly as insertion would.
+    pub(crate) fn visit_roots(
+        &self,
+        m: &Mapping,
+        plan: &Plan,
+        row: &[AtomicValue],
+        templates: bool,
+        shapes: &mut [Option<MemberShape>],
+        mut visit: impl FnMut(usize, Option<NodeId>, u64, &Candidate<'_>),
+    ) -> Result<(), ExchangeError> {
+        let slots = slot_values(m, plan, row)?;
+        for (bi, (b, shape)) in plan.bindings.iter().zip(shapes).enumerate() {
+            let Parent::Root(root, steps) = &b.parent else {
+                continue;
+            };
+            let candidate = self.candidate(b, &slots, templates, shape)?;
+            let fp = (self.member_fp)(candidate.fingerprint());
+            let set = self.target.root(root).and_then(|r| {
+                steps
+                    .iter()
+                    .try_fold(r, |node, label| self.target.child_by_label(node, label))
+            });
+            visit(bi, set, fp, &candidate);
+        }
+        Ok(())
+    }
+
+    /// Where one foreach row's `Parent::Root` bindings land (see
+    /// [`Exchange::visit_roots`]): the live member each binding's value
+    /// would merge into.
     pub(crate) fn root_members(
         &self,
         m: &Mapping,
@@ -1214,51 +1420,39 @@ impl<'a> Exchange<'a> {
         templates: bool,
         shapes: &mut [Option<MemberShape>],
     ) -> Result<Vec<RootMember>, ExchangeError> {
-        let class_values = slot_values(m, plan, row)?;
         let mut out = Vec::new();
-        for (bi, b) in plan.bindings.iter().enumerate() {
-            let Parent::Root(root, steps) = &b.parent else {
-                continue;
-            };
-            let value = self.member_value(b, &class_values, templates, &mut shapes[bi])?;
-            let fp = (self.member_fp)(&value);
-            let set = self.target.root(root).and_then(|r| {
-                steps
-                    .iter()
-                    .try_fold(r, |node, label| self.target.child_by_label(node, label))
-            });
-            let member = set.and_then(|s| self.find_member(s, fp, &value));
-            out.push(RootMember {
-                binding: bi,
-                set,
-                member,
-                value,
-            });
-        }
+        self.visit_roots(
+            m,
+            plan,
+            row,
+            templates,
+            shapes,
+            |binding, set, fp, candidate| {
+                let member = set.and_then(|s| self.find_member(s, fp, candidate));
+                out.push(RootMember { binding, member });
+            },
+        )?;
         Ok(out)
     }
 
-    /// The member value binding `b` builds from a row's slot values: its
-    /// compiled template (compiled into `shape` at the first row), or the
-    /// per-row reference construction when templates are off.
-    fn member_value(
+    /// The member binding `b` identifies from a row's slots: its compiled
+    /// template (compiled into `shape` at the first row) over the slots, or
+    /// the per-row reference construction's value when templates are off.
+    fn candidate<'s>(
         &self,
         b: &PlanBinding,
-        class_values: &[Option<AtomicValue>],
+        slots: &'s Slots<'s>,
         templates: bool,
-        shape: &mut Option<MemberShape>,
-    ) -> Result<Value, ExchangeError> {
+        shape: &'s mut Option<MemberShape>,
+    ) -> Result<Candidate<'s>, ExchangeError> {
         if !templates {
             let fields: Vec<(&[Step], AtomicValue)> = b
                 .fields
                 .iter()
-                .filter_map(|(steps, c)| {
-                    class_values[*c]
-                        .as_ref()
-                        .map(|v| (steps.as_slice(), v.clone()))
-                })
+                .filter_map(|(steps, c)| slots[*c].map(|v| (steps.as_slice(), v.clone())))
                 .collect();
-            return build_member_reference(self.target_schema, b.member_elem, &fields);
+            let value = build_member_reference(self.target_schema, b.member_elem, &fields)?;
+            return Ok(Candidate::Built(value));
         }
         if shape.is_none() {
             // Which slot classes carry a value is decided by the select
@@ -1267,25 +1461,24 @@ impl<'a> Exchange<'a> {
             let live: Vec<(&[Step], usize)> = b
                 .fields
                 .iter()
-                .filter(|(_, c)| class_values[*c].is_some())
+                .filter(|(_, c)| slots[*c].is_some())
                 .map(|(steps, c)| (steps.as_slice(), *c))
                 .collect();
-            *shape = Some(build_shape(self.target_schema, b.member_elem, &live)?);
+            let node = build_shape(self.target_schema, b.member_elem, &live)?;
+            *shape = Some(MemberShape::new(node));
         }
         let shape = shape.as_ref().expect("template compiled above");
-        shape.fill(class_values).ok_or_else(|| {
-            ExchangeError::Unsupported("a target member with no assigned fields".into())
-        })
+        Ok(Candidate::Template(shape, slots))
     }
 
-    /// The member of `set` holding `value`. A fingerprint hit only
-    /// nominates candidates; the match is confirmed by comparing the stored
-    /// member values structurally.
-    fn find_member(&self, set: NodeId, fp: u64, value: &Value) -> Option<NodeId> {
+    /// The member of `set` holding `candidate`'s value. A fingerprint hit
+    /// only nominates members; the match is confirmed against the value
+    /// each was installed from.
+    fn find_member(&self, set: NodeId, fp: u64, candidate: &Candidate<'_>) -> Option<NodeId> {
         self.merge_index
             .get(&(set, fp))?
             .iter()
-            .find(|e| e.0 == *value)
+            .find(|e| candidate.matches(&e.0))
             .map(|e| e.1)
     }
 
@@ -1406,6 +1599,19 @@ impl<'a> Exchange<'a> {
         }
     }
 
+    /// Journals the annotation writes of a member installed with `f_mp =
+    /// {m}`: one `AnnotationWritten` per node, in the order
+    /// [`Exchange::annotate_subtree`] walks a subtree.
+    fn journal_installed(&self, node: NodeId, m: &Mapping) {
+        let mut stack = vec![node];
+        while let Some(n) = stack.pop() {
+            journal_annotation(true, n, m);
+            if self.target.set_members(n).is_none() {
+                stack.extend_from_slice(self.target.children(n));
+            }
+        }
+    }
+
     /// Rolls the in-flight mapping's writes back so the target holds
     /// exactly the mappings that completed: truncates the arena to the
     /// pre-mapping snapshot, prunes merge-index entries that point at
@@ -1460,27 +1666,28 @@ impl<'a> Exchange<'a> {
     }
 }
 
-/// Assigns a foreach row's select positions to the plan's slot classes;
-/// two positions giving one slot different values is a conflict.
-fn slot_values(
+/// Assigns a foreach row's select positions to the plan's slot classes,
+/// borrowing each value from the row; two positions giving one slot
+/// different values is a conflict.
+fn slot_values<'r>(
     m: &Mapping,
     plan: &Plan,
-    row: &[AtomicValue],
-) -> Result<Vec<Option<AtomicValue>>, ExchangeError> {
-    let mut class_values: Vec<Option<AtomicValue>> = vec![None; plan.n_classes];
-    for (i, &c) in plan.select_classes.iter().enumerate() {
-        match &class_values[c] {
-            None => class_values[c] = Some(row[i].clone()),
-            Some(prev) if *prev == row[i] => {}
+    row: &'r [AtomicValue],
+) -> Result<Vec<Option<&'r AtomicValue>>, ExchangeError> {
+    let mut slots: Vec<Option<&AtomicValue>> = vec![None; plan.n_classes];
+    for (value, &c) in row.iter().zip(&plan.select_classes) {
+        match slots[c] {
+            None => slots[c] = Some(value),
+            Some(prev) if prev == value => {}
             Some(prev) => {
                 return Err(ExchangeError::Conflict(format!(
-                    "mapping {}: positions assign `{prev}` and `{}` to one slot",
-                    m.name, row[i]
+                    "mapping {}: positions assign `{prev}` and `{value}` to one slot",
+                    m.name
                 )))
             }
         }
     }
-    Ok(class_values)
+    Ok(slots)
 }
 
 /// Folds one `Instance::add_mapping` outcome into the per-mapping stats and
@@ -1491,6 +1698,11 @@ fn record_annotation(newly_written: bool, node: NodeId, m: &Mapping, stats: &mut
     } else {
         stats.annotations_suppressed += 1;
     }
+    journal_annotation(newly_written, node, m);
+}
+
+/// Journals one annotation decision against the target node.
+fn journal_annotation(newly_written: bool, node: NodeId, m: &Mapping) {
     if dtr_obs::journal::enabled() {
         let outcome = if newly_written {
             dtr_obs::journal::Outcome::AnnotationWritten
@@ -1565,9 +1777,10 @@ pub(crate) fn eval_foreach(
     let result = Evaluator::new(&catalog, functions)
         .with_options(opts)
         .run(&m.foreach)?;
-    let rows = result.tuples();
+    let stats = result.stats;
+    let rows = result.into_tuples();
     let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Ok((rows, result.stats, ns))
+    Ok((rows, stats, ns))
 }
 
 /// Executes a set of mappings over the sources and returns the annotated
@@ -2232,6 +2445,116 @@ mod tests {
             assert_eq!(a.annotations_written, b.annotations_written);
             assert_eq!(a.annotations_suppressed, b.annotations_suppressed);
         }
+    }
+
+    /// Builds every member the exchange of `mappings` builds, and checks
+    /// each template's identity against its filled value: the template
+    /// fingerprint is `member_fingerprint` of the value, the value is the
+    /// reference construction's, and template confirmation agrees with
+    /// `==` against every distinct member of the same element built so
+    /// far, by any mapping. Returns how many members it checked.
+    fn check_template_identity(
+        sources: &[Source<'_>],
+        target: &Schema,
+        mappings: &[Mapping],
+    ) -> usize {
+        let funcs = FunctionRegistry::with_builtins();
+        let engine = Exchange::new(sources.to_vec(), target, &funcs);
+        let mut built: HashMap<ElementId, Vec<Value>> = HashMap::new();
+        let mut checked = 0;
+        for m in mappings {
+            let plan = plan_exists(m, target).unwrap();
+            let (rows, _, _) = eval_foreach(sources, &funcs, m, EvalOptions::default()).unwrap();
+            let mut shapes: Vec<Option<MemberShape>> = Vec::new();
+            shapes.resize_with(plan.bindings.len(), || None);
+            for row in &rows {
+                let slots = slot_values(m, &plan, row).unwrap();
+                for (b, shape) in plan.bindings.iter().zip(&mut shapes) {
+                    let Candidate::Template(shape, slots) =
+                        engine.candidate(b, &slots, true, shape).unwrap()
+                    else {
+                        panic!("templates on must give a template");
+                    };
+                    let value = shape.fill(slots);
+                    assert_eq!(shape.fingerprint(slots), member_fingerprint(&value));
+                    let Candidate::Built(reference) =
+                        engine.candidate(b, slots, false, &mut None).unwrap()
+                    else {
+                        panic!("templates off must build the value");
+                    };
+                    assert_eq!(value, reference, "mapping {}", m.name);
+                    let others = built.entry(b.member_elem).or_default();
+                    for other in others.iter() {
+                        assert_eq!(
+                            shape.matches(slots, other),
+                            value == *other,
+                            "mapping {}: {value:?} against {other:?}",
+                            m.name
+                        );
+                    }
+                    assert!(shape.matches(slots, &value));
+                    // A record that differs only in a field's label is
+                    // another member.
+                    if let Value::Record(fields) = &value {
+                        let mut relabeled = fields.clone();
+                        relabeled[0].0 = Label::from("relabeled");
+                        assert!(!shape.matches(slots, &Value::Record(relabeled)));
+                    }
+                    if !others.contains(&value) {
+                        others.push(value);
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn template_identity_agrees_with_built_values() {
+        let (us_s, eu_s, us_i, eu_i) = full_sources();
+        let p_s = portal_schema();
+        let sources = [
+            Source {
+                schema: &us_s,
+                instance: &us_i,
+            },
+            Source {
+                schema: &eu_s,
+                instance: &eu_i,
+            },
+        ];
+        assert!(check_template_identity(&sources, &p_s, &figure1_mappings()) > 0);
+
+        let scen = dtr_portal::scenario::build(dtr_portal::scenario::ScenarioConfig {
+            listings_per_source: 25,
+            ..Default::default()
+        });
+        let setting = &scen.setting;
+        let mut instances = scen.sources.clone();
+        for (inst, schema) in instances.iter_mut().zip(setting.source_schemas()) {
+            inst.annotate_elements(schema).unwrap();
+        }
+        let sources: Vec<Source<'_>> = setting
+            .source_schemas()
+            .iter()
+            .zip(&instances)
+            .map(|(schema, instance)| Source { schema, instance })
+            .collect();
+        // The portal crate builds on this crate's library, whose `Mapping`
+        // is a type of its own here; the parts are shared types.
+        let mappings: Vec<Mapping> = setting
+            .mappings()
+            .iter()
+            .map(|m| Mapping {
+                name: m.name.clone(),
+                foreach: m.foreach.clone(),
+                exists: m.exists.clone(),
+            })
+            .collect();
+        assert_eq!(mappings.len(), 16);
+        let checked = check_template_identity(&sources, setting.target_schema(), &mappings);
+        assert!(checked > 500, "{checked} members checked");
     }
 
     #[test]

@@ -54,8 +54,10 @@
 //! ([`Exchange::run_mappings`], then [`Exchange::finish`]) and record the
 //! row bags and the retraction index from the insert stage's binding
 //! touches, so they produce the very bytes a full exchange does. Stage 3
-//! routes rows to classes with the member constructor and fingerprint
-//! insertion itself uses (`Exchange::root_members`).
+//! routes rows to classes with the member identity and fingerprint
+//! insertion itself uses (`Exchange::root_members`): a row's member is
+//! confirmed against the merge index through its template, and no member
+//! value is built.
 //!
 //! Correctness rests on the annotation closed form: the final `f_mp` set of
 //! any node depends only on *which* rows each mapping contributed, never on
@@ -70,9 +72,8 @@
 
 use crate::delta::{DeltaError, EditOp, SourceDelta, TargetChange, TargetDelta};
 use crate::exchange::{
-    effective_eval, eval_foreach, member_fingerprint, plan_exists, BindingTouch, Exchange,
-    ExchangeError, ExchangeOptions, ExchangeReport, MappingStats, MemberShape, Parent, Plan,
-    RootMember,
+    effective_eval, eval_foreach, plan_exists, BindingTouch, Exchange, ExchangeError,
+    ExchangeOptions, ExchangeReport, MappingStats, MemberShape, Parent, Plan, RootMember,
 };
 use crate::glav::Mapping;
 use dtr_model::instance::{Instance, NodeData, NodeId, Value};
@@ -177,8 +178,9 @@ fn row_order_key(row: &Row) -> String {
 /// set, its fingerprint, and — per contributing mapping — the multiset of
 /// foreach rows routed into this class plus the insert/merge event counts
 /// confined to the class's chains. Keyed by the member's current node id.
-/// Which root bindings route a row here is not stored; replay recomputes it
-/// from the class's member value.
+/// Which root bindings route a row here is not stored; replay tests each
+/// row's root bindings against the class's member value, the snapshot its
+/// merge-index entry kept.
 #[derive(Clone, Debug)]
 struct ClassState {
     set: NodeId,
@@ -243,7 +245,7 @@ pub struct IncrementalExchange {
     mappings: Vec<Mapping>,
     functions: FunctionRegistry,
     opts: ExchangeOptions,
-    member_fp: fn(&Value) -> u64,
+    member_fp: fn(u64) -> u64,
     plans: Vec<Plan>,
     root_of: Vec<Vec<usize>>,
     bags: Vec<Bag>,
@@ -287,7 +289,7 @@ impl IncrementalExchange {
             mappings,
             functions,
             opts,
-            member_fp: member_fingerprint,
+            member_fp: std::convert::identity,
             plans: Vec::new(),
             root_of: Vec::new(),
             bags: Vec::new(),
@@ -308,7 +310,7 @@ impl IncrementalExchange {
     /// [`Exchange::set_member_fingerprinter`] for the contract) and rebases
     /// so the whole index is built under the override. Conformance-testing
     /// hook for forcing collision splits under retraction.
-    pub fn set_member_fingerprinter(&mut self, f: fn(&Value) -> u64) -> Result<(), DeltaError> {
+    pub fn set_member_fingerprinter(&mut self, f: fn(u64) -> u64) -> Result<(), DeltaError> {
         self.member_fp = f;
         self.rebase()
     }
@@ -721,7 +723,7 @@ impl IncrementalExchange {
                     .run(&term.query)
                     .map_err(ExchangeError::from)?;
                 *eval_stats += result.stats;
-                for row in result.tuples() {
+                for row in result.into_tuples() {
                     *out[mi].entry(row).or_insert(0) += 1;
                 }
             }
@@ -930,18 +932,39 @@ impl Replay<'_> {
         )
     }
 
-    /// The insert mask covering the chains of the root bindings `pick`
-    /// selects.
-    fn mask(
-        &self,
-        mi: usize,
-        roots: &[RootMember],
-        pick: impl Fn(&RootMember) -> bool,
-    ) -> Vec<bool> {
+    /// The insert mask covering the chains of the root bindings `picked`.
+    fn mask(&self, mi: usize, picked: &[usize]) -> Vec<bool> {
         self.root_of[mi]
             .iter()
-            .map(|&r| roots.iter().any(|m| m.binding == r && pick(m)))
+            .map(|r| picked.contains(r))
             .collect()
+    }
+
+    /// The insert mask covering the chains of the root bindings that build
+    /// `value` in `set` from `row`: a class's replay mask, its snapshot
+    /// tested through the templates.
+    fn snapshot_mask(
+        &mut self,
+        ex: &Exchange<'_>,
+        mi: usize,
+        row: &Row,
+        set: NodeId,
+        value: &Value,
+    ) -> Result<Vec<bool>, ExchangeError> {
+        let mut picked = Vec::new();
+        ex.visit_roots(
+            &self.mappings[mi],
+            &self.plans[mi],
+            row,
+            self.templates,
+            &mut self.shapes[mi],
+            |binding, at, _, candidate| {
+                if at == Some(set) && candidate.matches(value) {
+                    picked.push(binding);
+                }
+            },
+        )?;
+        Ok(self.mask(mi, &picked))
     }
 
     /// Phase 4: routes removed and added rows to their member classes.
@@ -998,9 +1021,15 @@ impl Replay<'_> {
                         return Err(broken("retraction index out of step with row bags"));
                     }
                 }
-                if adding && roots.iter().any(|r| r.member.is_none()) {
-                    let mask = self.mask(mi, &roots, |r| r.member.is_none());
-                    fresh.push((mi, row.clone(), k, mask));
+                if adding {
+                    let absent: Vec<usize> = roots
+                        .iter()
+                        .filter(|r| r.member.is_none())
+                        .map(|r| r.binding)
+                        .collect();
+                    if !absent.is_empty() {
+                        fresh.push((mi, row.clone(), k, self.mask(mi, &absent)));
+                    }
                 }
             }
         }
@@ -1081,9 +1110,7 @@ impl Replay<'_> {
                     // Only the root bindings building this class's member
                     // value in its set replay; the row's other classes
                     // stay as they are.
-                    let roots = self.root_members(ex, mi, row)?;
-                    let mask =
-                        self.mask(mi, &roots, |r| r.set == Some(cls.set) && r.value == value);
+                    let mask = self.snapshot_mask(ex, mi, row, cls.set, &value)?;
                     self.insert(ex, mi, row, count, &mask, &mut replayed)?;
                 }
             }

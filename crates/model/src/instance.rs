@@ -211,13 +211,23 @@ impl Instance {
     }
 
     fn push_node(&mut self, label: Label, parent: Option<NodeId>, data: NodeData) -> NodeId {
+        self.push_annotated(label, parent, data, Annotation::default())
+    }
+
+    fn push_annotated(
+        &mut self,
+        label: Label,
+        parent: Option<NodeId>,
+        data: NodeData,
+        annotation: Annotation,
+    ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             label,
             parent,
             data,
         });
-        self.annots.push(Annotation::default());
+        self.annots.push(annotation);
         id
     }
 
@@ -436,6 +446,75 @@ impl Instance {
             c.push(kid);
         }
         kid
+    }
+
+    /// Appends a copy of `v` as a new member of `set`, as mapping `m`
+    /// generated it: every node installed carries `f_mp = {m}` and no
+    /// element yet. `v` is read by reference; atomic leaves are cloned
+    /// (a string is a reference-count bump). The installed nodes are the
+    /// arena's suffix from its length before the call. Returns the
+    /// member's id.
+    ///
+    /// # Panics
+    /// Panics if `set` is not a set node.
+    pub fn push_generated_member(&mut self, set: NodeId, v: &Value, m: &MappingName) -> NodeId {
+        assert!(
+            matches!(self.node(set).data, NodeData::Set(_)),
+            "push_generated_member target must be a set node"
+        );
+        let kid = self.install_generated(Label::star(), v, set, m);
+        if let NodeData::Set(c) = &mut self.nodes.get_mut(set.index()).data {
+            c.push(kid);
+        }
+        kid
+    }
+
+    fn install_generated(
+        &mut self,
+        label: Label,
+        v: &Value,
+        parent: NodeId,
+        m: &MappingName,
+    ) -> NodeId {
+        let annotation = Annotation {
+            element: None,
+            mappings: vec![m.clone()],
+        };
+        let data = match v {
+            Value::Atomic(a) => NodeData::Atomic(a.clone()),
+            Value::Record(_) => NodeData::Record(Vec::new()),
+            Value::Choice(..) => NodeData::Choice(None),
+            Value::Set(_) => NodeData::Set(Vec::new()),
+        };
+        let id = self.push_annotated(label, Some(parent), data, annotation);
+        match v {
+            Value::Atomic(_) => {}
+            Value::Record(fields) => {
+                let kids: Vec<NodeId> = fields
+                    .iter()
+                    .map(|(l, v)| self.install_generated(l.clone(), v, id, m))
+                    .collect();
+                if let NodeData::Record(c) = &mut self.nodes.get_mut(id.index()).data {
+                    *c = kids;
+                }
+            }
+            Value::Choice(alt, inner) => {
+                let kid = self.install_generated(alt.clone(), inner, id, m);
+                if let NodeData::Choice(c) = &mut self.nodes.get_mut(id.index()).data {
+                    *c = Some(kid);
+                }
+            }
+            Value::Set(members) => {
+                let kids: Vec<NodeId> = members
+                    .iter()
+                    .map(|v| self.install_generated(Label::star(), v, id, m))
+                    .collect();
+                if let NodeData::Set(c) = &mut self.nodes.get_mut(id.index()).data {
+                    *c = kids;
+                }
+            }
+        }
+        id
     }
 
     /// Removes `member` from the member list of `set` without reclaiming
@@ -970,6 +1049,33 @@ mod tests {
         let estates = inst.child_by_label(portal, "estates").unwrap();
         inst.push_set_member(estates, estate("H9", "3", "700K", "Acme"));
         assert_eq!(inst.set_members(estates).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn generated_member_installs_like_an_owned_one_tagged_with_its_mapping() {
+        let mut inst = figure3_instance();
+        let portal = inst.root("Portal").unwrap();
+        let estates = inst.child_by_label(portal, "estates").unwrap();
+        let v = estate("H9", "3", "700K", "Acme");
+        let before = inst.len();
+        let m = MappingName::new("m9");
+        let member = inst.push_generated_member(estates, &v, &m);
+        assert_eq!(inst.to_value(member), v);
+        assert_eq!(inst.parent(member), Some(estates));
+        assert_eq!(*inst.set_members(estates).unwrap().last().unwrap(), member);
+        for i in before..inst.len() {
+            let ann = inst.annotation(NodeId(i as u32));
+            assert_eq!(
+                (ann.element, ann.mappings.as_slice()),
+                (None, [m.clone()].as_slice())
+            );
+        }
+        let mut owned = figure3_instance();
+        let set = owned
+            .child_by_label(owned.root("Portal").unwrap(), "estates")
+            .unwrap();
+        owned.push_set_member(set, v);
+        assert_eq!(owned.len(), inst.len());
     }
 
     #[test]

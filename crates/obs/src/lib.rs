@@ -72,7 +72,7 @@ pub use metrics::Work;
 pub use profile::{CounterValue, PipelineProfile, ProfileNode};
 pub use recorder::{FlightEvent, FlightKind, Summary as FlightSummary};
 pub use ring::Counts;
-pub use trace::{span, SpanGuard};
+pub use trace::{adopt_thread_spans, span, take_thread_spans, SpanGuard, ThreadSpans};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -55,28 +55,53 @@ struct Collector {
 
 impl Collector {
     fn open(&mut self, name: &'static str) -> usize {
-        let siblings = match self.stack.last() {
-            Some(&parent) => &self.nodes[parent].children,
+        let index = self.child(self.stack.last().copied(), name);
+        self.stack.push(index);
+        index
+    }
+
+    /// The node named `name` under `parent` (at the top level for `None`),
+    /// created if absent.
+    fn child(&mut self, parent: Option<usize>, name: &'static str) -> usize {
+        let siblings = match parent {
+            Some(parent) => &self.nodes[parent].children,
             None => &self.roots,
         };
         let found = siblings
             .iter()
             .copied()
             .find(|&i| self.nodes[i].name == name);
-        let index = match found {
+        match found {
             Some(i) => i,
             None => {
                 let i = self.nodes.len();
                 self.nodes.push(Node::new(name));
-                match self.stack.last() {
-                    Some(&parent) => self.nodes[parent].children.push(i),
+                match parent {
+                    Some(parent) => self.nodes[parent].children.push(i),
                     None => self.roots.push(i),
                 }
                 i
             }
-        };
-        self.stack.push(index);
-        index
+        }
+    }
+
+    /// Folds node `index` of `from` and its subtree into the node of the
+    /// same name under `parent`: counts and times add, extremes widen, and
+    /// the folded node's fields win.
+    fn adopt(&mut self, parent: Option<usize>, from: &Collector, index: usize) {
+        let src = &from.nodes[index];
+        let at = self.child(parent, src.name);
+        let node = &mut self.nodes[at];
+        node.count += src.count;
+        node.total_ns += src.total_ns;
+        node.min_ns = node.min_ns.min(src.min_ns);
+        node.max_ns = node.max_ns.max(src.max_ns);
+        for (key, value) in &src.fields {
+            self.set_field(at, key, value.clone());
+        }
+        for &c in &src.children {
+            self.adopt(Some(at), from, c);
+        }
     }
 
     fn close(&mut self, index: usize, elapsed_ns: u64) {
@@ -215,6 +240,49 @@ impl Drop for SpanGuard {
             crate::recorder::record_span_end(flight.name, elapsed_ns);
         }
     }
+}
+
+/// The spans one thread collected, taken from it with
+/// [`take_thread_spans`] so another thread can fold them into its own
+/// profile with [`adopt_thread_spans`].
+#[derive(Debug)]
+pub struct ThreadSpans(Collector);
+
+/// Takes every span and duration this thread collected, leaving its
+/// collector empty. A worker thread calls it as its last step and hands the
+/// result to the thread that started it, whose profile would otherwise
+/// never see the spans: a thread's collector is dropped with it.
+pub fn take_thread_spans() -> ThreadSpans {
+    COLLECTOR.with(|c| {
+        let mut collector = c.borrow_mut();
+        ThreadSpans(Collector {
+            nodes: std::mem::take(&mut collector.nodes),
+            roots: std::mem::take(&mut collector.roots),
+            stack: std::mem::take(&mut collector.stack),
+            durations: std::mem::replace(&mut collector.durations, [0; HISTOGRAM_BUCKETS]),
+        })
+    })
+}
+
+/// Folds spans another thread collected into this thread's profile, under
+/// its innermost open span (at the top level when none is open): a span
+/// of the same name at the same position aggregates with them, and their
+/// durations join this thread's histogram.
+pub fn adopt_thread_spans(spans: ThreadSpans) {
+    let from = spans.0;
+    if from.nodes.is_empty() {
+        return;
+    }
+    COLLECTOR.with(|c| {
+        let mut collector = c.borrow_mut();
+        let parent = collector.stack.last().copied();
+        for &r in &from.roots {
+            collector.adopt(parent, &from, r);
+        }
+        for (slot, n) in collector.durations.iter_mut().zip(from.durations) {
+            *slot += n;
+        }
+    });
 }
 
 /// Drop every collected span and duration on this thread (open guards

@@ -265,6 +265,15 @@ impl QueryResult {
             .collect()
     }
 
+    /// The rows as plain atomic tuples, moved out of the result: no value
+    /// is cloned.
+    pub fn into_tuples(self) -> Vec<Vec<AtomicValue>> {
+        self.rows
+            .into_iter()
+            .map(|r| r.into_iter().map(|v| v.value).collect())
+            .collect()
+    }
+
     /// The distinct atomic tuples, in first-appearance order.
     pub fn distinct_tuples(&self) -> Vec<Vec<AtomicValue>> {
         let mut seen: HashSet<Vec<AtomicValue>> = HashSet::new();

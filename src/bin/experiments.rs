@@ -14,9 +14,10 @@
 //!
 //! `--profile` (or `DTR_PROFILE=1`) enables the `dtr-obs` span collector;
 //! the harness then prints the aggregated profile tree with the work
-//! counts of the shared scenario's exchange (plus p50/p90/p99 span
-//! latency) and, with `--json`, embeds it under the `"profile"` key with
-//! the percentiles under `"latency_ns"`.
+//! counts of everything the run did — the shared scenario's exchange plus
+//! the work each experiment returns with its JSON (plus p50/p90/p99 span
+//! latency) — and, with `--json`, embeds it under the `"profile"` key
+//! with the percentiles under `"latency_ns"`.
 //!
 //! `--deadline-ms MS` and `--max-rows N` run every exchange and timed query
 //! under a `dtr-obs` resource budget. An exhausted budget aborts the run
@@ -31,6 +32,7 @@ use dtr_mapping::durable::MemVfs;
 use dtr_mapping::exchange::ExchangeOptions;
 use dtr_model::instance::Value;
 use dtr_obs::guard::Budget;
+use dtr_obs::Work;
 use dtr_portal::nesting::nested_tagged;
 use dtr_portal::scenario::{build, ScenarioConfig};
 use dtr_query::parser::parse_query;
@@ -213,7 +215,7 @@ fn default_tagged(
 
 /// E1 — integrated instance slightly larger than the source data
 /// (multi-mapped values: the paper's 14.3 MB → 14.5 MB).
-fn e1(tagged: &TaggedInstance, src_bytes: usize) -> Json {
+fn e1(tagged: &TaggedInstance, src_bytes: usize) -> (Json, Work) {
     banner("E1", "source size vs integrated instance size");
     let plain = instance_to_xml(tagged.target(), WriteOptions::plain()).len();
     println!(
@@ -229,13 +231,14 @@ fn e1(tagged: &TaggedInstance, src_bytes: usize) -> Json {
          represented more than once)",
         plain as f64 / src_bytes as f64
     );
-    json!({"source_mb": mb(src_bytes), "integrated_mb": mb(plain),
-           "ratio": plain as f64 / src_bytes as f64})
+    let out = json!({"source_mb": mb(src_bytes), "integrated_mb": mb(plain),
+                     "ratio": plain as f64 / src_bytes as f64});
+    (out, Work::default())
 }
 
 /// E2 — naive annotations vs PNF-suppressed annotations
 /// (paper: 3 MB → 0.8 MB ≈ 5.5 %).
-fn e2(tagged: &TaggedInstance) -> Json {
+fn e2(tagged: &TaggedInstance) -> (Json, Work) {
     banner("E2", "annotation overhead: naive vs PNF suppression");
     let r = SizeReport::measure(tagged.target());
     println!("  plain instance:      {:>8.2} MB", mb(r.plain));
@@ -253,20 +256,23 @@ fn e2(tagged: &TaggedInstance) -> Json {
         "  reduction factor:    {:>8.2}x               (paper: 3.75x)",
         r.naive_annotation_bytes() as f64 / r.pnf_annotation_bytes().max(1) as f64
     );
-    json!({"plain_mb": mb(r.plain),
-           "naive_overhead_pct": 100.0 * r.naive_overhead(),
-           "pnf_overhead_pct": 100.0 * r.pnf_overhead()})
+    let out = json!({"plain_mb": mb(r.plain),
+                     "naive_overhead_pct": 100.0 * r.naive_overhead(),
+                     "pnf_overhead_pct": 100.0 * r.pnf_overhead()});
+    (out, Work::default())
 }
 
 /// E3 — the PNF overhead stays flat across source data sizes
 /// (paper: "approximately 5.5 % in all the cases").
-fn e3(n_full: usize, budget: &Budget, parallel: bool, workers: usize) -> Json {
+fn e3(n_full: usize, budget: &Budget, parallel: bool, workers: usize) -> (Json, Work) {
     banner("E3", "annotation overhead across source data sizes");
     println!("  listings/source   plain MB    PNF overhead");
     let mut rows = Vec::new();
+    let mut work = Work::default();
     for frac in [8usize, 4, 2, 1] {
         let n = (n_full / frac).max(10);
         let (tagged, _) = default_tagged(n, budget, parallel, workers);
+        work += tagged.report().work();
         let r = SizeReport::measure(tagged.target());
         println!(
             "  {:>14}   {:>8.2}    {:>6.2} %",
@@ -279,11 +285,11 @@ fn e3(n_full: usize, budget: &Budget, parallel: bool, workers: usize) -> Json {
                          "pnf_overhead_pct": 100.0 * r.pnf_overhead()}));
     }
     println!("  (paper: ≈5.5 % at every size)");
-    Json::Array(rows)
+    (Json::Array(rows), work)
 }
 
 /// E4 — storing the schemas and mappings adds ≈0.3 MB.
-fn e4(tagged: &TaggedInstance) -> Json {
+fn e4(tagged: &TaggedInstance) -> (Json, Work) {
     banner("E4", "stored schemas + mappings (metastore) size");
     let runner = MetaRunner::new(tagged.setting()).expect("metastore builds");
     let meta_xml = instance_to_xml(runner.meta_source().instance, WriteOptions::plain());
@@ -313,16 +319,18 @@ fn e4(tagged: &TaggedInstance) -> Json {
         runner.store().conditions.len(),
         runner.store().correspondences.len()
     );
-    json!({"metastore_mb": mb(meta_xml.len()), "schema_xml_mb": mb(schema_xml),
-           "total_mb": mb(meta_xml.len() + schema_xml)})
+    let out = json!({"metastore_mb": mb(meta_xml.len()), "schema_xml_mb": mb(schema_xml),
+                     "total_mb": mb(meta_xml.len() + schema_xml)});
+    (out, runner.work())
 }
 
 /// E5 — overlapping sources lower the annotation bytes
 /// (paper: 5.5 % → 4.9 %).
-fn e5(n: usize, budget: &Budget) -> Json {
+fn e5(n: usize, budget: &Budget) -> (Json, Work) {
     banner("E5", "annotation overhead under source overlap");
     println!("  overlap   houses   naive ann.   naive/src   PNF ann.   PNF/src");
     let mut rows = Vec::new();
+    let mut work = Work::default();
     for overlap in [0.0f64, 0.1, 0.2, 0.3] {
         let scenario = build(ScenarioConfig {
             listings_per_source: n,
@@ -335,6 +343,7 @@ fn e5(n: usize, budget: &Budget) -> Json {
             ..ExchangeOptions::default()
         };
         let tagged = guard_exit(scenario.exchange_with(&opts), "the overlap exchange");
+        work += tagged.report().work();
         let r = SizeReport::measure(tagged.target());
         let schema = tagged.setting().target_schema();
         let member = schema
@@ -361,16 +370,18 @@ fn e5(n: usize, budget: &Budget) -> Json {
          merged values share one annotation. The same amount of crawled data\n   \
          needs fewer annotation bytes when it overlaps.)"
     );
-    Json::Array(rows)
+    (Json::Array(rows), work)
 }
 
 /// E6 — deeper nesting lowers the annotation overhead.
-fn e6() -> Json {
+fn e6() -> (Json, Work) {
     banner("E6", "annotation overhead vs nesting depth");
     println!("  depth   width   leaves   PNF overhead");
     let mut rows = Vec::new();
+    let mut work = Work::default();
     for (depth, width) in [(1usize, 4096usize), (2, 64), (3, 16), (4, 8)] {
         let tagged = nested_tagged(depth, width);
+        work += tagged.report().work();
         let r = SizeReport::measure(tagged.target());
         let leaves = width.pow(depth as u32);
         println!(
@@ -384,10 +395,18 @@ fn e6() -> Json {
                          "pnf_overhead_pct": 100.0 * r.pnf_overhead()}));
     }
     println!("  (paper: overhead 'should decrease even further if the number of\n   nested sets increases')");
-    Json::Array(rows)
+    (Json::Array(rows), work)
 }
 
-fn time_query(tagged: &TaggedInstance, text: &str, reps: usize, budget: &Budget) -> f64 {
+/// The median wall time of `reps` runs of `text`; each run's evaluator
+/// work adds into `work`.
+fn time_query(
+    tagged: &TaggedInstance,
+    text: &str,
+    reps: usize,
+    budget: &Budget,
+    work: &mut Work,
+) -> f64 {
     let q = parse_query(text).expect("query parses");
     // Warm up + median of `reps`.
     let mut times: Vec<f64> = (0..reps)
@@ -396,19 +415,23 @@ fn time_query(tagged: &TaggedInstance, text: &str, reps: usize, budget: &Budget)
             let req = Request::Parsed(&q);
             let (r, _) = guard_exit(tagged.execute(req, Some(budget), false), "a timed query");
             std::hint::black_box(r.len());
-            t0.elapsed().as_secs_f64() * 1000.0
+            let ms = t0.elapsed().as_secs_f64() * 1000.0;
+            *work += Work::from(r.stats);
+            ms
         })
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
 
+/// [`time_query`] for the §7.3 translation of `text`.
 fn time_translated(
     tagged: &TaggedInstance,
     runner: &MetaRunner,
     text: &str,
     reps: usize,
     budget: &Budget,
+    work: &mut Work,
 ) -> f64 {
     let q = parse_query(text).expect("query parses");
     let mut times: Vec<f64> = (0..reps)
@@ -419,7 +442,9 @@ fn time_translated(
                 "a timed translated query",
             );
             std::hint::black_box(r.len());
-            t0.elapsed().as_secs_f64() * 1000.0
+            let ms = t0.elapsed().as_secs_f64() * 1000.0;
+            *work += Work::from(r.stats);
+            ms
         })
         .collect();
     times.sort_by(f64::total_cmp);
@@ -428,7 +453,7 @@ fn time_translated(
 
 /// E7 — MXQL queries show "no significant execution time increase" over
 /// plain queries; the translated form is also measured.
-fn e7(tagged: &TaggedInstance, budget: &Budget) -> Json {
+fn e7(tagged: &TaggedInstance, budget: &Budget) -> (Json, Work) {
     banner("E7", "query execution: plain vs MXQL vs translated MXQL");
     let runner = guard_exit(
         MetaRunner::new_budgeted(tagged.setting(), budget),
@@ -441,11 +466,12 @@ fn e7(tagged: &TaggedInstance, budget: &Budget) -> Json {
     let mxql_pred = "select h.hid, m from Portal.houses h, h.price@map m \
                      where h.price > 800000 and e = h.price@elem \
                        and <'Yahoo':'/Yahoo/listings/price' -> m -> 'Portal':e>";
-    let t_plain = time_query(tagged, plain, reps, budget);
-    let t_map = time_query(tagged, mxql_map, reps, budget);
-    let t_pred = time_query(tagged, mxql_pred, reps, budget);
-    let t_tr_map = time_translated(tagged, &runner, mxql_map, reps, budget);
-    let t_tr_pred = time_translated(tagged, &runner, mxql_pred, reps, budget);
+    let mut work = runner.work();
+    let t_plain = time_query(tagged, plain, reps, budget, &mut work);
+    let t_map = time_query(tagged, mxql_map, reps, budget, &mut work);
+    let t_pred = time_query(tagged, mxql_pred, reps, budget, &mut work);
+    let t_tr_map = time_translated(tagged, &runner, mxql_map, reps, budget, &mut work);
+    let t_tr_pred = time_translated(tagged, &runner, mxql_pred, reps, budget, &mut work);
     println!("  plain selection:                 {t_plain:>9.2} ms");
     println!(
         "  MXQL with @map:                  {t_map:>9.2} ms  ({:+.1} % vs plain)",
@@ -458,17 +484,19 @@ fn e7(tagged: &TaggedInstance, budget: &Budget) -> Json {
     println!("  translated (@map):               {t_tr_map:>9.2} ms");
     println!("  translated (mapping predicate):  {t_tr_pred:>9.2} ms");
     println!("  (paper: 'no significant execution time increase')");
-    json!({"plain_ms": t_plain, "mxql_map_ms": t_map, "mxql_pred_ms": t_pred,
-           "translated_map_ms": t_tr_map, "translated_pred_ms": t_tr_pred})
+    let out = json!({"plain_ms": t_plain, "mxql_map_ms": t_map, "mxql_pred_ms": t_pred,
+                     "translated_map_ms": t_tr_map, "translated_pred_ms": t_tr_pred});
+    (out, work)
 }
 
 /// E8 — debugging the `housesInNeighborhood` mapping.
-fn e8(n: usize, budget: &Budget) -> Json {
+fn e8(n: usize, budget: &Budget) -> (Json, Work) {
     banner(
         "E8",
         "debugging housesInNeighborhood (buggy vs fixed self-join)",
     );
     let mut out = serde_json::Map::new();
+    let mut work = Work::default();
     for buggy in [true, false] {
         let scenario = build(ScenarioConfig {
             listings_per_source: (n / 10).clamp(30, 400),
@@ -480,10 +508,12 @@ fn e8(n: usize, budget: &Budget) -> Json {
             ..ExchangeOptions::default()
         };
         let tagged = guard_exit(scenario.exchange_with(&opts), "the debugging exchange");
+        work += tagged.report().work();
         // Count cross-city "neighbors" (the misleading data).
         let all = tagged
             .query("select h.hid, h.city from Portal.houses h")
             .expect("query runs");
+        work += Work::from(all.stats);
         let mut city_of = std::collections::HashMap::new();
         for row in all.tuples() {
             city_of.insert(row[0].to_string(), row[1].to_string());
@@ -494,6 +524,7 @@ fn e8(n: usize, budget: &Budget) -> Json {
                  from Portal.houses h, h.housesInNeighborhood b",
             )
             .expect("query runs");
+        work += Work::from(pairs.stats);
         let total = pairs.len();
         let cross = pairs
             .tuples()
@@ -517,6 +548,8 @@ fn e8(n: usize, budget: &Budget) -> Json {
             let r = dtr_query::eval::Evaluator::new(&catalog, tagged.functions())
                 .run(&q)
                 .expect("metadata query runs");
+            work += runner.work();
+            work += Work::from(r.stats);
             let mut names: Vec<String> = r.tuples().iter().map(|t| t[0].to_string()).collect();
             names.sort();
             names.dedup();
@@ -537,11 +570,11 @@ fn e8(n: usize, budget: &Budget) -> Json {
         "  (paper: neighborhoods with the same name in different states generated\n   \
          misleading data; joining on city, state and neighborhood corrected it)"
     );
-    Json::Object(out)
+    (Json::Object(out), work)
 }
 
 /// E9 — the schoolDistrict accuracy finding.
-fn e9(tagged: &TaggedInstance) -> Json {
+fn e9(tagged: &TaggedInstance) -> (Json, Work) {
     banner(
         "E9",
         "schoolDistrict accuracy (single source element feeds three)",
@@ -554,11 +587,13 @@ fn e9(tagged: &TaggedInstance) -> Json {
                and h.schools.middle = h.schools.high",
         )
         .expect("query runs");
+    let mut work = Work::from(r.stats);
     let equal = r.len();
-    let total = tagged
+    let all = tagged
         .query("select h.hid from Portal.houses h")
-        .expect("query runs")
-        .len();
+        .expect("query runs");
+    work += Work::from(all.stats);
+    let total = all.len();
     println!("  houses with identical elementary/middle/high districts: {equal} / {total}");
     // Diagnosis: where do the three school elements of those houses come
     // from? (The paper's MXQL query, per target element.)
@@ -573,6 +608,7 @@ fn e9(tagged: &TaggedInstance) -> Json {
                 "select e from where <'NKdb':e -> m -> 'Portal':'{target}'>"
             ))
             .expect("query runs");
+        work += Work::from(r.stats);
         let elems: Vec<String> = r
             .distinct_tuples()
             .iter()
@@ -585,7 +621,8 @@ fn e9(tagged: &TaggedInstance) -> Json {
         "  (paper: 'all three elements were retrieving their values from a single\n   \
          element schoolDistrict' of the Realtors source)"
     );
-    json!({"equal_district_houses": equal, "total_houses": total, "origins": origins})
+    let out = json!({"equal_district_houses": equal, "total_houses": total, "origins": origins});
+    (out, work)
 }
 
 /// E10 — durable exchange: WAL-backed commits, crash, recovery.
@@ -595,7 +632,7 @@ fn e9(tagged: &TaggedInstance) -> Json {
 /// WAL-then-publish protocol, then simulates a crash by recovering from a
 /// copy of the "disk" and verifies the recovered canonical target is
 /// byte-identical to the live one.
-fn e10(n: usize, budget: &Budget) -> Json {
+fn e10(n: usize, budget: &Budget) -> (Json, Work) {
     banner("E10", "durable exchange (WAL commit, crash, recovery)");
     let scenario = build(ScenarioConfig {
         listings_per_source: n,
@@ -657,6 +694,7 @@ fn e10(n: usize, budget: &Budget) -> Json {
     );
     // Crash: the writer dies; all that survives is the "disk".
     let crashed = vfs.clone_files();
+    let mut work = session.work();
     drop(session);
     let t2 = Instant::now();
     let (recovered, report) = guard_exit(
@@ -664,6 +702,7 @@ fn e10(n: usize, budget: &Budget) -> Json {
         "crash recovery",
     );
     let recover_s = t2.elapsed().as_secs_f64();
+    work += recovered.work();
     let byte_identical = recovered.pin().canonical() == live;
     println!(
         "  created durable session in {create_s:.2} s; {BATCHES} churn batches in {apply_s:.3} s \
@@ -676,7 +715,7 @@ fn e10(n: usize, budget: &Budget) -> Json {
     );
     assert!(byte_identical, "recovery drifted from the live state");
     assert_eq!(report.replayed, BATCHES);
-    json!({
+    let out = json!({
         "create_s": create_s,
         "batches": BATCHES,
         "apply_s": apply_s,
@@ -686,7 +725,8 @@ fn e10(n: usize, budget: &Budget) -> Json {
         "recover_s": recover_s,
         "replayed": report.replayed,
         "byte_identical": byte_identical,
-    })
+    });
+    (out, work)
 }
 
 fn main() {
@@ -735,9 +775,14 @@ fn main() {
         None
     };
 
+    // The work the harness holds a tally of: the shared exchange's, plus
+    // what each experiment returns with its JSON.
+    let mut work = shared
+        .as_ref()
+        .map_or_else(Work::default, |(tagged, _)| tagged.report().work());
     let mut results = serde_json::Map::new();
     for e in &args.run {
-        let value = match *e {
+        let (value, done) = match *e {
             "e1" => {
                 let (t, src) = shared.as_ref().expect("shared scenario");
                 e1(t, *src)
@@ -758,15 +803,13 @@ fn main() {
             "e10" => e10(args.listings_per_source, &args.budget),
             other => panic!("unknown experiment {other}"),
         };
+        work += done;
         results.insert((*e).to_string(), value);
     }
 
     let profile = if dtr_obs::enabled() {
         let mut p = dtr_obs::profile_snapshot();
-        // The work the harness holds a tally of: the shared exchange.
-        if let Some((tagged, _)) = &shared {
-            p.counters = tagged.report().work().entries();
-        }
+        p.counters = work.entries();
         println!("\n{}", p.render());
         if let Some((p50, p90, p99)) = p.span_latency {
             println!("span latency: p50 {p50} ns, p90 {p90} ns, p99 {p99} ns");
