@@ -2526,35 +2526,86 @@ mod tests {
         ];
         assert!(check_template_identity(&sources, &p_s, &figure1_mappings()) > 0);
 
-        let scen = dtr_portal::scenario::build(dtr_portal::scenario::ScenarioConfig {
-            listings_per_source: 25,
-            ..Default::default()
-        });
-        let setting = &scen.setting;
-        let mut instances = scen.sources.clone();
-        for (inst, schema) in instances.iter_mut().zip(setting.source_schemas()) {
-            inst.annotate_elements(schema).unwrap();
-        }
-        let sources: Vec<Source<'_>> = setting
-            .source_schemas()
-            .iter()
-            .zip(&instances)
-            .map(|(schema, instance)| Source { schema, instance })
-            .collect();
-        // The portal crate builds on this crate's library, whose `Mapping`
-        // is a type of its own here; the parts are shared types.
-        let mappings: Vec<Mapping> = setting
-            .mappings()
-            .iter()
-            .map(|m| Mapping {
-                name: m.name.clone(),
-                foreach: m.foreach.clone(),
-                exists: m.exists.clone(),
-            })
-            .collect();
-        assert_eq!(mappings.len(), 16);
-        let checked = check_template_identity(&sources, setting.target_schema(), &mappings);
-        assert!(checked > 500, "{checked} members checked");
+        // Members that differ only in a choice's alternative, a shared
+        // field (one slot class feeding two leaves), duplicate rows and a
+        // nested set under a merged member.
+        let src = Schema::build(
+            "S",
+            vec![(
+                "R",
+                Type::relation(vec![
+                    ("name", AtomicType::String),
+                    ("firm", AtomicType::String),
+                    ("person", AtomicType::String),
+                ]),
+            )],
+        )
+        .unwrap();
+        let tgt = Schema::build(
+            "T",
+            vec![(
+                "Q",
+                Type::set(Type::record(vec![
+                    ("who", Type::string()),
+                    (
+                        "title",
+                        Type::choice(vec![("firm", Type::string()), ("person", Type::string())]),
+                    ),
+                    (
+                        "notes",
+                        Type::set(Type::record(vec![("note", Type::string())])),
+                    ),
+                ])),
+            )],
+        )
+        .unwrap();
+        let row = |name: &str, firm: &str, person: &str| {
+            Value::record(vec![
+                ("name", Value::str(name)),
+                ("firm", Value::str(firm)),
+                ("person", Value::str(person)),
+            ])
+        };
+        let mut inst = Instance::new("S");
+        inst.install_root(
+            "R",
+            Value::set(vec![
+                row("Ann", "Acme", "Acme"),
+                row("Ann", "Acme", "Acme"),
+                row("Bob", "Acme", "Bob"),
+                row("Cy", "Zed", "Ann"),
+            ]),
+        );
+        inst.annotate_elements(&src).unwrap();
+        let parse = |name: &str, text: &str| Mapping::parse(name, text).unwrap();
+        let mappings = [
+            parse(
+                "firm",
+                "foreach select r.name, r.firm from R r
+                 exists select q.who, q.title->firm from Q q",
+            ),
+            parse(
+                "person",
+                "foreach select r.name, r.person from R r
+                 exists select q.who, q.title->person from Q q",
+            ),
+            parse(
+                "self",
+                "foreach select r.name from R r
+                 exists select q.who from Q q where q.who = q.title->person",
+            ),
+            parse(
+                "noted",
+                "foreach select r.name, r.firm, r.person from R r
+                 exists select q.who, q.title->firm, n.note from Q q, q.notes n",
+            ),
+        ];
+        let sources = [Source {
+            schema: &src,
+            instance: &inst,
+        }];
+        let checked = check_template_identity(&sources, &tgt, &mappings);
+        assert_eq!(checked, 20, "four rows, five bindings per row");
     }
 
     #[test]

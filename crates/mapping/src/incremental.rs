@@ -765,7 +765,7 @@ impl IncrementalExchange {
             }
             let appended_from = source.len();
             for v in &c.inserted_values {
-                c.inserted.push(source.push_set_member(c.set, v.clone()));
+                c.inserted.push(source.push_set_member(c.set, v));
             }
             // The kept indexes over this set follow its members.
             for (key, ix) in self.indexes.iter_mut() {

@@ -134,12 +134,12 @@ mod tests {
         let q = tgt_i.root("Q").unwrap();
         tgt_i.push_set_member(
             q,
-            Value::record(vec![("x", Value::str("3")), ("y", Value::str("4"))]),
+            &Value::record(vec![("x", Value::str("3")), ("y", Value::str("4"))]),
         );
         // An extra target tuple is fine: satisfaction is containment.
         tgt_i.push_set_member(
             q,
-            Value::record(vec![("x", Value::str("9")), ("y", Value::str("9"))]),
+            &Value::record(vec![("x", Value::str("9")), ("y", Value::str("9"))]),
         );
         tgt_i.annotate_elements(&tgt_s).unwrap();
         let m = Mapping::parse(

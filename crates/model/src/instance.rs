@@ -389,117 +389,45 @@ impl Instance {
         }
     }
 
-    /// Installs an owned [`Value`] tree as a new root.
+    /// Installs a [`Value`] tree as a new root.
     pub fn install_root(&mut self, label: impl Into<Label>, v: Value) -> NodeId {
-        let id = self.install(label.into(), v, None);
+        let id = self.install(label.into(), &v, None, &Annotation::default());
         self.roots.push(id);
         id
     }
 
-    fn install(&mut self, label: Label, v: Value, parent: Option<NodeId>) -> NodeId {
-        match v {
-            Value::Atomic(a) => self.push_node(label, parent, NodeData::Atomic(a)),
-            Value::Record(fields) => {
-                let id = self.push_node(label, parent, NodeData::Record(Vec::new()));
-                let kids: Vec<NodeId> = fields
-                    .into_iter()
-                    .map(|(l, v)| self.install(l, v, Some(id)))
-                    .collect();
-                if let NodeData::Record(c) = &mut self.nodes.get_mut(id.index()).data {
-                    *c = kids;
-                }
-                id
-            }
-            Value::Choice(alt, inner) => {
-                let id = self.push_node(label, parent, NodeData::Choice(None));
-                let kid = self.install(alt, *inner, Some(id));
-                if let NodeData::Choice(c) = &mut self.nodes.get_mut(id.index()).data {
-                    *c = Some(kid);
-                }
-                id
-            }
-            Value::Set(members) => {
-                let id = self.push_node(label, parent, NodeData::Set(Vec::new()));
-                let kids: Vec<NodeId> = members
-                    .into_iter()
-                    .map(|v| self.install(Label::star(), v, Some(id)))
-                    .collect();
-                if let NodeData::Set(c) = &mut self.nodes.get_mut(id.index()).data {
-                    *c = kids;
-                }
-                id
-            }
-        }
-    }
-
-    /// Appends a new member to a set node and returns its id.
-    ///
-    /// # Panics
-    /// Panics if `set` is not a set node.
-    pub fn push_set_member(&mut self, set: NodeId, v: Value) -> NodeId {
-        assert!(
-            matches!(self.node(set).data, NodeData::Set(_)),
-            "push_set_member target must be a set node"
-        );
-        let kid = self.install(Label::star(), v, Some(set));
-        if let NodeData::Set(c) = &mut self.nodes.get_mut(set.index()).data {
-            c.push(kid);
-        }
-        kid
-    }
-
-    /// Appends a copy of `v` as a new member of `set`, as mapping `m`
-    /// generated it: every node installed carries `f_mp = {m}` and no
-    /// element yet. `v` is read by reference; atomic leaves are cloned
-    /// (a string is a reference-count bump). The installed nodes are the
-    /// arena's suffix from its length before the call. Returns the
-    /// member's id.
-    ///
-    /// # Panics
-    /// Panics if `set` is not a set node.
-    pub fn push_generated_member(&mut self, set: NodeId, v: &Value, m: &MappingName) -> NodeId {
-        assert!(
-            matches!(self.node(set).data, NodeData::Set(_)),
-            "push_generated_member target must be a set node"
-        );
-        let kid = self.install_generated(Label::star(), v, set, m);
-        if let NodeData::Set(c) = &mut self.nodes.get_mut(set.index()).data {
-            c.push(kid);
-        }
-        kid
-    }
-
-    fn install_generated(
+    /// Installs a copy of `v` under `parent` (atomic leaves are cloned; a
+    /// string is a reference-count bump). Every node it creates carries
+    /// `annotation`, except the members of a set inside `v`, which start
+    /// unannotated: a set's members are generated apart from their
+    /// container.
+    fn install(
         &mut self,
         label: Label,
         v: &Value,
-        parent: NodeId,
-        m: &MappingName,
+        parent: Option<NodeId>,
+        annotation: &Annotation,
     ) -> NodeId {
-        let annotation = Annotation {
-            element: None,
-            mappings: vec![m.clone()],
-        };
         let data = match v {
             Value::Atomic(a) => NodeData::Atomic(a.clone()),
             Value::Record(_) => NodeData::Record(Vec::new()),
             Value::Choice(..) => NodeData::Choice(None),
             Value::Set(_) => NodeData::Set(Vec::new()),
         };
-        let id = self.push_annotated(label, Some(parent), data, annotation);
+        let id = self.push_annotated(label, parent, data, annotation.clone());
         match v {
             Value::Atomic(_) => {}
             Value::Record(fields) => {
                 let kids: Vec<NodeId> = fields
                     .iter()
-                    .map(|(l, v)| self.install_generated(l.clone(), v, id, m))
+                    .map(|(l, v)| self.install(l.clone(), v, Some(id), annotation))
                     .collect();
                 if let NodeData::Record(c) = &mut self.nodes.get_mut(id.index()).data {
                     *c = kids;
                 }
             }
             Value::Choice(alt, inner) => {
-                let kid = self.install_generated(alt.clone(), inner, id, m);
+                let kid = self.install(alt.clone(), inner, Some(id), annotation);
                 if let NodeData::Choice(c) = &mut self.nodes.get_mut(id.index()).data {
                     *c = Some(kid);
                 }
@@ -507,7 +435,7 @@ impl Instance {
             Value::Set(members) => {
                 let kids: Vec<NodeId> = members
                     .iter()
-                    .map(|v| self.install_generated(Label::star(), v, id, m))
+                    .map(|v| self.install(Label::star(), v, Some(id), &Annotation::default()))
                     .collect();
                 if let NodeData::Set(c) = &mut self.nodes.get_mut(id.index()).data {
                     *c = kids;
@@ -515,6 +443,43 @@ impl Instance {
             }
         }
         id
+    }
+
+    /// Appends a copy of `v` as a new member of a set node and returns its
+    /// id.
+    ///
+    /// # Panics
+    /// Panics if `set` is not a set node.
+    pub fn push_set_member(&mut self, set: NodeId, v: &Value) -> NodeId {
+        self.push_member(set, v, &Annotation::default())
+    }
+
+    /// Appends a copy of `v` as a new member of `set`, as mapping `m`
+    /// generated it: every node installed, apart from the members of a set
+    /// inside `v`, carries `f_mp = {m}` and no element yet. The installed
+    /// nodes are the arena's suffix from its length before the call.
+    /// Returns the member's id.
+    ///
+    /// # Panics
+    /// Panics if `set` is not a set node.
+    pub fn push_generated_member(&mut self, set: NodeId, v: &Value, m: &MappingName) -> NodeId {
+        let annotation = Annotation {
+            element: None,
+            mappings: vec![m.clone()],
+        };
+        self.push_member(set, v, &annotation)
+    }
+
+    fn push_member(&mut self, set: NodeId, v: &Value, annotation: &Annotation) -> NodeId {
+        assert!(
+            matches!(self.node(set).data, NodeData::Set(_)),
+            "a new member's target must be a set node"
+        );
+        let kid = self.install(Label::star(), v, Some(set), annotation);
+        if let NodeData::Set(c) = &mut self.nodes.get_mut(set.index()).data {
+            c.push(kid);
+        }
+        kid
     }
 
     /// Removes `member` from the member list of `set` without reclaiming
@@ -1047,12 +1012,12 @@ mod tests {
         let mut inst = figure3_instance();
         let portal = inst.root("Portal").unwrap();
         let estates = inst.child_by_label(portal, "estates").unwrap();
-        inst.push_set_member(estates, estate("H9", "3", "700K", "Acme"));
+        inst.push_set_member(estates, &estate("H9", "3", "700K", "Acme"));
         assert_eq!(inst.set_members(estates).unwrap().len(), 3);
     }
 
     #[test]
-    fn generated_member_installs_like_an_owned_one_tagged_with_its_mapping() {
+    fn generated_member_installs_like_a_plain_one_tagged_with_its_mapping() {
         let mut inst = figure3_instance();
         let portal = inst.root("Portal").unwrap();
         let estates = inst.child_by_label(portal, "estates").unwrap();
@@ -1070,12 +1035,21 @@ mod tests {
                 (None, [m.clone()].as_slice())
             );
         }
-        let mut owned = figure3_instance();
-        let set = owned
-            .child_by_label(owned.root("Portal").unwrap(), "estates")
+        let mut plain = figure3_instance();
+        let set = plain
+            .child_by_label(plain.root("Portal").unwrap(), "estates")
             .unwrap();
-        owned.push_set_member(set, v);
-        assert_eq!(owned.len(), inst.len());
+        plain.push_set_member(set, &v);
+        assert_eq!(plain.len(), inst.len());
+
+        // A set inside the value is tagged, its members are not: they are
+        // generated apart from their container.
+        let nested = Value::record(vec![("notes", Value::set(vec![Value::str("n")]))]);
+        let member = inst.push_generated_member(estates, &nested, &m);
+        let notes = inst.child_by_label(member, "notes").unwrap();
+        assert_eq!(inst.annotation(notes).mappings, std::slice::from_ref(&m));
+        let note = inst.set_members(notes).unwrap()[0];
+        assert!(inst.annotation(note).mappings.is_empty());
     }
 
     #[test]
@@ -1108,7 +1082,7 @@ mod tests {
         // mapping annotation on a surviving node.
         let portal = inst.root("Portal").unwrap();
         let estates = inst.child_by_label(portal, "estates").unwrap();
-        inst.push_set_member(estates, estate("H9", "3", "700K", "Acme"));
+        inst.push_set_member(estates, &estate("H9", "3", "700K", "Acme"));
         inst.install_root("Stray", Value::str("x"));
         inst.add_mapping(estates, MappingName::new("m9"));
         inst.truncate(snapshot_len);
@@ -1197,7 +1171,10 @@ mod tests {
         let mut inst = figure3_instance();
         let set = estates_set(&inst);
         for i in 2..estates {
-            inst.push_set_member(set, estate(&format!("H{i}"), "2", &format!("{i}K"), "Acme"));
+            inst.push_set_member(
+                set,
+                &estate(&format!("H{i}"), "2", &format!("{i}K"), "Acme"),
+            );
         }
         inst.annotate_elements(&cow_schema()).unwrap();
         for (i, &m) in inst.set_members(set).unwrap().to_vec().iter().enumerate() {
@@ -1206,8 +1183,8 @@ mod tests {
                 inst.add_mapping(m, MappingName::new("m2"));
             }
         }
-        inst.push_set_member(set, estate("T1", "1", "1K", "Tail"));
-        inst.push_set_member(set, estate("T2", "1", "2K", "Tail"));
+        inst.push_set_member(set, &estate("T1", "1", "1K", "Tail"));
+        inst.push_set_member(set, &estate("T2", "1", "2K", "Tail"));
         inst
     }
 
@@ -1297,7 +1274,7 @@ mod tests {
                 "push_set_member",
                 Box::new(|i: &mut Instance| {
                     let set = estates_set(i);
-                    i.push_set_member(set, estate("H9", "3", "9K", "Acme"));
+                    i.push_set_member(set, &estate("H9", "3", "9K", "Acme"));
                 }),
             ),
             (
@@ -1398,8 +1375,8 @@ mod tests {
             let gone = estate_at(inst, 5);
             inst.detach_set_member(set, gone);
             inst.strip_annotations(gone);
-            inst.push_set_member(set, estate("N1", "4", "4K", "New"));
-            let orphan = inst.push_set_member(set, estate("N2", "4", "5K", "New"));
+            inst.push_set_member(set, &estate("N1", "4", "4K", "New"));
+            let orphan = inst.push_set_member(set, &estate("N2", "4", "5K", "New"));
             inst.detach_set_member(set, orphan);
             inst.install_root("Note", Value::str("hello"));
         }
@@ -1415,7 +1392,7 @@ mod tests {
         inst.annotate_elements(&schema).unwrap();
         let start = inst.len();
         let set = estates_set(&inst);
-        inst.push_set_member(set, Value::record(vec![("bogus", Value::str("x"))]));
+        inst.push_set_member(set, &Value::record(vec![("bogus", Value::str("x"))]));
         let err = inst.annotate_elements_from(&schema, start).unwrap_err();
         assert!(err.reason.contains("no child labelled `bogus`"), "{err}");
         let start = inst.len();
@@ -1485,7 +1462,7 @@ mod tests {
                 inst.install_root("Note", Value::str(format!("n{seed}")));
             }
             8 => {
-                inst.push_set_member(set, estate(&format!("P{seed}"), "1", "1K", "Acme"));
+                inst.push_set_member(set, &estate(&format!("P{seed}"), "1", "1K", "Acme"));
             }
             9 => {
                 let kids = inst.children(set).to_vec();

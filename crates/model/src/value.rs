@@ -191,13 +191,6 @@ impl AtomicValue {
 
 impl PartialEq for AtomicValue {
     fn eq(&self, other: &Self) -> bool {
-        // Two strings sharing one allocation are equal without reading it:
-        // a value copied from a source node meets its copy this way.
-        if let (AtomicValue::Str(a), AtomicValue::Str(b)) = (self, other) {
-            if Arc::ptr_eq(a, b) {
-                return true;
-            }
-        }
         self.compare(other) == Some(Ordering::Equal)
     }
 }
@@ -381,16 +374,6 @@ mod tests {
             String::from(s).hash(&mut text);
             assert_eq!(name.finish(), text.finish());
         }
-    }
-
-    #[test]
-    fn shared_and_separate_strings_compare_alike() {
-        let a = AtomicValue::str("H522");
-        let shared = a.clone();
-        assert_eq!(a, shared);
-        assert_eq!(a, AtomicValue::str("H522"));
-        assert_ne!(a, AtomicValue::str("H523"));
-        assert_ne!(a, AtomicValue::Db("H522".into()));
     }
 
     #[test]
